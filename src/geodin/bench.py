@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, MissingTokenError, StateError
+from .errors import ConfigError, DomainError, MissingTokenError, NumericError, StateError
 from .scores import SCORE_NAMES, score_batch
 from .train import Model, extract_features
 
@@ -327,6 +327,8 @@ def _validated_scores(id_scores, ood_scores) -> tuple[np.ndarray, np.ndarray]:
     b = np.asarray(ood_scores, dtype=np.float64).ravel()
     if a.size == 0 or b.size == 0:
         raise DomainError("both score sets must be nonempty")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise NumericError("scores must be finite")
     return a, b
 
 
@@ -364,12 +366,6 @@ def tnr_at_tpr95(id_scores, ood_scores) -> float:
     j = int(0.05 * id_s.size) + 1
     t = np.partition(id_s, j - 1)[j - 1]
     return float(np.mean(ood_s < t))
-
-
-def adjacent_drops(values) -> np.ndarray:
-    """Positive decreases between consecutive values (trend-check helper)."""
-    v = np.asarray(values, dtype=np.float64)
-    return np.maximum(0.0, v[:-1] - v[1:])
 
 
 def _ood_inputs(task: SyntheticTask, spec: ShiftSpec, concept_groups):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, UnsupportedVariantError
 from .head import HeadVariant, head_backward_batch, head_forward_batch, softmax_cross_entropy_batch
-from .train import Model, cosine_lr, extract_features
+from .train import Model, cosine_lr, extract_features, momentum_step
 
 
 @dataclass(frozen=True)
@@ -221,7 +221,8 @@ def _tune_head(head, F: np.ndarray, y: np.ndarray, config: CalibConfig):
 
     nll_before = full_nll()
     best = (nll_before, -1, head.copy())
-    velocity = {}
+    tail = head.W.size  # the alpha/beta parameters follow W in head.flat
+    velocity = np.zeros_like(head.flat[tail:])
     step = 0
     for epoch in range(config.epochs):
         perm = rng.permutation(n)
@@ -231,15 +232,7 @@ def _tune_head(head, F: np.ndarray, y: np.ndarray, config: CalibConfig):
             trace = head_forward_batch(F[idx], head)
             _, grad_logits = softmax_cross_entropy_batch(trace.logits, y[idx])
             hg = head_backward_batch(trace, F[idx], head, grad_logits)
-            updates = []
-            if head.variant.has_alpha:
-                updates += [("alpha_w", hg.alpha_w), ("alpha_b", hg.alpha_b)]
-            if head.variant.has_beta:
-                updates += [("beta_w", hg.beta_w), ("beta_b", hg.beta_b)]
-            for name, g in updates:
-                v = config.momentum * velocity.get(name, 0.0) + g
-                velocity[name] = v
-                setattr(head, name, getattr(head, name) - lr * v)
+            momentum_step(head.flat[tail:], hg.flat[tail:], velocity, lr, config.momentum)
             step += 1
         epoch_nll = full_nll()
         if epoch_nll < best[0]:

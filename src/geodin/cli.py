@@ -62,9 +62,10 @@ def _load_cfg(args) -> RunConfig:
 
 
 def _check_model_matches(model, cfg: RunConfig) -> None:
-    if model.meta["d_in"] != cfg.task.d_in or model.meta["n_classes"] != cfg.task.k:
+    d_in, k = model.extractor.d_in, model.head.n_classes
+    if d_in != cfg.task.d_in or k != cfg.task.k:
         raise ConfigError(
-            f"checkpoint expects d_in={model.meta['d_in']}, k={model.meta['n_classes']} "
+            f"checkpoint expects d_in={d_in}, k={k} "
             f"but config declares d_in={cfg.task.d_in}, k={cfg.task.k}"
         )
 

@@ -20,7 +20,7 @@ backward pass is validated against central finite differences in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -61,33 +61,58 @@ def softplus(x):
     return out if out.ndim else float(out)
 
 
-@dataclass
 class HeadParams:
-    """Class weights plus the alpha/beta head parameters.
+    """Class weights plus the alpha/beta head parameters in one float64 vector.
 
-    W has no bias row: the geometric factorization of the logits assumes
-    pure inner products.
+    ``flat`` holds W (k x D, row-major), alpha_w, alpha_b, beta_w, beta_b in
+    that order, which is also the checkpoint's order.  W, alpha_w and beta_w
+    are views into it; alpha_b and beta_b read and write one element.  W has
+    no bias row: the geometric factorization of the logits assumes pure inner
+    products.
     """
 
-    W: np.ndarray
-    alpha_w: np.ndarray
-    alpha_b: float
-    beta_w: np.ndarray
-    beta_b: float
-    variant: HeadVariant
+    def __init__(self, W, alpha_w, alpha_b, beta_w, beta_b, variant):
+        W = np.asarray(W, dtype=np.float64)
+        flat = np.concatenate([W.ravel(), alpha_w, [alpha_b], beta_w, [beta_b]], dtype=np.float64)
+        self._bind(flat, *W.shape, variant)
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, n_classes: int, d_feature: int, variant) -> "HeadParams":
+        """Wrap an existing buffer of size (n_classes + 2) * d_feature + 2 without copying."""
+        self = cls.__new__(cls)
+        self._bind(flat, n_classes, d_feature, variant)
+        return self
+
+    def _bind(self, flat: np.ndarray, n_classes: int, d_feature: int, variant) -> None:
+        k, d = n_classes, d_feature
+        self.flat = flat
+        self.variant = HeadVariant(variant)
+        self.W = flat[: k * d].reshape(k, d)
+        self.alpha_w = flat[k * d : (k + 1) * d]
+        self.beta_w = flat[(k + 1) * d + 1 : (k + 2) * d + 1]
 
     @classmethod
     def initial(cls, d_feature: int, n_classes: int, variant: HeadVariant, rng: np.random.Generator) -> "HeadParams":
         """W ~ U(-1/sqrt(D), 1/sqrt(D)); zeroed heads so alpha=0.5, beta=softplus(0)."""
         bound = 1.0 / np.sqrt(d_feature)
-        return cls(
-            W=rng.uniform(-bound, bound, size=(n_classes, d_feature)),
-            alpha_w=np.zeros(d_feature),
-            alpha_b=0.0,
-            beta_w=np.zeros(d_feature),
-            beta_b=0.0,
-            variant=HeadVariant(variant),
-        )
+        W = rng.uniform(-bound, bound, size=(n_classes, d_feature))
+        return cls(W, np.zeros(d_feature), 0.0, np.zeros(d_feature), 0.0, variant)
+
+    @property
+    def alpha_b(self) -> float:
+        return float(self.flat[self.W.size + self.d_feature])
+
+    @alpha_b.setter
+    def alpha_b(self, value: float) -> None:
+        self.flat[self.W.size + self.d_feature] = value
+
+    @property
+    def beta_b(self) -> float:
+        return float(self.flat[-1])
+
+    @beta_b.setter
+    def beta_b(self, value: float) -> None:
+        self.flat[-1] = value
 
     @property
     def n_classes(self) -> int:
@@ -98,14 +123,14 @@ class HeadParams:
         return self.W.shape[1]
 
     def copy(self) -> "HeadParams":
-        return HeadParams(
-            W=self.W.copy(),
-            alpha_w=self.alpha_w.copy(),
-            alpha_b=float(self.alpha_b),
-            beta_w=self.beta_w.copy(),
-            beta_b=float(self.beta_b),
-            variant=self.variant,
-        )
+        return HeadParams.from_flat(self.flat.copy(), self.n_classes, self.d_feature, self.variant)
+
+
+class HeadGradients(HeadParams):
+    """Parameter gradients in the layout of HeadParams.flat, plus the
+    per-sample feature gradients ``f``."""
+
+    f: np.ndarray
 
 
 @dataclass
@@ -121,16 +146,6 @@ class HeadForwardTrace:
     feature_norm: float
     degenerate: bool
     params: HeadParams
-
-
-@dataclass
-class HeadGradients:
-    W: np.ndarray
-    alpha_w: np.ndarray
-    alpha_b: float
-    beta_w: np.ndarray
-    beta_b: float
-    f: np.ndarray
 
 
 @dataclass
@@ -188,8 +203,9 @@ def head_backward_batch(
 ) -> HeadGradients:
     """Analytic gradients of sum(grad_logits * logits) for a batch.
 
-    Returns parameter gradients summed over the batch and per-sample feature
-    gradients (rows zeroed for degenerate samples).
+    Returns parameter gradients summed over the batch, one vector in the
+    layout of ``params.flat`` (zero for the heads a variant pins), and
+    per-sample feature gradients (rows zeroed for degenerate samples).
     """
     U = np.asarray(grad_logits, dtype=np.float64)
     if U.shape != trace.logits.shape:
@@ -199,51 +215,38 @@ def head_backward_batch(
     m, alpha, beta, fn = trace.m, trace.alpha, trace.beta, trace.feature_norm
     mU = m[:, None] * U
 
-    grad_W = mU.T @ F
-    grad_F = mU @ params.W
+    grad = HeadGradients.from_flat(np.zeros_like(params.flat), params.n_classes, params.d_feature, variant)
+    grad.W[:] = mU.T @ F
+    grad.f = grad_F = mU @ params.W
+    if variant is HeadVariant.VANILLA:
+        return grad
 
     d = trace.degenerate
     us = np.einsum("ij,ij->i", U, s)  # d(loss)/dm per sample
     us = np.where(d, 0.0, us)
     safe_fn = np.where(d, 1.0, fn)
 
-    if variant is HeadVariant.VANILLA:
-        return HeadGradients(
-            W=grad_W,
-            alpha_w=np.zeros(params.d_feature),
-            alpha_b=0.0,
-            beta_w=np.zeros(params.d_feature),
-            beta_b=0.0,
-            f=grad_F,
-        )
-
     if variant.has_alpha:
         # dm/dalpha = -m/alpha, dalpha/dz = alpha(1-alpha)
         ga = us * (-m / alpha) * alpha * (1.0 - alpha)
-        grad_alpha_w = F.T @ ga
-        grad_alpha_b = float(ga.sum())
+        grad.alpha_w[:] = F.T @ ga
+        grad.alpha_b = ga.sum()
         grad_F += ga[:, None] * params.alpha_w[None, :]
-    else:
-        grad_alpha_w = np.zeros(params.d_feature)
-        grad_alpha_b = 0.0
 
     if variant.has_beta:
         # dm/dbeta = 1/(alpha*||f||), dbeta/dz = sigmoid(z) = 1 - exp(-beta)
         dbeta_dz = -np.expm1(-beta)
         gb = us * dbeta_dz / (alpha * safe_fn)
         gb = np.where(d, 0.0, gb)
-        grad_beta_w = F.T @ gb
-        grad_beta_b = float(gb.sum())
+        grad.beta_w[:] = F.T @ gb
+        grad.beta_b = gb.sum()
         grad_F += gb[:, None] * params.beta_w[None, :]
         # dm/d||f|| = -beta/(alpha ||f||^2), d||f||/df = f/||f||
         gn = np.where(d, 0.0, us * (-beta / (alpha * safe_fn**2)) / safe_fn)
         grad_F += gn[:, None] * F
-    else:
-        grad_beta_w = np.zeros(params.d_feature)
-        grad_beta_b = 0.0
 
     grad_F[d] = 0.0
-    return HeadGradients(grad_W, grad_alpha_w, grad_alpha_b, grad_beta_w, grad_beta_b, grad_F)
+    return grad
 
 
 def head_backward(trace: HeadForwardTrace, grad_logits) -> HeadGradients:
@@ -261,7 +264,8 @@ def head_backward(trace: HeadForwardTrace, grad_logits) -> HeadGradients:
         degenerate=np.array([trace.degenerate]),
     )
     g = head_backward_batch(bt, trace.feature[None, :], trace.params, u[None, :])
-    return HeadGradients(g.W, g.alpha_w, g.alpha_b, g.beta_w, g.beta_b, g.f[0])
+    g.f = g.f[0]
+    return g
 
 
 def softmax_cross_entropy(logits, label: int) -> tuple[float, np.ndarray]:

@@ -9,12 +9,14 @@ Checkpoint layout (all little-endian), format version 1:
         variant   u32     (0 vanilla, 1 alpha_only, 2 beta_only, 3 alpha_beta)
         d_in      u32     n_hidden u32, then n_hidden u32 widths
         d_feature u32     n_classes u32
-        f64 arrays, row-major, in order: per extractor layer W then b;
-        head W; alpha_w; alpha_b; beta_w; beta_b
+        f64 array section: extractor.flat (per layer W row-major, then b),
+        then head.flat (W row-major, alpha_w, alpha_b, beta_w, beta_b)
     checksum u64 FNV-1a over the payload bytes
 
-Round trips are identity at byte level.  Report CSV/JSON round-trip at 6
-significant digits.
+The loader checks the structure even when the checksum holds: every width
+>= 1, n_classes >= 2, an array section of exactly the size the header
+implies, and finite parameters.  Round trips are identity at byte level.
+Report CSV/JSON round-trip at 6 significant digits.
 """
 
 from __future__ import annotations
@@ -54,20 +56,14 @@ def _array_bytes(a: np.ndarray) -> bytes:
 def save_model(model: Model, path) -> None:
     """Write a version-1 checkpoint; bit-exact under load_model."""
     head = model.head
-    hidden = [W.shape[0] for W, _ in model.extractor.layers[:-1]]
+    hidden = model.extractor.dims[1:-1]
     payload = bytearray()
     payload += struct.pack("<QII", int(model.meta.get("seed", 0)), _flags(model), _VARIANT_CODES[head.variant])
     payload += struct.pack("<II", model.extractor.d_in, len(hidden))
     payload += struct.pack(f"<{len(hidden)}I", *hidden)
     payload += struct.pack("<II", head.d_feature, head.n_classes)
-    for W, b in model.extractor.layers:
-        payload += _array_bytes(W)
-        payload += _array_bytes(b)
-    payload += _array_bytes(head.W)
-    payload += _array_bytes(head.alpha_w)
-    payload += struct.pack("<d", float(head.alpha_b))
-    payload += _array_bytes(head.beta_w)
-    payload += struct.pack("<d", float(head.beta_b))
+    payload += _array_bytes(model.extractor.flat)
+    payload += _array_bytes(head.flat)
     blob = MAGIC + struct.pack("<I", FORMAT_VERSION) + bytes(payload) + struct.pack("<Q", fnv1a64(bytes(payload)))
     Path(path).write_bytes(blob)
 
@@ -91,9 +87,8 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def array(self, shape) -> np.ndarray:
-        n = int(np.prod(shape))
-        return np.frombuffer(self.take(8 * n), dtype="<f8").reshape(shape).astype(np.float64)
+    def array(self, n: int) -> np.ndarray:
+        return np.frombuffer(self.take(8 * n), dtype="<f8").astype(np.float64)
 
 
 def load_model(path) -> Model:
@@ -118,37 +113,26 @@ def load_model(path) -> Model:
     if variant_code not in _VARIANT_FROM_CODE:
         raise FormatError(f"unknown head variant code {variant_code}")
     d_in, n_hidden = r.unpack("<II")
-    hidden = list(r.unpack(f"<{n_hidden}I")) if n_hidden else []
+    hidden = list(r.unpack(f"<{n_hidden}I"))
     d_feature, n_classes = r.unpack("<II")
-
     dims = [d_in, *hidden, d_feature]
-    layers = []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        W = r.array((fan_out, fan_in))
-        b = r.array((fan_out,))
-        layers.append((W, b))
-    head = HeadParams(
-        W=r.array((n_classes, d_feature)),
-        alpha_w=r.array((d_feature,)),
-        alpha_b=r.unpack("<d")[0],
-        beta_w=r.array((d_feature,)),
-        beta_b=r.unpack("<d")[0],
-        variant=_VARIANT_FROM_CODE[variant_code],
-    )
-    if r.pos != len(payload):
-        raise FormatError(f"{len(payload) - r.pos} unexpected trailing payload bytes")
-    meta = {
-        "seed": int(seed),
-        "variant": head.variant.value,
-        "d_in": int(d_in),
-        "hidden": [int(h) for h in hidden],
-        "feature_dim": int(d_feature),
-        "n_classes": int(n_classes),
-        "trained": bool(flags & 1),
-    }
+    if min(dims) < 1 or n_classes < 2:
+        raise FormatError(f"invalid checkpoint shapes: widths {dims}, n_classes {n_classes}")
+
+    n_extractor = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
+    n_head = (n_classes + 2) * d_feature + 2
+    if 8 * (n_extractor + n_head) != len(payload) - r.pos:
+        raise FormatError(
+            f"array section holds {len(payload) - r.pos} bytes but the header implies {8 * (n_extractor + n_head)}"
+        )
+    extractor = ExtractorParams.from_flat(r.array(n_extractor), dims)
+    head = HeadParams.from_flat(r.array(n_head), n_classes, d_feature, _VARIANT_FROM_CODE[variant_code])
+    if not (np.isfinite(extractor.flat).all() and np.isfinite(head.flat).all()):
+        raise FormatError("checkpoint holds non-finite parameters")
+    meta = {"seed": int(seed), "trained": bool(flags & 1)}
     if flags & 2:
         meta["calibrated"] = True
-    return Model(ExtractorParams(layers), head, meta)
+    return Model(extractor, head, meta)
 
 
 def parse_embeddings(path) -> dict[str, np.ndarray]:
@@ -179,7 +163,7 @@ def parse_embeddings(path) -> dict[str, np.ndarray]:
             if token not in table:
                 table[token] = vec
     if not table:
-        raise DomainError(f"embedding file {path} contains no records")
+        raise FormatError(f"embedding file {path} contains no records")
     return table
 
 

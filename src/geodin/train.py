@@ -63,11 +63,36 @@ class TrainConfig:
             raise ConfigError("layer widths must be >= 1")
 
 
-@dataclass
 class ExtractorParams:
-    """Fully connected rectified layers; the last one emits the feature."""
+    """Fully connected rectified layers; the last one emits the feature.
 
-    layers: list[tuple[np.ndarray, np.ndarray]]  # (W out x in, b out)
+    ``flat`` is one float64 vector holding each layer's W (out x in,
+    row-major) and then its b, first layer first; ``layers`` lists (W, b)
+    views into it.  A checkpoint's array section is this vector followed by
+    HeadParams.flat.
+    """
+
+    def __init__(self, layers: list[tuple[np.ndarray, np.ndarray]]):
+        dims = [layers[0][0].shape[1], *(W.shape[0] for W, _ in layers)]
+        flat = np.concatenate([a.ravel() for W, b in layers for a in (W, b)], dtype=np.float64)
+        self._bind(flat, dims)
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, dims: Sequence[int]) -> "ExtractorParams":
+        """Wrap an existing buffer for widths dims = [d_in, *hidden, d_feature] without copying."""
+        self = cls.__new__(cls)
+        self._bind(flat, dims)
+        return self
+
+    def _bind(self, flat: np.ndarray, dims: Sequence[int]) -> None:
+        self.flat = flat
+        self.layers = []
+        pos = 0
+        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+            W = flat[pos : pos + fan_out * fan_in].reshape(fan_out, fan_in)
+            b = flat[pos + W.size : pos + W.size + fan_out]
+            self.layers.append((W, b))
+            pos += W.size + fan_out
 
     @classmethod
     def initial(
@@ -81,6 +106,11 @@ class ExtractorParams:
         return cls(layers)
 
     @property
+    def dims(self) -> list[int]:
+        """Layer widths [d_in, *hidden, d_feature]."""
+        return [self.d_in, *(W.shape[0] for W, _ in self.layers)]
+
+    @property
     def d_in(self) -> int:
         return self.layers[0][0].shape[1]
 
@@ -89,7 +119,7 @@ class ExtractorParams:
         return self.layers[-1][0].shape[0]
 
     def copy(self) -> "ExtractorParams":
-        return ExtractorParams([(W.copy(), b.copy()) for W, b in self.layers])
+        return ExtractorParams.from_flat(self.flat.copy(), self.dims)
 
 
 @dataclass
@@ -126,17 +156,20 @@ def extractor_forward(params: ExtractorParams, X: np.ndarray):
     return a, cache
 
 
-def extractor_backward(params: ExtractorParams, cache, grad_F: np.ndarray):
-    """Backprop grad wrt features through the rectified layers."""
-    grads = [None] * len(params.layers)
+def extractor_backward(params: ExtractorParams, cache, grad_F: np.ndarray) -> np.ndarray:
+    """Backprop grad wrt features through the rectified layers.
+
+    Returns one vector in the layout of ``params.flat``.
+    """
+    parts = []  # last layer first, b before W: the reverse of the flat order
     g = grad_F
     for i in range(len(params.layers) - 1, -1, -1):
         a_in, z = cache[i]
         dz = g * (z > 0)
-        grads[i] = (dz.T @ a_in, dz.sum(axis=0))
+        parts += [dz.sum(axis=0), (dz.T @ a_in).ravel()]
         if i > 0:
             g = dz @ params.layers[i][0]
-    return grads
+    return np.concatenate(parts[::-1])
 
 
 def init_model(config: TrainConfig, d_in: int, n_classes: int) -> Model:
@@ -147,16 +180,7 @@ def init_model(config: TrainConfig, d_in: int, n_classes: int) -> Model:
     rng = np.random.default_rng(config.seed)
     extractor = ExtractorParams.initial(d_in, config.hidden, config.feature_dim, rng)
     head = HeadParams.initial(config.feature_dim, n_classes, config.variant, rng)
-    meta = {
-        "seed": int(config.seed),
-        "variant": HeadVariant(config.variant).value,
-        "d_in": int(d_in),
-        "hidden": [int(h) for h in config.hidden],
-        "feature_dim": int(config.feature_dim),
-        "n_classes": int(n_classes),
-        "trained": False,
-    }
-    return Model(extractor, head, meta)
+    return Model(extractor, head, {"seed": int(config.seed), "trained": False})
 
 
 def _check_inputs(model: Model, X: np.ndarray) -> np.ndarray:
@@ -190,37 +214,34 @@ def accuracy(model: Model, X, y) -> float:
 
 
 def loss_and_grads(model: Model, X: np.ndarray, y: np.ndarray):
-    """Mean cross-entropy over the batch and gradients for every parameter group."""
+    """Mean cross-entropy over the batch and its gradients.
+
+    Returns (loss, (extractor gradient, head gradient)), each gradient in the
+    layout of the matching parameter object's ``flat``.
+    """
     X = _check_inputs(model, X)
     F, cache = extractor_forward(model.extractor, X)
     trace = head_forward_batch(F, model.head)
     loss, grad_logits = softmax_cross_entropy_batch(trace.logits, y)
     hg = head_backward_batch(trace, F, model.head, grad_logits)
     eg = extractor_backward(model.extractor, cache, hg.f)
-    return loss, {"extractor": eg, "head": hg}
+    return loss, (eg, hg.flat)
 
 
-def _param_groups(model: Model, decay_heads: bool):
-    """(array, gradient key, weight-decayed) triples in update order."""
-    groups = []
-    for i, (W, b) in enumerate(model.extractor.layers):
-        groups.append((W, ("extractor", i, 0), True))
-        groups.append((b, ("extractor", i, 1), True))
-    head = model.head
-    groups.append((head.W, ("head", "W"), True))
-    if head.variant.has_alpha:
-        groups.append((head.alpha_w, ("head", "alpha_w"), decay_heads))
-        groups.append(("alpha_b", ("head", "alpha_b"), decay_heads))
-    if head.variant.has_beta:
-        groups.append((head.beta_w, ("head", "beta_w"), decay_heads))
-        groups.append(("beta_b", ("head", "beta_b"), decay_heads))
-    return groups
+def momentum_step(
+    p: np.ndarray, g: np.ndarray, v: np.ndarray, lr: float, momentum: float,
+    weight_decay: float = 0.0, n_decay: int | None = None,
+) -> None:
+    """One SGD-with-momentum update of the flat vector p (and its velocity v), in place.
 
-
-def _grad_lookup(grads, key):
-    if key[0] == "extractor":
-        return grads["extractor"][key[1]][key[2]]
-    return getattr(grads["head"], key[1])
+    Weight decay applies to p[:n_decay] only (all of p by default).
+    """
+    if weight_decay:
+        g = g.copy()
+        g[:n_decay] += weight_decay * p[:n_decay]
+    v *= momentum
+    v += g
+    p -= lr * v
 
 
 def train(config: TrainConfig, train_set, n_classes: int | None = None) -> Model:
@@ -245,7 +266,10 @@ def train(config: TrainConfig, train_set, n_classes: int | None = None) -> Model
     steps_per_epoch = (n + config.batch_size - 1) // config.batch_size
     total_steps = config.epochs * steps_per_epoch
 
-    velocity = {}
+    ext, head = model.extractor.flat, model.head.flat
+    ext_v, head_v = np.zeros_like(ext), np.zeros_like(head)
+    # With decay_heads off only the head's prefix, the class weights W, decays.
+    head_decay = None if config.decay_heads else model.head.W.size
     step = 0
     for epoch in range(config.epochs):
         perm = rng.permutation(n)
@@ -253,12 +277,13 @@ def train(config: TrainConfig, train_set, n_classes: int | None = None) -> Model
         for bi in range(steps_per_epoch):
             idx = perm[bi * config.batch_size : (bi + 1) * config.batch_size]
             lr = cosine_lr(step, total_steps, config.lr0)
-            loss, grads = loss_and_grads(model, X[idx], y[idx])
+            loss, (ext_g, head_g) = loss_and_grads(model, X[idx], y[idx])
             if not math.isfinite(loss):
                 raise NumericError(
                     f"non-finite loss {loss} at epoch {epoch} batch {bi} (lr={lr:.6g})"
                 )
-            _sgd_step(model, grads, velocity, lr, config)
+            momentum_step(ext, ext_g, ext_v, lr, config.momentum, config.weight_decay)
+            momentum_step(head, head_g, head_v, lr, config.momentum, config.weight_decay, head_decay)
             epoch_loss += loss
             step += 1
         model.history.append(
@@ -267,23 +292,6 @@ def train(config: TrainConfig, train_set, n_classes: int | None = None) -> Model
     model.meta["trained"] = True
     model.meta["epochs"] = config.epochs
     return model
-
-
-def _sgd_step(model: Model, grads, velocity, lr: float, config: TrainConfig) -> None:
-    head = model.head
-    for param, key, decayed in _param_groups(model, config.decay_heads):
-        g = _grad_lookup(grads, key)
-        scalar = isinstance(param, str)
-        value = getattr(head, param) if scalar else param
-        if decayed and config.weight_decay:
-            g = g + config.weight_decay * value
-        v = velocity.get(key, 0.0)
-        v = config.momentum * v + g
-        velocity[key] = v
-        if scalar:
-            setattr(head, param, value - lr * v)
-        else:
-            param -= lr * v
 
 
 def full_gradient_check(model: Model, sample, eps: float = 1e-5) -> float:
@@ -308,30 +316,16 @@ def full_gradient_check(model: Model, sample, eps: float = 1e-5) -> float:
         return loss
 
     worst = 0.0
-    for param, key, _ in _param_groups(model, decay_heads=True):
-        analytic = np.atleast_1d(np.asarray(_grad_lookup(grads, key), dtype=np.float64))
-        if isinstance(param, str):
-            base = getattr(model.head, param)
-            perturbed = np.zeros(1)
-            setattr(model.head, param, base + eps)
+    for p, analytic in zip((model.extractor.flat, model.head.flat), grads):
+        numeric = np.empty_like(p)
+        for i in range(p.size):
+            orig = p[i]
+            p[i] = orig + eps
             up = loss_only()
-            setattr(model.head, param, base - eps)
+            p[i] = orig - eps
             down = loss_only()
-            setattr(model.head, param, base)
-            perturbed[0] = (up - down) / (2 * eps)
-            numeric = perturbed
-        else:
-            flat = param.reshape(-1)
-            numeric = np.zeros_like(flat)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + eps
-                up = loss_only()
-                flat[i] = orig - eps
-                down = loss_only()
-                flat[i] = orig
-                numeric[i] = (up - down) / (2 * eps)
-        a = analytic.reshape(-1)
-        rel = np.abs(a - numeric) / np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1e-3)
+            p[i] = orig
+            numeric[i] = (up - down) / (2 * eps)
+        rel = np.abs(analytic - numeric) / np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-3)
         worst = max(worst, float(rel.max()))
     return worst

@@ -15,7 +15,6 @@ import pytest
 
 from geodin.bench import (
     ShiftSpec,
-    adjacent_drops,
     auroc,
     concept_split,
     corrupt,
@@ -38,6 +37,8 @@ from geodin.train import (
     predict,
     train,
 )
+
+from trends import adjacent_drops
 
 TREND_SEEDS = (0, 1, 2, 3, 4)
 

@@ -10,7 +10,6 @@ from geodin.bench import (
     SEVERITY_LADDER,
     ConceptGroup,
     ShiftSpec,
-    adjacent_drops,
     auroc,
     concept_split,
     corrupt,
@@ -19,8 +18,10 @@ from geodin.bench import (
     sweep,
     tnr_at_tpr95,
 )
-from geodin.errors import ConfigError, DomainError, MissingTokenError, StateError
-from geodin.train import TrainConfig, init_model, train
+from geodin.errors import ConfigError, DomainError, MissingTokenError, NumericError, StateError
+from geodin.train import Model, TrainConfig, init_model, train
+
+from trends import adjacent_drops
 
 
 class TestMakeTask:
@@ -253,6 +254,13 @@ class TestAuroc:
         with pytest.raises(DomainError):
             auroc([], [1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(NumericError):
+            auroc([bad, 1.0, 2.0], [0.0, 1.0])
+        with pytest.raises(NumericError):
+            auroc([1.0, 2.0], [0.0, bad])
+
 
 class TestTnrAtTpr95:
     def test_fully_separated(self):
@@ -280,6 +288,13 @@ class TestTnrAtTpr95:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             tnr_at_tpr95([1.0], [])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(NumericError):
+            tnr_at_tpr95(np.append(np.arange(20.0), bad), [0.5])
+        with pytest.raises(NumericError):
+            tnr_at_tpr95(np.arange(20.0), [bad])
 
 
 @pytest.fixture(scope="module")
@@ -317,6 +332,13 @@ class TestSweep:
         fresh = init_model(TrainConfig(hidden=(24,), feature_dim=8, seed=0), d_in=10, n_classes=4)
         with pytest.raises(StateError):
             sweep(fresh, task, ["g"], [ShiftSpec("none", 0)])
+
+    def test_nan_weight_raises_numeric_error(self, small_trained):
+        task, model = small_trained
+        broken = Model(model.extractor.copy(), model.head.copy(), dict(model.meta))
+        broken.extractor.layers[0][0][0, 0] = np.nan
+        with pytest.raises(NumericError):
+            sweep(broken, task, ["g"], [ShiftSpec("none", 0)])
 
     def test_unknown_score_rejected(self, small_trained):
         task, model = small_trained

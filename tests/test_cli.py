@@ -1,6 +1,7 @@
 """Config-file grammar and end-to-end command tests."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from geodin.cli import main
 from geodin.config import load_run_config
 from geodin.errors import ConfigError
-from geodin.persist import load_model, read_report
+from geodin.persist import fnv1a64, load_model, read_report
 
 SMALL_CONFIG = """\
 # desk-size run for tests
@@ -190,6 +191,24 @@ class TestCmdDetect:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("corruption", ["nan_weight", "zero_width"])
+    def test_resigned_malformed_checkpoint_exit_3(self, config_file, trained_checkpoint, tmp_path, capsys, corruption):
+        blob = bytearray(trained_checkpoint.read_bytes())
+        if corruption == "nan_weight":
+            # first extractor weight: after magic/version, seed/flags/variant, d_in/n_hidden,
+            # two hidden widths and d_feature/n_classes
+            blob[48:56] = struct.pack("<d", float("nan"))
+        else:
+            blob[32:36] = struct.pack("<I", 0)  # first hidden width
+        payload = bytes(blob[8:-8])
+        broken = tmp_path / "broken.godn"
+        broken.write_bytes(bytes(blob[:8]) + payload + struct.pack("<Q", fnv1a64(payload)))
+        code = main(["detect", "--config", str(config_file), "--checkpoint", str(broken), "--out", str(tmp_path / "rep")])
+        assert code == 3
+        expected = {"nan_weight": "non-finite", "zero_width": "invalid checkpoint shapes"}[corruption]
+        assert expected in capsys.readouterr().err
+        assert not (tmp_path / "rep.csv").exists()
+
     def test_missing_checkpoint_exit_3(self, config_file, tmp_path):
         code = main(
             ["detect", "--config", str(config_file), "--checkpoint", str(tmp_path / "none.godn"), "--out", str(tmp_path / "rep")]
@@ -262,6 +281,16 @@ class TestCmdSplits:
         )
         assert code == 3
         assert "unicorn" in capsys.readouterr().err
+
+
+    def test_empty_embedding_file_exit_3(self, tmp_path, capsys):
+        emb, id_names, ood_names = self.setup_fixture(tmp_path)
+        emb.write_text("", encoding="utf-8")
+        code = main(
+            ["splits", "--embeddings", str(emb), "--id-names", str(id_names), "--ood-names", str(ood_names), "--n-groups", "2", "--out", str(tmp_path / "s.csv")]
+        )
+        assert code == 3
+        assert "no records" in capsys.readouterr().err
 
 
 class TestCmdReportMerge:

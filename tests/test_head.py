@@ -30,6 +30,48 @@ def random_feature(rng, d=6):
     return rng.uniform(0.0, 2.0, d)
 
 
+class TestHeadParamsLayout:
+    def test_named_parameters_are_views_of_flat(self):
+        rng = np.random.default_rng(40)
+        p = random_params(rng)
+        d, k = p.d_feature, p.n_classes
+        np.testing.assert_array_equal(
+            p.flat, np.concatenate([p.W.ravel(), p.alpha_w, [p.alpha_b], p.beta_w, [p.beta_b]])
+        )
+        assert p.flat.size == (k + 2) * d + 2
+        for view in (p.W, p.alpha_w, p.beta_w):
+            assert np.shares_memory(view, p.flat)
+        p.W[1, 2] = 7.0
+        p.alpha_b = 8.0
+        p.beta_w[0] = 9.0
+        p.beta_b = 10.0
+        assert p.flat[d + 2] == 7.0
+        assert p.flat[k * d + d] == 8.0
+        assert p.flat[k * d + d + 1] == 9.0
+        assert p.flat[-1] == 10.0
+
+    def test_constructor_and_copy_do_not_alias(self):
+        rng = np.random.default_rng(41)
+        W = rng.normal(0.0, 1.0, (3, 4))
+        p = HeadParams(W, np.zeros(4), 0.0, np.zeros(4), 0.0, HeadVariant.ALPHA_BETA)
+        q = p.copy()
+        W[0, 0] = 5.0
+        q.alpha_b = 1.0
+        assert p.W[0, 0] != 5.0 and p.alpha_b == 0.0
+        assert q.variant is p.variant and q.W.shape == (3, 4)
+
+    def test_gradient_has_parameter_layout(self):
+        rng = np.random.default_rng(42)
+        p = random_params(rng)
+        f = random_feature(rng)
+        g = head_backward(head_forward(f, p), rng.normal(0.0, 1.0, 4))
+        assert g.flat.shape == p.flat.shape
+        np.testing.assert_array_equal(
+            g.flat, np.concatenate([g.W.ravel(), g.alpha_w, [g.alpha_b], g.beta_w, [g.beta_b]])
+        )
+        assert g.f.shape == f.shape
+
+
 class TestActivations:
     def test_sigmoid_range_and_midpoint(self):
         assert sigmoid(0.0) == 0.5

@@ -94,6 +94,107 @@ class TestCheckpointRoundTrip:
         assert MAGIC == b"GODN"
 
 
+def sign(payload: bytes) -> bytes:
+    """A version-1 file around payload, with a valid checksum."""
+    return MAGIC + struct.pack("<I", 1) + payload + struct.pack("<Q", fnv1a64(payload))
+
+
+def resign(blob: bytes) -> bytes:
+    """Replace the last 8 bytes with the checksum of the bytes between them and magic/version."""
+    return blob[:-8] + struct.pack("<Q", fnv1a64(blob[8:-8]))
+
+
+def checkpoint_payload(d_in, hidden, d_feature, n_classes, n_floats=None):
+    """Header for the given shapes, then n_floats float64s (default: the count the shapes imply)."""
+    dims = [d_in, *hidden, d_feature]
+    if n_floats is None:
+        n_floats = sum((i + 1) * o for i, o in zip(dims[:-1], dims[1:])) + (n_classes + 2) * d_feature + 2
+    header = struct.pack("<QII", 0, 1, 3) + struct.pack("<II", d_in, len(hidden))
+    header += struct.pack(f"<{len(hidden)}I", *hidden) + struct.pack("<II", d_feature, n_classes)
+    return header + np.full(n_floats, 0.5).astype("<f8").tobytes()
+
+
+class TestCheckpointValidation:
+    def test_hand_built_checkpoint_loads(self, tmp_path):
+        path = tmp_path / "m.godn"
+        path.write_bytes(sign(checkpoint_payload(3, [4], 2, 2)))
+        loaded = load_model(path)
+        assert loaded.extractor.dims == [3, 4, 2]
+        assert loaded.head.n_classes == 2
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [(3, [0], 2, 2), (3, [4, 0], 2, 2), (0, [4], 2, 2), (3, [4], 0, 2), (3, [4], 2, 1), (3, [4], 2, 0)],
+    )
+    def test_degenerate_shapes_rejected(self, tmp_path, shapes):
+        path = tmp_path / "m.godn"
+        path.write_bytes(sign(checkpoint_payload(*shapes)))
+        with pytest.raises(FormatError, match="invalid checkpoint shapes"):
+            load_model(path)
+
+    @pytest.mark.parametrize("delta", [-1, 1, 1000])
+    def test_array_section_size_must_match_header(self, tmp_path, delta):
+        n = 3 * 4 + 4 + 4 * 2 + 2 + 4 * 2 + 2 + delta
+        path = tmp_path / "m.godn"
+        path.write_bytes(sign(checkpoint_payload(3, [4], 2, 2, n_floats=n)))
+        with pytest.raises(FormatError, match="header implies"):
+            load_model(path)
+
+    def test_huge_declared_shapes_rejected_without_allocating(self, tmp_path):
+        path = tmp_path / "m.godn"
+        path.write_bytes(sign(checkpoint_payload(2**32 - 1, [2**32 - 1], 2**32 - 1, 2**32 - 1, n_floats=4)))
+        with pytest.raises(FormatError, match="header implies"):
+            load_model(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_rejected(self, model, tmp_path, bad):
+        path = tmp_path / "m.godn"
+        save_model(model, path)
+        blob = bytearray(path.read_bytes())
+        header = 8 + 16 + 8 + 4 + 8  # magic/version, seed/flags/variant, d_in/n_hidden, one width, d_feature/n_classes
+        blob[header : header + 8] = struct.pack("<d", bad)
+        path.write_bytes(resign(bytes(blob)))
+        with pytest.raises(FormatError, match="non-finite"):
+            load_model(path)
+
+    def test_array_section_is_extractor_then_head_flat(self, model, tmp_path):
+        path = tmp_path / "m.godn"
+        save_model(model, path)
+        flat = np.concatenate([model.extractor.flat, model.head.flat])
+        assert path.read_bytes()[-8 - 8 * flat.size : -8] == flat.astype("<f8").tobytes()
+
+    def test_mutation_fuzz_raises_only_documented_errors(self, model, tmp_path):
+        path = tmp_path / "m.godn"
+        save_model(model, path)
+        clean = path.read_bytes()
+        rng = np.random.default_rng(2024)
+        outcomes = {"loaded": 0, FormatError: 0, IntegrityError: 0, UnsupportedVersionError: 0}
+        for trial in range(400):
+            blob = bytearray(clean)
+            kind = trial % 3
+            if kind == 0:  # flip bits in a few bytes
+                for pos in rng.integers(0, len(blob), int(rng.integers(1, 4))):
+                    blob[pos] ^= int(rng.integers(1, 256))
+            elif kind == 1:  # truncate
+                blob = blob[: int(rng.integers(0, len(blob)))]
+            else:  # extend the payload with junk
+                junk = rng.integers(0, 256, int(rng.integers(1, 64)), dtype=np.uint8).tobytes()
+                blob = blob[:-8] + junk + blob[-8:]
+            if trial % 2 and len(blob) >= 16:
+                blob = resign(bytes(blob))
+            path.write_bytes(bytes(blob))
+            try:
+                loaded = load_model(path)
+            except (FormatError, IntegrityError, UnsupportedVersionError) as exc:
+                outcomes[type(exc)] += 1
+                continue
+            outcomes["loaded"] += 1
+            assert min(loaded.extractor.dims) >= 1 and loaded.head.n_classes >= 2
+            assert np.isfinite(loaded.extractor.flat).all() and np.isfinite(loaded.head.flat).all()
+        # every branch of the loader was exercised
+        assert all(count > 0 for count in outcomes.values()), outcomes
+
+
 class TestFnv1a64:
     def test_known_vectors(self):
         # Reference values for the 64-bit FNV-1a parameters.
@@ -136,7 +237,7 @@ class TestParseEmbeddings:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("", encoding="utf-8")
-        with pytest.raises(DomainError):
+        with pytest.raises(FormatError):
             parse_embeddings(path)
 
     def test_blank_lines_skipped(self, tmp_path):

@@ -13,6 +13,7 @@ from geodin.train import (
     extract_features,
     full_gradient_check,
     init_model,
+    momentum_step,
     train,
     unit_rows,
 )
@@ -38,6 +39,37 @@ def perceptron_separable(X, y, max_iters=2000):
         i = int(np.argmax(wrong))
         w += t[i] * Xb[i]
     return False
+
+
+class TestFlatParameters:
+    def test_extractor_layers_are_views_of_flat(self):
+        model = init_model(TrainConfig(hidden=(5, 3), feature_dim=2, seed=0), d_in=4, n_classes=2)
+        ext = model.extractor
+        assert ext.dims == [4, 5, 3, 2]
+        np.testing.assert_array_equal(ext.flat, np.concatenate([a.ravel() for W, b in ext.layers for a in (W, b)]))
+        assert ext.flat.size == 5 * 4 + 5 + 3 * 5 + 3 + 2 * 3 + 2
+        for W, b in ext.layers:
+            assert np.shares_memory(W, ext.flat) and np.shares_memory(b, ext.flat)
+        clone = ext.copy()
+        clone.flat[:] = 0.0
+        assert np.any(ext.flat != 0.0) and not np.any(clone.layers[0][0])
+
+    def test_momentum_step_decays_only_the_prefix(self):
+        p = np.array([1.0, 2.0, 3.0, 4.0])
+        g = np.array([0.5, 0.5, 0.5, 0.5])
+        v = np.array([1.0, 0.0, 1.0, 0.0])
+        momentum_step(p, g, v, lr=0.1, momentum=0.9, weight_decay=0.01, n_decay=2)
+        np.testing.assert_array_equal(g, [0.5, 0.5, 0.5, 0.5])  # the gradient is not modified
+        np.testing.assert_array_equal(v, [0.9 + (0.5 + 0.01), 0.5 + 0.02, 0.9 + 0.5, 0.5])
+        np.testing.assert_array_equal(p, [1.0 - 0.1 * v[0], 2.0 - 0.1 * v[1], 3.0 - 0.1 * v[2], 4.0 - 0.1 * v[3]])
+
+    def test_pinned_heads_stay_exactly_zero(self):
+        rng = np.random.default_rng(3)
+        X, y = blobs(rng, n=40)
+        for variant, dead in ((HeadVariant.VANILLA, ("alpha", "beta")), (HeadVariant.BETA_ONLY, ("alpha",))):
+            model = train(TrainConfig(epochs=3, seed=1, hidden=(6,), feature_dim=4, variant=variant), (X, y))
+            for name in dead:
+                assert not np.any(getattr(model.head, f"{name}_w")) and getattr(model.head, f"{name}_b") == 0.0
 
 
 class TestCosineLr:
