@@ -35,6 +35,8 @@ severities = 1, 4
 """
 
 DEFAULT_TRAIN = "1767bec035af7d5b02c3cc991bb91fa6e886f020745844eb68d8f24f317461f4"
+DEFAULT_TRAIN_CONFIG = "76f462b70083f39ae988f81095fe33ba7ee4226f30a9f16a0a0aadf6b0df520a"
+DEFAULT_TRAIN_LOG = "2b6c2cd1b29bf434595a4df5870e091708feb8261644da969fee75deb7a1f420"
 
 SMALL_TRAIN = {
     ("vanilla", True):
@@ -54,6 +56,9 @@ SMALL_TRAIN = {
     ("alpha_beta", False):
         "3e92dedc7e34f0c6f711a404f4a4fd75fd157676e65c80b3e5225fa7c2c737a6",
 }
+
+SMALL_TRAIN_CONFIG = "8be85bca8a77ce2c04fa38ad1ae3674da858337c64c1a58fd8d59ddf7101fd20"
+SMALL_TRAIN_LOG = "829179681c62da5e23bef3734dee844be9abb341ea4503f012fe9857ab9badd7"
 
 SMALL_DETECT_CSV = "fb877389bd0c55d7955fb7fd969fbdb256473c10528b6d16960176591698b89f"
 SMALL_DETECT_JSON = "db31ac19239806a124cbb0fd67fecdaa2770a807754972db430cf4b14b7acac7"
@@ -83,6 +88,8 @@ def test_default_train_checkpoint(tmp_path):
     out = tmp_path / "model.godn"
     assert main(["train", "--out", str(out)]) == 0
     assert sha256(out) == DEFAULT_TRAIN
+    assert sha256(tmp_path / "model.config.json") == DEFAULT_TRAIN_CONFIG
+    assert sha256(tmp_path / "model.train_log.csv") == DEFAULT_TRAIN_LOG
 
 
 @pytest.mark.parametrize("variant,decay_heads", sorted(SMALL_TRAIN))
@@ -91,6 +98,11 @@ def test_small_train_checkpoint(small_config, tmp_path, variant, decay_heads):
     overrides = ["--set", f"train.variant={variant}", "--set", f"train.decay_heads={str(decay_heads).lower()}"]
     assert main(["train", "--config", str(small_config), *overrides, "--out", str(out)]) == 0
     assert sha256(out) == SMALL_TRAIN[variant, decay_heads]
+
+
+def test_small_train_sidecars(small_checkpoint):
+    assert sha256(small_checkpoint.parent / "model.config.json") == SMALL_TRAIN_CONFIG
+    assert sha256(small_checkpoint.parent / "model.train_log.csv") == SMALL_TRAIN_LOG
 
 
 def test_small_detect_report(small_config, small_checkpoint, tmp_path):
