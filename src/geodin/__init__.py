@@ -30,24 +30,18 @@ from .calibrate import (
     temperature_scale,
 )
 from .head import (
-    HeadForwardTrace,
     HeadParams,
     HeadVariant,
-    head_backward,
-    head_forward,
-    softmax_cross_entropy,
+    head_backward_batch,
+    head_forward_batch,
+    softmax_cross_entropy_batch,
 )
 from .persist import load_model, parse_embeddings, read_report, save_model, write_report
 from .scores import (
     EPS_NORM,
     SCORE_NAMES,
-    GeometryView,
     ScoreSet,
-    combined_score,
-    concept_score,
-    covariate_score,
     energy_score,
-    geometry_view,
     kl_from_uniform,
     msp_score,
     score_batch,

@@ -16,8 +16,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError, UnsupportedVariantError
-from .head import HeadVariant, head_backward_batch, head_forward_batch, softmax_cross_entropy_batch
-from .train import Model, cosine_lr, extract_features, momentum_step
+from .head import (
+    HeadVariant,
+    cross_entropy,
+    head_backward_batch,
+    head_forward_batch,
+    softmax_cross_entropy_batch,
+)
+from .scores import shifted_exp
+from .train import Model, cosine_lr, extract_features, model_logits, momentum_step
 
 
 @dataclass(frozen=True)
@@ -143,12 +150,6 @@ def nll(probs, labels) -> float:
     return float(np.mean(-np.log(np.maximum(picked, 1e-300))))
 
 
-def _logits_nll(logits: np.ndarray, labels: np.ndarray) -> float:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1))
-    return float(np.mean(lse - shifted[np.arange(logits.shape[0]), labels]))
-
-
 def temperature_scale(logits, labels) -> float:
     """Temperature T > 0 minimizing NLL of softmax(l / T).
 
@@ -161,7 +162,7 @@ def temperature_scale(logits, labels) -> float:
         raise DomainError("logit batch must be nonempty")
 
     def objective(a: float) -> float:
-        return _logits_nll(l / math.exp(a), y)
+        return cross_entropy(l / math.exp(a), y)
 
     lo, hi = -3.0, 3.0
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -181,14 +182,12 @@ def temperature_scale(logits, labels) -> float:
 
 
 def softmax_probs(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    _, e, esum = shifted_exp(logits)
+    return e / esum[..., None]
 
 
 def model_probs(model: Model, X) -> np.ndarray:
-    F = extract_features(model, np.atleast_2d(np.asarray(X, dtype=np.float64)))
-    return softmax_probs(head_forward_batch(F, model.head).logits)
+    return softmax_probs(model_logits(model, X))
 
 
 def split_metrics(model: Model, X, y, n_bins: int = 15) -> SplitMetrics:
@@ -217,7 +216,7 @@ def _tune_head(head, F: np.ndarray, y: np.ndarray, config: CalibConfig):
     total_steps = config.epochs * steps_per_epoch
 
     def full_nll() -> float:
-        return _logits_nll(head_forward_batch(F, head).logits, y)
+        return cross_entropy(head_forward_batch(F, head).logits, y)
 
     nll_before = full_nll()
     best = (nll_before, -1, head.copy())

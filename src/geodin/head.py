@@ -13,9 +13,9 @@ always that of the plain inner products.
 Variants: ``vanilla`` (l = s), ``alpha_only`` (beta pinned to 0),
 ``beta_only`` (alpha pinned to 1), ``alpha_beta`` (both heads live).
 
-Forward/backward come in a per-sample form (the reference contract) and a
-batch form used by the training loops; both share one analytic core and the
-backward pass is validated against central finite differences in the tests.
+The forward and backward passes work on a feature batch (one sample is a
+one-row batch); the backward pass is validated against central finite
+differences in the tests.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .scores import EPS_NORM, as_feature
+from .scores import EPS_NORM, shifted_exp
 
 
 class HeadVariant(str, Enum):
@@ -134,23 +134,8 @@ class HeadGradients(HeadParams):
 
 
 @dataclass
-class HeadForwardTrace:
-    """Everything head_backward needs, cached from one forward pass."""
-
-    alpha: float
-    beta: float
-    m: float
-    logits: np.ndarray
-    vanilla_logits: np.ndarray
-    feature: np.ndarray
-    feature_norm: float
-    degenerate: bool
-    params: HeadParams
-
-
-@dataclass
 class BatchHeadTrace:
-    """Batch counterpart of HeadForwardTrace (arrays over the batch axis)."""
+    """One forward pass over a feature batch, kept for the backward pass (arrays over the batch axis)."""
 
     alpha: np.ndarray
     beta: np.ndarray
@@ -179,23 +164,6 @@ def head_forward_batch(F: np.ndarray, params: HeadParams) -> BatchHeadTrace:
     m = np.where(degenerate, 1.0 / alpha, 1.0 / alpha + beta / (alpha * np.where(degenerate, 1.0, fn)))
     logits = m[:, None] * s
     return BatchHeadTrace(alpha, beta, m, logits, s, fn, degenerate)
-
-
-def head_forward(f, params: HeadParams) -> HeadForwardTrace:
-    """Forward pass for a single feature vector."""
-    f = as_feature(f)
-    t = head_forward_batch(f[None, :], params)
-    return HeadForwardTrace(
-        alpha=float(t.alpha[0]),
-        beta=float(t.beta[0]),
-        m=float(t.m[0]),
-        logits=t.logits[0],
-        vanilla_logits=t.vanilla_logits[0],
-        feature=f,
-        feature_norm=float(t.feature_norm[0]),
-        degenerate=bool(t.degenerate[0]),
-        params=params,
-    )
 
 
 def head_backward_batch(
@@ -249,51 +217,25 @@ def head_backward_batch(
     return grad
 
 
-def head_backward(trace: HeadForwardTrace, grad_logits) -> HeadGradients:
-    """Analytic gradients for a single sample's forward trace."""
-    u = np.asarray(grad_logits, dtype=np.float64)
-    if u.shape != trace.logits.shape:
-        raise ShapeError(f"grad_logits shape {u.shape} does not match logits {trace.logits.shape}")
-    bt = BatchHeadTrace(
-        alpha=np.array([trace.alpha]),
-        beta=np.array([trace.beta]),
-        m=np.array([trace.m]),
-        logits=trace.logits[None, :],
-        vanilla_logits=trace.vanilla_logits[None, :],
-        feature_norm=np.array([trace.feature_norm]),
-        degenerate=np.array([trace.degenerate]),
-    )
-    g = head_backward_batch(bt, trace.feature[None, :], trace.params, u[None, :])
-    g.f = g.f[0]
-    return g
-
-
-def softmax_cross_entropy(logits, label: int) -> tuple[float, np.ndarray]:
-    """Stabilized cross-entropy loss and its gradient wrt the logits."""
-    l = np.asarray(logits, dtype=np.float64)
-    if not 0 <= label < l.size:
-        raise IndexError(f"label {label} out of range for {l.size} classes")
-    shifted = l - l.max()
-    e = np.exp(shifted)
-    p = e / e.sum()
-    loss = float(np.log(e.sum()) - shifted[label])
-    grad = p.copy()
-    grad[label] -= 1.0
-    return loss, grad
-
-
-def softmax_cross_entropy_batch(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over a batch and gradient wrt every logit."""
-    l = np.asarray(logits, dtype=np.float64)
+def _mean_nll(shifted: np.ndarray, esum: np.ndarray, labels):
+    """Mean of log(esum) - shifted[label] over the rows, and the (rows, labels) index used."""
     y = np.asarray(labels)
-    if np.any(y < 0) or np.any(y >= l.shape[1]):
+    if np.any(y < 0) or np.any(y >= shifted.shape[1]):
         raise IndexError("label out of range")
-    shifted = l - l.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    esum = e.sum(axis=1)
-    p = e / esum[:, None]
-    n = l.shape[0]
-    loss = float(np.mean(np.log(esum) - shifted[np.arange(n), y]))
-    grad = p
-    grad[np.arange(n), y] -= 1.0
-    return loss, grad / n
+    pick = (np.arange(shifted.shape[0]), y)
+    return float(np.mean(np.log(esum) - shifted[pick])), pick
+
+
+def cross_entropy(logits: np.ndarray, labels) -> float:
+    """Mean softmax cross-entropy of a logit batch against integer labels."""
+    shifted, _, esum = shifted_exp(logits)
+    return _mean_nll(shifted, esum, labels)[0]
+
+
+def softmax_cross_entropy_batch(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy over a batch and its gradient wrt every logit."""
+    shifted, e, esum = shifted_exp(logits)
+    loss, pick = _mean_nll(shifted, esum, labels)
+    grad = e / esum[:, None]
+    grad[pick] -= 1.0
+    return loss, grad / shifted.shape[0]

@@ -9,16 +9,17 @@ class-average logit,
 sandwiches the KL divergence from the uniform distribution to the predicted
 distribution (u - ln M <= KL(U||P) <= u) and splits multiplicatively into a
 covariate part g = ||f||_2 and a concept part
-h = max_j ||w_j|| cos(phi_j) - mean_i ||w_i|| cos(phi_i).
+h = max_j ||w_j|| cos(phi_j) - mean_i ||w_i|| cos(phi_i) = u / g.
 
 All scores are oriented so that larger means more in-distribution.  MSP and
-energy (log-sum-exp) baselines are included; within a :class:`ScoreSet` they
-are computed from the plain inner-product logits ``W @ f`` so that every
-score is a pure function of the feature and the class weights, unaffected by
-any downstream recalibration of the head.
+energy (log-sum-exp) baselines are included; they are computed from the
+plain inner-product logits ``W @ f`` so that every score is a pure function
+of the feature and the class weights, unaffected by any downstream
+recalibration of the head.
 
-Everything here is pure and operates on float64; batch variants are provided
-for the benchmark loops and agree with the per-sample path to ~1e-15.
+Everything here is pure and operates on float64.  :func:`score_batch` is the
+one implementation of the five scores; :func:`score_set` is its first row
+for a single feature vector.
 """
 
 from __future__ import annotations
@@ -29,23 +30,10 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 
-# Below this feature or weight norm a direction is undefined: cosines are 0
-# by convention and logits fall back to the raw inner products.
+# Below this feature norm a direction is undefined: h is 0 by convention.
 EPS_NORM = 1e-12
 
 SCORE_NAMES = ("g", "h", "u", "msp", "energy")
-
-
-def as_feature(values) -> np.ndarray:
-    """Validate and convert a feature vector: 1-D, finite, nonnegative float64."""
-    f = np.asarray(values, dtype=np.float64)
-    if f.ndim != 1 or f.size < 1:
-        raise ShapeError(f"feature must be a nonempty 1-D vector, got shape {f.shape}")
-    if not np.all(np.isfinite(f)):
-        raise DomainError("feature contains non-finite entries")
-    if np.any(f < 0):
-        raise DomainError("feature contains negative entries (features are post-rectification)")
-    return f
 
 
 def _as_weights(W) -> np.ndarray:
@@ -55,24 +43,6 @@ def _as_weights(W) -> np.ndarray:
     if not np.all(np.isfinite(W)):
         raise DomainError("weight matrix contains non-finite entries")
     return W
-
-
-@dataclass(frozen=True)
-class GeometryView:
-    """Per-sample decomposition of the logits into norms and angles."""
-
-    feature_norm: float
-    weight_norms: np.ndarray
-    cosines: np.ndarray
-    logits: np.ndarray
-
-    def __post_init__(self):
-        if np.any(np.abs(self.cosines) > 1.0 + 1e-12):
-            raise DomainError("cosines exceed [-1, 1]")
-        live = (self.feature_norm >= EPS_NORM) & (self.weight_norms >= EPS_NORM)
-        recon = self.feature_norm * self.weight_norms * self.cosines
-        if not np.allclose(recon[live], self.logits[live], rtol=1e-9, atol=1e-9):
-            raise DomainError("logits inconsistent with norm/angle decomposition")
 
 
 @dataclass(frozen=True)
@@ -86,64 +56,29 @@ class ScoreSet:
     energy: float
 
 
-def geometry_view(f, W) -> GeometryView:
-    """Decompose one sample's logits into feature norm, weight norms, cosines.
+def shifted_exp(logits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Max-shifted logits, their exponentials and the exponentials' sum, over the last axis.
 
-    Logits are always the exact inner products ``W @ f``; cosines are set to
-    0 whenever the feature or a weight row has norm below ``EPS_NORM``.
+    The one overflow-safe core of softmax (``e / esum``), log-sum-exp
+    (``max + log(esum)``) and cross-entropy (``log(esum) - shifted[label]``).
     """
-    f = as_feature(f)
-    W = _as_weights(W)
-    if W.shape[1] != f.shape[0]:
-        raise ShapeError(
-            f"weight matrix has {W.shape[1]} columns but feature has length {f.shape[0]}"
-        )
-    logits = W @ f
-    feature_norm = float(np.linalg.norm(f))
-    weight_norms = np.linalg.norm(W, axis=1)
-    live = (feature_norm >= EPS_NORM) & (weight_norms >= EPS_NORM)
-    cosines = np.zeros_like(weight_norms)
-    np.divide(logits, feature_norm * weight_norms, out=cosines, where=live)
-    return GeometryView(
-        feature_norm=feature_norm,
-        weight_norms=weight_norms,
-        cosines=cosines,
-        logits=logits,
-    )
-
-
-def covariate_score(f) -> float:
-    """Covariate shift score g: the L2 norm of the feature vector."""
-    return float(np.linalg.norm(as_feature(f)))
-
-
-def concept_score(view: GeometryView) -> float:
-    """Concept shift score h: winning weighted cosine minus the class average.
-
-    Nonnegative by construction (max >= mean); float rounding is clamped.
-    """
-    t = view.weight_norms * view.cosines
-    return max(0.0, float(t.max() - t.sum() / t.size))
-
-
-def combined_score(view: GeometryView) -> float:
-    """Combined score u = max logit - mean logit; factors as g * h."""
-    l = view.logits
-    return max(0.0, float(l.max() - l.sum() / l.size))
-
-
-def msp_score(logits) -> float:
-    """Maximum softmax probability, computed with max-subtraction."""
     l = np.asarray(logits, dtype=np.float64)
-    e = np.exp(l - l.max())
-    return float(e.max() / e.sum())
+    shifted = l - l.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return shifted, e, e.sum(axis=-1)
 
 
-def energy_score(logits) -> float:
-    """Log-sum-exp of the logits (the negative free energy), max-stabilized."""
+def msp_score(logits):
+    """Maximum softmax probability over the last axis of the logits."""
+    _, e, esum = shifted_exp(logits)
+    return e.max(axis=-1) / esum
+
+
+def energy_score(logits):
+    """Log-sum-exp over the last axis of the logits (the negative free energy)."""
     l = np.asarray(logits, dtype=np.float64)
-    m = l.max()
-    return float(m + np.log(np.exp(l - m).sum()))
+    _, _, esum = shifted_exp(l)
+    return l.max(axis=-1) + np.log(esum)
 
 
 def kl_from_uniform(probs) -> float:
@@ -158,34 +93,27 @@ def kl_from_uniform(probs) -> float:
 
 
 def score_set(f, W) -> ScoreSet:
-    """All five scores for one sample from its feature and the class weights."""
-    view = geometry_view(f, W)
-    return ScoreSet(
-        g=view.feature_norm,
-        h=concept_score(view),
-        u=combined_score(view),
-        msp=msp_score(view.logits),
-        energy=energy_score(view.logits),
-    )
+    """All five scores for one feature vector: the single row of score_batch([f], W)."""
+    scores = score_batch([f], W)
+    return ScoreSet(**{name: float(values[0]) for name, values in scores.items()})
 
 
 def score_batch(F, W) -> dict[str, np.ndarray]:
-    """Vectorized scores for a feature batch F (n, D) against weights W (M, D).
+    """Scores for a feature batch F (n, D) against class weights W (M, D).
 
-    Returns arrays keyed by SCORE_NAMES. Matches the per-sample functions to
-    within float rounding.
+    Returns arrays keyed by SCORE_NAMES.  Features are post-rectification, so
+    F must be finite and nonnegative.
     """
     F = np.asarray(F, dtype=np.float64)
     W = _as_weights(W)
     if F.ndim != 2 or F.shape[1] != W.shape[1]:
         raise ShapeError(f"feature batch shape {F.shape} does not match weights {W.shape}")
+    if not np.all(np.isfinite(F)):
+        raise DomainError("feature batch contains non-finite entries")
+    if np.any(F < 0):
+        raise DomainError("feature batch contains negative entries (features are post-rectification)")
     logits = F @ W.T
     fn = np.linalg.norm(F, axis=1)
     u = np.maximum(0.0, logits.max(axis=1) - logits.mean(axis=1))
     h = np.divide(u, fn, out=np.zeros_like(u), where=fn >= EPS_NORM)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    esum = e.sum(axis=1)
-    msp = e.max(axis=1) / esum
-    energy = logits.max(axis=1) + np.log(esum)
-    return {"g": fn, "h": h, "u": u, "msp": msp, "energy": energy}
+    return {"g": fn, "h": h, "u": u, "msp": msp_score(logits), "energy": energy_score(logits)}

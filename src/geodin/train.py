@@ -27,6 +27,7 @@ from .errors import ConfigError, NumericError, ShapeError
 from .head import (
     HeadParams,
     HeadVariant,
+    cross_entropy,
     head_backward_batch,
     head_forward_batch,
     softmax_cross_entropy_batch,
@@ -197,6 +198,8 @@ def extract_features(model: Model, inputs) -> np.ndarray:
     if single:
         X = X[None, :]
     F, _ = extractor_forward(model.extractor, _check_inputs(model, X))
+    if not np.all(np.isfinite(F)):
+        raise NumericError("extractor produced non-finite features")
     return F[0] if single else F
 
 
@@ -311,9 +314,7 @@ def full_gradient_check(model: Model, sample, eps: float = 1e-5) -> float:
 
     def loss_only() -> float:
         F, _ = extractor_forward(model.extractor, X)
-        trace = head_forward_batch(F, model.head)
-        loss, _ = softmax_cross_entropy_batch(trace.logits, y)
-        return loss
+        return cross_entropy(head_forward_batch(F, model.head).logits, y)
 
     worst = 0.0
     for p, analytic in zip((model.extractor.flat, model.head.flat), grads):

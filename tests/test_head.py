@@ -1,16 +1,23 @@
-"""Decomposed-head tests: forward oracles, analytic gradients, order preservation."""
+"""Decomposed-head tests: forward oracles, analytic gradients, order preservation.
+
+A single sample is a one-row batch: ``forward`` and ``backward`` below run the
+batch functions on one row and return that row.
+"""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from geodin.head import (
+    BatchHeadTrace,
     HeadParams,
     HeadVariant,
-    head_backward,
-    head_forward,
+    cross_entropy,
+    head_backward_batch,
     head_forward_batch,
     sigmoid,
-    softmax_cross_entropy,
+    softmax_cross_entropy_batch,
     softplus,
 )
 
@@ -28,6 +35,26 @@ def random_params(rng, d=6, m=4, variant=HeadVariant.ALPHA_BETA):
 
 def random_feature(rng, d=6):
     return rng.uniform(0.0, 2.0, d)
+
+
+def forward(f, params):
+    """head_forward_batch on the one-row batch [f]; every field is that row's."""
+    t = head_forward_batch(np.asarray(f, dtype=np.float64)[None, :], params)
+    return BatchHeadTrace(*(getattr(t, field.name)[0] for field in dataclasses.fields(t)))
+
+
+def backward(f, params, grad_logits):
+    """head_backward_batch for the one-row batch [f]; ``.f`` is that row's feature gradient."""
+    F = np.asarray(f, dtype=np.float64)[None, :]
+    g = head_backward_batch(head_forward_batch(F, params), F, params, np.asarray(grad_logits)[None, :])
+    g.f = g.f[0]
+    return g
+
+
+def softmax_cross_entropy(logits, label):
+    """softmax_cross_entropy_batch on a one-row batch: (loss, gradient row)."""
+    loss, grad = softmax_cross_entropy_batch(np.asarray(logits, dtype=np.float64)[None, :], [label])
+    return loss, grad[0]
 
 
 class TestHeadParamsLayout:
@@ -64,7 +91,7 @@ class TestHeadParamsLayout:
         rng = np.random.default_rng(42)
         p = random_params(rng)
         f = random_feature(rng)
-        g = head_backward(head_forward(f, p), rng.normal(0.0, 1.0, 4))
+        g = backward(f, p, rng.normal(0.0, 1.0, 4))
         assert g.flat.shape == p.flat.shape
         np.testing.assert_array_equal(
             g.flat, np.concatenate([g.W.ravel(), g.alpha_w, [g.alpha_b], g.beta_w, [g.beta_b]])
@@ -97,14 +124,14 @@ class TestHeadForward:
         p.alpha_b = 600.0
         p.beta_w[:] = 0.0
         p.beta_b = -800.0
-        trace = head_forward(f, p)
+        trace = forward(f, p)
         np.testing.assert_array_equal(trace.logits, p.W @ f)
 
     def test_vanilla_variant_exact(self):
         rng = np.random.default_rng(1)
         f = random_feature(rng)
         p = random_params(rng, variant=HeadVariant.VANILLA)
-        trace = head_forward(f, p)
+        trace = forward(f, p)
         np.testing.assert_array_equal(trace.logits, p.W @ f)
         assert trace.m == 1.0
 
@@ -113,7 +140,7 @@ class TestHeadForward:
         for _ in range(200):
             f = random_feature(rng)
             p = random_params(rng)
-            trace = head_forward(f, p)
+            trace = forward(f, p)
             assert np.argmax(trace.logits) == np.argmax(p.W @ f)
 
     def test_full_ranking_preserved(self):
@@ -121,7 +148,7 @@ class TestHeadForward:
         for _ in range(1000):
             f = random_feature(rng)
             p = random_params(rng, m=6)
-            trace = head_forward(f, p)
+            trace = forward(f, p)
             np.testing.assert_array_equal(np.argsort(trace.logits), np.argsort(p.W @ f))
 
     def test_two_path_geometric_oracle(self):
@@ -129,7 +156,7 @@ class TestHeadForward:
         for _ in range(100):
             f = random_feature(rng)
             p = random_params(rng)
-            trace = head_forward(f, p)
+            trace = forward(f, p)
             fn = np.linalg.norm(f)
             wn = np.linalg.norm(p.W, axis=1)
             cos = (p.W @ f) / (fn * wn)
@@ -141,7 +168,7 @@ class TestHeadForward:
         for _ in range(500):
             f = random_feature(rng)
             p = random_params(rng)
-            trace = head_forward(f, p)
+            trace = forward(f, p)
             assert 0.0 < trace.alpha < 1.0
             assert trace.beta > 0.0
             assert trace.m > 1.0
@@ -149,7 +176,7 @@ class TestHeadForward:
     def test_degenerate_zero_feature(self):
         rng = np.random.default_rng(6)
         p = random_params(rng)
-        trace = head_forward(np.zeros(6), p)
+        trace = forward(np.zeros(6), p)
         assert trace.degenerate
         assert np.all(trace.logits == 0.0)
         assert trace.m == pytest.approx(1.0 / trace.alpha)
@@ -158,7 +185,7 @@ class TestHeadForward:
         rng = np.random.default_rng(7)
         f = random_feature(rng)
         p = random_params(rng, variant=HeadVariant.BETA_ONLY)
-        trace = head_forward(f, p)
+        trace = forward(f, p)
         assert trace.alpha == 1.0
         expected_m = 1.0 + trace.beta / np.linalg.norm(f)
         assert trace.m == pytest.approx(expected_m, rel=1e-12)
@@ -179,7 +206,7 @@ class TestHeadForward:
             variant=HeadVariant.ALPHA_ONLY,
         )
         np.testing.assert_allclose(
-            head_forward(f, ab).logits, head_forward(f, alpha_only).logits, atol=1e-8
+            forward(f, ab).logits, forward(f, alpha_only).logits, atol=1e-8
         )
 
 
@@ -187,7 +214,7 @@ def fd_gradients(f, params, grad_logits, eps=1e-5):
     """Central finite differences of sum(grad_logits * logits)."""
 
     def value(ff, pp):
-        return float(np.dot(grad_logits, head_forward(ff, pp).logits))
+        return float(np.dot(grad_logits, forward(ff, pp).logits))
 
     out = {}
     for name in ("W", "alpha_w", "beta_w"):
@@ -233,7 +260,7 @@ class TestHeadBackward:
         rng = np.random.default_rng(9)
         f = random_feature(rng)
         p = random_params(rng)
-        g = head_backward(head_forward(f, p), np.zeros(4))
+        g = backward(f, p, np.zeros(4))
         assert np.all(g.W == 0.0) and np.all(g.f == 0.0)
         assert np.all(g.alpha_w == 0.0) and g.alpha_b == 0.0
         assert np.all(g.beta_w == 0.0) and g.beta_b == 0.0
@@ -243,7 +270,7 @@ class TestHeadBackward:
         f = random_feature(rng)
         p = random_params(rng, variant=HeadVariant.VANILLA)
         u = rng.normal(0.0, 1.0, 4)
-        g = head_backward(head_forward(f, p), u)
+        g = backward(f, p, u)
         np.testing.assert_allclose(g.W, np.outer(u, f), rtol=1e-12)
         np.testing.assert_allclose(g.f, p.W.T @ u, rtol=1e-12)
 
@@ -254,7 +281,7 @@ class TestHeadBackward:
             f = random_feature(rng)
             p = random_params(rng, variant=variant)
             u = rng.normal(0.0, 1.0, 4)
-            analytic = head_backward(head_forward(f, p), u)
+            analytic = backward(f, p, u)
             numeric = fd_gradients(f, p, u)
             assert rel_err(analytic.W, numeric["W"]) < 1e-6
             assert rel_err(analytic.f, numeric["f"]) < 1e-6
@@ -272,8 +299,7 @@ class TestHeadBackward:
     def test_degenerate_f_gradient_zero(self):
         rng = np.random.default_rng(12)
         p = random_params(rng)
-        trace = head_forward(np.zeros(6), p)
-        g = head_backward(trace, rng.normal(0.0, 1.0, 4))
+        g = backward(np.zeros(6), p, rng.normal(0.0, 1.0, 4))
         assert np.all(g.f == 0.0)
 
 
@@ -311,6 +337,14 @@ class TestSoftmaxCrossEntropy:
         _, grad = softmax_cross_entropy(logits, 3)
         assert abs(grad.sum()) < 1e-12
 
+    def test_loss_only_matches_batch_loss(self):
+        rng = np.random.default_rng(16)
+        logits = rng.normal(0.0, 3.0, (40, 5))
+        labels = rng.integers(0, 5, 40)
+        assert cross_entropy(logits, labels) == softmax_cross_entropy_batch(logits, labels)[0]
+        with pytest.raises(IndexError):
+            cross_entropy(logits, np.full(40, 5))
+
 
 class TestBatchForward:
     def test_batch_matches_single(self):
@@ -319,7 +353,7 @@ class TestBatchForward:
         F = rng.uniform(0.0, 2.0, (32, 6))
         batch = head_forward_batch(F, p)
         for i in range(32):
-            single = head_forward(F[i], p)
+            single = forward(F[i], p)
             np.testing.assert_allclose(batch.logits[i], single.logits, rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(batch.alpha[i], single.alpha, rtol=1e-14)
             np.testing.assert_allclose(batch.beta[i], single.beta, rtol=1e-14)

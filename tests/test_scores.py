@@ -1,19 +1,20 @@
-"""Score-function tests: frozen examples, independent oracles, invariants."""
+"""Score-function tests: frozen examples, independent oracles, invariants.
+
+``score_batch`` is the one implementation of the scores; the oracles in
+``tests/oracles.py`` compute the README's norm x cosine definitions with
+explicit scalar sums.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
+import oracles
 from geodin.errors import DomainError, ShapeError
 from geodin.scores import (
     EPS_NORM,
-    GeometryView,
-    combined_score,
-    concept_score,
-    covariate_score,
     energy_score,
-    geometry_view,
     kl_from_uniform,
     msp_score,
     score_batch,
@@ -28,113 +29,102 @@ def random_pair(rng, d=8, m=5):
 
 class TestGeometryView:
     def test_pythagorean(self):
-        view = geometry_view([3.0, 4.0], [[1.0, 0.0], [0.0, 1.0]])
-        assert view.feature_norm == 5.0
-        np.testing.assert_allclose(view.weight_norms, [1.0, 1.0])
-        np.testing.assert_allclose(view.cosines, [0.6, 0.8])
-        np.testing.assert_allclose(view.logits, [3.0, 4.0])
+        W = [[1.0, 0.0], [0.0, 1.0]]
+        fn, wn, cos, logits = oracles.geometry([3.0, 4.0], W)
+        assert (fn, wn, cos, logits) == (5.0, [1.0, 1.0], [0.6, 0.8], [3.0, 4.0])
+        s = score_set([3.0, 4.0], W)
+        assert s.g == 5.0
+        assert s.u == 0.5
+        assert s.h == pytest.approx(0.1, abs=1e-15)
 
     def test_zero_feature_convention(self):
-        view = geometry_view([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
-        assert view.feature_norm == 0.0
-        assert np.all(view.cosines == 0.0)
-        assert np.all(view.logits == 0.0)
+        s = score_set([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
+        assert (s.g, s.h, s.u) == (0.0, 0.0, 0.0)
+        assert s.msp == 0.5
+        assert s.energy == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_zero_weight_row_convention(self):
-        view = geometry_view([1.0, 2.0], [[0.0, 0.0], [1.0, 1.0]])
-        assert view.cosines[0] == 0.0
-        assert view.logits[0] == 0.0
+        # a zero weight row has cosine 0 and logit 0, so both paths agree
+        f, W = [1.0, 2.0], [[0.0, 0.0], [1.0, 1.0]]
+        s = score_set(f, W)
+        assert s.u == 1.5
+        np.testing.assert_allclose(s.h, oracles.concept(f, W), rtol=1e-12)
 
     def test_logits_match_brute_force_inner_products(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             f, W = random_pair(rng, d=8, m=5)
-            view = geometry_view(f, W)
-            # independent oracle: explicit scalar loops
-            for i in range(5):
-                dot = sum(float(W[i, j]) * float(f[j]) for j in range(8))
-                assert abs(view.logits[i] - dot) < 1e-12
+            s = score_set(f, W)
+            logits = oracles.geometry(f, W)[3]
+            assert abs(s.u - (max(logits) - sum(logits) / 5)) < 1e-12
+            assert abs(s.energy - oracles.energy(logits)) < 1e-12
 
     def test_decomposition_reconstructs_logits(self):
         rng = np.random.default_rng(12)
         f, W = random_pair(rng)
-        view = geometry_view(f, W)
-        np.testing.assert_allclose(
-            view.feature_norm * view.weight_norms * view.cosines, view.logits, rtol=1e-9
-        )
-        assert np.all(np.abs(view.cosines) <= 1.0 + 1e-12)
+        fn, wn, cos, _ = oracles.geometry(f, W)
+        assert all(abs(c) <= 1.0 + 1e-12 for c in cos)
+        rebuilt = [fn * n * c for n, c in zip(wn, cos)]
+        u = max(rebuilt) - sum(rebuilt) / len(rebuilt)
+        np.testing.assert_allclose(score_set(f, W).u, u, rtol=1e-9)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            geometry_view([1.0, 2.0, 3.0], [[1.0, 0.0], [0.0, 1.0]])
+            score_set([1.0, 2.0, 3.0], [[1.0, 0.0], [0.0, 1.0]])
 
     def test_single_class_rejected(self):
         with pytest.raises(ShapeError):
-            geometry_view([1.0], [[1.0]])
+            score_set([1.0], [[1.0]])
 
     def test_negative_feature_rejected(self):
         with pytest.raises(DomainError):
-            geometry_view([-1.0, 2.0], [[1.0, 0.0], [0.0, 1.0]])
-
-    def test_inconsistent_view_rejected(self):
-        with pytest.raises(DomainError):
-            GeometryView(
-                feature_norm=1.0,
-                weight_norms=np.array([1.0, 1.0]),
-                cosines=np.array([0.5, 0.5]),
-                logits=np.array([5.0, 5.0]),
-            )
+            score_set([-1.0, 2.0], [[1.0, 0.0], [0.0, 1.0]])
 
 
 class TestCovariateScore:
+    W = [[1.0, 0.0], [0.0, 1.0]]
+
     def test_zero(self):
-        assert covariate_score([0.0, 0.0]) == 0.0
+        assert score_set([0.0, 0.0], self.W).g == 0.0
 
     def test_three_four_five(self):
-        assert covariate_score([3.0, 4.0]) == 5.0
+        assert score_set([3.0, 4.0], self.W).g == 5.0
 
     def test_matches_summation_oracle(self):
         rng = np.random.default_rng(13)
         f = rng.uniform(0.0, 3.0, 32)
-        oracle = math.sqrt(sum(float(x) * float(x) for x in f))
-        assert abs(covariate_score(f) - oracle) < 1e-12
+        g = score_set(f, np.eye(32)[:2]).g
+        assert abs(g - oracles.covariate(f)) < 1e-12
 
 
 class TestConceptScore:
     def test_identical_classes(self):
-        view = geometry_view([1.0, 2.0], [[0.3, 0.4], [0.3, 0.4]])
-        assert concept_score(view) == 0.0
+        assert score_set([1.0, 2.0], [[0.3, 0.4], [0.3, 0.4]]).h == 0.0
 
     def test_uniform_logits(self):
-        view = geometry_view([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]])
-        assert concept_score(view) == 0.0
+        assert score_set([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]]).h == 0.0
 
     def test_matches_logit_path(self):
         rng = np.random.default_rng(14)
         for _ in range(50):
             f, W = random_pair(rng, d=6, m=10)
-            view = geometry_view(f, W)
-            expected = (view.logits.max() - view.logits.mean()) / view.feature_norm
-            np.testing.assert_allclose(concept_score(view), expected, rtol=1e-9)
+            np.testing.assert_allclose(score_set(f, W).h, oracles.concept(f, W), rtol=1e-9)
 
 
 class TestCombinedScore:
     def test_uniform_logits(self):
-        view = geometry_view([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]])
-        assert combined_score(view) == 0.0
+        assert score_set([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]]).u == 0.0
 
     def test_hand_arithmetic(self):
         # logits (2, 0, 0, 0) -> 2 - 0.5 = 1.5
-        view = geometry_view([2.0], np.array([[1.0], [0.0], [0.0], [0.0]]))
-        assert combined_score(view) == 1.5
+        assert score_set([2.0], np.array([[1.0], [0.0], [0.0], [0.0]])).u == 1.5
 
     def test_two_path_equality(self):
         rng = np.random.default_rng(15)
         for _ in range(100):
             f, W = random_pair(rng)
-            view = geometry_view(f, W)
-            logit_path = combined_score(view)
-            gh_path = covariate_score(f) * concept_score(view)
+            logit_path = score_set(f, W).u
+            gh_path = oracles.covariate(f) * oracles.concept(f, W)
             np.testing.assert_allclose(gh_path, logit_path, rtol=1e-9, atol=1e-12)
 
 
@@ -253,10 +243,32 @@ class TestScoreSetAndBatch:
         F[0] = 0.0  # degenerate row
         batch = score_batch(F, W)
         for i in range(F.shape[0]):
-            s = score_set(F[i], W)
-            for name, value in (("g", s.g), ("h", s.h), ("u", s.u), ("msp", s.msp), ("energy", s.energy)):
+            logits = oracles.geometry(F[i], W)[3]
+            expected = {
+                "g": oracles.covariate(F[i]),
+                "h": oracles.concept(F[i], W),
+                "u": oracles.combined(F[i], W),
+                "msp": oracles.msp(logits),
+                "energy": oracles.energy(logits),
+            }
+            for name, value in expected.items():
                 np.testing.assert_allclose(batch[name][i], value, rtol=1e-12, atol=1e-13)
 
     def test_batch_shape_mismatch(self):
         with pytest.raises(ShapeError):
             score_batch(np.ones((4, 3)), np.ones((5, 2)))
+
+    @pytest.mark.parametrize(
+        "F,error",
+        [
+            ([1.0, 2.0], ShapeError),
+            ([[[1.0, 2.0]]], ShapeError),
+            ([[np.nan, 1.0], [1.0, 2.0]], DomainError),
+            ([[1.0, np.inf], [1.0, 2.0]], DomainError),
+            ([[1.0, 1.0], [-1.0, 2.0]], DomainError),
+        ],
+        ids=["1d", "3d", "nan", "inf", "negative"],
+    )
+    def test_batch_rejects_bad_features(self, F, error):
+        with pytest.raises(error):
+            score_batch(F, np.eye(2))
