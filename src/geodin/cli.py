@@ -21,28 +21,11 @@ from .bench import (
     make_task,
     sweep,
 )
-from .calibrate import CalibConfig, calibrate
+from .calibrate import calibrate
 from .config import RunConfig, load_run_config
 from .errors import ConfigError, DataError, GeodinError, NumericError
-from .head import HeadVariant
 from .persist import load_model, parse_embeddings, read_report, save_model, write_report
-from .train import TrainConfig, accuracy, train
-
-
-def _train_config(cfg: RunConfig) -> TrainConfig:
-    t = cfg.train
-    return TrainConfig(
-        epochs=t.epochs,
-        batch_size=t.batch_size,
-        lr0=t.lr0,
-        momentum=t.momentum,
-        weight_decay=t.weight_decay,
-        seed=cfg.task.seed,
-        variant=HeadVariant(t.variant),
-        decay_heads=t.decay_heads,
-        hidden=tuple(t.hidden),
-        feature_dim=t.feature_dim,
-    )
+from .train import accuracy, train
 
 
 def _build_task(cfg: RunConfig, seed: int):
@@ -81,7 +64,7 @@ def _echo_config(cfg: RunConfig, path: Path) -> None:
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     task = _build_task(cfg, cfg.task.seed)
-    model = train(_train_config(cfg), task.train, n_classes=cfg.task.k)
+    model = train(cfg.train.config(cfg.task.seed), task.train, n_classes=cfg.task.k)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_model(model, out)
@@ -94,7 +77,7 @@ def cmd_train(args) -> int:
     _echo_config(cfg, _sibling(out, ".config.json"))
     train_acc = accuracy(model, *task.train)
     test_acc = accuracy(model, *task.test)
-    print(f"trained {cfg.train.variant} model: train acc {train_acc:.4f}, test acc {test_acc:.4f}")
+    print(f"trained {model.head.variant.value} model: train acc {train_acc:.4f}, test acc {test_acc:.4f}")
     print(f"checkpoint: {out}")
     print(f"training log: {log_path}")
     return 0
@@ -147,15 +130,7 @@ def cmd_calibrate(args) -> int:
     val = task.val
     if cfg.calibrate.shift_kind and cfg.calibrate.shift_severity >= 1:
         val = corrupt(val, ShiftSpec(cfg.calibrate.shift_kind, cfg.calibrate.shift_severity), seed)
-    calib = CalibConfig(
-        epochs=cfg.calibrate.epochs,
-        lr0=cfg.calibrate.lr0,
-        momentum=cfg.calibrate.momentum,
-        batch_size=cfg.calibrate.batch_size,
-        folds=cfg.calibrate.folds,
-        seed=seed,
-    )
-    new_model, report = calibrate(model, val, calib, eval_sets={"test": task.test})
+    new_model, report = calibrate(model, val, cfg.calibrate.config(seed), eval_sets={"test": task.test})
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_model(new_model, out)

@@ -2,17 +2,21 @@
 
 Grammar: ``[section]`` headers followed by ``key = value`` lines; ``#``
 starts a comment; lists are comma-separated.  Sections are task, train,
-calibrate, shifts, output.  Unknown sections or keys are rejected with their
-line number.  Every key has a default, so an empty (or absent) file is a
-valid configuration; command-line overrides use ``section.key=value``.
+calibrate, shifts, output; the train and calibrate keys and defaults are
+those of TrainConfig and CalibConfig, less the seed.  Unknown sections or
+keys are rejected with their line number.  Every key has a default, so an
+empty (or absent) file is a valid configuration; command-line overrides use
+``section.key=value``.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, make_dataclass
 from pathlib import Path
 
+from .calibrate import CalibConfig
 from .errors import ConfigError
+from .train import TrainConfig
 
 
 @dataclass
@@ -30,26 +34,26 @@ class TaskSection:
     concept_similarities: tuple = (0.65, 0.72, 0.79, 0.86, 0.92)
 
 
-@dataclass
-class TrainSection:
-    epochs: int = 50
-    batch_size: int = 64
-    lr0: float = 0.05
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
-    variant: str = "alpha_beta"
-    decay_heads: bool = True
-    hidden: tuple = (64, 64)
-    feature_dim: int = 16
+def _section(name: str, config_cls):
+    """A mutable section with config_cls's keys, in order, and its defaults,
+    except ``seed``: ``[task] seed`` (or ``--seed``) supplies that, through
+    ``section.config(seed)``, which builds the library config.
+    """
+    keys = [f for f in fields(config_cls) if f.name != "seed"]
+
+    def config(self, seed: int):
+        return config_cls(seed=seed, **{f.name: getattr(self, f.name) for f in keys})
+
+    return make_dataclass(
+        name, [(f.name, f.type, field(default=f.default)) for f in keys], namespace={"config": config}
+    )
+
+
+TrainSection = _section("TrainSection", TrainConfig)
 
 
 @dataclass
-class CalibrateSection:
-    epochs: int = 20
-    lr0: float = 0.1
-    momentum: float = 0.9
-    batch_size: int = 64
-    folds: int = 5
+class CalibrateSection(_section("CalibConfigSection", CalibConfig)):
     # Optional corruption of the tuning split (severity 0 = tune on clean data).
     shift_kind: str = ""
     shift_severity: int = 0

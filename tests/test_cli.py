@@ -6,10 +6,12 @@ import struct
 import numpy as np
 import pytest
 
+from geodin.calibrate import CalibConfig
 from geodin.cli import main
 from geodin.config import load_run_config
 from geodin.errors import ConfigError
 from geodin.persist import fnv1a64, load_model, read_report
+from geodin.train import TrainConfig
 
 SMALL_CONFIG = """\
 # desk-size run for tests
@@ -78,6 +80,17 @@ class TestRunConfig:
         path.write_text("[train]\nepochs = soon\n", encoding="utf-8")
         with pytest.raises(ConfigError, match=r"epochs.*line 2"):
             load_run_config(path)
+
+    def test_sections_build_library_configs(self):
+        cfg = load_run_config(None)
+        assert cfg.train.config(7) == TrainConfig(seed=7)
+        assert cfg.calibrate.config(7) == CalibConfig(seed=7)
+
+    @pytest.mark.parametrize("section", ["train", "calibrate"])
+    def test_seed_is_a_task_key_only(self, tmp_path, section):
+        path = tmp_path / "seed.cfg"
+        path.write_text(f"[{section}]\nseed = 1\n", encoding="utf-8")
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "m.godn")]) == 2
 
     def test_key_outside_section(self, tmp_path):
         path = tmp_path / "bad.cfg"
