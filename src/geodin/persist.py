@@ -209,15 +209,23 @@ def read_report(path) -> DetectionReport:
     """Read back a CSV or JSON detection report."""
     path = Path(path)
     if path.suffix.lower() == ".json":
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        try:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # includes JSONDecodeError and UnicodeDecodeError
+            raise FormatError(f"{path}: not a JSON report ({exc})") from None
+        if not isinstance(doc, dict) or not isinstance(doc.get("rows", []), list):
+            raise FormatError(f"{path}: a JSON report must be an object with a list of rows")
         rows = [_row_from_dict(d, path) for d in doc.get("rows", [])]
         return DetectionReport(rows=rows, config=doc.get("config"))
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(REPORT_FIELDS):
-            raise FormatError(f"{path}: unexpected report header {header}")
-        rows = [_row_from_dict(dict(zip(REPORT_FIELDS, line)), path) for line in reader if line]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != list(REPORT_FIELDS):
+                raise FormatError(f"{path}: unexpected report header {header}")
+            rows = [_row_from_dict(dict(zip(REPORT_FIELDS, line)), path) for line in reader if line]
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not a UTF-8 CSV report ({exc})") from None
     return DetectionReport(rows=rows)
 
 
@@ -233,5 +241,5 @@ def _row_from_dict(d: dict, path) -> ReportRow:
             n_ood=int(d["n_ood"]),
             seed=int(d["seed"]),
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed report row {d!r} ({exc})") from None

@@ -319,3 +319,20 @@ class TestCmdReportMerge:
         m = read_report(merged)
         assert len(m.rows) == len(a.rows) + len(b.rows)
         assert m.rows[: len(a.rows)] == a.rows
+
+    @pytest.mark.parametrize(
+        "name,content",
+        [
+            ("bad.json", b'{"rows": ['),
+            ("list.json", b"[1, 2]"),
+            ("rows.json", b'{"rows": [1]}'),
+            ("latin1.csv", "score,shift_kind\n\xe9\n".encode("latin-1")),
+        ],
+        ids=["invalid_json", "top_level_list", "row_not_object", "not_utf8_csv"],
+    )
+    def test_unreadable_report_exit_3(self, tmp_path, capsys, name, content):
+        path = tmp_path / name
+        path.write_bytes(content)
+        code = main(["report-merge", str(path), "--out", str(tmp_path / "merged.csv")])
+        assert code == 3
+        assert str(path) in capsys.readouterr().err

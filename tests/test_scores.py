@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 import oracles
+from geodin.bench import make_task
+from geodin.calibrate import softmax_probs
 from geodin.errors import DomainError, ShapeError
 from geodin.scores import (
     EPS_NORM,
@@ -20,6 +22,7 @@ from geodin.scores import (
     score_batch,
     score_set,
 )
+from geodin.train import TrainConfig, extract_features, train
 
 
 def random_pair(rng, d=8, m=5):
@@ -192,6 +195,22 @@ class TestKlFromUniform:
             u = logits.max() - logits.mean()
             kl = kl_from_uniform(probs)
             assert u - math.log(m) - 1e-9 <= kl <= u + 1e-9
+
+
+    def test_bound_holds_on_trained_logits(self):
+        # The paper's u - ln M <= KL(U||P) <= u on a trained model's test
+        # split, where P = softmax(W f) comes from real features, not random logits.
+        task = make_task(6, 10, 100, 0.15, seed=41)
+        model = train(TrainConfig(epochs=20, seed=41, hidden=(24,), feature_dim=8), task.train, n_classes=6)
+        F = extract_features(model, task.test[0])
+        W = model.head.W
+        u = score_batch(F, W)["u"]
+        probs = softmax_probs(F @ W.T)
+        m = W.shape[0]
+        for ui, p in zip(u, probs):
+            kl = kl_from_uniform(p)
+            assert ui - math.log(m) - 1e-9 <= kl <= ui + 1e-9
+        assert np.any(u > math.log(m))  # the lower bound is not vacuous on this split
 
 
 class TestScoreSetAndBatch:
