@@ -2,7 +2,7 @@
 
 Grammar: ``[section]`` headers followed by ``key = value`` lines; ``#``
 starts a comment; lists are comma-separated.  Sections are task, train,
-calibrate, shifts, output; the train and calibrate keys and defaults are
+calibrate, shifts; the train and calibrate keys and defaults are
 those of TrainConfig and CalibConfig, less the seed.  Unknown sections or
 keys are rejected with their line number.  Every key has a default, so an
 empty (or absent) file is a valid configuration; command-line overrides use
@@ -69,18 +69,11 @@ class ShiftsSection:
 
 
 @dataclass
-class OutputSection:
-    dir: str = "."
-    prefix: str = "run"
-
-
-@dataclass
 class RunConfig:
     task: TaskSection = field(default_factory=TaskSection)
     train: TrainSection = field(default_factory=TrainSection)
     calibrate: CalibrateSection = field(default_factory=CalibrateSection)
     shifts: ShiftsSection = field(default_factory=ShiftsSection)
-    output: OutputSection = field(default_factory=OutputSection)
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -96,7 +89,6 @@ _SECTIONS = {
     "train": TrainSection,
     "calibrate": CalibrateSection,
     "shifts": ShiftsSection,
-    "output": OutputSection,
 }
 
 

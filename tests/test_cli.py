@@ -54,7 +54,6 @@ class TestRunConfig:
         assert cfg.task.k == 8
         assert cfg.train.epochs == 50
         assert cfg.calibrate.folds == 5
-        assert cfg.output.prefix == "run"
 
     def test_file_values_applied(self, config_file):
         cfg = load_run_config(config_file)

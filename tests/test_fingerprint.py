@@ -35,7 +35,7 @@ severities = 1, 4
 """
 
 DEFAULT_TRAIN = "1767bec035af7d5b02c3cc991bb91fa6e886f020745844eb68d8f24f317461f4"
-DEFAULT_TRAIN_CONFIG = "76f462b70083f39ae988f81095fe33ba7ee4226f30a9f16a0a0aadf6b0df520a"
+DEFAULT_TRAIN_CONFIG = "b257bfcd905efdf2daa72fcaed554289176cac96d510510eed7b6d3f9799eef3"
 DEFAULT_TRAIN_LOG = "2b6c2cd1b29bf434595a4df5870e091708feb8261644da969fee75deb7a1f420"
 
 SMALL_TRAIN = {
@@ -57,13 +57,13 @@ SMALL_TRAIN = {
         "3e92dedc7e34f0c6f711a404f4a4fd75fd157676e65c80b3e5225fa7c2c737a6",
 }
 
-SMALL_TRAIN_CONFIG = "8be85bca8a77ce2c04fa38ad1ae3674da858337c64c1a58fd8d59ddf7101fd20"
+SMALL_TRAIN_CONFIG = "c6e9702b8b5b0eb328927d215951ae2b70aaf2b465862de25d7773f935c5ffb1"
 SMALL_TRAIN_LOG = "829179681c62da5e23bef3734dee844be9abb341ea4503f012fe9857ab9badd7"
 
 SMALL_DETECT_CSV = "fb877389bd0c55d7955fb7fd969fbdb256473c10528b6d16960176591698b89f"
-SMALL_DETECT_JSON = "db31ac19239806a124cbb0fd67fecdaa2770a807754972db430cf4b14b7acac7"
+SMALL_DETECT_JSON = "d04ec57b660ef2a481de051e65d2f2ad99c2ab7e24bedee6b0226c8ce60519e5"
 SMALL_CALIBRATE_CHECKPOINT = "ab3bbac44bd802fbdaad3787ff550b797a1837a6d244e0154a2f300142928b94"
-SMALL_CALIBRATE_REPORT = "6a31632fb1e9e010c501ed328f51f89c028b929e8e3061761797857ed726d91a"
+SMALL_CALIBRATE_REPORT = "fb152e8b2c0dfe44ed3b1bb2834c7573ef4648b224fabba5897dfe473545925a"
 
 
 def sha256(path) -> str:
