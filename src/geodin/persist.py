@@ -213,10 +213,10 @@ def read_report(path) -> DetectionReport:
             doc = json.loads(path.read_text(encoding="utf-8"))
         except ValueError as exc:  # includes JSONDecodeError and UnicodeDecodeError
             raise FormatError(f"{path}: not a JSON report ({exc})") from None
-        if not isinstance(doc, dict) or not isinstance(doc.get("rows", []), list):
+        rows = doc.get("rows", []) if isinstance(doc, dict) else None
+        if not isinstance(rows, list):
             raise FormatError(f"{path}: a JSON report must be an object with a list of rows")
-        rows = [_row_from_dict(d, path) for d in doc.get("rows", [])]
-        return DetectionReport(rows=rows, config=doc.get("config"))
+        return DetectionReport(rows=[_row_from_dict(d, path) for d in rows], config=doc.get("config"))
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
