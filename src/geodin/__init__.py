@@ -29,13 +29,7 @@ from .calibrate import (
     reliability_bins,
     temperature_scale,
 )
-from .head import (
-    HeadParams,
-    HeadVariant,
-    head_backward_batch,
-    head_forward_batch,
-    softmax_cross_entropy_batch,
-)
+from .head import HeadParams, HeadVariant
 from .persist import load_model, parse_embeddings, read_report, save_model, write_report
 from .scores import (
     EPS_NORM,

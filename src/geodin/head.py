@@ -135,7 +135,7 @@ class HeadGradients(HeadParams):
 
 @dataclass
 class BatchHeadTrace:
-    """One forward pass over a feature batch, kept for the backward pass (arrays over the batch axis)."""
+    """A forward pass over a feature batch, kept for the backward pass."""
 
     alpha: np.ndarray
     beta: np.ndarray

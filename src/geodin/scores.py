@@ -68,17 +68,20 @@ def shifted_exp(logits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return shifted, e, e.sum(axis=-1)
 
 
+def _msp_energy(logits) -> tuple[np.ndarray, np.ndarray]:
+    l = np.asarray(logits, dtype=np.float64)
+    _, e, esum = shifted_exp(l)
+    return e.max(axis=-1) / esum, l.max(axis=-1) + np.log(esum)
+
+
 def msp_score(logits):
     """Maximum softmax probability over the last axis of the logits."""
-    _, e, esum = shifted_exp(logits)
-    return e.max(axis=-1) / esum
+    return _msp_energy(logits)[0]
 
 
 def energy_score(logits):
     """Log-sum-exp over the last axis of the logits (the negative free energy)."""
-    l = np.asarray(logits, dtype=np.float64)
-    _, _, esum = shifted_exp(l)
-    return l.max(axis=-1) + np.log(esum)
+    return _msp_energy(logits)[1]
 
 
 def kl_from_uniform(probs) -> float:
@@ -116,4 +119,5 @@ def score_batch(F, W) -> dict[str, np.ndarray]:
     fn = np.linalg.norm(F, axis=1)
     u = np.maximum(0.0, logits.max(axis=1) - logits.mean(axis=1))
     h = np.divide(u, fn, out=np.zeros_like(u), where=fn >= EPS_NORM)
-    return {"g": fn, "h": h, "u": u, "msp": msp_score(logits), "energy": energy_score(logits)}
+    msp, energy = _msp_energy(logits)  # one shifted exp serves both
+    return {"g": fn, "h": h, "u": u, "msp": msp, "energy": energy}

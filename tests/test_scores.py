@@ -31,6 +31,8 @@ def random_pair(rng, d=8, m=5):
 
 
 class TestGeometryView:
+    """The norm/angle view of the logits, through the oracle and score_set."""
+
     def test_pythagorean(self):
         W = [[1.0, 0.0], [0.0, 1.0]]
         fn, wn, cos, logits = oracles.geometry([3.0, 4.0], W)
