@@ -1,6 +1,7 @@
 """Benchmark tests: task construction, corruptions, metrics, splits, sweeps."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -241,6 +242,23 @@ class TestAuroc:
         id_s = rng.integers(0, 5, 300).astype(float)
         ood_s = rng.integers(0, 5, 200).astype(float)
         assert abs(auroc(id_s, ood_s) - pairwise_auroc(id_s, ood_s)) < 1e-9
+
+    @pytest.mark.parametrize("kind", ["integer", "tie_heavy_real"])
+    def test_exact_mann_whitney_fraction(self, kind):
+        # U = #(id > ood) + 0.5 #(id == ood) is a half-integer, so the exact
+        # AUROC is the correctly rounded float of U / (n_id n_ood).
+        rng = np.random.default_rng(27)
+        for _ in range(20):
+            n1, n2 = rng.integers(5, 400, 2)
+            if kind == "integer":
+                id_s = rng.integers(0, 6, n1).astype(float)
+                ood_s = rng.integers(0, 6, n2).astype(float)
+            else:
+                id_s = np.round(rng.normal(0.3, 1.0, n1), 1)
+                ood_s = np.round(rng.normal(0.0, 1.0, n2), 1)
+            gt = int(np.sum(id_s[:, None] > ood_s[None, :]))
+            eq = int(np.sum(id_s[:, None] == ood_s[None, :]))
+            assert auroc(id_s, ood_s) == float(Fraction(2 * gt + eq, 2 * n1 * n2))
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(18)

@@ -60,8 +60,8 @@ SMALL_TRAIN = {
 SMALL_TRAIN_CONFIG = "c6e9702b8b5b0eb328927d215951ae2b70aaf2b465862de25d7773f935c5ffb1"
 SMALL_TRAIN_LOG = "829179681c62da5e23bef3734dee844be9abb341ea4503f012fe9857ab9badd7"
 
-SMALL_DETECT_CSV = "fb877389bd0c55d7955fb7fd969fbdb256473c10528b6d16960176591698b89f"
-SMALL_DETECT_JSON = "d04ec57b660ef2a481de051e65d2f2ad99c2ab7e24bedee6b0226c8ce60519e5"
+SMALL_DETECT_CSV = "8a1c363bddd369c8d48ddad7f1f44ba737458ef1014819f48e81e93441a728c8"
+SMALL_DETECT_JSON = "ab3fa761a9cf5acb3d6f87247b929c0cf549c12526efe2b0f7fe95542d10e23f"
 SMALL_CALIBRATE_CHECKPOINT = "ab3bbac44bd802fbdaad3787ff550b797a1837a6d244e0154a2f300142928b94"
 SMALL_CALIBRATE_REPORT = "fb152e8b2c0dfe44ed3b1bb2834c7573ef4648b224fabba5897dfe473545925a"
 
