@@ -4,8 +4,10 @@ Calibration freezes the extractor and the class weights and retunes only the
 alpha/beta head parameters by minimizing NLL on a validation split.  Because
 the head rescales all logits by one positive factor, retuning can never
 change a prediction, and every score derived from the feature and the class
-weights is untouched.  A temperature-scaling baseline and ECE / NLL /
-reliability-bin metrics live here as well.
+weights is untouched.  The extractor therefore runs once per split: tuning,
+the before/after metrics and every cross-validation fold reuse those
+features.  A temperature-scaling baseline and ECE / NLL / reliability-bin
+metrics live here as well.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .head import (
     softmax_cross_entropy_batch,
 )
 from .scores import shifted_exp
-from .train import Model, cosine_lr, extract_features, model_logits, momentum_step
+from .train import Model, cosine_lr, extract_features, momentum_step
 
 
 @dataclass(frozen=True)
@@ -186,14 +188,10 @@ def softmax_probs(logits: np.ndarray) -> np.ndarray:
     return e / esum[..., None]
 
 
-def model_probs(model: Model, X) -> np.ndarray:
-    return softmax_probs(model_logits(model, X))
-
-
-def split_metrics(model: Model, X, y, n_bins: int = 15) -> SplitMetrics:
-    """Accuracy, ECE and NLL of a model on one labelled split."""
+def split_metrics(logits, y, n_bins: int = 15) -> SplitMetrics:
+    """Accuracy, ECE and NLL of a batch of logits against its labels."""
     y = np.asarray(y, dtype=np.int64)
-    p = model_probs(model, X)
+    p = softmax_probs(logits)
     pred = p.argmax(axis=1)
     conf = p.max(axis=1)
     return SplitMetrics(
@@ -259,14 +257,13 @@ def calibrate(model: Model, val_set, config: CalibConfig, eval_sets: dict | None
     if Xv.shape[0] == 0:
         raise DomainError("validation set is empty")
 
-    F = extract_features(model, Xv)
-    eval_sets = dict(eval_sets or {})
+    splits = {"val": (Xv, yv), **(eval_sets or {})}
+    F = {name: extract_features(model, X) for name, (X, _) in splits.items()}
 
-    before = {"val": split_metrics(model, Xv, yv)}
-    for name, (Xe, ye) in eval_sets.items():
-        before[name] = split_metrics(model, Xe, ye)
+    def metrics(name, head, rows=slice(None)):
+        return split_metrics(head_forward_batch(F[name][rows], head).logits, splits[name][1][rows])
 
-    tuned_head, best_epoch, nll_before, nll_after = _tune_head(model.head, F, yv, config)
+    tuned_head, best_epoch, nll_before, nll_after = _tune_head(model.head, F["val"], yv, config)
     new_model = Model(
         extractor=model.extractor.copy(),
         head=tuned_head,
@@ -277,8 +274,7 @@ def calibrate(model: Model, val_set, config: CalibConfig, eval_sets: dict | None
 
     report = CalibrationReport(
         splits={
-            name: {"before": before[name], "after": split_metrics(new_model, *xy)}
-            for name, xy in {"val": (Xv, yv), **eval_sets}.items()
+            name: {"before": metrics(name, model.head), "after": metrics(name, tuned_head)} for name in F
         },
         nll_before=nll_before,
         nll_after=nll_after,
@@ -293,25 +289,12 @@ def calibrate(model: Model, val_set, config: CalibConfig, eval_sets: dict | None
         pieces = np.array_split(perm, config.folds)
         for k, held in enumerate(pieces):
             rest = np.concatenate([p for j, p in enumerate(pieces) if j != k])
-            fold_head, _, _, _ = _tune_head(model.head, F[rest], yv[rest], config)
-            fold_model = Model(model.extractor, fold_head, dict(model.meta))
-            report.folds.append(
-                (
-                    k,
-                    split_metrics(model, Xv[held], yv[held]),
-                    split_metrics(fold_model, Xv[held], yv[held]),
-                )
-            )
-        after = [a for _, _, a in report.folds]
-        report.cv_mean = {
-            "accuracy": float(np.mean([m.accuracy for m in after])),
-            "ece": float(np.mean([m.ece for m in after])),
-            "nll": float(np.mean([m.nll for m in after])),
-        }
-        report.cv_std = {
-            "accuracy": float(np.std([m.accuracy for m in after])),
-            "ece": float(np.std([m.ece for m in after])),
-            "nll": float(np.std([m.nll for m in after])),
-        }
+            fold_head, _, _, _ = _tune_head(model.head, F["val"][rest], yv[rest], config)
+            report.folds.append((k, metrics("val", model.head, held), metrics("val", fold_head, held)))
+        report.cv_mean, report.cv_std = {}, {}
+        for key in ("accuracy", "ece", "nll"):
+            values = [getattr(after, key) for _, _, after in report.folds]
+            report.cv_mean[key] = float(np.mean(values))
+            report.cv_std[key] = float(np.std(values))
 
     return new_model, report

@@ -34,6 +34,7 @@ from geodin.train import (
     extract_features,
     full_gradient_check,
     init_model,
+    model_logits,
     predict,
     train,
 )
@@ -171,7 +172,7 @@ def test_c4_order_preserving_suite():
 
 
 def test_c5_metric_oracle_suite():
-    """AUROC sweep == pairwise statistic; ECE == naive binning; TNR base rate."""
+    """AUROC rank count == pairwise statistic; ECE == naive binning; TNR base rate."""
     rng = np.random.default_rng(106)
     for _ in range(50):
         n1 = int(rng.integers(5, 1001))
@@ -268,7 +269,7 @@ def test_c8_calibration_effect():
 
     shifted_val = corrupt(task.val, ShiftSpec("gaussian_noise", 3), seed=task.seed)
     clean_acc_before = accuracy(over, *task.test)
-    before = split_metrics(over, *shifted_val)
+    before = split_metrics(model_logits(over, shifted_val[0]), shifted_val[1])
 
     calibrated, report = calibrate(over, shifted_val, CalibConfig(seed=0, folds=0))
     after = report.splits["val"]["after"]

@@ -19,7 +19,7 @@ from geodin.calibrate import (
 from geodin.errors import ConfigError, DomainError, UnsupportedVariantError
 from geodin.head import HeadVariant
 from geodin.scores import score_batch
-from geodin.train import TrainConfig, accuracy, extract_features, predict, train
+from geodin.train import TrainConfig, accuracy, extract_features, model_logits, predict, train
 
 
 def naive_ece(conf, correct, n_bins):
@@ -162,7 +162,7 @@ class TestCalibrate:
         task, model = trained_task_model
         over = _inflated(model)
         val = corrupt(task.val, ShiftSpec("gaussian_noise", 3), seed=task.seed)
-        before = split_metrics(over, *val)
+        before = split_metrics(model_logits(over, val[0]), val[1])
         cal, report = calibrate(over, val, CalibConfig(seed=21, folds=0))
         after = report.splits["val"]["after"]
         assert after.ece < before.ece
@@ -238,7 +238,7 @@ def _inflated(model):
 class TestAccuracyHelpers:
     def test_split_metrics_fields(self, trained_task_model):
         task, model = trained_task_model
-        m = split_metrics(model, *task.test)
+        m = split_metrics(model_logits(model, task.test[0]), task.test[1])
         assert 0.0 <= m.accuracy <= 1.0
         assert m.accuracy == accuracy(model, *task.test)
         assert m.ece >= 0.0 and m.nll >= 0.0
