@@ -11,7 +11,6 @@ against a pairwise oracle in the tests) and TNR@TPR95.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -363,33 +362,19 @@ def tnr_at_tpr95(id_scores, ood_scores) -> float:
     return float(np.mean(ood_s < t))
 
 
-def _ood_inputs(task: SyntheticTask, spec: ShiftSpec, concept_groups):
-    if spec.kind == CONCEPT_KIND:
-        if not concept_groups:
-            raise ConfigError("concept_split specs require concept groups")
-        if spec.severity >= len(concept_groups):
-            raise ConfigError(
-                f"concept group {spec.severity} out of range ({len(concept_groups)} groups)"
-            )
-        return concept_groups[spec.severity].X
-    if spec.severity == 0:
-        return None  # control row handled by the caller
-    Xc, _ = corrupt(task.test, spec, task.seed)
-    return Xc
-
-
 def sweep(
     model: Model,
     task: SyntheticTask,
     score_names,
     specs,
     concept_groups=None,
-    jobs: int = 1,
 ) -> DetectionReport:
     """AUROC and TNR@TPR95 for every (score, shift spec) cell.
 
     ID scores come from the clean test split.  Severity-0 specs compare the
-    two halves of the clean test split as a no-shift control.
+    two halves of the clean test split as a no-shift control.  Each spec's
+    OOD inputs go through the extractor in their own call, so only one
+    shifted copy of the test split is alive at a time.
     """
     if not model.meta.get("trained"):
         raise StateError("model has not been trained")
@@ -397,26 +382,31 @@ def sweep(
     for name in score_names:
         if name not in SCORE_NAMES:
             raise ConfigError(f"unknown score {name!r}; known: {', '.join(SCORE_NAMES)}")
-    specs = list(specs)
 
-    X_test = task.test[0]
-    F_id = extract_features(model, X_test)
     W = model.head.W
-    id_all = score_batch(F_id, W)
-
-    def cell(spec: ShiftSpec) -> list[ReportRow]:
+    id_all = score_batch(extract_features(model, task.test[0]), W)
+    report = DetectionReport()
+    for spec in specs:
         if spec.kind == "none" or (spec.kind != CONCEPT_KIND and spec.severity == 0):
             # class-balanced halves: the test split is ordered by class
             id_sc = {k: v[0::2] for k, v in id_all.items()}
             ood_sc = {k: v[1::2] for k, v in id_all.items()}
         else:
+            if spec.kind == CONCEPT_KIND:
+                if not concept_groups:
+                    raise ConfigError("concept_split specs require concept groups")
+                if spec.severity >= len(concept_groups):
+                    raise ConfigError(
+                        f"concept group {spec.severity} out of range ({len(concept_groups)} groups)"
+                    )
+                X_ood = concept_groups[spec.severity].X
+            else:
+                X_ood, _ = corrupt(task.test, spec, task.seed)
             id_sc = id_all
-            X_ood = _ood_inputs(task, spec, concept_groups)
             ood_sc = score_batch(extract_features(model, X_ood), W)
-        rows = []
         for name in score_names:
             a, b = id_sc[name], ood_sc[name]
-            rows.append(
+            report.rows.append(
                 ReportRow(
                     score=name,
                     shift_kind=spec.kind,
@@ -428,14 +418,4 @@ def sweep(
                     seed=task.seed,
                 )
             )
-        return rows
-
-    report = DetectionReport()
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for rows in pool.map(cell, specs):
-                report.rows.extend(rows)
-    else:
-        for spec in specs:
-            report.rows.extend(cell(spec))
     return report

@@ -36,35 +36,38 @@ def _build_task(cfg: RunConfig, seed: int):
 
 
 def _load_cfg(args) -> RunConfig:
-    cfg = load_run_config(args.config, args.set or [])
-    if getattr(args, "seed", None) is not None:
-        if args.seed < 0:
-            raise ConfigError("seed must be nonnegative")
-        cfg.task.seed = args.seed
-    return cfg
+    seed = [] if args.seed is None else [f"task.seed={args.seed}"]
+    return load_run_config(args.config, [*(args.set or []), *seed])
 
 
-def _check_model_matches(model, cfg: RunConfig) -> None:
+def _load_checkpoint_run(args):
+    """Config, checkpoint, seed and task for a command that reads a checkpoint.
+
+    The seed is ``--seed`` if given, else the one the checkpoint was trained with.
+    """
+    cfg = _load_cfg(args)
+    model = load_model(args.checkpoint)
     d_in, k = model.extractor.d_in, model.head.n_classes
     if d_in != cfg.task.d_in or k != cfg.task.k:
         raise ConfigError(
             f"checkpoint expects d_in={d_in}, k={k} "
             f"but config declares d_in={cfg.task.d_in}, k={cfg.task.k}"
         )
+    seed = args.seed if args.seed is not None else model.meta["seed"]
+    return cfg, model, seed, _build_task(cfg, seed)
 
 
 def _sibling(path: Path, suffix: str) -> Path:
     return path.parent / (path.stem + suffix)
 
 
-def _echo_config(cfg: RunConfig, path: Path) -> None:
-    path.write_text(json.dumps(cfg.to_dict(), indent=2) + "\n", encoding="utf-8")
-
-
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     task = _build_task(cfg, cfg.task.seed)
     model = train(cfg.train.config(cfg.task.seed), task.train, n_classes=cfg.task.k)
+    # Computed before any file is written, so a numeric failure leaves none.
+    train_acc = accuracy(model, *task.train)
+    test_acc = accuracy(model, *task.test)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_model(model, out)
@@ -74,9 +77,7 @@ def cmd_train(args) -> int:
         writer.writerow(["epoch", "mean_loss", "lr"])
         for row in model.history:
             writer.writerow([row["epoch"], f"{row['mean_loss']:.6g}", f"{row['lr']:.6g}"])
-    _echo_config(cfg, _sibling(out, ".config.json"))
-    train_acc = accuracy(model, *task.train)
-    test_acc = accuracy(model, *task.test)
+    _sibling(out, ".config.json").write_text(json.dumps(cfg.to_dict(), indent=2) + "\n", encoding="utf-8")
     print(f"trained {model.head.variant.value} model: train acc {train_acc:.4f}, test acc {test_acc:.4f}")
     print(f"checkpoint: {out}")
     print(f"training log: {log_path}")
@@ -96,11 +97,7 @@ def _detect_specs(cfg: RunConfig):
 
 
 def cmd_detect(args) -> int:
-    cfg = _load_cfg(args)
-    model = load_model(args.checkpoint)
-    _check_model_matches(model, cfg)
-    seed = args.seed if args.seed is not None else model.meta["seed"]
-    task = _build_task(cfg, seed)
+    cfg, model, _, task = _load_checkpoint_run(args)
     groups = None
     if cfg.shifts.concept:
         groups = make_concept_groups(
@@ -110,7 +107,7 @@ def cmd_detect(args) -> int:
             n_per_class=cfg.task.concept_n_per_class,
             similarities=cfg.task.concept_similarities,
         )
-    report = sweep(model, task, cfg.shifts.scores, _detect_specs(cfg), groups, jobs=args.jobs)
+    report = sweep(model, task, cfg.shifts.scores, _detect_specs(cfg), groups)
     report.config = cfg.to_dict()
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -122,11 +119,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    cfg = _load_cfg(args)
-    model = load_model(args.checkpoint)
-    _check_model_matches(model, cfg)
-    seed = args.seed if args.seed is not None else model.meta["seed"]
-    task = _build_task(cfg, seed)
+    cfg, model, seed, task = _load_checkpoint_run(args)
     val = task.val
     if cfg.calibrate.shift_kind and cfg.calibrate.shift_severity >= 1:
         val = corrupt(val, ShiftSpec(cfg.calibrate.shift_kind, cfg.calibrate.shift_severity), seed)
@@ -221,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, "override the task seed (default: the checkpoint's seed)")
     p.add_argument("--checkpoint", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True, help="report path stem (.csv/.json added)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel sweep cells")
+    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored; the sweep runs in one thread")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("calibrate", help="retune the alpha/beta head on the validation split")

@@ -123,11 +123,6 @@ def _convert(text: str, template, where: str):
         raise ConfigError(f"bad value for {where}: {exc}") from None
 
 
-def _field_defaults(section_cls) -> dict:
-    probe = section_cls()
-    return {f.name: getattr(probe, f.name) for f in fields(section_cls)}
-
-
 def load_run_config(path=None, overrides=()) -> RunConfig:
     """Build a RunConfig from an optional file plus section.key=value overrides."""
     cfg = RunConfig()
@@ -144,7 +139,6 @@ def _apply_file(cfg: RunConfig, path: Path) -> None:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    section = None
     section_name = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -157,20 +151,13 @@ def _apply_file(cfg: RunConfig, path: Path) -> None:
                     f"unknown section [{section_name}] (line {lineno}); "
                     f"known sections: {', '.join(_SECTIONS)}"
                 )
-            section = getattr(cfg, section_name)
             continue
         if "=" not in line:
             raise ConfigError(f"expected 'key = value' (line {lineno}): {raw.strip()!r}")
-        if section is None:
+        if section_name is None:
             raise ConfigError(f"key outside any [section] (line {lineno})")
         key, value = (part.strip() for part in line.split("=", 1))
-        defaults = _field_defaults(type(section))
-        if key not in defaults:
-            raise ConfigError(
-                f"unknown key {key!r} in [{section_name}] (line {lineno}); "
-                f"known keys: {', '.join(defaults)}"
-            )
-        setattr(section, key, _convert(value, defaults[key], f"[{section_name}] {key} (line {lineno})"))
+        _set_key(cfg, section_name, key, value, f"[{section_name}] (line {lineno})")
 
 
 def _apply_override(cfg: RunConfig, item: str) -> None:
@@ -180,11 +167,17 @@ def _apply_override(cfg: RunConfig, item: str) -> None:
     section_name, key = (part.strip().lower() for part in target.split(".", 1))
     if section_name not in _SECTIONS:
         raise ConfigError(f"unknown section {section_name!r} in override {item!r}")
+    _set_key(cfg, section_name, key, value, f"override {item!r}")
+
+
+def _set_key(cfg: RunConfig, section_name: str, key: str, value: str, where: str) -> None:
+    """Parse and set one key of a known section; ``where`` locates it in errors."""
     section = getattr(cfg, section_name)
-    defaults = _field_defaults(type(section))
+    probe = type(section)()
+    defaults = {f.name: getattr(probe, f.name) for f in fields(probe)}
     if key not in defaults:
-        raise ConfigError(f"unknown key {key!r} in override {item!r}; known keys: {', '.join(defaults)}")
-    setattr(section, key, _convert(value, defaults[key], f"override {item!r}"))
+        raise ConfigError(f"unknown key {key!r} in {where}; known keys: {', '.join(defaults)}")
+    setattr(section, key, _convert(value, defaults[key], f"{key} in {where}"))
 
 
 def _validate(cfg: RunConfig) -> None:

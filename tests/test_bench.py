@@ -363,13 +363,12 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep(model, task, ["mahalanobis"], [ShiftSpec("none", 0)])
 
-    def test_deterministic_and_parallel_equivalent(self, small_trained):
+    def test_deterministic(self, small_trained):
         task, model = small_trained
         specs = [ShiftSpec("gaussian_noise", s) for s in (1, 3, 5)] + [ShiftSpec("none", 0)]
         a = sweep(model, task, ["g", "u"], specs)
         b = sweep(model, task, ["g", "u"], specs)
-        c = sweep(model, task, ["g", "u"], specs, jobs=3)
-        assert a.rows == b.rows == c.rows
+        assert a.rows == b.rows
 
     def test_concept_group_rows(self, small_trained):
         task, model = small_trained

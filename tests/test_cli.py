@@ -149,6 +149,16 @@ class TestCmdTrain:
         assert a.read_bytes() != b.read_bytes()  # seed override took effect
         assert a.read_bytes() == c.read_bytes()  # reruns are idempotent
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_numeric_failure_writes_no_files(self, tmp_path, capsys):
+        overrides = ["train.lr0=1e300", "train.epochs=1", "task.n_per_class=20", "train.batch_size=512"]
+        argv = ["train", "--out", str(tmp_path / "big.godn")]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == 4
+        assert "numeric failure" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 @pytest.fixture()
 def trained_checkpoint(config_file, tmp_path):
@@ -179,13 +189,13 @@ class TestCmdDetect:
         doc = json.loads(out1.with_suffix(".json").read_text())
         assert doc["config"]["task"]["k"] == 4  # effective config echoed
 
-    def test_jobs_flag_equivalent(self, config_file, trained_checkpoint, tmp_path):
-        out1, out2 = tmp_path / "seq", tmp_path / "par"
-        main(["detect", "--config", str(config_file), "--checkpoint", str(trained_checkpoint), "--out", str(out1)])
-        main(
-            ["detect", "--config", str(config_file), "--checkpoint", str(trained_checkpoint), "--out", str(out2), "--jobs", "4"]
-        )
-        assert out1.with_suffix(".csv").read_text() == out2.with_suffix(".csv").read_text()
+    def test_jobs_flag_accepted_and_ignored(self, config_file, trained_checkpoint, tmp_path):
+        out1, out2 = tmp_path / "plain", tmp_path / "jobs"
+        base = ["detect", "--config", str(config_file), "--checkpoint", str(trained_checkpoint)]
+        assert main([*base, "--out", str(out1)]) == 0
+        assert main([*base, "--out", str(out2), "--jobs", "4"]) == 0
+        for suffix in (".csv", ".json"):
+            assert out1.with_suffix(suffix).read_bytes() == out2.with_suffix(suffix).read_bytes()
 
     def test_mismatched_config_exit_2(self, config_file, trained_checkpoint, tmp_path, capsys):
         code = main(
