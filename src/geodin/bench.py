@@ -384,7 +384,11 @@ def sweep(
             raise ConfigError(f"unknown score {name!r}; known: {', '.join(SCORE_NAMES)}")
 
     W = model.head.W
-    id_all = score_batch(extract_features(model, task.test[0]), W)
+    # F_id stays referenced for the whole sweep: freeing it here shifts glibc's
+    # dynamic mmap threshold and, in a fresh process, more than triples the page
+    # faults of the per-spec extractor calls below (cold detect_wide +12%).
+    F_id = extract_features(model, task.test[0])
+    id_all = score_batch(F_id, W)
     report = DetectionReport()
     for spec in specs:
         if spec.kind == "none" or (spec.kind != CONCEPT_KIND and spec.severity == 0):
