@@ -258,7 +258,7 @@ def calibrate(model: Model, val_set, config: CalibConfig, eval_sets: dict | None
         raise DomainError("validation set is empty")
 
     splits = {"val": (Xv, yv), **(eval_sets or {})}
-    F = {name: extract_features(model, X) for name, (X, _) in splits.items()}
+    F = {name: extract_features(model, np.atleast_2d(X)) for name, (X, _) in splits.items()}
 
     def metrics(name, head, rows=slice(None)):
         return split_metrics(head_forward_batch(F[name][rows], head).logits, splits[name][1][rows])

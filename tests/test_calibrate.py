@@ -168,6 +168,14 @@ class TestCalibrate:
         assert after.ece < before.ece
         assert report.nll_after < report.nll_before
 
+    def test_single_sample_eval_set(self, trained_task_model):
+        task, model = trained_task_model
+        X, y = task.test
+        config = CalibConfig(seed=21, folds=0, epochs=2)
+        _, row = calibrate(model, task.val, config, eval_sets={"one": (X[0], y[:1])})
+        _, batch = calibrate(model, task.val, config, eval_sets={"one": (X[:1], y[:1])})
+        assert row.splits["one"] == batch.splits["one"]
+
     def test_argmax_and_scores_immutable(self, trained_task_model):
         task, model = trained_task_model
         cal, _ = calibrate(model, task.val, CalibConfig(seed=21, folds=0))
