@@ -341,6 +341,9 @@ def auroc(id_scores, ood_scores) -> float:
     """
     id_s, ood_s = _validated_scores(id_scores, ood_scores)
     id_s = np.sort(id_s)
+    # The count does not depend on the order of the queries, and searchsorted
+    # runs several times faster on sorted ones.
+    ood_s = np.sort(ood_s)
     below = np.searchsorted(id_s, ood_s, side="left")
     at_or_below = np.searchsorted(id_s, ood_s, side="right")
     # twice U: 2 #(id > ood) + #(id == ood)

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .bench import DetectionReport, ReportRow
-from .errors import DomainError, FormatError, IntegrityError, UnsupportedVersionError
+from .errors import DomainError, FormatError, IntegrityError, NumericError, UnsupportedVersionError
 from .head import HeadParams, HeadVariant
 from .train import ExtractorParams, Model
 
@@ -40,22 +40,87 @@ _VARIANT_FROM_CODE = {i: v for v, i in _VARIANT_CODES.items()}
 
 REPORT_FIELDS = ("score", "shift_kind", "severity", "auroc", "tnr_at_tpr95", "n_id", "n_ood", "seed")
 
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
+_U64 = 0xFFFFFFFFFFFFFFFF
+_FNV_BLOCK = 1 << 16  # bytes per block; bounds the temporaries at ~2 MB
+
 
 def fnv1a64(data: bytes) -> int:
-    """64-bit FNV-1a hash."""
-    h = 0xCBF29CE484222325
-    for byte in data:
-        h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    """64-bit FNV-1a hash, computed exactly with numpy, block by block.
+
+    The low byte s of the state runs on its own: s' = ((s ^ b) * 0xB3) mod 256,
+    and bit k of s' is bit k of s ^ b XOR bit k of ((s ^ b) mod 2**k) * 0xB3,
+    so once the lower bits are known each bit plane is a prefix XOR.  Then
+    h ^ b = h + d with d = (s ^ b) - s, and the state after n bytes is
+    h * P**n + sum(d_i * P**(n - i)) mod 2**64, a wrapping uint64 dot product.
+    """
+    stream = np.frombuffer(data, dtype=np.uint8)
+    h = _FNV_OFFSET
+    if stream.size == 0:
+        return h
+    powers = _fnv_powers(min(stream.size, _FNV_BLOCK))
+    for start in range(0, stream.size, _FNV_BLOCK):
+        b = stream[start : start + _FNV_BLOCK]
+        n = b.size
+        s = np.zeros(n, np.uint8)  # low byte of the state before each byte
+        flips = np.empty(n, np.uint8)
+        for k in range(8):
+            bit = 1 << k
+            flips[0] = h & bit
+            t = s[:-1] ^ b[:-1]
+            t &= bit - 1
+            t *= _FNV_PRIME & 0xFF
+            t ^= b[:-1]
+            np.bitwise_and(t, bit, out=flips[1:])
+            plane = _prefix_xor(flips)
+            plane *= bit
+            s |= plane
+        d = (s ^ b).astype(np.int64)
+        d -= s
+        tail = int(np.dot(d.view(np.uint64), powers[n - 1 :: -1]))
+        # Python ints here: numpy uint64 scalars warn on overflow.
+        h = (h * int(powers[n - 1]) + tail) * _FNV_PRIME & _U64
     return h
+
+
+def _prefix_xor(bits: np.ndarray) -> np.ndarray:
+    """Inclusive prefix XOR of a uint8 array read as bits (nonzero = 1), as 0/1 uint8."""
+    n = bits.size
+    packed = np.zeros(8 * -(-n // 64), np.uint8)
+    packed[: -(-n // 8)] = np.packbits(bits, bitorder="little")
+    words = packed.view("<u8")
+    for shift in (1, 2, 4, 8, 16, 32):
+        words ^= words << shift
+    parity = words >> 63
+    words ^= -(np.bitwise_xor.accumulate(parity) ^ parity)  # all-ones where the earlier words' XOR is 1
+    return np.unpackbits(packed, count=n, bitorder="little")
+
+
+def _fnv_powers(n: int) -> np.ndarray:
+    """The FNV prime to the powers 0 .. n-1, mod 2**64, as the outer product of P**(256 a) and P**c."""
+    one = np.ones(1, np.uint64)
+    low = np.multiply.accumulate(np.full(256, _FNV_PRIME, np.uint64))  # P**1 .. P**256
+    high = np.multiply.accumulate(np.full(-(-n // 256) - 1, low[-1], np.uint64))
+    return np.multiply.outer(np.concatenate((one, high)), np.concatenate((one, low[:-1]))).ravel()[:n]
 
 
 def _array_bytes(a: np.ndarray) -> bytes:
     return np.ascontiguousarray(a, dtype="<f8").tobytes()
 
 
+def _finite(extractor: ExtractorParams, head: HeadParams) -> bool:
+    return bool(np.isfinite(extractor.flat).all() and np.isfinite(head.flat).all())
+
+
 def save_model(model: Model, path) -> None:
-    """Write a version-1 checkpoint; bit-exact under load_model."""
+    """Write a version-1 checkpoint; bit-exact under load_model.
+
+    Raises NumericError, writing nothing, if a parameter is not finite.
+    """
     head = model.head
+    if not _finite(model.extractor, head):
+        raise NumericError("cannot save a checkpoint with non-finite parameters")
     hidden = model.extractor.dims[1:-1]
     payload = bytearray()
     payload += struct.pack("<QII", int(model.meta.get("seed", 0)), _flags(model), _VARIANT_CODES[head.variant])
@@ -127,7 +192,7 @@ def load_model(path) -> Model:
         )
     extractor = ExtractorParams.from_flat(r.array(n_extractor), dims)
     head = HeadParams.from_flat(r.array(n_head), n_classes, d_feature, _VARIANT_FROM_CODE[variant_code])
-    if not (np.isfinite(extractor.flat).all() and np.isfinite(head.flat).all()):
+    if not _finite(extractor, head):
         raise FormatError("checkpoint holds non-finite parameters")
     meta = {"seed": int(seed), "trained": bool(flags & 1)}
     if flags & 2:

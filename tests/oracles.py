@@ -2,7 +2,8 @@
 
 These follow the README's definitions literally, with explicit scalar inner
 products and norms instead of numpy reductions, so that a test comparing
-``score_batch`` with them does not compare the code with itself.
+``score_batch`` with them does not compare the code with itself.  The
+checksum reference is the byte-at-a-time FNV-1a loop.
 """
 
 import math
@@ -59,3 +60,11 @@ def msp(logits) -> float:
     """max_i softmax(l)_i."""
     top = max(logits)
     return 1.0 / sum(math.exp(x - top) for x in logits)
+
+
+def fnv1a64_reference(data: bytes) -> int:
+    """64-bit FNV-1a, one byte at a time: h = (h ^ byte) * prime mod 2**64."""
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from geodin.bench import DetectionReport, ReportRow
+from geodin.cli import main
 from geodin.errors import (
     DomainError,
     FormatError,
     IntegrityError,
+    NumericError,
     UnsupportedVersionError,
 )
 from geodin.head import HeadVariant
@@ -22,7 +24,8 @@ from geodin.persist import (
     save_model,
     write_report,
 )
-from geodin.train import TrainConfig, train
+from geodin.train import Model, TrainConfig, train
+from oracles import fnv1a64_reference
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +92,14 @@ class TestCheckpointRoundTrip:
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="magic"):
             load_model(path)
+
+    def test_non_finite_parameter_not_saved(self, model, tmp_path):
+        path = tmp_path / "m.godn"
+        broken = Model(model.extractor, model.head.copy(), dict(model.meta))
+        broken.head.flat[0] = np.nan
+        with pytest.raises(NumericError, match="non-finite"):
+            save_model(broken, path)
+        assert not path.exists()
 
     def test_magic_constant(self):
         assert MAGIC == b"GODN"
@@ -205,6 +216,26 @@ class TestFnv1a64:
     def test_sensitive_to_any_byte(self):
         base = fnv1a64(b"hello world")
         assert fnv1a64(b"hello worle") != base
+
+    # edges of the 64-bit packed words (63-65), of the 256-wide rows of the
+    # power table (255-257) and of the 64 KiB blocks
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 255, 256, 257, 65535, 65536, 65537, 2 * 65536 + 1])
+    def test_matches_reference_on_random_bytes(self, n):
+        data = np.random.default_rng(n).integers(0, 256, n, dtype=np.uint8).tobytes()
+        assert fnv1a64(data) == fnv1a64_reference(data)
+
+    @pytest.mark.parametrize("fill", [0x00, 0xFF])
+    @pytest.mark.parametrize("n", [1, 64, 65537])
+    def test_matches_reference_on_constant_runs(self, fill, n):
+        data = bytes([fill]) * n
+        assert fnv1a64(data) == fnv1a64_reference(data)
+
+    def test_matches_reference_on_default_checkpoint(self, tmp_path):
+        path = tmp_path / "model.godn"
+        assert main(["train", "--out", str(path)]) == 0
+        blob = path.read_bytes()
+        payload = blob[8:-8]
+        assert fnv1a64(payload) == fnv1a64_reference(payload) == struct.unpack("<Q", blob[-8:])[0]
 
 
 class TestParseEmbeddings:
