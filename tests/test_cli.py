@@ -118,6 +118,41 @@ class TestRunConfig:
         assert '"k": 4' in doc
 
 
+# (overrides, a fragment of the error message) for every check made at load time
+INVALID_CONFIGS = {
+    "unknown_variant": (["train.variant=bogus"], "bogus"),
+    "unknown_kind": (["shifts.kinds=gaussian_noise,salt"], "salt"),
+    "unknown_score": (["shifts.scores=g,mahalanobis"], "mahalanobis"),
+    "severity_0": (["shifts.severities=0,1"], "1..5"),
+    "severity_6": (["shifts.severities=1,6"], "1..5"),
+    "calibrate_kind": (["calibrate.shift_kind=blur"], "blur"),
+    "negative_seed": (["task.seed=-1"], "seed"),
+    "ladder_length": (["task.concept_groups=4"], "concept_similarities"),
+}
+
+
+def _cli_args(overrides) -> list[str]:
+    argv = []
+    for item in overrides:
+        key, value = item.split("=", 1)
+        argv += ["--seed", value] if key == "task.seed" else ["--set", item]
+    return argv
+
+
+class TestValidation:
+    @pytest.mark.parametrize("overrides,message", INVALID_CONFIGS.values(), ids=INVALID_CONFIGS)
+    def test_load_rejects(self, overrides, message):
+        with pytest.raises(ConfigError, match=message):
+            load_run_config(None, overrides)
+
+    @pytest.mark.parametrize("overrides,message", INVALID_CONFIGS.values(), ids=INVALID_CONFIGS)
+    def test_train_exits_2(self, tmp_path, capsys, overrides, message):
+        out = tmp_path / "m.godn"
+        assert main(["train", *_cli_args(overrides), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCmdTrain:
     def test_smoke_run(self, config_file, tmp_path, capsys):
         out = tmp_path / "model.godn"
