@@ -59,6 +59,90 @@ class ShiftSpec:
             raise ConfigError(f"unknown shift kind {self.kind!r}")
 
 
+def _split_sizes(n_per_class: int, val_frac: float, test_frac: float) -> tuple[int, int, int]:
+    """Per-class (train, val, test) sample counts."""
+    n_val, n_test = (int(round(n_per_class * frac)) for frac in (val_frac, test_frac))
+    return n_per_class - n_val - n_test, n_val, n_test
+
+
+@dataclass(frozen=True)
+class TaskConfig:
+    """A synthetic task and its concept-shift ladder (the ``[task]`` section).
+
+    make_task and make_concept_groups take their defaults from here;
+    ``concept_similarities`` holds one target per group, least similar first.
+    """
+
+    k: int = 8
+    d_in: int = 16
+    n_per_class: int = 400
+    noise: float = 0.15
+    seed: int = 0
+    val_frac: float = 0.2
+    test_frac: float = 0.2
+    concept_groups: int = 5
+    concept_classes_per_group: int = 2
+    concept_n_per_class: int = 200
+    concept_similarities: tuple = (0.65, 0.72, 0.79, 0.86, 0.92)
+
+    def validate(self) -> None:
+        if self.k < 2:
+            raise ConfigError(f"need at least 2 classes, got {self.k}")
+        if self.d_in < 2:
+            raise ConfigError(f"need d_in >= 2, got {self.d_in}")
+        if self.n_per_class < 5:
+            raise ConfigError(f"need at least 5 samples per class, got {self.n_per_class}")
+        if not self.noise >= 0:
+            raise ConfigError(f"noise must be >= 0, got {self.noise}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed}")
+        fracs = (self.val_frac, self.test_frac)
+        if not all(0 < f < 1 for f in fracs) or min(_split_sizes(self.n_per_class, *fracs)) < 1:
+            raise ConfigError("split fractions leave an empty split")
+        if self.concept_groups < 1:
+            raise ConfigError(f"need at least one concept group, got {self.concept_groups}")
+        if self.concept_classes_per_group < 1 or self.concept_n_per_class < 1:
+            raise ConfigError("a concept group needs at least one class of at least one sample")
+        sims = np.asarray(self.concept_similarities, dtype=np.float64)
+        if sims.shape != (self.concept_groups,):
+            raise ConfigError(f"concept_similarities has shape {sims.shape} for {self.concept_groups} groups")
+        if not np.all((sims >= 0) & (sims < 1)):
+            raise ConfigError("concept_similarities must lie in [0, 1)")
+        if np.any(np.diff(sims) <= 0):
+            raise ConfigError("concept_similarities must be strictly increasing (group 0 least similar)")
+
+
+@dataclass(frozen=True)
+class ShiftsConfig:
+    """The detection sweep (the ``[shifts]`` section): every kind at every
+    severity, plus the clean control row and one row per concept group."""
+
+    kinds: tuple = COVARIATE_KINDS
+    severities: tuple = tuple(range(1, len(SEVERITY_LADDER) + 1))
+    scores: tuple = SCORE_NAMES
+    include_control: bool = True
+    concept: bool = True
+
+    def validate(self) -> None:
+        for kind in self.kinds:
+            if kind not in COVARIATE_KINDS:
+                raise ConfigError(f"unknown shift kind {kind!r}; known: {', '.join(COVARIATE_KINDS)}")
+        for s in self.severities:
+            if not 1 <= s <= len(SEVERITY_LADDER):
+                raise ConfigError(f"severities must be 1..5, got {s}")
+        for name in self.scores:
+            if name not in SCORE_NAMES:
+                raise ConfigError(f"unknown score {name!r}; known: {', '.join(SCORE_NAMES)}")
+
+    def specs(self, n_groups: int) -> list[ShiftSpec]:
+        """The control, every kind at every severity, then n_groups concept groups."""
+        specs = [ShiftSpec("none", 0)] if self.include_control else []
+        specs += [ShiftSpec(kind, int(s)) for kind in self.kinds for s in self.severities]
+        if self.concept:
+            specs += [ShiftSpec(CONCEPT_KIND, gi) for gi in range(n_groups)]
+        return specs
+
+
 @dataclass
 class SyntheticTask:
     """Gaussian blobs around unit prototypes, split into train/val/test."""
@@ -117,27 +201,16 @@ def make_task(
     n_per_class: int,
     noise: float,
     seed: int,
-    val_frac: float = 0.2,
-    test_frac: float = 0.2,
+    val_frac: float = TaskConfig.val_frac,
+    test_frac: float = TaskConfig.test_frac,
 ) -> SyntheticTask:
     """Sample a k-class task; class c is prototype_c + N(0, noise^2 I)."""
-    if k < 2:
-        raise ConfigError(f"need at least 2 classes, got {k}")
-    if d_in < 2:
-        raise ConfigError(f"need d_in >= 2, got {d_in}")
-    if n_per_class < 5:
-        raise ConfigError(f"need at least 5 samples per class, got {n_per_class}")
-    if noise < 0:
-        raise ConfigError(f"noise must be >= 0, got {noise}")
+    TaskConfig(k, d_in, n_per_class, noise, seed, val_frac, test_frac).validate()
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     prototypes = rng.standard_normal((k, d_in))
     prototypes /= np.linalg.norm(prototypes, axis=1, keepdims=True)
 
-    n_val = int(round(n_per_class * val_frac))
-    n_test = int(round(n_per_class * test_frac))
-    n_train = n_per_class - n_val - n_test
-    if n_train < 1 or n_val < 1 or n_test < 1:
-        raise ConfigError("split fractions leave an empty split")
+    n_train, n_val, n_test = _split_sizes(n_per_class, val_frac, test_frac)
 
     parts = {"train": [], "val": [], "test": []}
     for c in range(k):
@@ -191,10 +264,10 @@ def _mixture_direction(base: np.ndarray, anchor: np.ndarray, prototypes: np.ndar
 
 def make_concept_groups(
     task: SyntheticTask,
-    n_groups: int = 5,
-    classes_per_group: int = 2,
-    n_per_class: int = 200,
-    similarities=None,
+    n_groups: int = TaskConfig.concept_groups,
+    classes_per_group: int = TaskConfig.concept_classes_per_group,
+    n_per_class: int = TaskConfig.concept_n_per_class,
+    similarities=TaskConfig.concept_similarities,
 ) -> list[ConceptGroup]:
     """Held-out classes on a similarity ladder; group 0 is the least similar.
 
@@ -207,17 +280,11 @@ def make_concept_groups(
     shift is class ambiguity rather than input novelty; samples use the
     task's own noise scale.
     """
-    if n_groups < 1:
-        raise ConfigError(f"need at least one group, got {n_groups}")
-    if similarities is None:
-        similarities = np.linspace(0.65, 0.92, n_groups)
-    similarities = np.asarray(similarities, dtype=np.float64)
-    if similarities.shape != (n_groups,):
-        raise ConfigError(f"need {n_groups} similarities, got {similarities.shape}")
-    if np.any(similarities < 0) or np.any(similarities >= 1):
-        raise ConfigError("similarities must lie in [0, 1)")
-    if np.any(np.diff(similarities) <= 0):
-        raise ConfigError("similarities must be strictly increasing (group 0 least similar)")
+    TaskConfig(
+        task.k, task.d_in, noise=task.noise, seed=task.seed, concept_groups=n_groups,
+        concept_classes_per_group=classes_per_group, concept_n_per_class=n_per_class,
+        concept_similarities=similarities,
+    ).validate()
     rng = np.random.default_rng(np.random.SeedSequence([task.seed, 7]))
     blend = task.prototypes.sum(axis=0)
     blend /= np.linalg.norm(blend)
@@ -382,9 +449,7 @@ def sweep(
     if not model.meta.get("trained"):
         raise StateError("model has not been trained")
     score_names = list(score_names)
-    for name in score_names:
-        if name not in SCORE_NAMES:
-            raise ConfigError(f"unknown score {name!r}; known: {', '.join(SCORE_NAMES)}")
+    ShiftsConfig(scores=tuple(score_names)).validate()
 
     W = model.head.W
     # F_id stays referenced for the whole sweep: freeing it here shifts glibc's

@@ -12,15 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .bench import (
-    CONCEPT_KIND,
-    ShiftSpec,
-    concept_split,
-    corrupt,
-    make_concept_groups,
-    make_task,
-    sweep,
-)
+from .bench import ShiftSpec, concept_split, corrupt, make_concept_groups, make_task, sweep
 from .calibrate import calibrate
 from .config import RunConfig, load_run_config
 from .errors import ConfigError, DataError, GeodinError, NumericError
@@ -84,30 +76,15 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _detect_specs(cfg: RunConfig):
-    specs = []
-    if cfg.shifts.include_control:
-        specs.append(ShiftSpec("none", 0))
-    for kind in cfg.shifts.kinds:
-        for severity in cfg.shifts.severities:
-            specs.append(ShiftSpec(kind, int(severity)))
-    if cfg.shifts.concept:
-        specs.extend(ShiftSpec(CONCEPT_KIND, gi) for gi in range(cfg.task.concept_groups))
-    return specs
-
-
 def cmd_detect(args) -> int:
     cfg, model, _, task = _load_checkpoint_run(args)
+    t, shifts = cfg.task, cfg.shifts.config()
     groups = None
-    if cfg.shifts.concept:
+    if shifts.concept:
         groups = make_concept_groups(
-            task,
-            n_groups=cfg.task.concept_groups,
-            classes_per_group=cfg.task.concept_classes_per_group,
-            n_per_class=cfg.task.concept_n_per_class,
-            similarities=cfg.task.concept_similarities,
+            task, t.concept_groups, t.concept_classes_per_group, t.concept_n_per_class, t.concept_similarities
         )
-    report = sweep(model, task, cfg.shifts.scores, _detect_specs(cfg), groups)
+    report = sweep(model, task, shifts.scores, shifts.specs(t.concept_groups), groups)
     report.config = cfg.to_dict()
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

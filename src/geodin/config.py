@@ -2,11 +2,13 @@
 
 Grammar: ``[section]`` headers followed by ``key = value`` lines; ``#``
 starts a comment; lists are comma-separated.  Sections are task, train,
-calibrate, shifts; the train and calibrate keys and defaults are
-those of TrainConfig and CalibConfig, less the seed.  Unknown sections or
-keys are rejected with their line number.  Every key has a default, so an
-empty (or absent) file is a valid configuration; command-line overrides use
-``section.key=value``.
+calibrate, shifts; their keys, in order, and defaults are the fields of
+TaskConfig, TrainConfig, CalibConfig and ShiftsConfig, less the train and
+calibrate seed (``[task] seed`` supplies it); calibrate adds ``shift_kind``
+and ``shift_severity``.  Unknown sections or keys are rejected with their
+line number, and every key is validated at load by its library config.
+Every key has a default, so an empty (or absent) file is a valid
+configuration; command-line overrides use ``section.key=value``.
 """
 
 from __future__ import annotations
@@ -14,42 +16,33 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, fields, make_dataclass
 from pathlib import Path
 
+from .bench import COVARIATE_KINDS, ShiftsConfig, ShiftSpec, TaskConfig
 from .calibrate import CalibConfig
 from .errors import ConfigError
 from .train import TrainConfig
 
 
-@dataclass
-class TaskSection:
-    k: int = 8
-    d_in: int = 16
-    n_per_class: int = 400
-    noise: float = 0.15
-    seed: int = 0
-    val_frac: float = 0.2
-    test_frac: float = 0.2
-    concept_groups: int = 5
-    concept_classes_per_group: int = 2
-    concept_n_per_class: int = 200
-    concept_similarities: tuple = (0.65, 0.72, 0.79, 0.86, 0.92)
-
-
-def _section(name: str, config_cls):
-    """A mutable section with config_cls's keys, in order, and its defaults,
-    except ``seed``: ``[task] seed`` (or ``--seed``) supplies that, through
-    ``section.config(seed)``, which builds the library config.
+def _section(name: str, config_cls, exclude=("seed",)):
+    """A mutable section with config_cls's keys less ``exclude``, in order,
+    and their defaults; ``section.config(seed)`` builds the library config,
+    with ``seed`` (if given) replacing the section's or the default one.
     """
-    keys = [f for f in fields(config_cls) if f.name != "seed"]
+    keys = [f for f in fields(config_cls) if f.name not in exclude]
 
-    def config(self, seed: int):
-        return config_cls(seed=seed, **{f.name: getattr(self, f.name) for f in keys})
+    def config(self, seed: int | None = None):
+        values = {f.name: getattr(self, f.name) for f in keys}
+        if seed is not None:
+            values["seed"] = seed
+        return config_cls(**values)
 
     return make_dataclass(
         name, [(f.name, f.type, field(default=f.default)) for f in keys], namespace={"config": config}
     )
 
 
+TaskSection = _section("TaskSection", TaskConfig, exclude=())
 TrainSection = _section("TrainSection", TrainConfig)
+ShiftsSection = _section("ShiftsSection", ShiftsConfig)
 
 
 @dataclass
@@ -60,15 +53,6 @@ class CalibrateSection(_section("CalibConfigSection", CalibConfig)):
 
 
 @dataclass
-class ShiftsSection:
-    kinds: tuple = ("gaussian_noise", "uniform_noise", "feature_dropout", "smoothing")
-    severities: tuple = (1, 2, 3, 4, 5)
-    scores: tuple = ("g", "h", "u", "msp", "energy")
-    include_control: bool = True
-    concept: bool = True
-
-
-@dataclass
 class RunConfig:
     task: TaskSection = field(default_factory=TaskSection)
     train: TrainSection = field(default_factory=TrainSection)
@@ -76,20 +60,10 @@ class RunConfig:
     shifts: ShiftsSection = field(default_factory=ShiftsSection)
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
-        for sec in doc.values():
-            for key, value in sec.items():
-                if isinstance(value, tuple):
-                    sec[key] = list(value)
-        return doc
+        return asdict(self)
 
 
-_SECTIONS = {
-    "task": TaskSection,
-    "train": TrainSection,
-    "calibrate": CalibrateSection,
-    "shifts": ShiftsSection,
-}
+_SECTIONS = tuple(f.name for f in fields(RunConfig))
 
 
 def _parse_bool(text: str) -> bool:
@@ -173,40 +147,17 @@ def _apply_override(cfg: RunConfig, item: str) -> None:
 def _set_key(cfg: RunConfig, section_name: str, key: str, value: str, where: str) -> None:
     """Parse and set one key of a known section; ``where`` locates it in errors."""
     section = getattr(cfg, section_name)
-    probe = type(section)()
-    defaults = {f.name: getattr(probe, f.name) for f in fields(probe)}
+    defaults = {f.name: f.default for f in fields(section)}
     if key not in defaults:
         raise ConfigError(f"unknown key {key!r} in {where}; known keys: {', '.join(defaults)}")
     setattr(section, key, _convert(value, defaults[key], f"{key} in {where}"))
 
 
 def _validate(cfg: RunConfig) -> None:
-    from .bench import COVARIATE_KINDS
-    from .head import HeadVariant
-    from .scores import SCORE_NAMES
-
-    try:
-        HeadVariant(cfg.train.variant)
-    except ValueError:
-        raise ConfigError(
-            f"unknown head variant {cfg.train.variant!r}; "
-            f"known: {', '.join(v.value for v in HeadVariant)}"
-        ) from None
-    for kind in cfg.shifts.kinds:
+    for name in _SECTIONS:
+        getattr(cfg, name).config().validate()
+    kind = cfg.calibrate.shift_kind
+    if kind:
         if kind not in COVARIATE_KINDS:
-            raise ConfigError(f"unknown shift kind {kind!r}; known: {', '.join(COVARIATE_KINDS)}")
-    for name in cfg.shifts.scores:
-        if name not in SCORE_NAMES:
-            raise ConfigError(f"unknown score {name!r}; known: {', '.join(SCORE_NAMES)}")
-    for s in cfg.shifts.severities:
-        if not 1 <= s <= 5:
-            raise ConfigError(f"severities must be 1..5, got {s}")
-    if cfg.calibrate.shift_kind and cfg.calibrate.shift_kind not in COVARIATE_KINDS:
-        raise ConfigError(f"unknown calibrate shift kind {cfg.calibrate.shift_kind!r}")
-    if cfg.task.seed < 0:
-        raise ConfigError("seed must be nonnegative")
-    if len(cfg.task.concept_similarities) != cfg.task.concept_groups:
-        raise ConfigError(
-            f"concept_similarities has {len(cfg.task.concept_similarities)} entries "
-            f"for {cfg.task.concept_groups} groups"
-        )
+            raise ConfigError(f"unknown calibrate shift kind {kind!r}; known: {', '.join(COVARIATE_KINDS)}")
+        ShiftSpec(kind, cfg.calibrate.shift_severity)

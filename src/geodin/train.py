@@ -62,6 +62,9 @@ class TrainConfig:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed}")
         if self.feature_dim < 1 or any(h < 1 for h in self.hidden):
             raise ConfigError("layer widths must be >= 1")
+        known = [v.value for v in HeadVariant]
+        if self.variant not in known:
+            raise ConfigError(f"unknown head variant {self.variant!r}; known: {', '.join(known)}")
 
 
 class ExtractorParams:

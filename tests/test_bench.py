@@ -19,6 +19,7 @@ from geodin.bench import (
     sweep,
     tnr_at_tpr95,
 )
+from geodin.config import RunConfig
 from geodin.errors import ConfigError, DomainError, MissingTokenError, NumericError, StateError
 from geodin.train import Model, TrainConfig, init_model, train
 
@@ -51,6 +52,10 @@ class TestMakeTask:
     def test_too_few_classes(self):
         with pytest.raises(ConfigError):
             make_task(1, 4, 50, 0.1, seed=0)
+
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed"):
+            make_task(3, 4, 50, 0.1, seed=-1)
 
     def test_prototype_angles_match_random_unit_expectation(self):
         # Monte Carlo oracle: random unit vectors in high dimension are
@@ -148,8 +153,9 @@ class TestConceptGroups:
 
     def test_shapes_and_determinism(self):
         task = make_task(6, 12, 40, 0.15, seed=13)
-        a = make_concept_groups(task, 4, 2, 25)
-        b = make_concept_groups(task, 4, 2, 25)
+        ladder = (0.65, 0.74, 0.83, 0.92)
+        a = make_concept_groups(task, 4, 2, 25, ladder)
+        b = make_concept_groups(task, 4, 2, 25, ladder)
         for ga, gb in zip(a, b):
             assert ga.X.shape == (50, 12)
             assert ga.X.tobytes() == gb.X.tobytes()
@@ -158,6 +164,12 @@ class TestConceptGroups:
         task = make_task(4, 8, 40, 0.15, seed=14)
         with pytest.raises(ConfigError):
             make_concept_groups(task, 2, 2, 10, (0.9, 0.5))
+
+    def test_default_ladder_is_the_run_config_ladder(self):
+        task = make_task(4, 8, 40, 0.15, seed=14)
+        ladder = RunConfig().task.concept_similarities
+        for a, b in zip(make_concept_groups(task), make_concept_groups(task, 5, 2, 200, ladder), strict=True):
+            assert a.X.tobytes() == b.X.tobytes()
 
 
 class TestConceptSplit:
@@ -372,7 +384,7 @@ class TestSweep:
 
     def test_concept_group_rows(self, small_trained):
         task, model = small_trained
-        groups = make_concept_groups(task, 3, 2, 40)
+        groups = make_concept_groups(task, 3, 2, 40, (0.65, 0.785, 0.92))
         report = sweep(model, task, ["h"], [ShiftSpec("concept_split", i) for i in range(3)], groups)
         assert [r.severity for r in report.rows] == [0, 1, 2]
         assert all(r.n_ood == 80 for r in report.rows)

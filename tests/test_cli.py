@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from geodin.bench import ShiftsConfig, TaskConfig
 from geodin.calibrate import CalibConfig
 from geodin.cli import main
 from geodin.config import load_run_config
@@ -84,6 +85,8 @@ class TestRunConfig:
         cfg = load_run_config(None)
         assert cfg.train.config(7) == TrainConfig(seed=7)
         assert cfg.calibrate.config(7) == CalibConfig(seed=7)
+        assert cfg.task.config() == TaskConfig()
+        assert cfg.shifts.config() == ShiftsConfig()
 
     @pytest.mark.parametrize("section", ["train", "calibrate"])
     def test_seed_is_a_task_key_only(self, tmp_path, section):
@@ -128,6 +131,12 @@ INVALID_CONFIGS = {
     "calibrate_kind": (["calibrate.shift_kind=blur"], "blur"),
     "negative_seed": (["task.seed=-1"], "seed"),
     "ladder_length": (["task.concept_groups=4"], "concept_similarities"),
+    "zero_epochs": (["train.epochs=0"], "epochs"),
+    "one_class": (["task.k=1"], "2 classes"),
+    "negative_folds": (["calibrate.folds=-1"], "folds"),
+    "decreasing_ladder": (["task.concept_similarities=0.9,0.8,0.7,0.6,0.5"], "increasing"),
+    "calibrate_severity_9": (["calibrate.shift_kind=smoothing", "calibrate.shift_severity=9"], "severity"),
+    "calibrate_severity_-1": (["calibrate.shift_kind=smoothing", "calibrate.shift_severity=-1"], "severity"),
 }
 
 

@@ -101,6 +101,11 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(seed=-1).validate()
 
+    def test_unknown_variant_rejected(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ConfigError, match="bogus"):
+            train(TrainConfig(variant="bogus"), blobs(rng))
+
 
 class TestTraining:
     def test_separable_blobs_high_accuracy(self):
