@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, UnsupportedVariantError
+from .errors import ConfigError, DomainError, NumericError, UnsupportedVariantError
 from .head import (
     HeadVariant,
     cross_entropy,
@@ -190,6 +190,8 @@ def softmax_probs(logits: np.ndarray) -> np.ndarray:
 
 def split_metrics(logits, y, n_bins: int = 15) -> SplitMetrics:
     """Accuracy, ECE and NLL of a batch of logits against its labels."""
+    if not np.all(np.isfinite(logits)):
+        raise NumericError("non-finite logits: the head overflows on this split")
     y = np.asarray(y, dtype=np.int64)
     p = softmax_probs(logits)
     pred = p.argmax(axis=1)
@@ -244,9 +246,12 @@ def calibrate(model: Model, val_set, config: CalibConfig, eval_sets: dict | None
     Returns a new model (extractor and class weights copied unchanged) and a
     report with before/after accuracy, ECE, NLL on the tuning split and any
     extra named eval splits, plus k-fold cross-validation metrics when
-    config.folds >= 2.
+    config.folds >= 2.  Raises NumericError for non-finite parameters,
+    tuned parameters or logits.
     """
     config.validate()
+    if not (np.all(np.isfinite(model.extractor.flat)) and np.all(np.isfinite(model.head.flat))):
+        raise NumericError("model has non-finite parameters")
     if model.head.variant is HeadVariant.VANILLA:
         raise UnsupportedVariantError(
             "vanilla heads have no alpha/beta parameters to tune; use temperature_scale"
@@ -264,6 +269,8 @@ def calibrate(model: Model, val_set, config: CalibConfig, eval_sets: dict | None
         return split_metrics(head_forward_batch(F[name][rows], head).logits, splits[name][1][rows])
 
     tuned_head, best_epoch, nll_before, nll_after = _tune_head(model.head, F["val"], yv, config)
+    if not np.all(np.isfinite(tuned_head.flat)):
+        raise NumericError("calibration produced non-finite head parameters")
     new_model = Model(
         extractor=model.extractor.copy(),
         head=tuned_head,

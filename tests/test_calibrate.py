@@ -1,5 +1,6 @@
 """Calibration tests: metric oracles, temperature baseline, head retuning."""
 
+import importlib
 import math
 
 import numpy as np
@@ -16,10 +17,12 @@ from geodin.calibrate import (
     split_metrics,
     temperature_scale,
 )
-from geodin.errors import ConfigError, DomainError, UnsupportedVariantError
+from geodin.errors import ConfigError, DomainError, NumericError, UnsupportedVariantError
 from geodin.head import HeadVariant
 from geodin.scores import score_batch
 from geodin.train import TrainConfig, accuracy, extract_features, model_logits, predict, train
+
+calibrate_module = importlib.import_module("geodin.calibrate")  # the package's `calibrate` is the function
 
 
 def naive_ece(conf, correct, n_bins):
@@ -227,6 +230,27 @@ class TestCalibrate:
         assert set(report.cv_mean) == {"accuracy", "ece", "nll"}
         doc = report.to_dict()
         assert "folds" in doc and len(doc["folds"]) == 5
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("fault", ["inf_parameter", "overflowing_logits", "inf_tuned_head"])
+    def test_non_finite_is_a_numeric_error(self, trained_task_model, monkeypatch, fault):
+        task, model = trained_task_model
+        broken = _inflated(model)
+        if fault == "inf_parameter":
+            broken.head.beta_b = math.inf
+        elif fault == "overflowing_logits":
+            broken.head.alpha_b = -800.0  # alpha underflows to 0, so m = 1/alpha is inf
+        else:
+            tune = calibrate_module._tune_head
+
+            def inf_tuned_head(*args):
+                head, *rest = tune(*args)
+                head.alpha_b = math.inf
+                return (head, *rest)
+
+            monkeypatch.setattr(calibrate_module, "_tune_head", inf_tuned_head)
+        with pytest.raises(NumericError):
+            calibrate(broken, task.val, CalibConfig(seed=21, folds=0, epochs=2))
 
     def test_folds_exceeding_samples_rejected(self, trained_task_model):
         _, model = trained_task_model
