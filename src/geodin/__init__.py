@@ -31,16 +31,7 @@ from .calibrate import (
 )
 from .head import HeadParams, HeadVariant
 from .persist import load_model, parse_embeddings, read_report, save_model, write_report
-from .scores import (
-    EPS_NORM,
-    SCORE_NAMES,
-    ScoreSet,
-    energy_score,
-    kl_from_uniform,
-    msp_score,
-    score_batch,
-    score_set,
-)
+from .scores import EPS_NORM, SCORE_NAMES, score_batch
 from .train import (
     ExtractorParams,
     Model,
@@ -48,7 +39,6 @@ from .train import (
     accuracy,
     cosine_lr,
     extract_features,
-    full_gradient_check,
     predict,
     train,
 )

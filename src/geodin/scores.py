@@ -18,13 +18,10 @@ of the feature and the class weights, unaffected by any downstream
 recalibration of the head.
 
 Everything here is pure and operates on float64.  :func:`score_batch` is the
-one implementation of the five scores; :func:`score_set` is its first row
-for a single feature vector.
+one implementation of the five scores.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,17 +42,6 @@ def _as_weights(W) -> np.ndarray:
     return W
 
 
-@dataclass(frozen=True)
-class ScoreSet:
-    """All five shift scores for one sample. Larger = more in-distribution."""
-
-    g: float
-    h: float
-    u: float
-    msp: float
-    energy: float
-
-
 def shifted_exp(logits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Max-shifted logits, their exponentials and the exponentials' sum, over the last axis.
 
@@ -72,33 +58,6 @@ def _msp_energy(logits) -> tuple[np.ndarray, np.ndarray]:
     l = np.asarray(logits, dtype=np.float64)
     _, e, esum = shifted_exp(l)
     return e.max(axis=-1) / esum, l.max(axis=-1) + np.log(esum)
-
-
-def msp_score(logits):
-    """Maximum softmax probability over the last axis of the logits."""
-    return _msp_energy(logits)[0]
-
-
-def energy_score(logits):
-    """Log-sum-exp over the last axis of the logits (the negative free energy)."""
-    return _msp_energy(logits)[1]
-
-
-def kl_from_uniform(probs) -> float:
-    """KL(U || P) = -sum_i (1/M) ln(M * P_i) for a discrete distribution P."""
-    p = np.asarray(probs, dtype=np.float64)
-    if np.any(p <= 0):
-        raise DomainError("probabilities must be strictly positive")
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise DomainError(f"probabilities sum to {p.sum():.12f}, not 1")
-    m = p.size
-    return max(0.0, float(-np.mean(np.log(m * p))))
-
-
-def score_set(f, W) -> ScoreSet:
-    """All five scores for one feature vector: the single row of score_batch([f], W)."""
-    scores = score_batch([f], W)
-    return ScoreSet(**{name: float(values[0]) for name, values in scores.items()})
 
 
 def score_batch(F, W) -> dict[str, np.ndarray]:

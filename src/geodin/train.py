@@ -27,7 +27,6 @@ from .errors import ConfigError, NumericError, ShapeError
 from .head import (
     HeadParams,
     HeadVariant,
-    cross_entropy,
     head_backward_batch,
     head_forward_batch,
     softmax_cross_entropy_batch,
@@ -299,37 +298,3 @@ def train(config: TrainConfig, train_set, n_classes: int | None = None) -> Model
     model.meta["epochs"] = config.epochs
     return model
 
-
-def full_gradient_check(model: Model, sample, eps: float = 1e-5) -> float:
-    """Max relative error of analytic vs central-difference gradients.
-
-    Relative error uses denominator max(|analytic|, |numeric|, 1e-3): the
-    finite-difference quotient carries ~1e-11*|loss| of float noise at
-    eps=1e-5, so near-zero entries are compared absolutely.
-    """
-    if eps <= 0:
-        raise ConfigError("eps must be > 0")
-    x, label = sample
-    X = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.asarray([label], dtype=np.int64)
-
-    _, grads = loss_and_grads(model, X, y)
-
-    def loss_only() -> float:
-        F, _ = extractor_forward(model.extractor, X)
-        return cross_entropy(head_forward_batch(F, model.head).logits, y)
-
-    worst = 0.0
-    for p, analytic in zip((model.extractor.flat, model.head.flat), grads):
-        numeric = np.empty_like(p)
-        for i in range(p.size):
-            orig = p[i]
-            p[i] = orig + eps
-            up = loss_only()
-            p[i] = orig - eps
-            down = loss_only()
-            p[i] = orig
-            numeric[i] = (up - down) / (2 * eps)
-        rel = np.abs(analytic - numeric) / np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-3)
-        worst = max(worst, float(rel.max()))
-    return worst

@@ -1,12 +1,21 @@
-"""Independent reference definitions the engine is tested against.
+"""Independent reference definitions the engine is tested against, and
+test-only helpers over the engine.
 
-These follow the README's definitions literally, with explicit scalar inner
-products and norms instead of numpy reductions, so that a test comparing
-``score_batch`` with them does not compare the code with itself.  The
-checksum reference is the byte-at-a-time FNV-1a loop.
+The score references follow the README's definitions literally, with
+explicit scalar inner products and norms instead of numpy reductions, so
+that a test comparing ``score_batch`` with them does not compare the code
+with itself.  The checksum reference is the byte-at-a-time FNV-1a loop.  The
+gradient oracle differentiates its own batched forward pass numerically.
 """
 
 import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from geodin.errors import ConfigError, DomainError
+from geodin.scores import _msp_energy, score_batch
+from geodin.train import loss_and_grads
 
 EPS_NORM = 1e-12
 
@@ -68,3 +77,107 @@ def fnv1a64_reference(data: bytes) -> int:
     for byte in data:
         h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return h
+
+
+def kl_from_uniform(probs) -> float:
+    """KL(U || P) = -sum_i (1/M) ln(M * P_i) for a discrete distribution P."""
+    p = np.asarray(probs, dtype=np.float64)
+    if np.any(p <= 0):
+        raise DomainError("probabilities must be strictly positive")
+    if abs(p.sum() - 1.0) > 1e-9:
+        raise DomainError(f"probabilities sum to {p.sum():.12f}, not 1")
+    m = p.size
+    return max(0.0, float(-np.mean(np.log(m * p))))
+
+
+# Test-only views of the engine: one sample's scores, and the msp/energy core.
+
+
+@dataclass(frozen=True)
+class ScoreSet:
+    """All five shift scores for one sample. Larger = more in-distribution."""
+
+    g: float
+    h: float
+    u: float
+    msp: float
+    energy: float
+
+
+def score_set(f, W) -> ScoreSet:
+    """All five scores for one feature vector: the single row of score_batch([f], W)."""
+    scores = score_batch([f], W)
+    return ScoreSet(**{name: float(values[0]) for name, values in scores.items()})
+
+
+def msp_score(logits):
+    """Maximum softmax probability over the last axis of the logits (the engine's core)."""
+    return _msp_energy(logits)[0]
+
+
+def energy_score(logits):
+    """Log-sum-exp over the last axis of the logits (the engine's core)."""
+    return _msp_energy(logits)[1]
+
+
+def batched_loss(model, thetas: np.ndarray, x: np.ndarray, label: int) -> np.ndarray:
+    """Cross-entropy of one sample (x, label) under every row of thetas.
+
+    A row is extractor.flat followed by head.flat.  The forward pass is
+    written out with einsum over the rows, sharing no code with the engine's:
+    x goes to the unit sphere (unless ~0), through the rectified layers, and
+    the logits are m * (W f) with m = 1/alpha + beta/(alpha ||f||), or
+    1/alpha when ||f|| < EPS_NORM.  A variant without alpha pins it to 1 and
+    one without beta pins beta to 0, so the vanilla head gets m = 1.
+    """
+    xn = norm(x)
+    a = np.broadcast_to(x / xn if xn >= 1e-12 else x, (len(thetas), len(x)))
+    pos = 0
+
+    def take(*shape):
+        nonlocal pos
+        size = math.prod(shape)
+        block = thetas[:, pos : pos + size].reshape(len(thetas), *shape)
+        pos += size
+        return block
+
+    dims = model.extractor.dims
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        W, b = take(fan_out, fan_in), take(fan_out)
+        a = np.maximum(np.einsum("roi,ri->ro", W, a) + b, 0.0)
+    head = model.head
+    W, alpha_w, alpha_b, beta_w, beta_b = (
+        take(head.n_classes, head.d_feature), take(head.d_feature), take(), take(head.d_feature), take()
+    )
+    variant = head.variant
+    alpha = 1.0 / (1.0 + np.exp(-(np.einsum("rd,rd->r", alpha_w, a) + alpha_b))) if variant.has_alpha else 1.0
+    beta = np.logaddexp(0.0, np.einsum("rd,rd->r", beta_w, a) + beta_b) if variant.has_beta else 0.0
+    fn = np.sqrt(np.einsum("rd,rd->r", a, a))
+    m = np.where(fn >= EPS_NORM, 1.0 / alpha + beta / (alpha * np.maximum(fn, EPS_NORM)), 1.0 / alpha)
+    logits = m[:, None] * np.einsum("rkd,rd->rk", W, a)
+    top = logits.max(axis=1)
+    return top + np.log(np.exp(logits - top[:, None]).sum(axis=1)) - logits[:, label]
+
+
+def full_gradient_check(model, sample, eps: float = 1e-5) -> float:
+    """Max relative error of the analytic gradients (``loss_and_grads``) vs
+    central differences of ``batched_loss``.
+
+    The 2P perturbed parameter vectors (each parameter +eps, then each -eps)
+    go through one batched forward.  Relative error uses denominator
+    max(|analytic|, |numeric|, 1e-3): the finite-difference quotient carries
+    ~1e-11*|loss| of float noise at eps=1e-5, so near-zero entries are
+    compared absolutely.
+    """
+    if eps <= 0:
+        raise ConfigError("eps must be > 0")
+    x, label = sample
+    x = np.asarray(x, dtype=np.float64)
+    _, grads = loss_and_grads(model, x[None, :], np.array([label]))
+    analytic = np.concatenate(grads)
+    theta = np.concatenate([model.extractor.flat, model.head.flat])
+    step = eps * np.eye(theta.size)
+    up, down = np.split(batched_loss(model, np.vstack([theta + step, theta - step]), x, label), 2)
+    numeric = (up - down) / (2 * eps)
+    rel = np.abs(analytic - numeric) / np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-3)
+    return float(rel.max())

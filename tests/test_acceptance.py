@@ -26,19 +26,19 @@ from geodin.bench import (
 from geodin.calibrate import CalibConfig, calibrate, ece, split_metrics
 from geodin.head import HeadParams, HeadVariant, head_forward_batch
 from geodin.persist import parse_embeddings
-from geodin.scores import energy_score, kl_from_uniform, msp_score, score_batch, score_set
+from geodin.scores import score_batch
 from geodin.train import (
     Model,
     TrainConfig,
     accuracy,
     extract_features,
-    full_gradient_check,
     init_model,
     model_logits,
     predict,
     train,
 )
 
+from oracles import energy_score, full_gradient_check, kl_from_uniform, msp_score, score_set
 from trends import adjacent_drops
 
 TREND_SEEDS = (0, 1, 2, 3, 4)

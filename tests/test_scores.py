@@ -14,15 +14,9 @@ import oracles
 from geodin.bench import make_task
 from geodin.calibrate import softmax_probs
 from geodin.errors import DomainError, ShapeError
-from geodin.scores import (
-    EPS_NORM,
-    energy_score,
-    kl_from_uniform,
-    msp_score,
-    score_batch,
-    score_set,
-)
+from geodin.scores import EPS_NORM, score_batch
 from geodin.train import TrainConfig, extract_features, train
+from oracles import energy_score, kl_from_uniform, msp_score, score_set
 
 
 def random_pair(rng, d=8, m=5):

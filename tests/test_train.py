@@ -11,12 +11,12 @@ from geodin.train import (
     accuracy,
     cosine_lr,
     extract_features,
-    full_gradient_check,
     init_model,
     momentum_step,
     train,
     unit_rows,
 )
+from oracles import full_gradient_check
 
 
 def blobs(rng, n=100, gap=2.0, noise=0.4):
