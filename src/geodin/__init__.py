@@ -9,9 +9,11 @@ from .bench import (
     ConceptGroup,
     DetectionReport,
     ReportRow,
+    ShiftsConfig,
     ShiftSpec,
     SplitGroup,
     SyntheticTask,
+    TaskConfig,
     auroc,
     concept_split,
     corrupt,

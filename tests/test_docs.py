@@ -32,6 +32,12 @@ def test_config_block_is_the_default(tmp_path):
     assert load_run_config(path) == RunConfig()
 
 
+def test_library_block_runs():
+    namespace = {}
+    exec(fenced_block("Library use", "python"), namespace)
+    assert len(namespace["report"].rows) == (1 + 4 * 5 + 5) * 3  # control, kinds x severities, groups
+
+
 def test_cli_block_lists_every_command():
     commands = {shlex.split(line)[1] for line in cli_examples()}
     assert commands == {"train", "detect", "calibrate", "splits", "report-merge"}
