@@ -297,4 +297,3 @@ def train(config: TrainConfig, train_set, n_classes: int | None = None) -> Model
     model.meta["trained"] = True
     model.meta["epochs"] = config.epochs
     return model
-
