@@ -41,7 +41,7 @@ class CalibConfig:
     def validate(self) -> None:
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.lr0 <= 0:
+        if not self.lr0 > 0:
             raise ConfigError(f"lr0 must be > 0, got {self.lr0}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")

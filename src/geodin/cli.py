@@ -98,7 +98,7 @@ def cmd_detect(args) -> int:
 def cmd_calibrate(args) -> int:
     cfg, model, seed, task = _load_checkpoint_run(args)
     val = task.val
-    if cfg.calibrate.shift_kind and cfg.calibrate.shift_severity >= 1:
+    if cfg.calibrate.shift_severity:  # validated: 1..5 only with a covariate shift_kind
         val = corrupt(val, ShiftSpec(cfg.calibrate.shift_kind, cfg.calibrate.shift_severity), seed)
     new_model, report = calibrate(model, val, cfg.calibrate.config(seed), eval_sets={"test": task.test})
     out = Path(args.out)

@@ -156,8 +156,8 @@ def _set_key(cfg: RunConfig, section_name: str, key: str, value: str, where: str
 def _validate(cfg: RunConfig) -> None:
     for name in _SECTIONS:
         getattr(cfg, name).config().validate()
-    kind = cfg.calibrate.shift_kind
-    if kind:
+    kind, severity = cfg.calibrate.shift_kind, cfg.calibrate.shift_severity
+    if kind or severity:
         if kind not in COVARIATE_KINDS:
             raise ConfigError(f"unknown calibrate shift kind {kind!r}; known: {', '.join(COVARIATE_KINDS)}")
-        ShiftSpec(kind, cfg.calibrate.shift_severity)
+        ShiftSpec(kind, severity)

@@ -51,11 +51,11 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr0 <= 0:
+        if not self.lr0 > 0:
             raise ConfigError(f"lr0 must be > 0, got {self.lr0}")
         if not 0 <= self.momentum < 1:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
+        if not self.weight_decay >= 0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed}")

@@ -137,6 +137,9 @@ INVALID_CONFIGS = {
     "decreasing_ladder": (["task.concept_similarities=0.9,0.8,0.7,0.6,0.5"], "increasing"),
     "calibrate_severity_9": (["calibrate.shift_kind=smoothing", "calibrate.shift_severity=9"], "severity"),
     "calibrate_severity_-1": (["calibrate.shift_kind=smoothing", "calibrate.shift_severity=-1"], "severity"),
+    "severity_without_kind": (["calibrate.shift_severity=3"], "shift kind"),
+    "nan_lr0": (["train.lr0=nan"], "lr0"),
+    "calibrate_nan_lr0": (["calibrate.lr0=nan"], "lr0"),
 }
 
 
@@ -304,6 +307,18 @@ class TestCmdCalibrate:
         for ra, rb in zip(a.rows, b.rows):
             if ra.score in ("g", "h", "u"):
                 assert ra == rb
+
+    def test_shifted_tuning_split(self, config_file, trained_checkpoint, tmp_path):
+        def tuning_metrics(name, *sets):
+            argv = ["calibrate", "--config", str(config_file), "--checkpoint", str(trained_checkpoint)]
+            for item in sets:
+                argv += ["--set", item]
+            assert main([*argv, "--out", str(tmp_path / f"{name}.godn")]) == 0
+            return json.loads((tmp_path / f"{name}.calibration.json").read_text())["splits"]["val"]
+
+        clean = tuning_metrics("clean")
+        assert tuning_metrics("zero", "calibrate.shift_kind=gaussian_noise") == clean
+        assert tuning_metrics("shifted", "calibrate.shift_kind=gaussian_noise", "calibrate.shift_severity=3") != clean
 
     def test_vanilla_checkpoint_exit_2(self, config_file, tmp_path):
         vanilla = tmp_path / "v.godn"
