@@ -43,6 +43,8 @@ class CalibConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if not self.lr0 > 0:
             raise ConfigError(f"lr0 must be > 0, got {self.lr0}")
+        if not 0 <= self.momentum < 1:
+            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.folds < 0:

@@ -140,6 +140,7 @@ INVALID_CONFIGS = {
     "severity_without_kind": (["calibrate.shift_severity=3"], "shift kind"),
     "nan_lr0": (["train.lr0=nan"], "lr0"),
     "calibrate_nan_lr0": (["calibrate.lr0=nan"], "lr0"),
+    "calibrate_momentum": (["calibrate.momentum=1.5"], "momentum"),
 }
 
 
