@@ -130,6 +130,8 @@ class ShiftsConfig:
         for s in self.severities:
             if not 1 <= s <= len(SEVERITY_LADDER):
                 raise ConfigError(f"severities must be 1..5, got {s}")
+        if not self.scores:
+            raise ConfigError("scores must name at least one score")
         for name in self.scores:
             if name not in SCORE_NAMES:
                 raise ConfigError(f"unknown score {name!r}; known: {', '.join(SCORE_NAMES)}")

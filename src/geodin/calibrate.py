@@ -6,8 +6,9 @@ the head rescales all logits by one positive factor, retuning can never
 change a prediction, and every score derived from the feature and the class
 weights is untouched.  The extractor therefore runs once per split: tuning,
 the before/after metrics and every cross-validation fold reuse those
-features.  A temperature-scaling baseline and ECE / NLL / reliability-bin
-metrics live here as well.
+features.  Tuning also computes the head's plain part s = F W^T and ||f||
+once (folds take row subsets) and steps only the multiplier.  ECE / NLL /
+reliability-bin metrics and a temperature-scaling baseline live here too.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from .head import (
     cross_entropy,
     head_backward_batch,
     head_forward_batch,
+    multiplier_forward,
+    plain_forward,
     softmax_cross_entropy_batch,
 )
 from .scores import shifted_exp
@@ -205,11 +208,12 @@ def split_metrics(logits, y, n_bins: int = 15) -> SplitMetrics:
     )
 
 
-def _tune_head(head, F: np.ndarray, y: np.ndarray, config: CalibConfig):
-    """NLL-minimize the alpha/beta parameters on fixed features.
+def _tune_head(head, F: np.ndarray, s: np.ndarray, fn: np.ndarray, y: np.ndarray, config: CalibConfig):
+    """NLL-minimize the alpha/beta parameters on fixed features F with plain part (s, fn).
 
     Returns (tuned head, best epoch, nll before, nll after); the best state
     across epochs -1..epochs is kept, so the tuning NLL never increases.
+    Raises NumericError when the NLL before tuning is not finite.
     """
     head = head.copy()
     n = F.shape[0]
@@ -218,9 +222,11 @@ def _tune_head(head, F: np.ndarray, y: np.ndarray, config: CalibConfig):
     total_steps = config.epochs * steps_per_epoch
 
     def full_nll() -> float:
-        return cross_entropy(head_forward_batch(F, head).logits, y)
+        return cross_entropy(multiplier_forward(F, s, fn, head).logits, y)
 
     nll_before = full_nll()
+    if not math.isfinite(nll_before):
+        raise NumericError(f"non-finite tuning NLL {nll_before}: the head overflows on this split")
     best = (nll_before, -1, head.copy())
     tail = head.W.size  # the alpha/beta parameters follow W in head.flat
     velocity = np.zeros_like(head.flat[tail:])
@@ -230,9 +236,9 @@ def _tune_head(head, F: np.ndarray, y: np.ndarray, config: CalibConfig):
         for bi in range(steps_per_epoch):
             idx = perm[bi * config.batch_size : (bi + 1) * config.batch_size]
             lr = cosine_lr(step, total_steps, config.lr0)
-            trace = head_forward_batch(F[idx], head)
+            trace = multiplier_forward(F[idx], s[idx], fn[idx], head)
             _, grad_logits = softmax_cross_entropy_batch(trace.logits, y[idx])
-            hg = head_backward_batch(trace, F[idx], head, grad_logits)
+            hg = head_backward_batch(trace, F[idx], head, grad_logits, frozen_plain=True)
             momentum_step(head.flat[tail:], hg.flat[tail:], velocity, lr, config.momentum)
             step += 1
         epoch_nll = full_nll()
@@ -252,7 +258,7 @@ def calibrate(model: Model, val_set, config: CalibConfig, eval_sets: dict | None
     tuned parameters or logits.
     """
     config.validate()
-    if not (np.all(np.isfinite(model.extractor.flat)) and np.all(np.isfinite(model.head.flat))):
+    if not model.finite():
         raise NumericError("model has non-finite parameters")
     if model.head.variant is HeadVariant.VANILLA:
         raise UnsupportedVariantError(
@@ -270,7 +276,8 @@ def calibrate(model: Model, val_set, config: CalibConfig, eval_sets: dict | None
     def metrics(name, head, rows=slice(None)):
         return split_metrics(head_forward_batch(F[name][rows], head).logits, splits[name][1][rows])
 
-    tuned_head, best_epoch, nll_before, nll_after = _tune_head(model.head, F["val"], yv, config)
+    val = (F["val"], *plain_forward(F["val"], model.head), yv)  # features, s, ||f||, labels
+    tuned_head, best_epoch, nll_before, nll_after = _tune_head(model.head, *val, config)
     if not np.all(np.isfinite(tuned_head.flat)):
         raise NumericError("calibration produced non-finite head parameters")
     new_model = Model(
@@ -298,7 +305,7 @@ def calibrate(model: Model, val_set, config: CalibConfig, eval_sets: dict | None
         pieces = np.array_split(perm, config.folds)
         for k, held in enumerate(pieces):
             rest = np.concatenate([p for j, p in enumerate(pieces) if j != k])
-            fold_head, _, _, _ = _tune_head(model.head, F["val"][rest], yv[rest], config)
+            fold_head, _, _, _ = _tune_head(model.head, *(a[rest] for a in val), config)
             report.folds.append((k, metrics("val", model.head, held), metrics("val", fold_head, held)))
         report.cv_mean, report.cv_std = {}, {}
         for key in ("accuracy", "ece", "nll"):

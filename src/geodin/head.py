@@ -13,9 +13,10 @@ always that of the plain inner products.
 Variants: ``vanilla`` (l = s), ``alpha_only`` (beta pinned to 0),
 ``beta_only`` (alpha pinned to 1), ``alpha_beta`` (both heads live).
 
-The forward and backward passes work on a feature batch (one sample is a
-one-row batch); the backward pass is validated against central finite
-differences in the tests.
+A plain part (s = F W^T, ||f||) and a multiplier part (m and its backward
+pass) make up the layer; calibration freezes F and W, so it computes the plain
+part once per split.  Every pass works on a feature batch (one sample is a
+one-row batch); the tests check the backward pass by finite differences.
 """
 
 from __future__ import annotations
@@ -47,11 +48,8 @@ class HeadVariant(str, Enum):
 def sigmoid(x):
     """Numerically stable logistic function."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    ex = np.exp(-np.abs(x))  # exp(-x) where x >= 0, exp(x) elsewhere: never overflows
+    out = np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
     return out if out.ndim else float(out)
 
 
@@ -127,10 +125,9 @@ class HeadParams:
 
 
 class HeadGradients(HeadParams):
-    """Parameter gradients in the layout of HeadParams.flat, plus the
-    per-sample feature gradients ``f``."""
+    """Parameter gradients in the layout of HeadParams.flat, plus per-sample feature gradients ``f``."""
 
-    f: np.ndarray
+    f: np.ndarray | None = None
 
 
 @dataclass
@@ -146,14 +143,16 @@ class BatchHeadTrace:
     degenerate: np.ndarray
 
 
-def head_forward_batch(F: np.ndarray, params: HeadParams) -> BatchHeadTrace:
-    """Forward pass for a feature batch F of shape (n, D)."""
-    F = np.asarray(F, dtype=np.float64)
+def plain_forward(F: np.ndarray, params: HeadParams) -> tuple[np.ndarray, np.ndarray]:
+    """The plain part of a feature batch F of shape (n, D): s = F W^T and ||f|| per row."""
     if F.ndim != 2 or F.shape[1] != params.d_feature:
         raise ShapeError(f"feature batch shape {F.shape} does not match head dim {params.d_feature}")
-    s = F @ params.W.T
+    return F @ params.W.T, np.linalg.norm(F, axis=1)
+
+
+def multiplier_forward(F: np.ndarray, s: np.ndarray, fn: np.ndarray, params: HeadParams) -> BatchHeadTrace:
+    """alpha, beta, m and the logits m * s for a feature batch F whose plain part is (s, fn)."""
     n = F.shape[0]
-    fn = np.linalg.norm(F, axis=1)
     variant = params.variant
     if variant is HeadVariant.VANILLA:
         ones = np.ones(n)
@@ -162,45 +161,41 @@ def head_forward_batch(F: np.ndarray, params: HeadParams) -> BatchHeadTrace:
     beta = softplus(F @ params.beta_w + params.beta_b) if variant.has_beta else np.zeros(n)
     degenerate = fn < EPS_NORM
     m = np.where(degenerate, 1.0 / alpha, 1.0 / alpha + beta / (alpha * np.where(degenerate, 1.0, fn)))
-    logits = m[:, None] * s
-    return BatchHeadTrace(alpha, beta, m, logits, s, fn, degenerate)
+    return BatchHeadTrace(alpha, beta, m, m[:, None] * s, s, fn, degenerate)
+
+
+def head_forward_batch(F: np.ndarray, params: HeadParams) -> BatchHeadTrace:
+    """Forward pass for a feature batch F of shape (n, D)."""
+    F = np.asarray(F, dtype=np.float64)
+    return multiplier_forward(F, *plain_forward(F, params), params)
 
 
 def head_backward_batch(
-    trace: BatchHeadTrace, F: np.ndarray, params: HeadParams, grad_logits: np.ndarray
+    trace: BatchHeadTrace, F: np.ndarray, params: HeadParams, grad_logits: np.ndarray, frozen_plain: bool = False
 ) -> HeadGradients:
     """Analytic gradients of sum(grad_logits * logits) for a batch.
 
     Returns parameter gradients summed over the batch, one vector in the
     layout of ``params.flat`` (zero for the heads a variant pins), and
     per-sample feature gradients (rows zeroed for degenerate samples).
+    With ``frozen_plain`` (F and W fixed, as in calibration) only the
+    multiplier part runs: W's gradient stays zero and ``f`` None.
     """
     U = np.asarray(grad_logits, dtype=np.float64)
     if U.shape != trace.logits.shape:
         raise ShapeError(f"grad_logits shape {U.shape} does not match logits {trace.logits.shape}")
     variant = params.variant
-    s = trace.vanilla_logits
-    m, alpha, beta, fn = trace.m, trace.alpha, trace.beta, trace.feature_norm
-    mU = m[:, None] * U
+    m, alpha, beta, d = trace.m, trace.alpha, trace.beta, trace.degenerate
+    grad = HeadGradients.from_flat(np.zeros_like(params.flat), *params.W.shape, variant)
 
-    grad = HeadGradients.from_flat(np.zeros_like(params.flat), params.n_classes, params.d_feature, variant)
-    grad.W[:] = mU.T @ F
-    grad.f = grad_F = mU @ params.W
-    if variant is HeadVariant.VANILLA:
-        return grad
-
-    d = trace.degenerate
-    us = np.einsum("ij,ij->i", U, s)  # d(loss)/dm per sample
-    us = np.where(d, 0.0, us)
-    safe_fn = np.where(d, 1.0, fn)
-
+    # The multiplier part: the alpha/beta gradients through us = d(loss)/dm per sample.
+    us = np.where(d, 0.0, np.einsum("ij,ij->i", U, trace.vanilla_logits))
+    safe_fn = np.where(d, 1.0, trace.feature_norm)
     if variant.has_alpha:
         # dm/dalpha = -m/alpha, dalpha/dz = alpha(1-alpha)
         ga = us * (-m / alpha) * alpha * (1.0 - alpha)
         grad.alpha_w[:] = F.T @ ga
         grad.alpha_b = ga.sum()
-        grad_F += ga[:, None] * params.alpha_w[None, :]
-
     if variant.has_beta:
         # dm/dbeta = 1/(alpha*||f||), dbeta/dz = sigmoid(z) = 1 - exp(-beta)
         dbeta_dz = -np.expm1(-beta)
@@ -208,11 +203,20 @@ def head_backward_batch(
         gb = np.where(d, 0.0, gb)
         grad.beta_w[:] = F.T @ gb
         grad.beta_b = gb.sum()
+    if frozen_plain:
+        return grad
+
+    # The plain part: the class-weight and feature gradients, then the multiplier's feature terms.
+    mU = m[:, None] * U
+    grad.W[:] = mU.T @ F
+    grad.f = grad_F = mU @ params.W
+    if variant.has_alpha:
+        grad_F += ga[:, None] * params.alpha_w[None, :]
+    if variant.has_beta:
         grad_F += gb[:, None] * params.beta_w[None, :]
         # dm/d||f|| = -beta/(alpha ||f||^2), d||f||/df = f/||f||
         gn = np.where(d, 0.0, us * (-beta / (alpha * safe_fn**2)) / safe_fn)
         grad_F += gn[:, None] * F
-
     grad_F[d] = 0.0
     return grad
 

@@ -109,17 +109,13 @@ def _array_bytes(a: np.ndarray) -> bytes:
     return np.ascontiguousarray(a, dtype="<f8").tobytes()
 
 
-def _finite(extractor: ExtractorParams, head: HeadParams) -> bool:
-    return bool(np.isfinite(extractor.flat).all() and np.isfinite(head.flat).all())
-
-
 def save_model(model: Model, path) -> None:
     """Write a version-1 checkpoint; bit-exact under load_model.
 
     Raises NumericError, writing nothing, if a parameter is not finite.
     """
     head = model.head
-    if not _finite(model.extractor, head):
+    if not model.finite():
         raise NumericError("cannot save a checkpoint with non-finite parameters")
     hidden = model.extractor.dims[1:-1]
     payload = bytearray()
@@ -192,12 +188,12 @@ def load_model(path) -> Model:
         )
     extractor = ExtractorParams.from_flat(r.array(n_extractor), dims)
     head = HeadParams.from_flat(r.array(n_head), n_classes, d_feature, _VARIANT_FROM_CODE[variant_code])
-    if not _finite(extractor, head):
-        raise FormatError("checkpoint holds non-finite parameters")
-    meta = {"seed": int(seed), "trained": bool(flags & 1)}
+    model = Model(extractor, head, {"seed": int(seed), "trained": bool(flags & 1)})
     if flags & 2:
-        meta["calibrated"] = True
-    return Model(extractor, head, meta)
+        model.meta["calibrated"] = True
+    if not model.finite():
+        raise FormatError("checkpoint holds non-finite parameters")
+    return model
 
 
 def parse_embeddings(path) -> dict[str, np.ndarray]:

@@ -132,6 +132,9 @@ class Model:
     meta: dict
     history: list = field(default_factory=list)  # per-epoch log, not serialized
 
+    def finite(self) -> bool:
+        return bool(np.isfinite(self.extractor.flat).all() and np.isfinite(self.head.flat).all())
+
 
 def cosine_lr(step: int, total_steps: int, lr0: float) -> float:
     """Half-cosine decay from lr0 at step 0 to 0 at total_steps."""
@@ -250,7 +253,7 @@ def momentum_step(
 
 
 def train(config: TrainConfig, train_set, n_classes: int | None = None) -> Model:
-    """Train a fresh model on (X, y); deterministic given (config, dataset)."""
+    """Train a fresh model on (X, y), deterministically; NumericError on a non-finite loss or result."""
     config.validate()
     X, y = train_set
     X = np.asarray(X, dtype=np.float64)
@@ -294,6 +297,8 @@ def train(config: TrainConfig, train_set, n_classes: int | None = None) -> Model
         model.history.append(
             {"epoch": epoch, "mean_loss": epoch_loss / steps_per_epoch, "lr": lr}
         )
+    if not model.finite():
+        raise NumericError("training produced non-finite parameters")
     model.meta["trained"] = True
     model.meta["epochs"] = config.epochs
     return model

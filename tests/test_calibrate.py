@@ -240,6 +240,8 @@ class TestCalibrate:
             broken.head.beta_b = math.inf
         elif fault == "overflowing_logits":
             broken.head.alpha_b = -800.0  # alpha underflows to 0, so m = 1/alpha is inf
+            steps = []
+            monkeypatch.setattr(calibrate_module, "momentum_step", lambda *args: steps.append(args))
         else:
             tune = calibrate_module._tune_head
 
@@ -251,6 +253,8 @@ class TestCalibrate:
             monkeypatch.setattr(calibrate_module, "_tune_head", inf_tuned_head)
         with pytest.raises(NumericError):
             calibrate(broken, task.val, CalibConfig(seed=21, folds=0, epochs=2))
+        if fault == "overflowing_logits":
+            assert steps == []  # raised on the NLL before tuning, before any optimizer step
 
     def test_folds_exceeding_samples_rejected(self, trained_task_model):
         _, model = trained_task_model

@@ -126,6 +126,7 @@ INVALID_CONFIGS = {
     "unknown_variant": (["train.variant=bogus"], "bogus"),
     "unknown_kind": (["shifts.kinds=gaussian_noise,salt"], "salt"),
     "unknown_score": (["shifts.scores=g,mahalanobis"], "mahalanobis"),
+    "empty_scores": (["shifts.scores="], "at least one score"),
     "severity_0": (["shifts.severities=0,1"], "1..5"),
     "severity_6": (["shifts.severities=1,6"], "1..5"),
     "calibrate_kind": (["calibrate.shift_kind=blur"], "blur"),
@@ -260,6 +261,13 @@ class TestCmdDetect:
             ]
         )
         assert code == 2
+
+    def test_empty_score_list_exit_2(self, config_file, trained_checkpoint, tmp_path, capsys):
+        out = tmp_path / "rep"
+        argv = ["detect", "--config", str(config_file), "--checkpoint", str(trained_checkpoint)]
+        assert main([*argv, "--set", "shifts.scores=", "--out", str(out)]) == 2
+        assert "at least one score" in capsys.readouterr().err
+        assert not out.with_suffix(".csv").exists() and not out.with_suffix(".json").exists()
 
     @pytest.mark.parametrize("corruption", ["nan_weight", "zero_width"])
     def test_resigned_malformed_checkpoint_exit_3(self, config_file, trained_checkpoint, tmp_path, capsys, corruption):

@@ -16,6 +16,8 @@ from geodin.head import (
     cross_entropy,
     head_backward_batch,
     head_forward_batch,
+    multiplier_forward,
+    plain_forward,
     sigmoid,
     softmax_cross_entropy_batch,
     softplus,
@@ -301,6 +303,31 @@ class TestHeadBackward:
         p = random_params(rng)
         g = backward(np.zeros(6), p, rng.normal(0.0, 1.0, 4))
         assert np.all(g.f == 0.0)
+
+
+class TestSharedMultiplierGradient:
+    """Calibration steps only the multiplier, on row subsets of a plain part
+    computed once; its gradient is the full backward's, bit for bit."""
+
+    @pytest.mark.parametrize("variant", [HeadVariant.ALPHA_ONLY, HeadVariant.BETA_ONLY, HeadVariant.ALPHA_BETA])
+    def test_frozen_plain_matches_full_backward_on_row_subsets(self, variant):
+        rng = np.random.default_rng(17)
+        p = random_params(rng, variant=variant)
+        F = rng.uniform(0.0, 2.0, (48, 6))
+        F[[5, 30]] = 0.0  # degenerate rows
+        s, fn = plain_forward(F, p)
+        tail = p.W.size
+        for _ in range(5):
+            idx = np.concatenate(([5], rng.choice(np.delete(np.arange(48), 5), 15, replace=False)))
+            U = rng.normal(0.0, 1.0, (16, 4))
+            trace = multiplier_forward(F[idx], s[idx], fn[idx], p)
+            full = head_forward_batch(F[idx], p)
+            assert trace.logits.tobytes() == full.logits.tobytes()
+            got = head_backward_batch(trace, F[idx], p, U, frozen_plain=True)
+            want = head_backward_batch(full, F[idx], p, U)
+            assert got.flat[tail:].tobytes() == want.flat[tail:].tobytes()
+            assert np.any(got.flat[tail:] != 0.0)
+            assert np.all(got.W == 0.0) and got.f is None
 
 
 class TestSoftmaxCrossEntropy:

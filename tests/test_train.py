@@ -152,6 +152,16 @@ class TestTraining:
         with pytest.raises(NumericError, match=r"epoch \d+ batch \d+ \(lr="):
             train(TrainConfig(epochs=2, seed=1, hidden=(8,), feature_dim=4), (X, y))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_result_is_a_numeric_error(self):
+        # One full-batch step: its loss is finite, the update overflows the
+        # parameters, and no later loss is computed to notice.
+        rng = np.random.default_rng(7)
+        X, y = blobs(rng, n=60)
+        cfg = TrainConfig(epochs=1, batch_size=len(X), lr0=1e300, weight_decay=1e10, hidden=(8,), feature_dim=4)
+        with pytest.raises(NumericError, match="non-finite parameters"):
+            train(cfg, (X, y))
+
     def test_accuracy_parity_alpha_beta_vs_vanilla(self):
         from geodin.bench import make_task
 
