@@ -92,8 +92,8 @@ class TaskConfig:
             raise ConfigError(f"need d_in >= 2, got {self.d_in}")
         if self.n_per_class < 5:
             raise ConfigError(f"need at least 5 samples per class, got {self.n_per_class}")
-        if not self.noise >= 0:
-            raise ConfigError(f"noise must be >= 0, got {self.noise}")
+        if not 0 <= self.noise < np.inf:
+            raise ConfigError(f"noise must be finite and >= 0, got {self.noise}")
         if self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed}")
         fracs = (self.val_frac, self.test_frac)

@@ -7,7 +7,9 @@ change a prediction, and every score derived from the feature and the class
 weights is untouched.  The extractor therefore runs once per split: tuning,
 the before/after metrics and every cross-validation fold reuse those
 features.  Tuning also computes the head's plain part s = F W^T and ||f||
-once (folds take row subsets) and steps only the multiplier.  ECE / NLL /
+once (folds take row subsets) and steps only the multiplier, on the
+training schedule ``train.minibatches`` over the alpha/beta slice of the
+head, without weight decay.  ECE / NLL /
 reliability-bin metrics and a temperature-scaling baseline live here too.
 """
 
@@ -29,7 +31,7 @@ from .head import (
     softmax_cross_entropy_batch,
 )
 from .scores import shifted_exp
-from .train import Model, cosine_lr, extract_features, momentum_step
+from .train import Model, check_sgd, extract_features, minibatches, momentum_step, shuffles
 
 
 @dataclass(frozen=True)
@@ -42,18 +44,9 @@ class CalibConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if not self.lr0 > 0:
-            raise ConfigError(f"lr0 must be > 0, got {self.lr0}")
-        if not 0 <= self.momentum < 1:
-            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        check_sgd(self)
         if self.folds < 0:
             raise ConfigError(f"folds must be >= 0, got {self.folds}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -216,10 +209,6 @@ def _tune_head(head, F: np.ndarray, s: np.ndarray, fn: np.ndarray, y: np.ndarray
     Raises NumericError when the NLL before tuning is not finite.
     """
     head = head.copy()
-    n = F.shape[0]
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 2]))
-    steps_per_epoch = (n + config.batch_size - 1) // config.batch_size
-    total_steps = config.epochs * steps_per_epoch
 
     def full_nll() -> float:
         return cross_entropy(multiplier_forward(F, s, fn, head).logits, y)
@@ -230,17 +219,12 @@ def _tune_head(head, F: np.ndarray, s: np.ndarray, fn: np.ndarray, y: np.ndarray
     best = (nll_before, -1, head.copy())
     tail = head.W.size  # the alpha/beta parameters follow W in head.flat
     velocity = np.zeros_like(head.flat[tail:])
-    step = 0
-    for epoch in range(config.epochs):
-        perm = rng.permutation(n)
-        for bi in range(steps_per_epoch):
-            idx = perm[bi * config.batch_size : (bi + 1) * config.batch_size]
-            lr = cosine_lr(step, total_steps, config.lr0)
+    for epoch, steps in enumerate(minibatches(F.shape[0], config, 2)):
+        for idx, lr in steps:
             trace = multiplier_forward(F[idx], s[idx], fn[idx], head)
             _, grad_logits = softmax_cross_entropy_batch(trace.logits, y[idx])
             hg = head_backward_batch(trace, F[idx], head, grad_logits, frozen_plain=True)
             momentum_step(head.flat[tail:], hg.flat[tail:], velocity, lr, config.momentum)
-            step += 1
         epoch_nll = full_nll()
         if epoch_nll < best[0]:
             best = (epoch_nll, epoch, head.copy())
@@ -300,9 +284,7 @@ def calibrate(model: Model, val_set, config: CalibConfig, eval_sets: dict | None
     if config.folds >= 2:
         if config.folds > Xv.shape[0]:
             raise ConfigError(f"folds={config.folds} exceeds validation size {Xv.shape[0]}")
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, 3]))
-        perm = rng.permutation(Xv.shape[0])
-        pieces = np.array_split(perm, config.folds)
+        pieces = np.array_split(next(shuffles(Xv.shape[0], config.seed, 3)), config.folds)
         for k, held in enumerate(pieces):
             rest = np.concatenate([p for j, p in enumerate(pieces) if j != k])
             fold_head, _, _, _ = _tune_head(model.head, *(a[rest] for a in val), config)

@@ -9,10 +9,11 @@ feature norm, fall off as an input rotates away from the training manifold,
 which is what the norm-based covariate score measures.
 
 Optimization is plain SGD with momentum, weight decay and per-step cosine
-learning-rate annealing.  All randomness (init order, then one shuffle
-permutation per epoch) flows from a single seeded generator, and batch
-gradients are accumulated by numpy's fixed pairwise reductions, so a
-(config, dataset) pair reproduces the model bit for bit.
+learning-rate annealing on the ``minibatches`` schedule, which calibration
+runs too, on the head's alpha/beta slice and without weight decay.  The init
+draw and each shuffle stream are seeded, and batch gradients are accumulated
+by numpy's fixed pairwise reductions, so a (config, dataset) pair reproduces
+the model bit for bit.
 """
 
 from __future__ import annotations
@@ -47,23 +48,28 @@ class TrainConfig:
     feature_dim: int = 16
 
     def validate(self) -> None:
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.lr0 > 0:
-            raise ConfigError(f"lr0 must be > 0, got {self.lr0}")
-        if not 0 <= self.momentum < 1:
-            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if not self.weight_decay >= 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed}")
+        check_sgd(self)
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.feature_dim < 1 or any(h < 1 for h in self.hidden):
             raise ConfigError("layer widths must be >= 1")
         known = [v.value for v in HeadVariant]
         if self.variant not in known:
             raise ConfigError(f"unknown head variant {self.variant!r}; known: {', '.join(known)}")
+
+
+def check_sgd(config) -> None:
+    """The checks TrainConfig and CalibConfig share: epochs, batch_size, lr0, momentum, seed."""
+    if config.epochs < 1:
+        raise ConfigError(f"epochs must be >= 1, got {config.epochs}")
+    if config.batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {config.batch_size}")
+    if not 0 < config.lr0 < math.inf:
+        raise ConfigError(f"lr0 must be finite and > 0, got {config.lr0}")
+    if not 0 <= config.momentum < 1:
+        raise ConfigError(f"momentum must be in [0, 1), got {config.momentum}")
+    if config.seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {config.seed}")
 
 
 class ExtractorParams:
@@ -145,34 +151,56 @@ def cosine_lr(step: int, total_steps: int, lr0: float) -> float:
     return 0.5 * lr0 * (1.0 + math.cos(math.pi * step / total_steps))
 
 
+def shuffles(n: int, seed: int, tag: int):
+    """Permutations of range(n), drawn in turn from the stream SeedSequence([seed, tag])."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, tag]))
+    while True:
+        yield rng.permutation(n)
+
+
+def minibatches(n: int, config, tag: int):
+    """The SGD schedule over n rows: yields each epoch's list of (row indices, rate) steps.
+
+    Each epoch cuts the next of ``shuffles(n, config.seed, tag)`` into
+    batches in order, the last one short when n is ragged; the rate is
+    cosine_lr of the step's index over all epochs.
+    """
+    bs = config.batch_size
+    per_epoch = (n + bs - 1) // bs
+    total = config.epochs * per_epoch
+    for epoch, perm in zip(range(config.epochs), shuffles(n, config.seed, tag)):
+        yield [
+            (perm[i * bs : (i + 1) * bs], cosine_lr(epoch * per_epoch + i, total, config.lr0))
+            for i in range(per_epoch)
+        ]
+
+
 def unit_rows(X: np.ndarray) -> np.ndarray:
     """Project rows onto the unit sphere; rows with ~zero norm pass through."""
     norms = np.linalg.norm(X, axis=1, keepdims=True)
     return np.divide(X, norms, out=X.astype(np.float64).copy(), where=norms >= 1e-12)
 
 
-def extractor_forward(params: ExtractorParams, X: np.ndarray):
-    """Rectified forward pass; returns the feature batch and the layer cache."""
-    a = unit_rows(X)
-    cache = []  # (input, pre-activation) per layer
+def extractor_forward(params: ExtractorParams, X: np.ndarray) -> list[np.ndarray]:
+    """Rectified forward pass; returns the activations [unit_rows(X), a_1, ..., a_L = features]."""
+    acts = [unit_rows(X)]
     for W, b in params.layers:
-        z = a @ W.T + b
-        cache.append((a, z))
-        a = np.maximum(z, 0.0)
-    return a, cache
+        z = acts[-1] @ W.T + b
+        acts.append(np.maximum(z, 0.0, out=z))
+    return acts
 
 
-def extractor_backward(params: ExtractorParams, cache, grad_F: np.ndarray) -> np.ndarray:
+def extractor_backward(params: ExtractorParams, acts, grad_F: np.ndarray) -> np.ndarray:
     """Backprop grad wrt features through the rectified layers.
 
-    Returns one vector in the layout of ``params.flat``.
+    Each layer's mask is its activation > 0, which holds exactly where its
+    pre-activation is > 0.  Returns one vector in the layout of ``params.flat``.
     """
     parts = []  # last layer first, b before W: the reverse of the flat order
     g = grad_F
     for i in range(len(params.layers) - 1, -1, -1):
-        a_in, z = cache[i]
-        dz = g * (z > 0)
-        parts += [dz.sum(axis=0), (dz.T @ a_in).ravel()]
+        dz = g * (acts[i + 1] > 0)
+        parts += [dz.sum(axis=0), (dz.T @ acts[i]).ravel()]
         if i > 0:
             g = dz @ params.layers[i][0]
     return np.concatenate(parts[::-1])
@@ -202,7 +230,7 @@ def extract_features(model: Model, inputs) -> np.ndarray:
     single = X.ndim == 1
     if single:
         X = X[None, :]
-    F, _ = extractor_forward(model.extractor, _check_inputs(model, X))
+    F = extractor_forward(model.extractor, _check_inputs(model, X))[-1]
     if not np.all(np.isfinite(F)):
         raise NumericError("extractor produced non-finite features")
     return F[0] if single else F
@@ -228,11 +256,11 @@ def loss_and_grads(model: Model, X: np.ndarray, y: np.ndarray):
     layout of the matching parameter object's ``flat``.
     """
     X = _check_inputs(model, X)
-    F, cache = extractor_forward(model.extractor, X)
-    trace = head_forward_batch(F, model.head)
+    acts = extractor_forward(model.extractor, X)
+    trace = head_forward_batch(acts[-1], model.head)
     loss, grad_logits = softmax_cross_entropy_batch(trace.logits, y)
-    hg = head_backward_batch(trace, F, model.head, grad_logits)
-    eg = extractor_backward(model.extractor, cache, hg.f)
+    hg = head_backward_batch(trace, acts[-1], model.head, grad_logits)
+    eg = extractor_backward(model.extractor, acts, hg.f)
     return loss, (eg, hg.flat)
 
 
@@ -254,7 +282,6 @@ def momentum_step(
 
 def train(config: TrainConfig, train_set, n_classes: int | None = None) -> Model:
     """Train a fresh model on (X, y), deterministically; NumericError on a non-finite loss or result."""
-    config.validate()
     X, y = train_set
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -268,23 +295,14 @@ def train(config: TrainConfig, train_set, n_classes: int | None = None) -> Model
         raise ConfigError("labels out of range")
 
     model = init_model(config, X.shape[1], n_classes)
-    # Shuffle stream is separate from the init stream (seed, then seed+tag).
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
-    n = X.shape[0]
-    steps_per_epoch = (n + config.batch_size - 1) // config.batch_size
-    total_steps = config.epochs * steps_per_epoch
-
     ext, head = model.extractor.flat, model.head.flat
     ext_v, head_v = np.zeros_like(ext), np.zeros_like(head)
     # With decay_heads off only the head's prefix, the class weights W, decays.
     head_decay = None if config.decay_heads else model.head.W.size
-    step = 0
-    for epoch in range(config.epochs):
-        perm = rng.permutation(n)
+    # The shuffle stream (seed, 1) is separate from the init stream (seed).
+    for epoch, steps in enumerate(minibatches(X.shape[0], config, 1)):
         epoch_loss = 0.0
-        for bi in range(steps_per_epoch):
-            idx = perm[bi * config.batch_size : (bi + 1) * config.batch_size]
-            lr = cosine_lr(step, total_steps, config.lr0)
+        for bi, (idx, lr) in enumerate(steps):
             loss, (ext_g, head_g) = loss_and_grads(model, X[idx], y[idx])
             if not math.isfinite(loss):
                 raise NumericError(
@@ -293,10 +311,7 @@ def train(config: TrainConfig, train_set, n_classes: int | None = None) -> Model
             momentum_step(ext, ext_g, ext_v, lr, config.momentum, config.weight_decay)
             momentum_step(head, head_g, head_v, lr, config.momentum, config.weight_decay, head_decay)
             epoch_loss += loss
-            step += 1
-        model.history.append(
-            {"epoch": epoch, "mean_loss": epoch_loss / steps_per_epoch, "lr": lr}
-        )
+        model.history.append({"epoch": epoch, "mean_loss": epoch_loss / len(steps), "lr": lr})
     if not model.finite():
         raise NumericError("training produced non-finite parameters")
     model.meta["trained"] = True

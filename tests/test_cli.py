@@ -141,6 +141,10 @@ INVALID_CONFIGS = {
     "severity_without_kind": (["calibrate.shift_severity=3"], "shift kind"),
     "nan_lr0": (["train.lr0=nan"], "lr0"),
     "calibrate_nan_lr0": (["calibrate.lr0=nan"], "lr0"),
+    "inf_lr0": (["train.lr0=inf"], "lr0"),
+    "calibrate_inf_lr0": (["calibrate.lr0=inf"], "lr0"),
+    "inf_weight_decay": (["train.weight_decay=inf"], "weight_decay"),
+    "inf_noise": (["task.noise=inf"], "noise"),
     "calibrate_momentum": (["calibrate.momentum=1.5"], "momentum"),
 }
 

@@ -11,7 +11,10 @@ from geodin.train import (
     accuracy,
     cosine_lr,
     extract_features,
+    extractor_backward,
+    extractor_forward,
     init_model,
+    minibatches,
     momentum_step,
     train,
     unit_rows,
@@ -85,6 +88,28 @@ class TestCosineLr:
     def test_step_out_of_range(self):
         with pytest.raises(ConfigError):
             cosine_lr(11, 10, 0.1)
+
+
+class TestMinibatches:
+    def test_ragged_schedule(self):
+        n, tag, lr0 = 10, 2, 0.05
+        cfg = TrainConfig(epochs=3, batch_size=4, lr0=lr0, seed=7)
+
+        def listed():
+            return [[(idx.tolist(), lr) for idx, lr in steps] for steps in minibatches(n, cfg, tag)]
+
+        schedule = listed()
+        assert len(schedule) == 3
+        rng = np.random.default_rng(np.random.SeedSequence([7, tag]))
+        rates = []
+        for steps in schedule:
+            perm = rng.permutation(n).tolist()  # the stream's next draw, each epoch
+            assert [idx for idx, _ in steps] == [perm[:4], perm[4:8], perm[8:]]
+            rates += [lr for _, lr in steps]
+        total = 3 * 3  # epochs x batches per epoch
+        assert rates == [cosine_lr(s, total, lr0) for s in range(total)]
+        assert rates[-1] > 0
+        assert listed() == schedule
 
 
 class TestTrainConfig:
@@ -226,6 +251,36 @@ class TestExtractFeatures:
         U = unit_rows(X)
         np.testing.assert_array_equal(U[0], [0.0, 0.0])
         np.testing.assert_allclose(np.linalg.norm(U[1]), 1.0)
+
+
+class TestActivationCache:
+    def test_backward_matches_pre_activation_mask(self):
+        rng = np.random.default_rng(12)
+        model = init_model(TrainConfig(hidden=(6, 5), feature_dim=4, seed=12), d_in=3, n_classes=2)
+        layers = model.extractor.layers
+        for W, b in layers:
+            b[:] = rng.normal(0.0, 0.5, b.shape)
+        layers[0][1][0] = 0.0  # so unit 0 of layer 1 has pre-activation exactly 0 on the zero row
+        X = rng.normal(0.0, 1.0, (7, 3))
+        X[2] = 0.0
+        acts = extractor_forward(model.extractor, X)
+        assert len(acts) == len(layers) + 1
+        assert acts[0].tobytes() == unit_rows(X).tobytes()
+        assert acts[-1].tobytes() == extract_features(model, X).tobytes()
+
+        # Reference: the mask z > 0 on explicitly recomputed pre-activations.
+        grad_F = rng.normal(0.0, 1.0, acts[-1].shape)
+        parts, g = [], grad_F
+        for i in range(len(layers) - 1, -1, -1):
+            W, b = layers[i]
+            z = acts[i] @ W.T + b
+            dz = g * (z > 0)
+            parts += [dz.sum(axis=0), (dz.T @ acts[i]).ravel()]
+            if i > 0:
+                g = dz @ W
+        assert z[2, 0] == 0.0 and np.all(acts[0][2] == 0.0)
+        reference = np.concatenate(parts[::-1])
+        assert extractor_backward(model.extractor, acts, grad_F).tobytes() == reference.tobytes()
 
 
 class TestFullGradientCheck:
