@@ -6,7 +6,10 @@ whose every layer, including the output, is rectified, so features are
 nonnegative by construction.  The normalization makes the extractor respond
 to input direction rather than magnitude: activations, and with them the
 feature norm, fall off as an input rotates away from the training manifold,
-which is what the norm-based covariate score measures.
+which is what the norm-based covariate score measures.  Inference
+(``extractor_forward``) streams a batch through the layers holding at most
+two layer outputs; training (``extractor_activations``) keeps every layer's
+output for backprop.  Both run the same per-layer step.
 
 Optimization is plain SGD with momentum, weight decay and per-step cosine
 learning-rate annealing on the ``minibatches`` schedule, which calibration
@@ -176,17 +179,31 @@ def minibatches(n: int, config, tag: int):
 
 
 def unit_rows(X: np.ndarray) -> np.ndarray:
-    """Project rows onto the unit sphere; rows with ~zero norm pass through."""
+    """Project rows onto the unit sphere, in a new C-ordered float64 array; rows with ~zero norm pass through."""
     norms = np.linalg.norm(X, axis=1, keepdims=True)
-    return np.divide(X, norms, out=X.astype(np.float64).copy(), where=norms >= 1e-12)
+    return np.divide(X, norms, out=X.astype(np.float64, order="C"), where=norms >= 1e-12)
 
 
-def extractor_forward(params: ExtractorParams, X: np.ndarray) -> list[np.ndarray]:
-    """Rectified forward pass; returns the activations [unit_rows(X), a_1, ..., a_L = features]."""
+def _layer(a: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One rectified layer, max(a Wᵀ + b, 0), computed in the one array it returns."""
+    z = a @ W.T
+    z += b
+    return np.maximum(z, 0.0, out=z)
+
+
+def extractor_forward(params: ExtractorParams, X: np.ndarray) -> np.ndarray:
+    """Features of the batch X, holding at most one layer's output and the next."""
+    a = unit_rows(X)
+    for W, b in params.layers:
+        a = _layer(a, W, b)
+    return a
+
+
+def extractor_activations(params: ExtractorParams, X: np.ndarray) -> list[np.ndarray]:
+    """The forward pass backprop needs: the activations [unit_rows(X), a_1, ..., a_L = features]."""
     acts = [unit_rows(X)]
     for W, b in params.layers:
-        z = acts[-1] @ W.T + b
-        acts.append(np.maximum(z, 0.0, out=z))
+        acts.append(_layer(acts[-1], W, b))
     return acts
 
 
@@ -194,16 +211,19 @@ def extractor_backward(params: ExtractorParams, acts, grad_F: np.ndarray) -> np.
     """Backprop grad wrt features through the rectified layers.
 
     Each layer's mask is its activation > 0, which holds exactly where its
-    pre-activation is > 0.  Returns one vector in the layout of ``params.flat``.
+    pre-activation is > 0.  Each layer's gradients are written into their
+    views of one vector in the layout of ``params.flat``, which is returned.
     """
-    parts = []  # last layer first, b before W: the reverse of the flat order
+    grads = ExtractorParams.from_flat(np.empty_like(params.flat), params.dims)
     g = grad_F
     for i in range(len(params.layers) - 1, -1, -1):
         dz = g * (acts[i + 1] > 0)
-        parts += [dz.sum(axis=0), (dz.T @ acts[i]).ravel()]
+        gW, gb = grads.layers[i]
+        dz.sum(axis=0, out=gb)
+        np.matmul(dz.T, acts[i], out=gW)
         if i > 0:
             g = dz @ params.layers[i][0]
-    return np.concatenate(parts[::-1])
+    return grads.flat
 
 
 def init_model(config: TrainConfig, d_in: int, n_classes: int) -> Model:
@@ -230,7 +250,7 @@ def extract_features(model: Model, inputs) -> np.ndarray:
     single = X.ndim == 1
     if single:
         X = X[None, :]
-    F = extractor_forward(model.extractor, _check_inputs(model, X))[-1]
+    F = extractor_forward(model.extractor, _check_inputs(model, X))
     if not np.all(np.isfinite(F)):
         raise NumericError("extractor produced non-finite features")
     return F[0] if single else F
@@ -246,7 +266,12 @@ def predict(model: Model, X) -> np.ndarray:
 
 
 def accuracy(model: Model, X, y) -> float:
-    return float(np.mean(predict(model, X) == np.asarray(y)))
+    """Fraction of rows of X predicted as their label in y; ShapeError unless y holds one label per row."""
+    predicted = predict(model, X)
+    y = np.asarray(y)
+    if y.shape != predicted.shape:
+        raise ShapeError(f"labels shape {y.shape} does not match {len(predicted)} input rows")
+    return float(np.mean(predicted == y))
 
 
 def loss_and_grads(model: Model, X: np.ndarray, y: np.ndarray):
@@ -256,7 +281,7 @@ def loss_and_grads(model: Model, X: np.ndarray, y: np.ndarray):
     layout of the matching parameter object's ``flat``.
     """
     X = _check_inputs(model, X)
-    acts = extractor_forward(model.extractor, X)
+    acts = extractor_activations(model.extractor, X)
     trace = head_forward_batch(acts[-1], model.head)
     loss, grad_logits = softmax_cross_entropy_batch(trace.logits, y)
     hg = head_backward_batch(trace, acts[-1], model.head, grad_logits)
@@ -270,14 +295,20 @@ def momentum_step(
 ) -> None:
     """One SGD-with-momentum update of the flat vector p (and its velocity v), in place.
 
-    Weight decay applies to p[:n_decay] only (all of p by default).
+    Weight decay applies to p[:n_decay] only (all of p by default).  g is not
+    modified; the update holds one scratch vector the size of p, first for the
+    decayed gradient g + weight_decay * p, then for lr * v.
     """
-    if weight_decay:
-        g = g.copy()
-        g[:n_decay] += weight_decay * p[:n_decay]
+    scratch = np.empty_like(p)
     v *= momentum
-    v += g
-    p -= lr * v
+    if weight_decay:
+        decayed = np.multiply(p[:n_decay], weight_decay, out=scratch[:n_decay])
+        decayed += g[:n_decay]
+        v[: decayed.size] += decayed
+        v[decayed.size :] += g[decayed.size :]
+    else:
+        v += g
+    p -= np.multiply(v, lr, out=scratch)
 
 
 def train(config: TrainConfig, train_set, n_classes: int | None = None) -> Model:

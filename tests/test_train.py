@@ -1,5 +1,7 @@
 """Trainer tests: schedule, determinism, feature extraction, gradient checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,8 @@ from geodin.train import (
     accuracy,
     cosine_lr,
     extract_features,
+    extractor_activations,
     extractor_backward,
-    extractor_forward,
     init_model,
     minibatches,
     momentum_step,
@@ -65,6 +67,21 @@ class TestFlatParameters:
         np.testing.assert_array_equal(g, [0.5, 0.5, 0.5, 0.5])  # the gradient is not modified
         np.testing.assert_array_equal(v, [0.9 + (0.5 + 0.01), 0.5 + 0.02, 0.9 + 0.5, 0.5])
         np.testing.assert_array_equal(p, [1.0 - 0.1 * v[0], 2.0 - 0.1 * v[1], 3.0 - 0.1 * v[2], 4.0 - 0.1 * v[3]])
+
+    @pytest.mark.parametrize("weight_decay", [5e-4, 0.0])
+    def test_momentum_step_matches_the_expression_with_temporaries(self, weight_decay):
+        rng = np.random.default_rng(9)
+        p, g, v = (rng.normal(0.0, 1.0, 1000) for _ in range(3))
+        g_before = g.copy()
+        lr, momentum = 0.0371, 0.9
+        # Reference: the update with a temporary per operation.
+        decayed = g + weight_decay * p if weight_decay else g
+        v_ref = v * momentum + decayed
+        p_ref = p - lr * v_ref
+        momentum_step(p, g, v, lr, momentum, weight_decay)
+        assert g.tobytes() == g_before.tobytes()
+        assert v.tobytes() == v_ref.tobytes()
+        assert p.tobytes() == p_ref.tobytes()
 
     def test_pinned_heads_stay_exactly_zero(self):
         rng = np.random.default_rng(3)
@@ -139,6 +156,14 @@ class TestTraining:
         assert perceptron_separable(X, y)  # oracle: the task is linearly separable
         model = train(TrainConfig(epochs=30, batch_size=32, seed=2, hidden=(16,), feature_dim=8), (X, y))
         assert accuracy(model, X, y) >= 0.99
+
+    def test_accuracy_rejects_mis_shaped_labels(self):
+        rng = np.random.default_rng(4)
+        X, y = blobs(rng, n=20)
+        model = train(TrainConfig(epochs=1, seed=0, hidden=(6,), feature_dim=4), (X, y))
+        for labels in (y[:1], y[:, None]):
+            with pytest.raises(ShapeError):
+                accuracy(model, X, labels)
 
     def test_determinism_bit_identical(self):
         rng = np.random.default_rng(2)
@@ -263,7 +288,7 @@ class TestActivationCache:
         layers[0][1][0] = 0.0  # so unit 0 of layer 1 has pre-activation exactly 0 on the zero row
         X = rng.normal(0.0, 1.0, (7, 3))
         X[2] = 0.0
-        acts = extractor_forward(model.extractor, X)
+        acts = extractor_activations(model.extractor, X)
         assert len(acts) == len(layers) + 1
         assert acts[0].tobytes() == unit_rows(X).tobytes()
         assert acts[-1].tobytes() == extract_features(model, X).tobytes()
@@ -281,6 +306,25 @@ class TestActivationCache:
         assert z[2, 0] == 0.0 and np.all(acts[0][2] == 0.0)
         reference = np.concatenate(parts[::-1])
         assert extractor_backward(model.extractor, acts, grad_F).tobytes() == reference.tobytes()
+
+
+class TestStreamingInference:
+    def test_extract_features_holds_two_layer_outputs(self):
+        rows, width = 2000, 256
+        model = init_model(TrainConfig(hidden=(width, width), feature_dim=width, seed=3), d_in=width, n_classes=2)
+        X = np.random.default_rng(3).normal(0.0, 1.0, (rows, width))
+        layer_bytes = rows * width * 8
+
+        def peak_bytes(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak_bytes(lambda: extract_features(model, X)) < 3 * layer_bytes
+        assert peak_bytes(lambda: extractor_activations(model.extractor, X)) >= 4 * layer_bytes
 
 
 class TestFullGradientCheck:
