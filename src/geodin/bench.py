@@ -454,10 +454,10 @@ def sweep(
     ShiftsConfig(scores=tuple(score_names)).validate()
 
     W = model.head.W
-    # F_id stays referenced for the whole sweep.  Its lifetime no longer matters:
-    # in a fresh-process wide detect (one BLAS thread, 30 runs each) freeing it
-    # after scoring reads ~30.5k minor faults and 711 ms median against ~31.3k
-    # and 727 ms when held, inside the runs' spread (IQR ~100 ms).
+    # F_id stays referenced for the whole sweep; freeing it after scoring makes no
+    # measurable difference: a fresh-process wide detect (one BLAS thread, 30 runs
+    # each) reads ~30.5k minor faults and 711 ms median freed against ~31.3k and
+    # 727 ms held, inside the runs' spread (IQR ~100 ms).
     F_id = extract_features(model, task.test[0])
     id_all = score_batch(F_id, W)
     report = DetectionReport()
