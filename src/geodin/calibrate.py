@@ -16,7 +16,7 @@ reliability-bin metrics and a temperature-scaling baseline live here too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -51,12 +51,11 @@ class CalibConfig:
 
 @dataclass(frozen=True)
 class SplitMetrics:
+    """Accuracy, ECE and NLL of one split; ``asdict`` gives its report entry."""
+
     accuracy: float
     ece: float
     nll: float
-
-    def to_dict(self) -> dict:
-        return {"accuracy": self.accuracy, "ece": self.ece, "nll": self.nll}
 
 
 @dataclass(frozen=True)
@@ -70,30 +69,24 @@ class BinStats:
 
 @dataclass
 class CalibrationReport:
+    """Calibration before and after tuning; ``to_dict`` is the report JSON, in field order.
+
+    ``folds`` and the cross-validation mean and std of the "after" metrics
+    are left out of the JSON when cross-validation is off.
+    """
+
     splits: dict  # split name -> {"before": SplitMetrics, "after": SplitMetrics}
     nll_before: float
     nll_after: float
     best_epoch: int
-    folds: list = field(default_factory=list)  # (fold, before, after) on held-out folds
+    folds: list = field(default_factory=list)  # {"fold": k, "before": SplitMetrics, "after": SplitMetrics}
     cv_mean: dict | None = None
     cv_std: dict | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "splits": {
-                name: {phase: m.to_dict() for phase, m in phases.items()}
-                for name, phases in self.splits.items()
-            },
-            "nll_before": self.nll_before,
-            "nll_after": self.nll_after,
-            "best_epoch": self.best_epoch,
-        }
-        if self.folds:
-            out["folds"] = [
-                {"fold": i, "before": b.to_dict(), "after": a.to_dict()} for i, b, a in self.folds
-            ]
-            out["cv_mean"] = self.cv_mean
-            out["cv_std"] = self.cv_std
+        out = asdict(self)
+        if not self.folds:
+            del out["folds"], out["cv_mean"], out["cv_std"]
         return out
 
 
@@ -223,7 +216,7 @@ def _tune_head(head, F: np.ndarray, s: np.ndarray, fn: np.ndarray, y: np.ndarray
         for idx, lr in steps:
             trace = multiplier_forward(F[idx], s[idx], fn[idx], head)
             _, grad_logits = softmax_cross_entropy_batch(trace.logits, y[idx])
-            hg = head_backward_batch(trace, F[idx], head, grad_logits, frozen_plain=True)
+            hg, _ = head_backward_batch(trace, F[idx], head, grad_logits, frozen_plain=True)
             momentum_step(head.flat[tail:], hg.flat[tail:], velocity, lr, config.momentum)
         epoch_nll = full_nll()
         if epoch_nll < best[0]:
@@ -288,10 +281,12 @@ def calibrate(model: Model, val_set, config: CalibConfig, eval_sets: dict | None
         for k, held in enumerate(pieces):
             rest = np.concatenate([p for j, p in enumerate(pieces) if j != k])
             fold_head, _, _, _ = _tune_head(model.head, *(a[rest] for a in val), config)
-            report.folds.append((k, metrics("val", model.head, held), metrics("val", fold_head, held)))
+            report.folds.append(
+                {"fold": k, "before": metrics("val", model.head, held), "after": metrics("val", fold_head, held)}
+            )
         report.cv_mean, report.cv_std = {}, {}
         for key in ("accuracy", "ece", "nll"):
-            values = [getattr(after, key) for _, _, after in report.folds]
+            values = [getattr(fold["after"], key) for fold in report.folds]
             report.cv_mean[key] = float(np.mean(values))
             report.cv_std[key] = float(np.std(values))
 

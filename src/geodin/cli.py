@@ -120,11 +120,11 @@ def cmd_calibrate(args) -> int:
 
 
 def _read_names(path) -> list[str]:
-    names = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            names.append(line)
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not a UTF-8 names file ({exc})") from None
+    names = [name for line in text.splitlines() if (name := line.split("#", 1)[0].strip())]
     if not names:
         raise DataError(f"no class names in {path}")
     return names

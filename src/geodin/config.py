@@ -111,7 +111,7 @@ def load_run_config(path=None, overrides=()) -> RunConfig:
 def _apply_file(cfg: RunConfig, path: Path) -> None:
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     section_name = None
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -62,26 +62,16 @@ def softplus(x):
 class HeadParams:
     """Class weights plus the alpha/beta head parameters in one float64 vector.
 
-    ``flat`` holds W (k x D, row-major), alpha_w, alpha_b, beta_w, beta_b in
-    that order, which is also the checkpoint's order.  W, alpha_w and beta_w
-    are views into it; alpha_b and beta_b read and write one element.  W has
-    no bias row: the geometric factorization of the logits assumes pure inner
-    products.
+    ``HeadParams(flat, n_classes, d_feature, variant)`` wraps ``flat``, of
+    ``HeadParams.size(n_classes, d_feature)`` elements, without copying.  It
+    holds W (k x D, row-major), alpha_w, alpha_b, beta_w, beta_b in that
+    order, which is also the checkpoint's order.  W, alpha_w and beta_w are
+    views into it; alpha_b and beta_b read and write one element.  W has no
+    bias row: the geometric factorization of the logits assumes pure inner
+    products.  Gradients come in the same layout.
     """
 
-    def __init__(self, W, alpha_w, alpha_b, beta_w, beta_b, variant):
-        W = np.asarray(W, dtype=np.float64)
-        flat = np.concatenate([W.ravel(), alpha_w, [alpha_b], beta_w, [beta_b]], dtype=np.float64)
-        self._bind(flat, *W.shape, variant)
-
-    @classmethod
-    def from_flat(cls, flat: np.ndarray, n_classes: int, d_feature: int, variant) -> "HeadParams":
-        """Wrap an existing buffer of size (n_classes + 2) * d_feature + 2 without copying."""
-        self = cls.__new__(cls)
-        self._bind(flat, n_classes, d_feature, variant)
-        return self
-
-    def _bind(self, flat: np.ndarray, n_classes: int, d_feature: int, variant) -> None:
+    def __init__(self, flat: np.ndarray, n_classes: int, d_feature: int, variant):
         k, d = n_classes, d_feature
         self.flat = flat
         self.variant = HeadVariant(variant)
@@ -89,12 +79,17 @@ class HeadParams:
         self.alpha_w = flat[k * d : (k + 1) * d]
         self.beta_w = flat[(k + 1) * d + 1 : (k + 2) * d + 1]
 
+    @staticmethod
+    def size(n_classes: int, d_feature: int) -> int:
+        return (n_classes + 2) * d_feature + 2
+
     @classmethod
     def initial(cls, d_feature: int, n_classes: int, variant: HeadVariant, rng: np.random.Generator) -> "HeadParams":
         """W ~ U(-1/sqrt(D), 1/sqrt(D)); zeroed heads so alpha=0.5, beta=softplus(0)."""
+        head = cls(np.zeros(cls.size(n_classes, d_feature)), n_classes, d_feature, variant)
         bound = 1.0 / np.sqrt(d_feature)
-        W = rng.uniform(-bound, bound, size=(n_classes, d_feature))
-        return cls(W, np.zeros(d_feature), 0.0, np.zeros(d_feature), 0.0, variant)
+        head.W[:] = rng.uniform(-bound, bound, size=head.W.shape)
+        return head
 
     @property
     def alpha_b(self) -> float:
@@ -121,13 +116,7 @@ class HeadParams:
         return self.W.shape[1]
 
     def copy(self) -> "HeadParams":
-        return HeadParams.from_flat(self.flat.copy(), self.n_classes, self.d_feature, self.variant)
-
-
-class HeadGradients(HeadParams):
-    """Parameter gradients in the layout of HeadParams.flat, plus per-sample feature gradients ``f``."""
-
-    f: np.ndarray | None = None
+        return HeadParams(self.flat.copy(), self.n_classes, self.d_feature, self.variant)
 
 
 @dataclass
@@ -154,9 +143,6 @@ def multiplier_forward(F: np.ndarray, s: np.ndarray, fn: np.ndarray, params: Hea
     """alpha, beta, m and the logits m * s for a feature batch F whose plain part is (s, fn)."""
     n = F.shape[0]
     variant = params.variant
-    if variant is HeadVariant.VANILLA:
-        ones = np.ones(n)
-        return BatchHeadTrace(ones, np.zeros(n), ones, s, s, fn, np.zeros(n, dtype=bool))
     alpha = sigmoid(F @ params.alpha_w + params.alpha_b) if variant.has_alpha else np.ones(n)
     beta = softplus(F @ params.beta_w + params.beta_b) if variant.has_beta else np.zeros(n)
     degenerate = fn < EPS_NORM
@@ -172,21 +158,22 @@ def head_forward_batch(F: np.ndarray, params: HeadParams) -> BatchHeadTrace:
 
 def head_backward_batch(
     trace: BatchHeadTrace, F: np.ndarray, params: HeadParams, grad_logits: np.ndarray, frozen_plain: bool = False
-) -> HeadGradients:
+) -> tuple[HeadParams, np.ndarray | None]:
     """Analytic gradients of sum(grad_logits * logits) for a batch.
 
-    Returns parameter gradients summed over the batch, one vector in the
-    layout of ``params.flat`` (zero for the heads a variant pins), and
-    per-sample feature gradients (rows zeroed for degenerate samples).
-    With ``frozen_plain`` (F and W fixed, as in calibration) only the
-    multiplier part runs: W's gradient stays zero and ``f`` None.
+    Returns the pair (parameter gradients, feature gradients).  The first is
+    summed over the batch, a HeadParams in the layout of ``params`` (zero for
+    the heads a variant pins); the second holds one row per sample, zeroed
+    for degenerate samples.  With ``frozen_plain`` (F and W fixed, as in
+    calibration) only the multiplier part runs: W's gradient stays zero and
+    the feature gradients are None.
     """
     U = np.asarray(grad_logits, dtype=np.float64)
     if U.shape != trace.logits.shape:
         raise ShapeError(f"grad_logits shape {U.shape} does not match logits {trace.logits.shape}")
     variant = params.variant
     m, alpha, beta, d = trace.m, trace.alpha, trace.beta, trace.degenerate
-    grad = HeadGradients.from_flat(np.zeros_like(params.flat), *params.W.shape, variant)
+    grad = HeadParams(np.zeros_like(params.flat), params.n_classes, params.d_feature, variant)
 
     # The multiplier part: the alpha/beta gradients through us = d(loss)/dm per sample.
     us = np.where(d, 0.0, np.einsum("ij,ij->i", U, trace.vanilla_logits))
@@ -204,12 +191,12 @@ def head_backward_batch(
         grad.beta_w[:] = F.T @ gb
         grad.beta_b = gb.sum()
     if frozen_plain:
-        return grad
+        return grad, None
 
     # The plain part: the class-weight and feature gradients, then the multiplier's feature terms.
     mU = m[:, None] * U
     grad.W[:] = mU.T @ F
-    grad.f = grad_F = mU @ params.W
+    grad_F = mU @ params.W
     if variant.has_alpha:
         grad_F += ga[:, None] * params.alpha_w[None, :]
     if variant.has_beta:
@@ -218,7 +205,7 @@ def head_backward_batch(
         gn = np.where(d, 0.0, us * (-beta / (alpha * safe_fn**2)) / safe_fn)
         grad_F += gn[:, None] * F
     grad_F[d] = 0.0
-    return grad
+    return grad, grad_F
 
 
 def _mean_nll(shifted: np.ndarray, esum: np.ndarray, labels):

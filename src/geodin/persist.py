@@ -25,6 +25,7 @@ import csv
 import json
 import struct
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -38,7 +39,8 @@ FORMAT_VERSION = 1
 _VARIANT_CODES = {v: i for i, v in enumerate(HeadVariant)}
 _VARIANT_FROM_CODE = {i: v for v, i in _VARIANT_CODES.items()}
 
-REPORT_FIELDS = ("score", "shift_kind", "severity", "auroc", "tnr_at_tpr95", "n_id", "n_ood", "seed")
+_REPORT_TYPES = get_type_hints(ReportRow)  # field name -> type, in ReportRow's field order
+REPORT_FIELDS = tuple(_REPORT_TYPES)
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -180,14 +182,13 @@ def load_model(path) -> Model:
     if min(dims) < 1 or n_classes < 2:
         raise FormatError(f"invalid checkpoint shapes: widths {dims}, n_classes {n_classes}")
 
-    n_extractor = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
-    n_head = (n_classes + 2) * d_feature + 2
+    n_extractor, n_head = ExtractorParams.size(dims), HeadParams.size(n_classes, d_feature)
     if 8 * (n_extractor + n_head) != len(payload) - r.pos:
         raise FormatError(
             f"array section holds {len(payload) - r.pos} bytes but the header implies {8 * (n_extractor + n_head)}"
         )
-    extractor = ExtractorParams.from_flat(r.array(n_extractor), dims)
-    head = HeadParams.from_flat(r.array(n_head), n_classes, d_feature, _VARIANT_FROM_CODE[variant_code])
+    extractor = ExtractorParams(r.array(n_extractor), dims)
+    head = HeadParams(r.array(n_head), n_classes, d_feature, _VARIANT_FROM_CODE[variant_code])
     model = Model(extractor, head, {"seed": int(seed), "trained": bool(flags & 1)})
     if flags & 2:
         model.meta["calibrated"] = True
@@ -205,24 +206,27 @@ def parse_embeddings(path) -> dict[str, np.ndarray]:
     """
     table: dict[str, np.ndarray] = {}
     dim = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            token, values = parts[0], parts[1:]
-            if dim is None:
-                if not values:
-                    raise FormatError(f"line {lineno}: record has no vector components")
-                dim = len(values)
-            if len(values) != dim:
-                raise FormatError(f"line {lineno}: expected {dim} components, found {len(values)}")
-            try:
-                vec = np.array([float(v) for v in values])
-            except ValueError as exc:
-                raise FormatError(f"line {lineno}: {exc}") from None
-            if token not in table:
-                table[token] = vec
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                parts = line.split()
+                if not parts:
+                    continue
+                token, values = parts[0], parts[1:]
+                if dim is None:
+                    if not values:
+                        raise FormatError(f"line {lineno}: record has no vector components")
+                    dim = len(values)
+                if len(values) != dim:
+                    raise FormatError(f"line {lineno}: expected {dim} components, found {len(values)}")
+                try:
+                    vec = np.array([float(v) for v in values])
+                except ValueError as exc:
+                    raise FormatError(f"line {lineno}: {exc}") from None
+                if token not in table:
+                    table[token] = vec
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not a UTF-8 embedding file ({exc})") from None
     if not table:
         raise FormatError(f"embedding file {path} contains no records")
     return table
@@ -253,7 +257,7 @@ def write_report(report: DetectionReport, path, format: str = "csv") -> None:
         doc = {
             "rows": [
                 {
-                    f: (_round6(getattr(r, f)) if f in ("auroc", "tnr_at_tpr95") else getattr(r, f))
+                    f: (_round6(getattr(r, f)) if _REPORT_TYPES[f] is float else getattr(r, f))
                     for f in REPORT_FIELDS
                 }
                 for r in report.rows
@@ -292,15 +296,6 @@ def read_report(path) -> DetectionReport:
 
 def _row_from_dict(d: dict, path) -> ReportRow:
     try:
-        return ReportRow(
-            score=str(d["score"]),
-            shift_kind=str(d["shift_kind"]),
-            severity=int(d["severity"]),
-            auroc=float(d["auroc"]),
-            tnr_at_tpr95=float(d["tnr_at_tpr95"]),
-            n_id=int(d["n_id"]),
-            n_ood=int(d["n_ood"]),
-            seed=int(d["seed"]),
-        )
+        return ReportRow(**{f: _REPORT_TYPES[f](d[f]) for f in REPORT_FIELDS})
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed report row {d!r} ({exc})") from None

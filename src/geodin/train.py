@@ -78,25 +78,15 @@ def check_sgd(config) -> None:
 class ExtractorParams:
     """Fully connected rectified layers; the last one emits the feature.
 
-    ``flat`` is one float64 vector holding each layer's W (out x in,
-    row-major) and then its b, first layer first; ``layers`` lists (W, b)
+    ``ExtractorParams(flat, dims)`` wraps ``flat``, of
+    ``ExtractorParams.size(dims)`` elements for widths dims = [d_in,
+    *hidden, d_feature], without copying.  It holds each layer's W (out x
+    in, row-major) and then its b, first layer first; ``layers`` lists (W, b)
     views into it.  A checkpoint's array section is this vector followed by
-    HeadParams.flat.
+    HeadParams.flat.  Gradients come in the same layout.
     """
 
-    def __init__(self, layers: list[tuple[np.ndarray, np.ndarray]]):
-        dims = [layers[0][0].shape[1], *(W.shape[0] for W, _ in layers)]
-        flat = np.concatenate([a.ravel() for W, b in layers for a in (W, b)], dtype=np.float64)
-        self._bind(flat, dims)
-
-    @classmethod
-    def from_flat(cls, flat: np.ndarray, dims: Sequence[int]) -> "ExtractorParams":
-        """Wrap an existing buffer for widths dims = [d_in, *hidden, d_feature] without copying."""
-        self = cls.__new__(cls)
-        self._bind(flat, dims)
-        return self
-
-    def _bind(self, flat: np.ndarray, dims: Sequence[int]) -> None:
+    def __init__(self, flat: np.ndarray, dims: Sequence[int]):
         self.flat = flat
         self.layers = []
         pos = 0
@@ -106,16 +96,21 @@ class ExtractorParams:
             self.layers.append((W, b))
             pos += W.size + fan_out
 
+    @staticmethod
+    def size(dims: Sequence[int]) -> int:
+        return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
+
     @classmethod
     def initial(
         cls, d_in: int, hidden: Sequence[int], d_feature: int, rng: np.random.Generator
     ) -> "ExtractorParams":
+        """Each W ~ U(-1/sqrt(fan_in), 1/sqrt(fan_in)), first layer first; zero biases."""
         dims = [d_in, *hidden, d_feature]
-        layers = []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            bound = 1.0 / math.sqrt(fan_in)
-            layers.append((rng.uniform(-bound, bound, size=(fan_out, fan_in)), np.zeros(fan_out)))
-        return cls(layers)
+        params = cls(np.zeros(cls.size(dims)), dims)
+        for W, _ in params.layers:
+            bound = 1.0 / math.sqrt(W.shape[1])
+            W[:] = rng.uniform(-bound, bound, size=W.shape)
+        return params
 
     @property
     def dims(self) -> list[int]:
@@ -131,7 +126,7 @@ class ExtractorParams:
         return self.layers[-1][0].shape[0]
 
     def copy(self) -> "ExtractorParams":
-        return ExtractorParams.from_flat(self.flat.copy(), self.dims)
+        return ExtractorParams(self.flat.copy(), self.dims)
 
 
 @dataclass
@@ -214,7 +209,7 @@ def extractor_backward(params: ExtractorParams, acts, grad_F: np.ndarray) -> np.
     pre-activation is > 0.  Each layer's gradients are written into their
     views of one vector in the layout of ``params.flat``, which is returned.
     """
-    grads = ExtractorParams.from_flat(np.empty_like(params.flat), params.dims)
+    grads = ExtractorParams(np.empty_like(params.flat), params.dims)
     g = grad_F
     for i in range(len(params.layers) - 1, -1, -1):
         dz = g * (acts[i + 1] > 0)
@@ -284,9 +279,8 @@ def loss_and_grads(model: Model, X: np.ndarray, y: np.ndarray):
     acts = extractor_activations(model.extractor, X)
     trace = head_forward_batch(acts[-1], model.head)
     loss, grad_logits = softmax_cross_entropy_batch(trace.logits, y)
-    hg = head_backward_batch(trace, acts[-1], model.head, grad_logits)
-    eg = extractor_backward(model.extractor, acts, hg.f)
-    return loss, (eg, hg.flat)
+    hg, grad_F = head_backward_batch(trace, acts[-1], model.head, grad_logits)
+    return loss, (extractor_backward(model.extractor, acts, grad_F), hg.flat)
 
 
 def momentum_step(
@@ -346,5 +340,4 @@ def train(config: TrainConfig, train_set, n_classes: int | None = None) -> Model
     if not model.finite():
         raise NumericError("training produced non-finite parameters")
     model.meta["trained"] = True
-    model.meta["epochs"] = config.epochs
     return model

@@ -134,14 +134,12 @@ def test_c4_order_preserving_suite():
     checked = 0
     for _ in range(20):
         d, m = 8, 6
-        params = HeadParams(
-            W=rng.normal(0.0, 0.7, (m, d)),
-            alpha_w=rng.normal(0.0, 0.5, d),
-            alpha_b=float(rng.normal(0.0, 0.5)),
-            beta_w=rng.normal(0.0, 0.5, d),
-            beta_b=float(rng.normal(0.0, 0.5)),
-            variant=HeadVariant.ALPHA_BETA,
-        )
+        params = HeadParams(np.zeros(HeadParams.size(m, d)), m, d, HeadVariant.ALPHA_BETA)
+        params.W[:] = rng.normal(0.0, 0.7, (m, d))
+        params.alpha_w[:] = rng.normal(0.0, 0.5, d)
+        params.alpha_b = float(rng.normal(0.0, 0.5))
+        params.beta_w[:] = rng.normal(0.0, 0.5, d)
+        params.beta_b = float(rng.normal(0.0, 0.5))
         F = rng.uniform(1e-6, 2.0, (500, d))
         trace = head_forward_batch(F, params)
         vanilla = F @ params.W.T

@@ -386,6 +386,40 @@ class TestCmdSplits:
         assert code == 3
         assert "no records" in capsys.readouterr().err
 
+    def test_comment_only_names_file_exit_3(self, tmp_path, capsys):
+        emb, id_names, ood_names = self.setup_fixture(tmp_path)
+        ood_names.write_text("# near\n\n   # mid\n", encoding="utf-8")
+        code = main(
+            ["splits", "--embeddings", str(emb), "--id-names", str(id_names), "--ood-names", str(ood_names), "--n-groups", "1", "--out", str(tmp_path / "s.csv")]
+        )
+        assert code == 3
+        assert "no class names" in capsys.readouterr().err
+
+    def test_more_groups_than_names_exit_2(self, tmp_path, capsys):
+        emb, id_names, ood_names = self.setup_fixture(tmp_path)
+        code = main(
+            ["splits", "--embeddings", str(emb), "--id-names", str(id_names), "--ood-names", str(ood_names), "--n-groups", "4", "--out", str(tmp_path / "s.csv")]
+        )
+        assert code == 2
+        assert "cannot fill 4 groups" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target,code", [("config", 2), ("ood_names", 3), ("embeddings", 3)])
+    def test_non_utf8_file_exit(self, tmp_path, capsys, target, code):
+        # A Latin-1 config file is a configuration error (train stands in for every command that reads one);
+        # a Latin-1 names or embedding file is a data error.
+        emb, id_names, ood_names = self.setup_fixture(tmp_path)
+        if target == "config":
+            bad = tmp_path / "run.cfg"
+            bad.write_bytes("# caf\xe9\n[train]\nepochs = 1\n".encode("latin-1"))
+            argv = ["train", "--config", str(bad), "--out", str(tmp_path / "m.godn")]
+        else:
+            bad = {"ood_names": ood_names, "embeddings": emb}[target]
+            bad.write_bytes(bad.read_text(encoding="utf-8").replace("mid", "caf\xe9").encode("latin-1"))
+            argv = ["splits", "--embeddings", str(emb), "--id-names", str(id_names), "--ood-names", str(ood_names), "--n-groups", "2", "--out", str(tmp_path / "s.csv")]
+        assert main(argv) == code
+        assert str(bad) in capsys.readouterr().err
+        assert not (tmp_path / "m.godn").exists() and not (tmp_path / "s.csv").exists()
+
 
 class TestCmdReportMerge:
     def test_merge(self, config_file, trained_checkpoint, tmp_path):

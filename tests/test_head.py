@@ -25,14 +25,13 @@ from geodin.head import (
 
 
 def random_params(rng, d=6, m=4, variant=HeadVariant.ALPHA_BETA):
-    return HeadParams(
-        W=rng.normal(0.0, 0.6, (m, d)),
-        alpha_w=rng.normal(0.0, 0.4, d),
-        alpha_b=float(rng.normal(0.0, 0.5)),
-        beta_w=rng.normal(0.0, 0.4, d),
-        beta_b=float(rng.normal(0.0, 0.5)),
-        variant=variant,
-    )
+    p = HeadParams(np.zeros(HeadParams.size(m, d)), m, d, variant)
+    p.W[:] = rng.normal(0.0, 0.6, (m, d))
+    p.alpha_w[:] = rng.normal(0.0, 0.4, d)
+    p.alpha_b = float(rng.normal(0.0, 0.5))
+    p.beta_w[:] = rng.normal(0.0, 0.4, d)
+    p.beta_b = float(rng.normal(0.0, 0.5))
+    return p
 
 
 def random_feature(rng, d=6):
@@ -46,11 +45,10 @@ def forward(f, params):
 
 
 def backward(f, params, grad_logits):
-    """head_backward_batch for the one-row batch [f]; ``.f`` is that row's feature gradient."""
+    """head_backward_batch for the one-row batch [f]: (parameter gradients, that row's feature gradient)."""
     F = np.asarray(f, dtype=np.float64)[None, :]
-    g = head_backward_batch(head_forward_batch(F, params), F, params, np.asarray(grad_logits)[None, :])
-    g.f = g.f[0]
-    return g
+    g, grad_F = head_backward_batch(head_forward_batch(F, params), F, params, np.asarray(grad_logits)[None, :])
+    return g, grad_F[0]
 
 
 def softmax_cross_entropy(logits, label):
@@ -81,24 +79,25 @@ class TestHeadParamsLayout:
 
     def test_constructor_and_copy_do_not_alias(self):
         rng = np.random.default_rng(41)
-        W = rng.normal(0.0, 1.0, (3, 4))
-        p = HeadParams(W, np.zeros(4), 0.0, np.zeros(4), 0.0, HeadVariant.ALPHA_BETA)
+        p = HeadParams(np.zeros(HeadParams.size(3, 4)), 3, 4, HeadVariant.ALPHA_BETA)
+        p.W[:] = rng.normal(0.0, 1.0, (3, 4))
         q = p.copy()
-        W[0, 0] = 5.0
+        q.W[0, 0] = 5.0
         q.alpha_b = 1.0
         assert p.W[0, 0] != 5.0 and p.alpha_b == 0.0
+        assert not np.shares_memory(p.flat, q.flat)
         assert q.variant is p.variant and q.W.shape == (3, 4)
 
     def test_gradient_has_parameter_layout(self):
         rng = np.random.default_rng(42)
         p = random_params(rng)
         f = random_feature(rng)
-        g = backward(f, p, rng.normal(0.0, 1.0, 4))
-        assert g.flat.shape == p.flat.shape
+        g, gf = backward(f, p, rng.normal(0.0, 1.0, 4))
+        assert isinstance(g, HeadParams) and g.flat.shape == p.flat.shape
         np.testing.assert_array_equal(
             g.flat, np.concatenate([g.W.ravel(), g.alpha_w, [g.alpha_b], g.beta_w, [g.beta_b]])
         )
-        assert g.f.shape == f.shape
+        assert gf.shape == f.shape
 
 
 class TestActivations:
@@ -199,14 +198,9 @@ class TestHeadForward:
         ab = random_params(rng, variant=HeadVariant.ALPHA_BETA)
         ab.beta_w[:] = 0.0
         ab.beta_b = -30.0
-        alpha_only = HeadParams(
-            W=ab.W.copy(),
-            alpha_w=ab.alpha_w.copy(),
-            alpha_b=ab.alpha_b,
-            beta_w=np.zeros(6),
-            beta_b=0.0,
-            variant=HeadVariant.ALPHA_ONLY,
-        )
+        alpha_only = HeadParams(ab.flat.copy(), ab.n_classes, ab.d_feature, HeadVariant.ALPHA_ONLY)
+        alpha_only.beta_w[:] = 0.0
+        alpha_only.beta_b = 0.0
         np.testing.assert_allclose(
             forward(f, ab).logits, forward(f, alpha_only).logits, atol=1e-8
         )
@@ -262,8 +256,8 @@ class TestHeadBackward:
         rng = np.random.default_rng(9)
         f = random_feature(rng)
         p = random_params(rng)
-        g = backward(f, p, np.zeros(4))
-        assert np.all(g.W == 0.0) and np.all(g.f == 0.0)
+        g, gf = backward(f, p, np.zeros(4))
+        assert np.all(g.W == 0.0) and np.all(gf == 0.0)
         assert np.all(g.alpha_w == 0.0) and g.alpha_b == 0.0
         assert np.all(g.beta_w == 0.0) and g.beta_b == 0.0
 
@@ -272,9 +266,9 @@ class TestHeadBackward:
         f = random_feature(rng)
         p = random_params(rng, variant=HeadVariant.VANILLA)
         u = rng.normal(0.0, 1.0, 4)
-        g = backward(f, p, u)
+        g, gf = backward(f, p, u)
         np.testing.assert_allclose(g.W, np.outer(u, f), rtol=1e-12)
-        np.testing.assert_allclose(g.f, p.W.T @ u, rtol=1e-12)
+        np.testing.assert_allclose(gf, p.W.T @ u, rtol=1e-12)
 
     @pytest.mark.parametrize("variant", list(HeadVariant))
     def test_matches_finite_differences(self, variant):
@@ -283,10 +277,10 @@ class TestHeadBackward:
             f = random_feature(rng)
             p = random_params(rng, variant=variant)
             u = rng.normal(0.0, 1.0, 4)
-            analytic = backward(f, p, u)
+            analytic, analytic_f = backward(f, p, u)
             numeric = fd_gradients(f, p, u)
             assert rel_err(analytic.W, numeric["W"]) < 1e-6
-            assert rel_err(analytic.f, numeric["f"]) < 1e-6
+            assert rel_err(analytic_f, numeric["f"]) < 1e-6
             if variant.has_alpha:
                 assert rel_err(analytic.alpha_w, numeric["alpha_w"]) < 1e-6
                 assert rel_err(analytic.alpha_b, numeric["alpha_b"]) < 1e-6
@@ -301,8 +295,8 @@ class TestHeadBackward:
     def test_degenerate_f_gradient_zero(self):
         rng = np.random.default_rng(12)
         p = random_params(rng)
-        g = backward(np.zeros(6), p, rng.normal(0.0, 1.0, 4))
-        assert np.all(g.f == 0.0)
+        _, gf = backward(np.zeros(6), p, rng.normal(0.0, 1.0, 4))
+        assert np.all(gf == 0.0)
 
 
 class TestSharedMultiplierGradient:
@@ -323,11 +317,11 @@ class TestSharedMultiplierGradient:
             trace = multiplier_forward(F[idx], s[idx], fn[idx], p)
             full = head_forward_batch(F[idx], p)
             assert trace.logits.tobytes() == full.logits.tobytes()
-            got = head_backward_batch(trace, F[idx], p, U, frozen_plain=True)
-            want = head_backward_batch(full, F[idx], p, U)
+            got, got_F = head_backward_batch(trace, F[idx], p, U, frozen_plain=True)
+            want, _ = head_backward_batch(full, F[idx], p, U)
             assert got.flat[tail:].tobytes() == want.flat[tail:].tobytes()
             assert np.any(got.flat[tail:] != 0.0)
-            assert np.all(got.W == 0.0) and got.f is None
+            assert np.all(got.W == 0.0) and got_F is None
 
 
 class TestSoftmaxCrossEntropy:
