@@ -7,10 +7,15 @@ change a prediction, and every score derived from the feature and the class
 weights is untouched.  The extractor therefore runs once per split: tuning,
 the before/after metrics and every cross-validation fold reuse those
 features.  Tuning also computes the head's plain part s = F W^T and ||f||
-once (folds take row subsets) and steps only the multiplier, on the
-training schedule ``train.minibatches`` over the alpha/beta slice of the
-head, without weight decay.  ECE / NLL /
-reliability-bin metrics and a temperature-scaling baseline live here too.
+once and steps only the multiplier, on the training schedule
+``train.minibatches`` over the alpha/beta slice of the head, without weight
+decay.  Row sets of one size share that schedule, so ``_tune_head`` tunes
+a stack of heads (see ``head``) on equal-size row sets in one call per
+step: the main run is a stack of one, and the k folds, whose sizes
+``np.array_split`` makes differ by at most one, form at most two stacks.
+Each fold's head is bit for bit the one a run of its own would give.
+ECE / NLL / reliability-bin metrics and a temperature-scaling baseline live
+here too.
 """
 
 from __future__ import annotations
@@ -194,35 +199,42 @@ def split_metrics(logits, y, n_bins: int = 15) -> SplitMetrics:
     )
 
 
-def _tune_head(head, F: np.ndarray, s: np.ndarray, fn: np.ndarray, y: np.ndarray, config: CalibConfig):
-    """NLL-minimize the alpha/beta parameters on fixed features F with plain part (s, fn).
+def _tune_head(head, val, rows: np.ndarray, config: CalibConfig):
+    """NLL-minimize the alpha/beta parameters of G copies of ``head``, copy g on the val rows ``rows[g]``.
 
-    Returns (tuned head, best epoch, nll before, nll after); the best state
-    across epochs -1..epochs is kept, so the tuning NLL never increases.
-    Raises NumericError when the NLL before tuning is not finite.
+    ``val`` is (features F, plain part s, ||f||, labels) of the tuning split
+    and ``rows`` a (G, n) row index into it.  Returns (tuned heads as one
+    stacked HeadParams, best epochs, NLLs before, NLLs after), each along the
+    leading axis of length G; each copy keeps its best state across epochs
+    -1..epochs, so no tuning NLL increases.  Raises NumericError when any
+    NLL before tuning is not finite.
     """
-    head = head.copy()
+    F, s, fn, y = (a[rows] for a in val)  # each step gathers its batch from these stacked copies
+    heads = head.like(np.tile(head.flat, (rows.shape[0], 1)))
 
-    def full_nll() -> float:
-        return cross_entropy(multiplier_forward(F, s, fn, head).logits, y)
+    def full_nll() -> np.ndarray:
+        return cross_entropy(multiplier_forward(F, s, fn, heads).logits, y)
 
     nll_before = full_nll()
-    if not math.isfinite(nll_before):
-        raise NumericError(f"non-finite tuning NLL {nll_before}: the head overflows on this split")
-    best = (nll_before, -1, head.copy())
+    if not np.all(np.isfinite(nll_before)):
+        bad = nll_before[~np.isfinite(nll_before)][0]
+        raise NumericError(f"non-finite tuning NLL {bad}: the head overflows on this split")
+    best_nll, best_epoch, best_flat = nll_before, np.full(rows.shape[0], -1), heads.flat.copy()
     tail = head.W.size  # the alpha/beta parameters follow W in head.flat
-    velocity = np.zeros_like(head.flat[tail:])
-    for epoch, steps in enumerate(minibatches(F.shape[0], config, 2)):
+    velocity = np.zeros_like(heads.flat[:, tail:])
+    for epoch, steps in enumerate(minibatches(rows.shape[1], config, 2)):
         for idx, lr in steps:
-            trace = multiplier_forward(F[idx], s[idx], fn[idx], head)
-            _, grad_logits = softmax_cross_entropy_batch(trace.logits, y[idx])
-            hg, _ = head_backward_batch(trace, F[idx], head, grad_logits, frozen_plain=True)
-            momentum_step(head.flat[tail:], hg.flat[tail:], velocity, lr, config.momentum)
+            Fb = F[:, idx]
+            trace = multiplier_forward(Fb, s[:, idx], fn[:, idx], heads)
+            _, grad_logits = softmax_cross_entropy_batch(trace.logits, y[:, idx])
+            hg, _ = head_backward_batch(trace, Fb, heads, grad_logits, frozen_plain=True)
+            momentum_step(heads.flat[:, tail:], hg.flat[:, tail:], velocity, lr, config.momentum)
         epoch_nll = full_nll()
-        if epoch_nll < best[0]:
-            best = (epoch_nll, epoch, head.copy())
-    nll_after, best_epoch, best_head = best
-    return best_head, best_epoch, nll_before, nll_after
+        better = epoch_nll < best_nll
+        best_nll = np.where(better, epoch_nll, best_nll)
+        best_epoch[better] = epoch
+        best_flat[better] = heads.flat[better]
+    return head.like(best_flat), best_epoch, nll_before, best_nll
 
 
 def calibrate(model: Model, val_set, config: CalibConfig, eval_sets: dict | None = None):
@@ -254,7 +266,8 @@ def calibrate(model: Model, val_set, config: CalibConfig, eval_sets: dict | None
         return split_metrics(head_forward_batch(F[name][rows], head).logits, splits[name][1][rows])
 
     val = (F["val"], *plain_forward(F["val"], model.head), yv)  # features, s, ||f||, labels
-    tuned_head, best_epoch, nll_before, nll_after = _tune_head(model.head, *val, config)
+    tuned, best_epoch, nll_before, nll_after = _tune_head(model.head, val, np.arange(Xv.shape[0])[None], config)
+    tuned_head = tuned.like(tuned.flat[0])
     if not np.all(np.isfinite(tuned_head.flat)):
         raise NumericError("calibration produced non-finite head parameters")
     new_model = Model(
@@ -269,20 +282,24 @@ def calibrate(model: Model, val_set, config: CalibConfig, eval_sets: dict | None
         splits={
             name: {"before": metrics(name, model.head), "after": metrics(name, tuned_head)} for name in F
         },
-        nll_before=nll_before,
-        nll_after=nll_after,
-        best_epoch=best_epoch,
+        nll_before=float(nll_before[0]),
+        nll_after=float(nll_after[0]),
+        best_epoch=int(best_epoch[0]),
     )
 
     if config.folds >= 2:
         if config.folds > Xv.shape[0]:
             raise ConfigError(f"folds={config.folds} exceeds validation size {Xv.shape[0]}")
         pieces = np.array_split(next(shuffles(Xv.shape[0], config.seed, 3)), config.folds)
+        rests = [np.concatenate(pieces[:k] + pieces[k + 1 :]) for k in range(config.folds)]
+        fold_heads = {}
+        for size in {len(rest) for rest in rests}:  # at most two sizes, one stack each
+            group = [k for k, rest in enumerate(rests) if len(rest) == size]
+            tuned, *_ = _tune_head(model.head, val, np.stack([rests[k] for k in group]), config)
+            fold_heads.update((k, tuned.like(tuned.flat[g])) for g, k in enumerate(group))
         for k, held in enumerate(pieces):
-            rest = np.concatenate([p for j, p in enumerate(pieces) if j != k])
-            fold_head, _, _, _ = _tune_head(model.head, *(a[rest] for a in val), config)
             report.folds.append(
-                {"fold": k, "before": metrics("val", model.head, held), "after": metrics("val", fold_head, held)}
+                {"fold": k, "before": metrics("val", model.head, held), "after": metrics("val", fold_heads[k], held)}
             )
         report.cv_mean, report.cv_std = {}, {}
         for key in ("accuracy", "ece", "nll"):

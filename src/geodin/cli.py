@@ -36,9 +36,12 @@ def _load_checkpoint_run(args):
     """Config, checkpoint, seed and task for a command that reads a checkpoint.
 
     The seed is ``--seed`` if given, else the one the checkpoint was trained with.
+    A checkpoint whose "trained" flag is clear is a data error.
     """
     cfg = _load_cfg(args)
     model = load_model(args.checkpoint)
+    if not model.meta["trained"]:
+        raise DataError(f"{args.checkpoint}: checkpoint holds an untrained model")
     d_in, k = model.extractor.d_in, model.head.n_classes
     if d_in != cfg.task.d_in or k != cfg.task.k:
         raise ConfigError(

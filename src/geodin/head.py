@@ -17,6 +17,12 @@ A plain part (s = F W^T, ||f||) and a multiplier part (m and its backward
 pass) make up the layer; calibration freezes F and W, so it computes the plain
 part once per split.  Every pass works on a feature batch (one sample is a
 one-row batch); the tests check the backward pass by finite differences.
+
+A HeadParams may stack heads along a leading axis of its flat vector; the
+multiplier part and the softmax cross-entropy then take batches with the
+same leading axis and pair slice g with head g.  Each slice runs the BLAS
+calls and reductions of an unstacked call, so the results are the per-head
+ones bit for bit; calibration tunes its cross-validation folds this way.
 """
 
 from __future__ import annotations
@@ -63,21 +69,23 @@ class HeadParams:
     """Class weights plus the alpha/beta head parameters in one float64 vector.
 
     ``HeadParams(flat, n_classes, d_feature, variant)`` wraps ``flat``, of
-    ``HeadParams.size(n_classes, d_feature)`` elements, without copying.  It
-    holds W (k x D, row-major), alpha_w, alpha_b, beta_w, beta_b in that
-    order, which is also the checkpoint's order.  W, alpha_w and beta_w are
-    views into it; alpha_b and beta_b read and write one element.  W has no
-    bias row: the geometric factorization of the logits assumes pure inner
-    products.  Gradients come in the same layout.
+    shape ``(..., HeadParams.size(n_classes, d_feature))``, without copying;
+    leading axes stack heads of one shape and variant.  The last axis holds
+    W (k x D, row-major), alpha_w, alpha_b, beta_w, beta_b in that order,
+    which is also the checkpoint's order.  W, alpha_w and beta_w are views
+    into it that keep the leading axes; alpha_b and beta_b read and write
+    ``flat[..., i]`` (a scalar for one head).  W has no bias row: the
+    geometric factorization of the logits assumes pure inner products.
+    Gradients come in the same layout.
     """
 
     def __init__(self, flat: np.ndarray, n_classes: int, d_feature: int, variant):
         k, d = n_classes, d_feature
         self.flat = flat
         self.variant = HeadVariant(variant)
-        self.W = flat[: k * d].reshape(k, d)
-        self.alpha_w = flat[k * d : (k + 1) * d]
-        self.beta_w = flat[(k + 1) * d + 1 : (k + 2) * d + 1]
+        self.W = flat[..., : k * d].reshape(*flat.shape[:-1], k, d)
+        self.alpha_w = flat[..., k * d : (k + 1) * d]
+        self.beta_w = flat[..., (k + 1) * d + 1 : (k + 2) * d + 1]
 
     @staticmethod
     def size(n_classes: int, d_feature: int) -> int:
@@ -92,31 +100,35 @@ class HeadParams:
         return head
 
     @property
-    def alpha_b(self) -> float:
-        return float(self.flat[self.W.size + self.d_feature])
+    def alpha_b(self):
+        return self.flat[..., (self.n_classes + 1) * self.d_feature][()]  # [()] makes one head's a scalar
 
     @alpha_b.setter
-    def alpha_b(self, value: float) -> None:
-        self.flat[self.W.size + self.d_feature] = value
+    def alpha_b(self, value) -> None:
+        self.flat[..., (self.n_classes + 1) * self.d_feature] = value
 
     @property
-    def beta_b(self) -> float:
-        return float(self.flat[-1])
+    def beta_b(self):
+        return self.flat[..., -1][()]
 
     @beta_b.setter
-    def beta_b(self, value: float) -> None:
-        self.flat[-1] = value
+    def beta_b(self, value) -> None:
+        self.flat[..., -1] = value
 
     @property
     def n_classes(self) -> int:
-        return self.W.shape[0]
+        return self.W.shape[-2]
 
     @property
     def d_feature(self) -> int:
-        return self.W.shape[1]
+        return self.W.shape[-1]
+
+    def like(self, flat: np.ndarray) -> "HeadParams":
+        """A head (or stack) of this one's class count, feature size and variant, wrapping ``flat``."""
+        return HeadParams(flat, self.n_classes, self.d_feature, self.variant)
 
     def copy(self) -> "HeadParams":
-        return HeadParams(self.flat.copy(), self.n_classes, self.d_feature, self.variant)
+        return self.like(self.flat.copy())
 
 
 @dataclass
@@ -139,15 +151,22 @@ def plain_forward(F: np.ndarray, params: HeadParams) -> tuple[np.ndarray, np.nda
     return F @ params.W.T, np.linalg.norm(F, axis=1)
 
 
+def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A @ v over any leading axes, (..., n, D) @ (..., D) -> (..., n): one BLAS gemv per slice."""
+    return (A @ v[..., None])[..., 0]
+
+
 def multiplier_forward(F: np.ndarray, s: np.ndarray, fn: np.ndarray, params: HeadParams) -> BatchHeadTrace:
-    """alpha, beta, m and the logits m * s for a feature batch F whose plain part is (s, fn)."""
-    n = F.shape[0]
+    """alpha, beta, m and the logits m * s for a feature batch F whose plain part is (s, fn).
+
+    F is (..., n, D), s (..., n, k) and fn (..., n); leading axes match those of ``params.flat``.
+    """
     variant = params.variant
-    alpha = sigmoid(F @ params.alpha_w + params.alpha_b) if variant.has_alpha else np.ones(n)
-    beta = softplus(F @ params.beta_w + params.beta_b) if variant.has_beta else np.zeros(n)
+    alpha = sigmoid(_matvec(F, params.alpha_w) + params.alpha_b[..., None]) if variant.has_alpha else np.ones_like(fn)
+    beta = softplus(_matvec(F, params.beta_w) + params.beta_b[..., None]) if variant.has_beta else np.zeros_like(fn)
     degenerate = fn < EPS_NORM
     m = np.where(degenerate, 1.0 / alpha, 1.0 / alpha + beta / (alpha * np.where(degenerate, 1.0, fn)))
-    return BatchHeadTrace(alpha, beta, m, m[:, None] * s, s, fn, degenerate)
+    return BatchHeadTrace(alpha, beta, m, m[..., None] * s, s, fn, degenerate)
 
 
 def head_forward_batch(F: np.ndarray, params: HeadParams) -> BatchHeadTrace:
@@ -164,69 +183,73 @@ def head_backward_batch(
     Returns the pair (parameter gradients, feature gradients).  The first is
     summed over the batch, a HeadParams in the layout of ``params`` (zero for
     the heads a variant pins); the second holds one row per sample, zeroed
-    for degenerate samples.  With ``frozen_plain`` (F and W fixed, as in
-    calibration) only the multiplier part runs: W's gradient stays zero and
-    the feature gradients are None.
+    for degenerate samples; a stack of heads sums each slice apart.  With
+    ``frozen_plain`` (F and W fixed, as in calibration) only the multiplier
+    part runs: W's gradient stays zero and the feature gradients are None.
     """
     U = np.asarray(grad_logits, dtype=np.float64)
     if U.shape != trace.logits.shape:
         raise ShapeError(f"grad_logits shape {U.shape} does not match logits {trace.logits.shape}")
     variant = params.variant
     m, alpha, beta, d = trace.m, trace.alpha, trace.beta, trace.degenerate
-    grad = HeadParams(np.zeros_like(params.flat), params.n_classes, params.d_feature, variant)
+    grad = params.like(np.zeros_like(params.flat))
+    Ft = np.swapaxes(F, -1, -2)
 
     # The multiplier part: the alpha/beta gradients through us = d(loss)/dm per sample.
-    us = np.where(d, 0.0, np.einsum("ij,ij->i", U, trace.vanilla_logits))
+    us = np.where(d, 0.0, np.einsum("...ij,...ij->...i", U, trace.vanilla_logits))
     safe_fn = np.where(d, 1.0, trace.feature_norm)
     if variant.has_alpha:
         # dm/dalpha = -m/alpha, dalpha/dz = alpha(1-alpha)
         ga = us * (-m / alpha) * alpha * (1.0 - alpha)
-        grad.alpha_w[:] = F.T @ ga
-        grad.alpha_b = ga.sum()
+        grad.alpha_w[:] = _matvec(Ft, ga)
+        grad.alpha_b = ga.sum(axis=-1)
     if variant.has_beta:
         # dm/dbeta = 1/(alpha*||f||), dbeta/dz = sigmoid(z) = 1 - exp(-beta)
         dbeta_dz = -np.expm1(-beta)
         gb = us * dbeta_dz / (alpha * safe_fn)
         gb = np.where(d, 0.0, gb)
-        grad.beta_w[:] = F.T @ gb
-        grad.beta_b = gb.sum()
+        grad.beta_w[:] = _matvec(Ft, gb)
+        grad.beta_b = gb.sum(axis=-1)
     if frozen_plain:
         return grad, None
 
     # The plain part: the class-weight and feature gradients, then the multiplier's feature terms.
-    mU = m[:, None] * U
-    grad.W[:] = mU.T @ F
+    mU = m[..., None] * U
+    grad.W[:] = np.swapaxes(mU, -1, -2) @ F
     grad_F = mU @ params.W
     if variant.has_alpha:
-        grad_F += ga[:, None] * params.alpha_w[None, :]
+        grad_F += ga[..., None] * params.alpha_w[..., None, :]
     if variant.has_beta:
-        grad_F += gb[:, None] * params.beta_w[None, :]
+        grad_F += gb[..., None] * params.beta_w[..., None, :]
         # dm/d||f|| = -beta/(alpha ||f||^2), d||f||/df = f/||f||
         gn = np.where(d, 0.0, us * (-beta / (alpha * safe_fn**2)) / safe_fn)
-        grad_F += gn[:, None] * F
+        grad_F += gn[..., None] * F
     grad_F[d] = 0.0
     return grad, grad_F
 
 
 def _mean_nll(shifted: np.ndarray, esum: np.ndarray, labels):
-    """Mean of log(esum) - shifted[label] over the rows, and the (rows, labels) index used."""
+    """Mean of log(esum) - shifted[label] over the rows of each batch, and the index of the picked logits."""
     y = np.asarray(labels)
-    if np.any(y < 0) or np.any(y >= shifted.shape[1]):
+    if np.any(y < 0) or np.any(y >= shifted.shape[-1]):
         raise IndexError("label out of range")
-    pick = (np.arange(shifted.shape[0]), y)
-    return float(np.mean(np.log(esum) - shifted[pick])), pick
+    pick = (*np.indices(y.shape, sparse=True), y)
+    return np.mean(np.log(esum) - shifted[pick], axis=-1), pick
 
 
-def cross_entropy(logits: np.ndarray, labels) -> float:
-    """Mean softmax cross-entropy of a logit batch against integer labels."""
+def cross_entropy(logits: np.ndarray, labels):
+    """Mean softmax cross-entropy of a logit batch (..., n, k) against integer labels (..., n).
+
+    A float for one batch, an array over the leading axes for a stack.
+    """
     shifted, _, esum = shifted_exp(logits)
     return _mean_nll(shifted, esum, labels)[0]
 
 
-def softmax_cross_entropy_batch(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over a batch and its gradient wrt every logit."""
+def softmax_cross_entropy_batch(logits: np.ndarray, labels):
+    """Mean cross-entropy over a batch (as in ``cross_entropy``) and its gradient wrt every logit."""
     shifted, e, esum = shifted_exp(logits)
     loss, pick = _mean_nll(shifted, esum, labels)
-    grad = e / esum[:, None]
+    grad = e / esum[..., None]
     grad[pick] -= 1.0
-    return loss, grad / shifted.shape[0]
+    return loss, grad / shifted.shape[-2]

@@ -289,17 +289,19 @@ def momentum_step(
 ) -> None:
     """One SGD-with-momentum update of the flat vector p (and its velocity v), in place.
 
-    Weight decay applies to p[:n_decay] only (all of p by default).  g is not
-    modified; the update holds one scratch vector the size of p, first for the
-    decayed gradient g + weight_decay * p, then for lr * v.
+    p, g and v may carry leading axes, one vector per slice of a stack.
+    Weight decay applies to p[..., :n_decay] only (all of p by default).  g
+    is not modified; the update holds one scratch array the size of p, first
+    for the decayed gradient g + weight_decay * p, then for lr * v.
     """
     scratch = np.empty_like(p)
     v *= momentum
     if weight_decay:
-        decayed = np.multiply(p[:n_decay], weight_decay, out=scratch[:n_decay])
-        decayed += g[:n_decay]
-        v[: decayed.size] += decayed
-        v[decayed.size :] += g[decayed.size :]
+        decayed = np.multiply(p[..., :n_decay], weight_decay, out=scratch[..., :n_decay])
+        decayed += g[..., :n_decay]
+        n = decayed.shape[-1]
+        v[..., :n] += decayed
+        v[..., n:] += g[..., n:]
     else:
         v += g
     p -= np.multiply(v, lr, out=scratch)

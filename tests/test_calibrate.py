@@ -17,10 +17,12 @@ from geodin.calibrate import (
     split_metrics,
     temperature_scale,
 )
+from geodin.config import load_run_config
 from geodin.errors import ConfigError, DomainError, NumericError, UnsupportedVariantError
-from geodin.head import HeadVariant
+from geodin.head import HeadVariant, head_forward_batch, plain_forward
 from geodin.scores import score_batch
-from geodin.train import TrainConfig, accuracy, extract_features, model_logits, predict, train
+from geodin.train import TrainConfig, accuracy, extract_features, model_logits, predict, shuffles, train
+from test_fingerprint import SMALL_CONFIG
 
 calibrate_module = importlib.import_module("geodin.calibrate")  # the package's `calibrate` is the function
 
@@ -261,6 +263,75 @@ class TestCalibrate:
         X = np.abs(np.random.default_rng(0).normal(size=(3, 12)))
         with pytest.raises(ConfigError):
             calibrate(model, (X, np.array([0, 1, 2])), CalibConfig(folds=5))
+
+
+def _fold_oracle(model, val_set, config):
+    """The tuning split's (F, s, ||f||, labels), the folds' held-out and rest rows, and each
+    fold's head tuned on its own, as a stack of one."""
+    X, y = val_set
+    F = extract_features(model, X)
+    val = (F, *plain_forward(F, model.head), np.asarray(y, dtype=np.int64))
+    pieces = np.array_split(next(shuffles(len(y), config.seed, 3)), config.folds)
+    rests = [np.concatenate(pieces[:k] + pieces[k + 1 :]) for k in range(config.folds)]
+    return val, pieces, rests, [calibrate_module._tune_head(model.head, val, rest[None], config) for rest in rests]
+
+
+@pytest.fixture(scope="module")
+def fingerprint_model(tmp_path_factory):
+    """The golden-digest config's model, its 48-row tuning split and calibration config."""
+    path = tmp_path_factory.mktemp("fingerprint_calibrate") / "small.cfg"
+    path.write_text(SMALL_CONFIG, encoding="utf-8")
+    cfg = load_run_config(path)
+    t = cfg.task
+    task = make_task(t.k, t.d_in, t.n_per_class, t.noise, t.seed, val_frac=t.val_frac, test_frac=t.test_frac)
+    model = train(cfg.train.config(t.seed), task.train, n_classes=t.k)
+    return model, task.val, cfg.calibrate.config(t.seed)
+
+
+class TestStackedFolds:
+    """The k folds are tuned as stacks of equal rest size; each fold's head is
+    the one a stack of one on its own rows gives, bit for bit."""
+
+    @pytest.mark.parametrize("case", ["even", "ragged"])
+    def test_stacked_folds_match_one_at_a_time(self, case, fingerprint_model, trained_task_model):
+        if case == "even":
+            model, val_set, config = fingerprint_model
+            assert (len(val_set[1]), config.folds) == (48, 2)
+        else:
+            task, model = trained_task_model
+            val_set, config = task.val, CalibConfig(seed=21, epochs=4, folds=5)
+        val, pieces, rests, oracle = _fold_oracle(model, val_set, config)
+        sizes = sorted({len(rest) for rest in rests})
+        assert sizes == ([24] if case == "even" else [115, 116])
+        for size in sizes:
+            group = [k for k, rest in enumerate(rests) if len(rest) == size]
+            heads, best_epoch, nll_before, nll_after = calibrate_module._tune_head(
+                model.head, val, np.stack([rests[k] for k in group]), config
+            )
+            for g, k in enumerate(group):
+                one_head, one_epoch, one_before, one_after = oracle[k]
+                assert heads.flat[g].tobytes() == one_head.flat[0].tobytes()
+                assert (best_epoch[g], nll_before[g], nll_after[g]) == (one_epoch[0], one_before[0], one_after[0])
+
+        _, report = calibrate(model, val_set, config)
+        F, _, _, y = val
+        for k, held in enumerate(pieces):
+            head = oracle[k][0]
+            assert report.folds[k]["after"] == split_metrics(head_forward_batch(F[held], head.like(head.flat[0])).logits, y[held])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad_slice", [0, 2])
+    def test_non_finite_nll_in_one_slice_raises_before_any_step(self, trained_task_model, monkeypatch, bad_slice):
+        task, model = trained_task_model
+        F = extract_features(model, task.val[0])
+        s, fn = plain_forward(F, model.head)
+        rows = np.random.default_rng(0).permutation(len(F))[:120].reshape(3, 40)  # three disjoint row sets
+        s[rows[bad_slice, 0]] = 1e308  # that row's logits m * s overflow
+        steps = []
+        monkeypatch.setattr(calibrate_module, "momentum_step", lambda *args: steps.append(args))
+        with pytest.raises(NumericError, match="non-finite tuning NLL"):
+            calibrate_module._tune_head(model.head, (F, s, fn, task.val[1]), rows, CalibConfig(seed=21, epochs=2))
+        assert steps == []
 
 
 def _inflated(model):

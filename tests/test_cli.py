@@ -11,8 +11,8 @@ from geodin.calibrate import CalibConfig
 from geodin.cli import main
 from geodin.config import load_run_config
 from geodin.errors import ConfigError
-from geodin.persist import fnv1a64, load_model, read_report
-from geodin.train import TrainConfig
+from geodin.persist import fnv1a64, load_model, read_report, save_model
+from geodin.train import TrainConfig, init_model
 
 SMALL_CONFIG = """\
 # desk-size run for tests
@@ -296,6 +296,17 @@ class TestCmdDetect:
             ["detect", "--config", str(config_file), "--checkpoint", str(tmp_path / "none.godn"), "--out", str(tmp_path / "rep")]
         )
         assert code == 3
+
+
+@pytest.mark.parametrize("command", ["detect", "calibrate"])
+def test_untrained_checkpoint_exit_3(config_file, tmp_path, capsys, command):
+    cfg = load_run_config(config_file)
+    untrained = tmp_path / "untrained.godn"
+    save_model(init_model(cfg.train.config(cfg.task.seed), cfg.task.d_in, cfg.task.k), untrained)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config_file), "--checkpoint", str(untrained), "--out", str(out)]) == 3
+    assert "untrained" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "untrained.godn"]
 
 
 class TestCmdCalibrate:

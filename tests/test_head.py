@@ -22,6 +22,7 @@ from geodin.head import (
     softmax_cross_entropy_batch,
     softplus,
 )
+from geodin.train import momentum_step
 
 
 def random_params(rng, d=6, m=4, variant=HeadVariant.ALPHA_BETA):
@@ -251,6 +252,22 @@ def rel_err(a, n):
     return float(np.max(np.abs(a - n) / np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-3)))
 
 
+def assert_matches_fd(analytic, analytic_f, numeric, variant):
+    """An analytic gradient pair against fd_gradients; a pinned head's gradient is exactly zero."""
+    assert rel_err(analytic.W, numeric["W"]) < 1e-6
+    assert rel_err(analytic_f, numeric["f"]) < 1e-6
+    if variant.has_alpha:
+        assert rel_err(analytic.alpha_w, numeric["alpha_w"]) < 1e-6
+        assert rel_err(analytic.alpha_b, numeric["alpha_b"]) < 1e-6
+    else:
+        assert np.all(analytic.alpha_w == 0.0) and analytic.alpha_b == 0.0
+    if variant.has_beta:
+        assert rel_err(analytic.beta_w, numeric["beta_w"]) < 1e-6
+        assert rel_err(analytic.beta_b, numeric["beta_b"]) < 1e-6
+    else:
+        assert np.all(analytic.beta_w == 0.0) and analytic.beta_b == 0.0
+
+
 class TestHeadBackward:
     def test_zero_upstream_gives_zero(self):
         rng = np.random.default_rng(9)
@@ -278,19 +295,7 @@ class TestHeadBackward:
             p = random_params(rng, variant=variant)
             u = rng.normal(0.0, 1.0, 4)
             analytic, analytic_f = backward(f, p, u)
-            numeric = fd_gradients(f, p, u)
-            assert rel_err(analytic.W, numeric["W"]) < 1e-6
-            assert rel_err(analytic_f, numeric["f"]) < 1e-6
-            if variant.has_alpha:
-                assert rel_err(analytic.alpha_w, numeric["alpha_w"]) < 1e-6
-                assert rel_err(analytic.alpha_b, numeric["alpha_b"]) < 1e-6
-            else:
-                assert np.all(analytic.alpha_w == 0.0) and analytic.alpha_b == 0.0
-            if variant.has_beta:
-                assert rel_err(analytic.beta_w, numeric["beta_w"]) < 1e-6
-                assert rel_err(analytic.beta_b, numeric["beta_b"]) < 1e-6
-            else:
-                assert np.all(analytic.beta_w == 0.0) and analytic.beta_b == 0.0
+            assert_matches_fd(analytic, analytic_f, fd_gradients(f, p, u), variant)
 
     def test_degenerate_f_gradient_zero(self):
         rng = np.random.default_rng(12)
@@ -322,6 +327,74 @@ class TestSharedMultiplierGradient:
             assert got.flat[tail:].tobytes() == want.flat[tail:].tobytes()
             assert np.any(got.flat[tail:] != 0.0)
             assert np.all(got.W == 0.0) and got_F is None
+
+
+def stacked(heads):
+    """One HeadParams whose flat stacks the given heads' flats along a leading axis."""
+    return heads[0].like(np.stack([h.flat for h in heads]))
+
+
+def stacked_plain(F, stack):
+    """The plain part (s, ||f||) of feature batches F (G, n, D), batch g against head g of a stack."""
+    return F @ np.swapaxes(stack.W, -1, -2), np.linalg.norm(F, axis=-1)
+
+
+class TestStackedHeads:
+    """A stack of G heads along a leading axis: each pass over the stack equals
+    the per-head calls on its slices bit for bit."""
+
+    @pytest.mark.parametrize("variant", list(HeadVariant))
+    def test_stack_matches_per_slice_calls(self, variant):
+        rng = np.random.default_rng(19)
+        heads = [random_params(rng, variant=variant) for _ in range(3)]
+        stack = stacked(heads)
+        assert stack.W.shape == (3, 4, 6) and stack.alpha_b.shape == (3,)
+        F = rng.uniform(0.0, 2.0, (3, 16, 6))
+        F[1, 3] = 0.0  # a degenerate row
+        s, fn = stacked_plain(F, stack)
+        U = rng.normal(0.0, 1.0, (3, 16, 4))
+        trace = multiplier_forward(F, s, fn, stack)
+        for g, head in enumerate(heads):
+            assert s[g].tobytes() == plain_forward(F[g], head)[0].tobytes()
+            one = multiplier_forward(F[g], s[g], fn[g], head)
+            for field in dataclasses.fields(one):
+                assert getattr(trace, field.name)[g].tobytes() == getattr(one, field.name).tobytes(), field.name
+        for frozen in (True, False):
+            got, got_F = head_backward_batch(trace, F, stack, U, frozen_plain=frozen)
+            for g, head in enumerate(heads):
+                want, want_F = head_backward_batch(
+                    multiplier_forward(F[g], s[g], fn[g], head), F[g], head, U[g], frozen_plain=frozen
+                )
+                assert got.flat[g].tobytes() == want.flat.tobytes()
+                assert (got_F is None) == (want_F is None) == frozen
+                if not frozen:
+                    assert got_F[g].tobytes() == want_F.tobytes()
+
+    def test_cross_entropy_and_momentum_step_per_slice(self):
+        rng = np.random.default_rng(20)
+        logits = rng.normal(0.0, 3.0, (3, 40, 5))
+        labels = rng.integers(0, 5, (3, 40))
+        loss, grad = softmax_cross_entropy_batch(logits, labels)
+        nll = cross_entropy(logits, labels)
+        assert loss.shape == nll.shape == (3,)
+        p, g, v = rng.normal(size=(3, 3, 9))
+        p_one, v_one = p.copy(), v.copy()
+        momentum_step(p[:, 2:], g[:, 2:], v[:, 2:], 0.1, 0.9, 5e-4, 4)
+        for i in range(3):
+            one_loss, one_grad = softmax_cross_entropy_batch(logits[i], labels[i])
+            assert loss[i] == one_loss == nll[i] and grad[i].tobytes() == one_grad.tobytes()
+            momentum_step(p_one[i, 2:], g[i, 2:], v_one[i, 2:], 0.1, 0.9, 5e-4, 4)
+        assert p.tobytes() == p_one.tobytes() and v.tobytes() == v_one.tobytes()
+
+    def test_stacked_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(21)
+        heads = [random_params(rng) for _ in range(3)]
+        stack = stacked(heads)
+        F = rng.uniform(0.0, 2.0, (3, 1, 6))  # one sample per head
+        U = rng.normal(0.0, 1.0, (3, 1, 4))
+        analytic, analytic_F = head_backward_batch(multiplier_forward(F, *stacked_plain(F, stack), stack), F, stack, U)
+        for g, head in enumerate(heads):
+            assert_matches_fd(analytic.like(analytic.flat[g]), analytic_F[g, 0], fd_gradients(F[g, 0], head, U[g, 0]), head.variant)
 
 
 class TestSoftmaxCrossEntropy:
