@@ -12,8 +12,9 @@ once and steps only the multiplier, on the training schedule
 decay.  Row sets of one size share that schedule, so ``_tune_head`` tunes
 a stack of heads (see ``head``) on equal-size row sets in one call per
 step: the main run is a stack of one, and the k folds, whose sizes
-``np.array_split`` makes differ by at most one, form at most two stacks.
-Each fold's head is bit for bit the one a run of its own would give.
+``np.array_split`` makes differ by at most one, are stacked by size, at
+most ``STACK_BYTES`` of row copies per stack.  Each fold's head is bit for
+bit the one a run of its own would give.
 ECE / NLL / reliability-bin metrics and a temperature-scaling baseline live
 here too.
 """
@@ -37,6 +38,11 @@ from .head import (
 )
 from .scores import shifted_exp
 from .train import Model, check_sgd, extract_features, minibatches, momentum_step, shuffles
+
+# Bytes of the stacked row copies one _tune_head call may hold.  Five wide folds
+# (2048 rows of D=64, k=32) take 8 MB; more folds go to further stacks rather
+# than grow the copies with the fold count.
+STACK_BYTES = 16 << 20
 
 
 @dataclass(frozen=True)
@@ -292,11 +298,13 @@ def calibrate(model: Model, val_set, config: CalibConfig, eval_sets: dict | None
             raise ConfigError(f"folds={config.folds} exceeds validation size {Xv.shape[0]}")
         pieces = np.array_split(next(shuffles(Xv.shape[0], config.seed, 3)), config.folds)
         rests = [np.concatenate(pieces[:k] + pieces[k + 1 :]) for k in range(config.folds)]
-        fold_heads = {}
-        for size in {len(rest) for rest in rests}:  # at most two sizes, one stack each
+        fold_heads, row_bytes = {}, sum(a[0].nbytes for a in val)
+        for size in {len(rest) for rest in rests}:  # at most two sizes
             group = [k for k, rest in enumerate(rests) if len(rest) == size]
-            tuned, *_ = _tune_head(model.head, val, np.stack([rests[k] for k in group]), config)
-            fold_heads.update((k, tuned.like(tuned.flat[g])) for g, k in enumerate(group))
+            per_stack = max(1, STACK_BYTES // (size * row_bytes))
+            for stack in (group[i : i + per_stack] for i in range(0, len(group), per_stack)):
+                tuned, *_ = _tune_head(model.head, val, np.stack([rests[k] for k in stack]), config)
+                fold_heads.update((k, tuned.like(tuned.flat[g])) for g, k in enumerate(stack))
         for k, held in enumerate(pieces):
             report.folds.append(
                 {"fold": k, "before": metrics("val", model.head, held), "after": metrics("val", fold_heads[k], held)}

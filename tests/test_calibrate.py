@@ -317,7 +317,26 @@ class TestStackedFolds:
         F, _, _, y = val
         for k, held in enumerate(pieces):
             head = oracle[k][0]
-            assert report.folds[k]["after"] == split_metrics(head_forward_batch(F[held], head.like(head.flat[0])).logits, y[held])
+            logits = head_forward_batch(F[held], head.like(head.flat[0])).logits
+            assert report.folds[k]["after"] == split_metrics(logits, y[held])
+
+    def test_stack_byte_bound_splits_stacks_without_changing_results(self, trained_task_model, monkeypatch):
+        task, model = trained_task_model
+        config = CalibConfig(seed=21, epochs=2, folds=5)
+        _, whole = calibrate(model, task.val, config)
+        stacks = []
+        tune = calibrate_module._tune_head
+
+        def counted(head, val, rows, config):
+            stacks.append(len(rows))
+            return tune(head, val, rows, config)
+
+        row_bytes = (model.head.d_feature + model.head.n_classes + 2) * 8  # a row of F, s, ||f|| and labels
+        monkeypatch.setattr(calibrate_module, "_tune_head", counted)
+        monkeypatch.setattr(calibrate_module, "STACK_BYTES", 2 * 116 * row_bytes)
+        _, split = calibrate(model, task.val, config)
+        assert sorted(stacks) == [1, 1, 2, 2]  # the main run; the four 115-row folds in twos; the 116-row fold
+        assert split.to_dict() == whole.to_dict()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("bad_slice", [0, 2])

@@ -394,7 +394,8 @@ class TestStackedHeads:
         U = rng.normal(0.0, 1.0, (3, 1, 4))
         analytic, analytic_F = head_backward_batch(multiplier_forward(F, *stacked_plain(F, stack), stack), F, stack, U)
         for g, head in enumerate(heads):
-            assert_matches_fd(analytic.like(analytic.flat[g]), analytic_F[g, 0], fd_gradients(F[g, 0], head, U[g, 0]), head.variant)
+            numeric = fd_gradients(F[g, 0], head, U[g, 0])
+            assert_matches_fd(analytic.like(analytic.flat[g]), analytic_F[g, 0], numeric, head.variant)
 
 
 class TestSoftmaxCrossEntropy:
