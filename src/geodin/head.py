@@ -231,10 +231,11 @@ def head_backward_batch(
 def _mean_nll(shifted: np.ndarray, esum: np.ndarray, labels):
     """Mean of log(esum) - shifted[label] over the rows of each batch, and the index of the picked logits."""
     y = np.asarray(labels)
-    if np.any(y < 0) or np.any(y >= shifted.shape[-1]):
+    if (y < 0).any() or (y >= shifted.shape[-1]).any():
         raise IndexError("label out of range")
     pick = (*np.indices(y.shape, sparse=True), y)
-    return np.mean(np.log(esum) - shifted[pick], axis=-1), pick
+    nll = np.log(esum) - shifted[pick]
+    return nll.sum(axis=-1) / nll.shape[-1], pick  # np.mean's sum and division, without its per-call wrapper
 
 
 def cross_entropy(logits: np.ndarray, labels):
