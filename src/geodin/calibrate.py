@@ -213,7 +213,10 @@ def _tune_head(head, val, rows: np.ndarray, config: CalibConfig):
     stacked HeadParams, best epochs, NLLs before, NLLs after), each along the
     leading axis of length G; each copy keeps its best state across epochs
     -1..epochs, so no tuning NLL increases.  Raises NumericError when any
-    NLL before tuning is not finite.
+    NLL before tuning is not finite, and IndexError (from that NLL's
+    ``cross_entropy``) when a label is out of range: the steps do not check
+    them.  The head gradient and the momentum scratch are allocated once per
+    call and overwritten by each step.
     """
     F, s, fn, y = (a[rows] for a in val)  # each step gathers its batch from these stacked copies
     heads = head.like(np.tile(head.flat, (rows.shape[0], 1)))
@@ -227,14 +230,17 @@ def _tune_head(head, val, rows: np.ndarray, config: CalibConfig):
         raise NumericError(f"non-finite tuning NLL {bad}: the head overflows on this split")
     best_nll, best_epoch, best_flat = nll_before, np.full(rows.shape[0], -1), heads.flat.copy()
     tail = head.W.size  # the alpha/beta parameters follow W in head.flat
-    velocity = np.zeros_like(heads.flat[:, tail:])
+    hg = heads.like(np.zeros_like(heads.flat))  # its W part stays zero: the steps are frozen_plain
+    live, live_grad = heads.flat[:, tail:], hg.flat[:, tail:]
+    velocity, scratch = np.zeros_like(live), np.empty_like(live)
     for epoch, steps in enumerate(minibatches(rows.shape[1], config, 2)):
         for idx, lr in steps:
             Fb = F[:, idx]
             trace = multiplier_forward(Fb, s[:, idx], fn[:, idx], heads)
+            # The loss is discarded, not skipped: one softmax cross-entropy serves train and calibrate.
             _, grad_logits = softmax_cross_entropy_batch(trace.logits, y[:, idx])
-            hg, _ = head_backward_batch(trace, Fb, heads, grad_logits, frozen_plain=True)
-            momentum_step(heads.flat[:, tail:], hg.flat[:, tail:], velocity, lr, config.momentum)
+            head_backward_batch(trace, Fb, heads, grad_logits, frozen_plain=True, out=hg)
+            momentum_step(live, live_grad, velocity, lr, config.momentum, scratch=scratch)
         epoch_nll = full_nll()
         better = epoch_nll < best_nll
         best_nll = np.where(better, epoch_nll, best_nll)

@@ -55,7 +55,8 @@ def sigmoid(x):
     """Numerically stable logistic function."""
     x = np.asarray(x, dtype=np.float64)
     ex = np.exp(-np.abs(x))  # exp(-x) where x >= 0, exp(x) elsewhere: never overflows
-    out = np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+    denom = 1.0 + ex
+    out = np.where(x >= 0, 1.0 / denom, ex / denom)
     return out if out.ndim else float(out)
 
 
@@ -148,7 +149,7 @@ def plain_forward(F: np.ndarray, params: HeadParams) -> tuple[np.ndarray, np.nda
     """The plain part of a feature batch F of shape (n, D): s = F W^T and ||f|| per row."""
     if F.ndim != 2 or F.shape[1] != params.d_feature:
         raise ShapeError(f"feature batch shape {F.shape} does not match head dim {params.d_feature}")
-    return F @ params.W.T, np.linalg.norm(F, axis=1)
+    return F @ params.W.T, np.sqrt(np.add.reduce(F * F, axis=1))  # np.linalg.norm's sum for real F
 
 
 def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -176,7 +177,8 @@ def head_forward_batch(F: np.ndarray, params: HeadParams) -> BatchHeadTrace:
 
 
 def head_backward_batch(
-    trace: BatchHeadTrace, F: np.ndarray, params: HeadParams, grad_logits: np.ndarray, frozen_plain: bool = False
+    trace: BatchHeadTrace, F: np.ndarray, params: HeadParams, grad_logits: np.ndarray, frozen_plain: bool = False,
+    out: HeadParams | None = None,
 ) -> tuple[HeadParams, np.ndarray | None]:
     """Analytic gradients of sum(grad_logits * logits) for a batch.
 
@@ -186,13 +188,18 @@ def head_backward_batch(
     for degenerate samples; a stack of heads sums each slice apart.  With
     ``frozen_plain`` (F and W fixed, as in calibration) only the multiplier
     part runs: W's gradient stays zero and the feature gradients are None.
+
+    The parameter gradients go into ``out`` when given, else into a new
+    zeroed HeadParams.  A call writes only the live parts (not the pinned
+    heads, nor W when ``frozen_plain``), so one buffer zeroed once serves a
+    whole run; each step's gradient in it is valid until the next call.
     """
     U = np.asarray(grad_logits, dtype=np.float64)
     if U.shape != trace.logits.shape:
         raise ShapeError(f"grad_logits shape {U.shape} does not match logits {trace.logits.shape}")
     variant = params.variant
     m, alpha, beta, d = trace.m, trace.alpha, trace.beta, trace.degenerate
-    grad = params.like(np.zeros_like(params.flat))
+    grad = params.like(np.zeros_like(params.flat)) if out is None else out
     Ft = np.swapaxes(F, -1, -2)
 
     # The multiplier part: the alpha/beta gradients through us = d(loss)/dm per sample.
@@ -202,20 +209,20 @@ def head_backward_batch(
         # dm/dalpha = -m/alpha, dalpha/dz = alpha(1-alpha)
         ga = us * (-m / alpha) * alpha * (1.0 - alpha)
         grad.alpha_w[:] = _matvec(Ft, ga)
-        grad.alpha_b = ga.sum(axis=-1)
+        grad.alpha_b = np.add.reduce(ga, axis=-1)
     if variant.has_beta:
         # dm/dbeta = 1/(alpha*||f||), dbeta/dz = sigmoid(z) = 1 - exp(-beta)
         dbeta_dz = -np.expm1(-beta)
         gb = us * dbeta_dz / (alpha * safe_fn)
         gb = np.where(d, 0.0, gb)
         grad.beta_w[:] = _matvec(Ft, gb)
-        grad.beta_b = gb.sum(axis=-1)
+        grad.beta_b = np.add.reduce(gb, axis=-1)
     if frozen_plain:
         return grad, None
 
     # The plain part: the class-weight and feature gradients, then the multiplier's feature terms.
     mU = m[..., None] * U
-    grad.W[:] = np.swapaxes(mU, -1, -2) @ F
+    np.matmul(np.swapaxes(mU, -1, -2), F, out=grad.W)
     grad_F = mU @ params.W
     if variant.has_alpha:
         grad_F += ga[..., None] * params.alpha_w[..., None, :]
@@ -228,11 +235,8 @@ def head_backward_batch(
     return grad, grad_F
 
 
-def _mean_nll(shifted: np.ndarray, esum: np.ndarray, labels):
+def _mean_nll(shifted: np.ndarray, esum: np.ndarray, y: np.ndarray):
     """Mean of log(esum) - shifted[label] over the rows of each batch, and the index of the picked logits."""
-    y = np.asarray(labels)
-    if (y < 0).any() or (y >= shifted.shape[-1]).any():
-        raise IndexError("label out of range")
     pick = (*np.indices(y.shape, sparse=True), y)
     nll = np.log(esum) - shifted[pick]
     return nll.sum(axis=-1) / nll.shape[-1], pick  # np.mean's sum and division, without its per-call wrapper
@@ -241,16 +245,26 @@ def _mean_nll(shifted: np.ndarray, esum: np.ndarray, labels):
 def cross_entropy(logits: np.ndarray, labels):
     """Mean softmax cross-entropy of a logit batch (..., n, k) against integer labels (..., n).
 
-    A float for one batch, an array over the leading axes for a stack.
+    A float for one batch, an array over the leading axes for a stack;
+    IndexError unless every label lies in [0, k).
     """
     shifted, _, esum = shifted_exp(logits)
-    return _mean_nll(shifted, esum, labels)[0]
+    y = np.asarray(labels)
+    if (y < 0).any() or (y >= shifted.shape[-1]).any():
+        raise IndexError("label out of range")
+    return _mean_nll(shifted, esum, y)[0]
 
 
 def softmax_cross_entropy_batch(logits: np.ndarray, labels):
-    """Mean cross-entropy over a batch (as in ``cross_entropy``) and its gradient wrt every logit."""
+    """Mean cross-entropy over a batch (as in ``cross_entropy``) and its gradient wrt every logit.
+
+    The labels must lie in [0, k): this per-step call does not check them,
+    and a negative one silently picks from the end of its row.  ``train``
+    checks its labels once per run; calibration's tuning checks its split's
+    in the ``cross_entropy`` of its NLL before the first step.
+    """
     shifted, e, esum = shifted_exp(logits)
-    loss, pick = _mean_nll(shifted, esum, labels)
+    loss, pick = _mean_nll(shifted, esum, np.asarray(labels))
     grad = e / esum[..., None]
     grad[pick] -= 1.0
     return loss, grad / shifted.shape[-2]

@@ -17,6 +17,15 @@ runs too, on the head's alpha/beta slice and without weight decay.  The init
 draw and each shuffle stream are seeded, and batch gradients are accumulated
 by numpy's fixed pairwise reductions, so a (config, dataset) pair reproduces
 the model bit for bit.
+
+A step does only that step's arithmetic.  ``train`` checks its inputs and
+labels and projects every row onto the unit sphere once per run (the
+projection works row by row, so a batch of projected rows is the projection
+of the batch), and allocates once per run the buffers each step overwrites:
+the extractor and head gradients (``out=`` of ``loss_and_grads``,
+``extractor_backward`` and ``head_backward_batch``) and one ``momentum_step``
+scratch per parameter vector.  A gradient returned in such a buffer is valid
+until the next step.
 """
 
 from __future__ import annotations
@@ -174,8 +183,12 @@ def minibatches(n: int, config, tag: int):
 
 
 def unit_rows(X: np.ndarray) -> np.ndarray:
-    """Project rows onto the unit sphere, in a new C-ordered float64 array; rows with ~zero norm pass through."""
-    norms = np.linalg.norm(X, axis=1, keepdims=True)
+    """Project the rows of a float64 batch onto the unit sphere, in a new C-ordered array.
+
+    Rows with ~zero norm pass through.  Each row's result depends on that row
+    alone, so ``unit_rows(X)[idx]`` is ``unit_rows(X[idx])`` bit for bit.
+    """
+    norms = np.sqrt(np.add.reduce(X * X, axis=1, keepdims=True))  # np.linalg.norm's sum for real X
     return np.divide(X, norms, out=X.astype(np.float64, order="C"), where=norms >= 1e-12)
 
 
@@ -194,27 +207,35 @@ def extractor_forward(params: ExtractorParams, X: np.ndarray) -> np.ndarray:
     return a
 
 
-def extractor_activations(params: ExtractorParams, X: np.ndarray) -> list[np.ndarray]:
-    """The forward pass backprop needs: the activations [unit_rows(X), a_1, ..., a_L = features]."""
-    acts = [unit_rows(X)]
+def extractor_activations(params: ExtractorParams, U: np.ndarray) -> list[np.ndarray]:
+    """The forward pass backprop needs, for a batch U of rows already projected by ``unit_rows``.
+
+    Returns the activations [U, a_1, ..., a_L = features].
+    """
+    acts = [U]
     for W, b in params.layers:
         acts.append(_layer(acts[-1], W, b))
     return acts
 
 
-def extractor_backward(params: ExtractorParams, acts, grad_F: np.ndarray) -> np.ndarray:
+def extractor_backward(
+    params: ExtractorParams, acts, grad_F: np.ndarray, out: ExtractorParams | None = None
+) -> np.ndarray:
     """Backprop grad wrt features through the rectified layers.
 
     Each layer's mask is its activation > 0, which holds exactly where its
     pre-activation is > 0.  Each layer's gradients are written into their
-    views of one vector in the layout of ``params.flat``, which is returned.
+    views of one vector in the layout of ``params.flat``, which is returned:
+    ``out.flat`` when given (every element is overwritten, so ``train``
+    passes one buffer for the run; the gradient is valid until the next
+    step), else a new vector.
     """
-    grads = ExtractorParams(np.empty_like(params.flat), params.dims)
+    grads = ExtractorParams(np.empty_like(params.flat), params.dims) if out is None else out
     g = grad_F
     for i in range(len(params.layers) - 1, -1, -1):
         dz = g * (acts[i + 1] > 0)
         gW, gb = grads.layers[i]
-        dz.sum(axis=0, out=gb)
+        np.add.reduce(dz, axis=0, out=gb)
         np.matmul(dz.T, acts[i], out=gW)
         if i > 0:
             g = dz @ params.layers[i][0]
@@ -232,20 +253,15 @@ def init_model(config: TrainConfig, d_in: int, n_classes: int) -> Model:
     return Model(extractor, head, {"seed": int(config.seed), "trained": False})
 
 
-def _check_inputs(model: Model, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.extractor.d_in:
-        raise ShapeError(f"input batch shape {X.shape} does not match model d_in {model.extractor.d_in}")
-    return X
-
-
 def extract_features(model: Model, inputs) -> np.ndarray:
     """Feature batch for a 2-D input batch (or one 1-D sample)."""
     X = np.asarray(inputs, dtype=np.float64)
     single = X.ndim == 1
     if single:
         X = X[None, :]
-    F = extractor_forward(model.extractor, _check_inputs(model, X))
+    if X.ndim != 2 or X.shape[1] != model.extractor.d_in:
+        raise ShapeError(f"input batch shape {X.shape} does not match model d_in {model.extractor.d_in}")
+    F = extractor_forward(model.extractor, X)
     if not np.all(np.isfinite(F)):
         raise NumericError("extractor produced non-finite features")
     return F[0] if single else F
@@ -269,32 +285,40 @@ def accuracy(model: Model, X, y) -> float:
     return float(np.mean(predicted == y))
 
 
-def loss_and_grads(model: Model, X: np.ndarray, y: np.ndarray):
-    """Mean cross-entropy over the batch and its gradients.
+def loss_and_grads(model: Model, X: np.ndarray, y: np.ndarray, out=None):
+    """Mean cross-entropy over one SGD batch and its gradients.
 
-    Returns (loss, (extractor gradient, head gradient)), each gradient in the
-    layout of the matching parameter object's ``flat``.
+    X holds the batch's rows already projected by ``unit_rows`` and y their
+    labels in [0, k); ``train`` checks and projects its inputs once per run,
+    so neither is checked here.  Returns (loss, (extractor gradient, head
+    gradient)), each in the layout of its parameter object's ``flat``.
+    ``out``, an (ExtractorParams, zeroed HeadParams) pair of buffers for the
+    run, goes to ``extractor_backward`` and ``head_backward_batch``; the
+    gradients returned in it are valid until the next step.
     """
-    X = _check_inputs(model, X)
+    ext_out, head_out = (None, None) if out is None else out
     acts = extractor_activations(model.extractor, X)
     trace = head_forward_batch(acts[-1], model.head)
     loss, grad_logits = softmax_cross_entropy_batch(trace.logits, y)
-    hg, grad_F = head_backward_batch(trace, acts[-1], model.head, grad_logits)
-    return loss, (extractor_backward(model.extractor, acts, grad_F), hg.flat)
+    hg, grad_F = head_backward_batch(trace, acts[-1], model.head, grad_logits, out=head_out)
+    return loss, (extractor_backward(model.extractor, acts, grad_F, out=ext_out), hg.flat)
 
 
 def momentum_step(
     p: np.ndarray, g: np.ndarray, v: np.ndarray, lr: float, momentum: float,
-    weight_decay: float = 0.0, n_decay: int | None = None,
+    weight_decay: float = 0.0, n_decay: int | None = None, scratch: np.ndarray | None = None,
 ) -> None:
     """One SGD-with-momentum update of the flat vector p (and its velocity v), in place.
 
     p, g and v may carry leading axes, one vector per slice of a stack.
     Weight decay applies to p[..., :n_decay] only (all of p by default).  g
-    is not modified; the update holds one scratch array the size of p, first
-    for the decayed gradient g + weight_decay * p, then for lr * v.
+    is not modified; the update uses one scratch array of p's shape, first
+    for the decayed gradient g + weight_decay * p, then for lr * v.  That is
+    ``scratch`` when given (``train`` and calibration pass one per parameter
+    vector for the run), else a new array.
     """
-    scratch = np.empty_like(p)
+    if scratch is None:
+        scratch = np.empty_like(p)
     v *= momentum
     if weight_decay:
         decayed = np.multiply(p[..., :n_decay], weight_decay, out=scratch[..., :n_decay])
@@ -322,21 +346,24 @@ def train(config: TrainConfig, train_set, n_classes: int | None = None) -> Model
         raise ConfigError("labels out of range")
 
     model = init_model(config, X.shape[1], n_classes)
+    U = unit_rows(X)  # each step gathers its batch from these projected rows
     ext, head = model.extractor.flat, model.head.flat
+    grads = (ExtractorParams(np.empty_like(ext), model.extractor.dims), model.head.like(np.zeros_like(head)))
     ext_v, head_v = np.zeros_like(ext), np.zeros_like(head)
+    ext_s, head_s = np.empty_like(ext), np.empty_like(head)  # momentum_step scratch
     # With decay_heads off only the head's prefix, the class weights W, decays.
     head_decay = None if config.decay_heads else model.head.W.size
     # The shuffle stream (seed, 1) is separate from the init stream (seed).
     for epoch, steps in enumerate(minibatches(X.shape[0], config, 1)):
         epoch_loss = 0.0
         for bi, (idx, lr) in enumerate(steps):
-            loss, (ext_g, head_g) = loss_and_grads(model, X[idx], y[idx])
+            loss, (ext_g, head_g) = loss_and_grads(model, U[idx], y[idx], out=grads)
             if not math.isfinite(loss):
                 raise NumericError(
                     f"non-finite loss {loss} at epoch {epoch} batch {bi} (lr={lr:.6g})"
                 )
-            momentum_step(ext, ext_g, ext_v, lr, config.momentum, config.weight_decay)
-            momentum_step(head, head_g, head_v, lr, config.momentum, config.weight_decay, head_decay)
+            momentum_step(ext, ext_g, ext_v, lr, config.momentum, config.weight_decay, scratch=ext_s)
+            momentum_step(head, head_g, head_v, lr, config.momentum, config.weight_decay, head_decay, scratch=head_s)
             epoch_loss += loss
         model.history.append({"epoch": epoch, "mean_loss": epoch_loss / len(steps), "lr": lr})
     if not model.finite():

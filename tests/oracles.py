@@ -6,6 +6,8 @@ explicit scalar inner products and norms instead of numpy reductions, so
 that a test comparing ``score_batch`` with them does not compare the code
 with itself.  The checksum reference is the byte-at-a-time FNV-1a loop.  The
 gradient oracle differentiates its own batched forward pass numerically.
+The training oracle is the SGD loop that projects and allocates afresh on
+every step.
 """
 
 import math
@@ -15,7 +17,7 @@ import numpy as np
 
 from geodin.errors import ConfigError, DomainError
 from geodin.scores import _msp_energy, score_batch
-from geodin.train import loss_and_grads
+from geodin.train import init_model, loss_and_grads, minibatches, momentum_step, unit_rows
 
 EPS_NORM = 1e-12
 
@@ -160,8 +162,9 @@ def batched_loss(model, thetas: np.ndarray, x: np.ndarray, label: int) -> np.nda
 
 
 def full_gradient_check(model, sample, eps: float = 1e-5) -> float:
-    """Max relative error of the analytic gradients (``loss_and_grads``) vs
-    central differences of ``batched_loss``.
+    """Max relative error of the analytic gradients (``loss_and_grads`` on
+    the projected sample) vs central differences of ``batched_loss``, which
+    projects x itself.
 
     The 2P perturbed parameter vectors (each parameter +eps, then each -eps)
     go through one batched forward.  Relative error uses denominator
@@ -173,7 +176,7 @@ def full_gradient_check(model, sample, eps: float = 1e-5) -> float:
         raise ConfigError("eps must be > 0")
     x, label = sample
     x = np.asarray(x, dtype=np.float64)
-    _, grads = loss_and_grads(model, x[None, :], np.array([label]))
+    _, grads = loss_and_grads(model, unit_rows(x[None, :]), np.array([label]))
     analytic = np.concatenate(grads)
     theta = np.concatenate([model.extractor.flat, model.head.flat])
     step = eps * np.eye(theta.size)
@@ -181,3 +184,27 @@ def full_gradient_check(model, sample, eps: float = 1e-5) -> float:
     numeric = (up - down) / (2 * eps)
     rel = np.abs(analytic - numeric) / np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-3)
     return float(rel.max())
+
+
+def reference_train(config, train_set, n_classes: int):
+    """``train`` without its per-run buffers, to compare bytes against.
+
+    Every step projects its own raw batch with ``unit_rows`` and calls
+    ``loss_and_grads`` and both ``momentum_step`` updates without buffers,
+    so each gradient and scratch array is new.  Same init, schedule, decay
+    split and per-epoch history as ``train``; no input checks.
+    """
+    X, y = np.asarray(train_set[0], dtype=np.float64), np.asarray(train_set[1], dtype=np.int64)
+    model = init_model(config, X.shape[1], n_classes)
+    ext, head = model.extractor.flat, model.head.flat
+    ext_v, head_v = np.zeros_like(ext), np.zeros_like(head)
+    head_decay = None if config.decay_heads else model.head.W.size
+    for epoch, steps in enumerate(minibatches(X.shape[0], config, 1)):
+        epoch_loss = 0.0
+        for idx, lr in steps:
+            loss, (ext_g, head_g) = loss_and_grads(model, unit_rows(X[idx]), y[idx])
+            momentum_step(ext, ext_g, ext_v, lr, config.momentum, config.weight_decay)
+            momentum_step(head, head_g, head_v, lr, config.momentum, config.weight_decay, head_decay)
+            epoch_loss += loss
+        model.history.append({"epoch": epoch, "mean_loss": epoch_loss / len(steps), "lr": lr})
+    return model

@@ -105,8 +105,9 @@ class TestNll:
         assert abs(nll(p, y) - oracle) < 1e-12
 
     def test_label_out_of_range(self):
-        with pytest.raises(IndexError):
-            nll(np.full((2, 3), 1 / 3), np.array([0, 3]))
+        for bad in (3, -1):
+            with pytest.raises(IndexError):
+                nll(np.full((2, 3), 1 / 3), np.array([0, bad]))
 
     def test_clamps_zero_probability(self):
         p = np.array([[1.0, 0.0]])
@@ -257,6 +258,18 @@ class TestCalibrate:
             calibrate(broken, task.val, CalibConfig(seed=21, folds=0, epochs=2))
         if fault == "overflowing_logits":
             assert steps == []  # raised on the NLL before tuning, before any optimizer step
+
+    def test_negative_label_rejected(self, trained_task_model, monkeypatch):
+        # The tuning steps do not check labels: the NLL before tuning must, before any step.
+        task, model = trained_task_model
+        X, y = task.val
+        y = y.copy()
+        y[7] = -1
+        steps = []
+        monkeypatch.setattr(calibrate_module, "momentum_step", lambda *args, **kwargs: steps.append(args))
+        with pytest.raises(IndexError, match="label out of range"):
+            calibrate(model, (X, y), CalibConfig(folds=0, epochs=2))
+        assert steps == []
 
     def test_folds_exceeding_samples_rejected(self, trained_task_model):
         _, model = trained_task_model

@@ -437,8 +437,9 @@ class TestSoftmaxCrossEntropy:
         logits = rng.normal(0.0, 3.0, (40, 5))
         labels = rng.integers(0, 5, 40)
         assert cross_entropy(logits, labels) == softmax_cross_entropy_batch(logits, labels)[0]
-        with pytest.raises(IndexError):
-            cross_entropy(logits, np.full(40, 5))
+        for bad in (5, -1):
+            with pytest.raises(IndexError):
+                cross_entropy(logits, np.full(40, bad))
 
 
 class TestBatchForward:

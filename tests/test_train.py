@@ -1,5 +1,7 @@
 """Trainer tests: schedule, determinism, feature extraction, gradient checks."""
 
+import importlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -21,7 +23,9 @@ from geodin.train import (
     train,
     unit_rows,
 )
-from oracles import full_gradient_check
+from oracles import full_gradient_check, reference_train
+
+train_module = importlib.import_module("geodin.train")  # the package's `train` is the function
 
 
 def blobs(rng, n=100, gap=2.0, noise=0.4):
@@ -143,6 +147,14 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(seed=-1).validate()
 
+    def test_negative_label_rejected(self):
+        rng = np.random.default_rng(0)
+        X, y = blobs(rng, n=20)
+        y[3] = -1
+        for n_classes in (None, 2):
+            with pytest.raises(ConfigError, match="labels out of range"):
+                train(TrainConfig(epochs=1, hidden=(4,), feature_dim=2), (X, y), n_classes=n_classes)
+
     def test_unknown_variant_rejected(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ConfigError, match="bogus"):
@@ -231,6 +243,48 @@ class TestTraining:
         assert a.head.beta_b != b.head.beta_b
 
 
+class TestPerRunBuffers:
+    """train() projects once and reuses its gradient and scratch buffers; the bytes must not change."""
+
+    @staticmethod
+    def data(n):
+        rng = np.random.default_rng(21)
+        X = rng.normal(0.0, 1.0, (n, 12))
+        X[5] = 0.0  # a zero row, which unit_rows passes through
+        return X, rng.integers(0, 3, n)
+
+    @pytest.mark.parametrize("variant", list(HeadVariant))
+    @pytest.mark.parametrize(
+        "decay_heads, weight_decay, n", [(True, 5e-4, 65), (False, 1e-2, 65), (True, 0.0, 75)]
+    )
+    def test_train_matches_the_fresh_array_loop(self, variant, decay_heads, weight_decay, n):
+        # n = 65 and 75 at batch 16 leave a ragged last batch of 1 and 11 rows.
+        cfg = TrainConfig(
+            epochs=3, batch_size=16, seed=3, hidden=(9, 7), feature_dim=5,
+            variant=variant, decay_heads=decay_heads, weight_decay=weight_decay,
+        )
+        X, y = self.data(n)
+        got, want = train(cfg, (X, y), n_classes=3), reference_train(cfg, (X, y), 3)
+        assert got.extractor.flat.tobytes() == want.extractor.flat.tobytes()
+        assert got.head.flat.tobytes() == want.head.flat.tobytes()
+        assert got.history == want.history
+
+    def test_each_step_calls_loss_and_grads_once(self, monkeypatch):
+        # The benchmark counts SGD steps as calls of this module global.
+        calls = []
+        original = train_module.loss_and_grads
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[1]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(train_module, "loss_and_grads", counted)
+        cfg = TrainConfig(epochs=3, batch_size=16, hidden=(6,), feature_dim=4)
+        train(cfg, self.data(65))
+        assert len(calls) == cfg.epochs * math.ceil(65 / cfg.batch_size)
+        assert sum(calls) == cfg.epochs * 65
+
+
 class TestExtractFeatures:
     def test_zero_input_zero_extractor(self):
         model = init_model(TrainConfig(hidden=(8,), feature_dim=4, seed=0), d_in=3, n_classes=2)
@@ -288,9 +342,10 @@ class TestActivationCache:
         layers[0][1][0] = 0.0  # so unit 0 of layer 1 has pre-activation exactly 0 on the zero row
         X = rng.normal(0.0, 1.0, (7, 3))
         X[2] = 0.0
-        acts = extractor_activations(model.extractor, X)
+        U = unit_rows(X)
+        acts = extractor_activations(model.extractor, U)
         assert len(acts) == len(layers) + 1
-        assert acts[0].tobytes() == unit_rows(X).tobytes()
+        assert acts[0] is U
         assert acts[-1].tobytes() == extract_features(model, X).tobytes()
 
         # Reference: the mask z > 0 on explicitly recomputed pre-activations.
@@ -324,7 +379,7 @@ class TestStreamingInference:
                 tracemalloc.stop()
 
         assert peak_bytes(lambda: extract_features(model, X)) < 3 * layer_bytes
-        assert peak_bytes(lambda: extractor_activations(model.extractor, X)) >= 4 * layer_bytes
+        assert peak_bytes(lambda: extractor_activations(model.extractor, unit_rows(X))) >= 4 * layer_bytes
 
 
 class TestFullGradientCheck:
