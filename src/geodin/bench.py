@@ -455,9 +455,10 @@ def sweep(
 
     W = model.head.W
     # F_id stays referenced for the whole sweep; freeing it after scoring makes no
-    # measurable difference: a fresh-process wide detect (one BLAS thread, 30 runs
-    # each) reads ~30.5k minor faults and 711 ms median freed against ~31.3k and
-    # 727 ms held, inside the runs' spread (IQR ~100 ms).
+    # measurable difference: a fresh-process wide detect (one CPU, one BLAS thread,
+    # 20 runs each) reads ~10.1k minor faults, 796 ms median and 52.6 MB peak RSS
+    # freed against ~10.2k, 789 ms and 54.0 MB held, inside the runs' spread (IQR
+    # ~80-110 ms).
     F_id = extract_features(model, task.test[0])
     id_all = score_batch(F_id, W)
     report = DetectionReport()

@@ -14,7 +14,9 @@ a stack of heads (see ``head``) on equal-size row sets in one call per
 step: the main run is a stack of one, and the k folds, whose sizes
 ``np.array_split`` makes differ by at most one, are stacked by size, at
 most ``STACK_BYTES`` of row copies per stack.  Each fold's head is bit for
-bit the one a run of its own would give.
+bit the one a run of its own would give.  The per-epoch tuning NLL runs in
+the row blocks of ``train.row_blocks``, as inference does, so its
+temporaries are bounded by the block, not the split.
 ECE / NLL / reliability-bin metrics and a temperature-scaling baseline live
 here too.
 """
@@ -32,12 +34,14 @@ from .head import (
     cross_entropy,
     head_backward_batch,
     head_forward_batch,
+    multiplier,
     multiplier_forward,
     plain_forward,
+    row_nll,
     softmax_cross_entropy_batch,
 )
 from .scores import shifted_exp
-from .train import Model, check_sgd, extract_features, minibatches, momentum_step, shuffles
+from .train import Model, check_sgd, extract_features, minibatches, momentum_step, row_blocks, shuffles
 
 # Bytes of the stacked row copies one _tune_head call may hold.  Five wide folds
 # (2048 rows of D=64, k=32) take 8 MB; more folds go to further stacks rather
@@ -214,15 +218,23 @@ def _tune_head(head, val, rows: np.ndarray, config: CalibConfig):
     leading axis of length G; each copy keeps its best state across epochs
     -1..epochs, so no tuning NLL increases.  Raises NumericError when any
     NLL before tuning is not finite, and IndexError (from that NLL's
-    ``cross_entropy``) when a label is out of range: the steps do not check
-    them.  The head gradient and the momentum scratch are allocated once per
-    call and overwritten by each step.
+    ``row_nll``) when a label is out of range: the steps do not check them.
+    The NLL's logits are taken in the blocks of ``train.row_blocks``, and
+    its per-row NLLs go into a (G, n) buffer; that buffer, the head gradient
+    and the momentum scratch are allocated once per call and overwritten by
+    each epoch or step.
     """
     F, s, fn, y = (a[rows] for a in val)  # each step gathers its batch from these stacked copies
     heads = head.like(np.tile(head.flat, (rows.shape[0], 1)))
+    blocks, nll = row_blocks(rows.shape[1]), np.empty(rows.shape)
 
     def full_nll() -> np.ndarray:
-        return cross_entropy(multiplier_forward(F, s, fn, heads).logits, y)
+        # m over all rows at once: its matrix-vector products are then the ones the whole
+        # split's logits take, at any BLAS thread count; only the (G, n, k) logits go by block.
+        m = multiplier(F, fn, heads)[2]
+        for blk in blocks:
+            row_nll(m[:, blk, None] * s[:, blk], y[:, blk], out=nll[:, blk])
+        return nll.sum(axis=-1) / nll.shape[-1]  # cross_entropy's mean
 
     nll_before = full_nll()
     if not np.all(np.isfinite(nll_before)):
@@ -270,6 +282,8 @@ def calibrate(model: Model, val_set, config: CalibConfig, eval_sets: dict | None
     yv = np.asarray(yv, dtype=np.int64)
     if Xv.shape[0] == 0:
         raise DomainError("validation set is empty")
+    if config.folds > Xv.shape[0]:
+        raise ConfigError(f"folds={config.folds} exceeds validation size {Xv.shape[0]}")
 
     splits = {"val": (Xv, yv), **(eval_sets or {})}
     F = {name: extract_features(model, np.atleast_2d(X)) for name, (X, _) in splits.items()}
@@ -300,8 +314,6 @@ def calibrate(model: Model, val_set, config: CalibConfig, eval_sets: dict | None
     )
 
     if config.folds >= 2:
-        if config.folds > Xv.shape[0]:
-            raise ConfigError(f"folds={config.folds} exceeds validation size {Xv.shape[0]}")
         pieces = np.array_split(next(shuffles(Xv.shape[0], config.seed, 3)), config.folds)
         rests = [np.concatenate(pieces[:k] + pieces[k + 1 :]) for k in range(config.folds)]
         fold_heads, row_bytes = {}, sum(a[0].nbytes for a in val)

@@ -157,16 +157,22 @@ def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (A @ v[..., None])[..., 0]
 
 
-def multiplier_forward(F: np.ndarray, s: np.ndarray, fn: np.ndarray, params: HeadParams) -> BatchHeadTrace:
-    """alpha, beta, m and the logits m * s for a feature batch F whose plain part is (s, fn).
+def multiplier(F: np.ndarray, fn: np.ndarray, params: HeadParams):
+    """(alpha, beta, m, degenerate rows) for a feature batch F of row norms fn.
 
-    F is (..., n, D), s (..., n, k) and fn (..., n); leading axes match those of ``params.flat``.
+    F is (..., n, D) and fn (..., n); leading axes match those of ``params.flat``.
     """
     variant = params.variant
     alpha = sigmoid(_matvec(F, params.alpha_w) + params.alpha_b[..., None]) if variant.has_alpha else np.ones_like(fn)
     beta = softplus(_matvec(F, params.beta_w) + params.beta_b[..., None]) if variant.has_beta else np.zeros_like(fn)
     degenerate = fn < EPS_NORM
     m = np.where(degenerate, 1.0 / alpha, 1.0 / alpha + beta / (alpha * np.where(degenerate, 1.0, fn)))
+    return alpha, beta, m, degenerate
+
+
+def multiplier_forward(F: np.ndarray, s: np.ndarray, fn: np.ndarray, params: HeadParams) -> BatchHeadTrace:
+    """``multiplier`` and the logits m * s for a feature batch F whose plain part is (s, fn), of shape (..., n, k)."""
+    alpha, beta, m, degenerate = multiplier(F, fn, params)
     return BatchHeadTrace(alpha, beta, m, m[..., None] * s, s, fn, degenerate)
 
 
@@ -235,24 +241,35 @@ def head_backward_batch(
     return grad, grad_F
 
 
-def _mean_nll(shifted: np.ndarray, esum: np.ndarray, y: np.ndarray):
-    """Mean of log(esum) - shifted[label] over the rows of each batch, and the index of the picked logits."""
+def _row_nll(shifted: np.ndarray, esum: np.ndarray, y: np.ndarray, out: np.ndarray | None = None):
+    """log(esum) - shifted[label] per row (into ``out`` when given), and the index of the picked logits."""
     pick = (*np.indices(y.shape, sparse=True), y)
-    nll = np.log(esum) - shifted[pick]
-    return nll.sum(axis=-1) / nll.shape[-1], pick  # np.mean's sum and division, without its per-call wrapper
+    return np.subtract(np.log(esum), shifted[pick], out=out), pick
 
 
-def cross_entropy(logits: np.ndarray, labels):
-    """Mean softmax cross-entropy of a logit batch (..., n, k) against integer labels (..., n).
+def _mean(nll: np.ndarray):
+    return nll.sum(axis=-1) / nll.shape[-1]  # np.mean's sum and division, without its per-call wrapper
 
-    A float for one batch, an array over the leading axes for a stack;
-    IndexError unless every label lies in [0, k).
+
+def row_nll(logits: np.ndarray, labels, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax cross-entropy of each row of a logit batch (..., n, k) against integer labels (..., n).
+
+    Written into ``out`` when given; IndexError unless every label lies in [0, k).
     """
     shifted, _, esum = shifted_exp(logits)
     y = np.asarray(labels)
     if (y < 0).any() or (y >= shifted.shape[-1]).any():
         raise IndexError("label out of range")
-    return _mean_nll(shifted, esum, y)[0]
+    return _row_nll(shifted, esum, y, out)[0]
+
+
+def cross_entropy(logits: np.ndarray, labels):
+    """Mean softmax cross-entropy of a logit batch (..., n, k) against integer labels (..., n).
+
+    The mean of ``row_nll``: a float for one batch, an array over the
+    leading axes for a stack; IndexError unless every label lies in [0, k).
+    """
+    return _mean(row_nll(logits, labels))
 
 
 def softmax_cross_entropy_batch(logits: np.ndarray, labels):
@@ -261,10 +278,10 @@ def softmax_cross_entropy_batch(logits: np.ndarray, labels):
     The labels must lie in [0, k): this per-step call does not check them,
     and a negative one silently picks from the end of its row.  ``train``
     checks its labels once per run; calibration's tuning checks its split's
-    in the ``cross_entropy`` of its NLL before the first step.
+    in the ``row_nll`` of its NLL before the first step.
     """
     shifted, e, esum = shifted_exp(logits)
-    loss, pick = _mean_nll(shifted, esum, np.asarray(labels))
+    nll, pick = _row_nll(shifted, esum, np.asarray(labels))
     grad = e / esum[..., None]
     grad[pick] -= 1.0
-    return loss, grad / shifted.shape[-2]
+    return _mean(nll), grad / shifted.shape[-2]

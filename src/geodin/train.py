@@ -7,9 +7,10 @@ nonnegative by construction.  The normalization makes the extractor respond
 to input direction rather than magnitude: activations, and with them the
 feature norm, fall off as an input rotates away from the training manifold,
 which is what the norm-based covariate score measures.  Inference
-(``extractor_forward``) streams a batch through the layers holding at most
-two layer outputs; training (``extractor_activations``) keeps every layer's
-output for backprop.  Both run the same per-layer step.
+(``extractor_forward``) runs a batch through the layers in blocks of rows
+(``row_blocks``), so its memory beyond the returned features is bounded by
+the block, not the batch; training (``extractor_activations``) keeps every
+layer's output for backprop.  Both run the same per-layer step.
 
 Optimization is plain SGD with momentum, weight decay and per-step cosine
 learning-rate annealing on the ``minibatches`` schedule, which calibration
@@ -44,6 +45,13 @@ from .head import (
     head_forward_batch,
     softmax_cross_entropy_batch,
 )
+
+# Rows per block of inference and the tuning NLL (see ``row_blocks``).  On
+# OpenBLAS 0.3.31 a product of up to ~1200 output elements takes another
+# kernel, whose last bits differ (up to 600 rows of a 32 -> 2 layer, 400 of a
+# 32 -> 3 one), so blocks need more than 600 rows.  750 keeps a margin, and a
+# 256-wide layer buffer of the largest block (under 2 * 750 rows) under 3 MB.
+BLOCK_ROWS = 750
 
 
 @dataclass(frozen=True)
@@ -192,19 +200,47 @@ def unit_rows(X: np.ndarray) -> np.ndarray:
     return np.divide(X, norms, out=X.astype(np.float64, order="C"), where=norms >= 1e-12)
 
 
-def _layer(a: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """One rectified layer, max(a Wᵀ + b, 0), computed in the one array it returns."""
-    z = a @ W.T
+def row_blocks(n: int) -> list[slice]:
+    """The blocks of rows that inference and the tuning NLL take a batch of n rows in.
+
+    Blocks start at multiples of BLOCK_ROWS and the last one absorbs the
+    remainder, so a batch below two blocks is one block, and the last block
+    is the largest.  A row's product with a weight matrix is then the one the
+    whole batch gets, bit for bit: no block is small enough for OpenBLAS to
+    switch to its small-matrix kernel.
+    """
+    count = max(1, n // BLOCK_ROWS)
+    return [slice(i * BLOCK_ROWS, n if i == count - 1 else (i + 1) * BLOCK_ROWS) for i in range(count)]
+
+
+def _layer(a: np.ndarray, W: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """One rectified layer, max(a Wᵀ + b, 0), computed in the one array it returns (``out`` when given)."""
+    z = np.matmul(a, W.T, out=out)
     z += b
     return np.maximum(z, 0.0, out=z)
 
 
 def extractor_forward(params: ExtractorParams, X: np.ndarray) -> np.ndarray:
-    """Features of the batch X, holding at most one layer's output and the next."""
-    a = unit_rows(X)
-    for W, b in params.layers:
-        a = _layer(a, W, b)
-    return a
+    """Features of the batch X, computed block by block of ``row_blocks``.
+
+    Each block is projected with ``unit_rows`` and runs through two layer
+    buffers allocated once per call, sized for the largest block; the last
+    layer writes into the block's rows of the returned (n, d_feature) array.
+    A net with a 1-wide layer runs as one block: that layer's product is a
+    matrix-vector one, which a multi-threaded OpenBLAS splits by the batch's
+    rows, so a block's rows could differ from the batch's in the last bit.
+    """
+    blocks = row_blocks(X.shape[0]) if min(params.dims[1:]) > 1 else [slice(0, X.shape[0])]
+    F = np.empty((X.shape[0], params.d_feature))
+    rows = blocks[-1].stop - blocks[-1].start
+    buffers = np.empty((2, rows * max(params.dims[1:-1], default=0)))
+    *hidden, (W_last, b_last) = params.layers
+    for blk in blocks:
+        a = unit_rows(X[blk])
+        for i, (W, b) in enumerate(hidden):
+            a = _layer(a, W, b, buffers[i % 2, : a.shape[0] * W.shape[0]].reshape(a.shape[0], W.shape[0]))
+        _layer(a, W_last, b_last, F[blk])
+    return F
 
 
 def extractor_activations(params: ExtractorParams, U: np.ndarray) -> list[np.ndarray]:
@@ -262,7 +298,8 @@ def extract_features(model: Model, inputs) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != model.extractor.d_in:
         raise ShapeError(f"input batch shape {X.shape} does not match model d_in {model.extractor.d_in}")
     F = extractor_forward(model.extractor, X)
-    if not np.all(np.isfinite(F)):
+    # Rectified features lie in [0, inf] or are NaN, so the max is finite only when all are.
+    if F.size and not math.isfinite(F.max()):
         raise NumericError("extractor produced non-finite features")
     return F[0] if single else F
 

@@ -7,7 +7,8 @@ that a test comparing ``score_batch`` with them does not compare the code
 with itself.  The checksum reference is the byte-at-a-time FNV-1a loop.  The
 gradient oracle differentiates its own batched forward pass numerically.
 The training oracle is the SGD loop that projects and allocates afresh on
-every step.
+every step, and the inference oracle the forward pass that takes the whole
+batch at once.
 """
 
 import math
@@ -208,3 +209,13 @@ def reference_train(config, train_set, n_classes: int):
             epoch_loss += loss
         model.history.append({"epoch": epoch, "mean_loss": epoch_loss / len(steps), "lr": lr})
     return model
+
+
+def reference_forward(params, X):
+    """``extractor_forward`` in one shot: the whole batch projected, then each layer over all of it."""
+    a = unit_rows(np.asarray(X, dtype=np.float64))
+    for W, b in params.layers:
+        z = a @ W.T
+        z += b
+        a = np.maximum(z, 0.0, out=z)
+    return a

@@ -19,9 +19,18 @@ from geodin.calibrate import (
 )
 from geodin.config import load_run_config
 from geodin.errors import ConfigError, DomainError, NumericError, UnsupportedVariantError
-from geodin.head import HeadVariant, head_forward_batch, plain_forward
+from geodin.head import HeadParams, HeadVariant, cross_entropy, head_forward_batch, multiplier_forward, plain_forward
 from geodin.scores import score_batch
-from geodin.train import TrainConfig, accuracy, extract_features, model_logits, predict, shuffles, train
+from geodin.train import (
+    BLOCK_ROWS,
+    TrainConfig,
+    accuracy,
+    extract_features,
+    model_logits,
+    predict,
+    shuffles,
+    train,
+)
 from test_fingerprint import SMALL_CONFIG
 
 calibrate_module = importlib.import_module("geodin.calibrate")  # the package's `calibrate` is the function
@@ -363,6 +372,46 @@ class TestStackedFolds:
         monkeypatch.setattr(calibrate_module, "momentum_step", lambda *args: steps.append(args))
         with pytest.raises(NumericError, match="non-finite tuning NLL"):
             calibrate_module._tune_head(model.head, (F, s, fn, task.val[1]), rows, CalibConfig(seed=21, epochs=2))
+        assert steps == []
+
+
+def _synthetic_split(rows: int, d: int = 12, k: int = 6, seed: int = 0):
+    """A random alpha/beta head and a tuning split (F, s, ||f||, labels) of ``rows`` rows for it."""
+    rng = np.random.default_rng(seed)
+    head = HeadParams.initial(d, k, HeadVariant.ALPHA_BETA, rng)
+    head.alpha_w[:] = rng.normal(0.0, 0.3, d)
+    head.beta_w[:] = rng.normal(0.0, 0.3, d)
+    F = np.abs(rng.normal(0.0, 1.0, (rows, d)))
+    return head, (F, *plain_forward(F, head), rng.integers(0, k, rows))
+
+
+class TestBlockedTuningNll:
+    """The per-epoch tuning NLL runs in row blocks; it is the one-shot cross-entropy bit for bit."""
+
+    @pytest.mark.parametrize("n", [365, 366, 2 * BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("G", [1, 5])
+    def test_matches_the_one_shot_cross_entropy(self, G, n):
+        head, val = _synthetic_split(2 * BLOCK_ROWS + 1)
+        rng = np.random.default_rng(n)
+        rows = np.stack([rng.permutation(len(val[0]))[:n] for _ in range(G)])
+        tuned, _, before, after = calibrate_module._tune_head(head, val, rows, CalibConfig(epochs=2, batch_size=256))
+        F, s, fn, y = (a[rows] for a in val)
+
+        def one_shot(heads):
+            return cross_entropy(multiplier_forward(F, s, fn, heads).logits, y)
+
+        assert before.tobytes() == one_shot(head.like(np.tile(head.flat, (G, 1)))).tobytes()
+        assert after.tobytes() == one_shot(tuned).tobytes()
+        assert np.all(after <= before)
+
+    def test_out_of_range_label_in_the_last_block_raises_before_any_step(self, monkeypatch):
+        head, (F, s, fn, y) = _synthetic_split(2 * BLOCK_ROWS + 1)
+        rows = np.arange(len(y))[None]
+        y[-1] = head.n_classes
+        steps = []
+        monkeypatch.setattr(calibrate_module, "momentum_step", lambda *args, **kwargs: steps.append(args))
+        with pytest.raises(IndexError, match="label out of range"):
+            calibrate_module._tune_head(head, (F, s, fn, y), rows, CalibConfig(epochs=2))
         assert steps == []
 
 

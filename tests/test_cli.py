@@ -1,5 +1,6 @@
 """Config-file grammar and end-to-end command tests."""
 
+import importlib
 import json
 import struct
 
@@ -13,6 +14,8 @@ from geodin.config import load_run_config
 from geodin.errors import ConfigError
 from geodin.persist import fnv1a64, load_model, read_report, save_model
 from geodin.train import TrainConfig, init_model
+
+calibrate_module = importlib.import_module("geodin.calibrate")  # the package's `calibrate` is the function
 
 SMALL_CONFIG = """\
 # desk-size run for tests
@@ -353,6 +356,16 @@ class TestCmdCalibrate:
             ["calibrate", "--config", str(config_file), "--set", "train.variant=vanilla", "--checkpoint", str(vanilla), "--out", str(tmp_path / "c.godn")]
         )
         assert code == 2
+
+
+    def test_folds_above_validation_rows_exit_2_before_any_step(self, config_file, trained_checkpoint, tmp_path, capsys, monkeypatch):
+        steps = []
+        monkeypatch.setattr(calibrate_module, "momentum_step", lambda *args, **kwargs: steps.append(args))
+        argv = ["calibrate", "--config", str(config_file), "--set", "calibrate.folds=65", "--checkpoint", str(trained_checkpoint)]
+        assert main([*argv, "--out", str(tmp_path / "cal.godn")]) == 2  # 4 classes x 16 validation rows
+        assert "exceeds validation size 64" in capsys.readouterr().err
+        assert steps == []
+        assert not (tmp_path / "cal.godn").exists()
 
 
 class TestCmdSplits:

@@ -20,10 +20,11 @@ from geodin.train import (
     init_model,
     minibatches,
     momentum_step,
+    row_blocks,
     train,
     unit_rows,
 )
-from oracles import full_gradient_check, reference_train
+from oracles import full_gradient_check, reference_forward, reference_train
 
 train_module = importlib.import_module("geodin.train")  # the package's `train` is the function
 
@@ -363,7 +364,63 @@ class TestActivationCache:
         assert extractor_backward(model.extractor, acts, grad_F).tobytes() == reference.tobytes()
 
 
+class TestBlockedInference:
+    """Inference runs in row blocks; each block's rows get the bytes the whole batch would."""
+
+    def test_row_blocks_start_at_multiples_and_the_last_absorbs_the_rest(self):
+        B = train_module.BLOCK_ROWS
+        assert row_blocks(0) == [slice(0, 0)]
+        assert row_blocks(B - 1) == [slice(0, B - 1)]
+        assert row_blocks(2 * B - 1) == [slice(0, 2 * B - 1)]
+        assert row_blocks(2 * B) == [slice(0, B), slice(B, 2 * B)]
+        assert row_blocks(5 * B + 3) == [slice(i * B, (i + 1) * B) for i in range(4)] + [slice(4 * B, 5 * B + 3)]
+
+    @pytest.mark.parametrize("hidden", [(64, 32), (256, 256)])
+    @pytest.mark.parametrize("width", [1, 2, 4, 6, 16, 64, 256])
+    def test_extract_features_matches_the_one_shot_forward(self, width, hidden):
+        B = train_module.BLOCK_ROWS
+        model = init_model(TrainConfig(hidden=hidden, feature_dim=width, seed=width), d_in=16, n_classes=3)
+        rng = np.random.default_rng(width)
+        x = rng.normal(0.0, 1.0, 16)
+        assert extract_features(model, x).tobytes() == reference_forward(model.extractor, x[None])[0].tobytes()
+        for rows in (0, B - 1, B, B + 1, 2 * B - 1, 2 * B + 1, 5 * B + 3):
+            X = rng.normal(0.0, 1.0, (rows, 16))
+            F = extract_features(model, X)
+            assert F.shape == (rows, width)
+            assert F.tobytes() == reference_forward(model.extractor, X).tobytes(), rows
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_feature_in_the_last_block_raises(self):
+        B = train_module.BLOCK_ROWS
+        model = init_model(TrainConfig(hidden=(8,), feature_dim=4, seed=0), d_in=3, n_classes=2)
+        X = np.random.default_rng(0).normal(0.0, 1.0, (2 * B + 1, 3))
+        extract_features(model, X)
+        X[-1, 0] = np.nan
+        with pytest.raises(NumericError, match="non-finite features"):
+            extract_features(model, X)
+        model.extractor.layers[-1][1][2] = np.inf  # every row's feature 2 is +inf
+        with pytest.raises(NumericError, match="non-finite features"):
+            extract_features(model, X[:5])
+
+
 class TestStreamingInference:
+    def test_extract_features_memory_does_not_grow_with_rows(self):
+        width = 256
+        model = init_model(TrainConfig(hidden=(width, width), feature_dim=width, seed=3), d_in=width, n_classes=2)
+        rng = np.random.default_rng(3)
+
+        def peak_beyond_output(rows):
+            X = rng.normal(0.0, 1.0, (rows, width))
+            tracemalloc.start()
+            try:
+                F = extract_features(model, X)
+                return tracemalloc.get_traced_memory()[1] - F.nbytes
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak_beyond_output(2000), peak_beyond_output(8000)
+        assert abs(large - small) < 4096, (small, large)  # a few Python objects, not 6000 rows of anything
+
     def test_extract_features_holds_two_layer_outputs(self):
         rows, width = 2000, 256
         model = init_model(TrainConfig(hidden=(width, width), feature_dim=width, seed=3), d_in=width, n_classes=2)
