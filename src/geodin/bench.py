@@ -212,30 +212,16 @@ def make_task(
     prototypes = rng.standard_normal((k, d_in))
     prototypes /= np.linalg.norm(prototypes, axis=1, keepdims=True)
 
-    n_train, n_val, n_test = _split_sizes(n_per_class, val_frac, test_frac)
-
-    parts = {"train": [], "val": [], "test": []}
-    for c in range(k):
-        X = prototypes[c] + noise * rng.standard_normal((n_per_class, d_in))
-        parts["train"].append((X[:n_train], np.full(n_train, c)))
-        parts["val"].append((X[n_train : n_train + n_val], np.full(n_val, c)))
-        parts["test"].append((X[n_train + n_val :], np.full(n_test, c)))
-
-    def stack(ps):
-        return (
-            np.concatenate([x for x, _ in ps]),
-            np.concatenate([y for _, y in ps]).astype(np.int64),
-        )
-
+    sizes = _split_sizes(n_per_class, val_frac, test_frac)
+    X = rng.standard_normal((k, n_per_class, d_in))  # class by class; scaled in place so one copy is live
+    X *= noise
+    X += prototypes[:, None]
+    train, val, test = (
+        (part.reshape(-1, d_in), np.repeat(np.arange(k, dtype=np.int64), n))
+        for part, n in zip(np.split(X, np.cumsum(sizes[:-1]), axis=1), sizes)
+    )
     return SyntheticTask(
-        k=k,
-        d_in=d_in,
-        noise=float(noise),
-        seed=int(seed),
-        prototypes=prototypes,
-        train=stack(parts["train"]),
-        val=stack(parts["val"]),
-        test=stack(parts["test"]),
+        k=k, d_in=d_in, noise=float(noise), seed=int(seed), prototypes=prototypes, train=train, val=val, test=test
     )
 
 
@@ -349,28 +335,18 @@ def concept_split(id_class_names, ood_class_names, embeddings, n_groups: int) ->
     """
     id_names = list(id_class_names)
     ood_names = list(ood_class_names)
+    if not id_names:
+        raise ConfigError("the list of ID class names is empty")
     if n_groups < 1:
         raise ConfigError(f"need at least one group, got {n_groups}")
     if len(ood_names) < n_groups:
         raise ConfigError(f"{len(ood_names)} classes cannot fill {n_groups} groups")
-    missing = []
-    id_vecs = []
-    for name in id_names:
-        tok = _resolve_token(name, embeddings)
-        if tok is None:
-            missing.append(name)
-        else:
-            id_vecs.append(embeddings[tok])
-    ood_vecs = {}
-    for name in ood_names:
-        tok = _resolve_token(name, embeddings)
-        if tok is None:
-            missing.append(name)
-        else:
-            ood_vecs[name] = embeddings[tok]
+    names = id_names + ood_names
+    vecs = {name: embeddings[tok] for name in names if (tok := _resolve_token(name, embeddings)) is not None}
+    missing = [name for name in names if name not in vecs]
     if missing:
         raise MissingTokenError(sorted(missing))
-    sims = {name: max(float(vec @ v) for v in id_vecs) for name, vec in ood_vecs.items()}
+    sims = {name: max(float(vecs[name] @ vecs[i]) for i in id_names) for name in ood_names}
 
     ordered = sorted(ood_names, key=lambda n: (sims[n], n))
     size = len(ordered) // n_groups

@@ -24,7 +24,7 @@ here too.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -328,7 +328,7 @@ def calibrate(model: Model, val_set, config: CalibConfig, eval_sets: dict | None
                 {"fold": k, "before": metrics("val", model.head, held), "after": metrics("val", fold_heads[k], held)}
             )
         report.cv_mean, report.cv_std = {}, {}
-        for key in ("accuracy", "ece", "nll"):
+        for key in (f.name for f in fields(SplitMetrics)):
             values = [getattr(fold["after"], key) for fold in report.folds]
             report.cv_mean[key] = float(np.mean(values))
             report.cv_std[key] = float(np.std(values))

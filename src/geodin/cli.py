@@ -20,11 +20,9 @@ from .persist import load_model, parse_embeddings, read_report, save_model, writ
 from .train import accuracy, train
 
 
-def _build_task(cfg: RunConfig, seed: int):
+def _build_task(cfg: RunConfig):
     t = cfg.task
-    return make_task(
-        t.k, t.d_in, t.n_per_class, t.noise, seed, val_frac=t.val_frac, test_frac=t.test_frac
-    )
+    return make_task(t.k, t.d_in, t.n_per_class, t.noise, t.seed, val_frac=t.val_frac, test_frac=t.test_frac)
 
 
 def _load_cfg(args) -> RunConfig:
@@ -33,10 +31,11 @@ def _load_cfg(args) -> RunConfig:
 
 
 def _load_checkpoint_run(args):
-    """Config, checkpoint, seed and task for a command that reads a checkpoint.
+    """Config, checkpoint and task for a command that reads a checkpoint.
 
-    The seed is ``--seed`` if given, else the one the checkpoint was trained with.
-    A checkpoint whose "trained" flag is clear is a data error.
+    The config's ``task.seed`` is ``--seed`` if given, else the one the
+    checkpoint was trained with, so the config a report embeds names the
+    seed of the run.  A checkpoint whose "trained" flag is clear is a data error.
     """
     cfg = _load_cfg(args)
     model = load_model(args.checkpoint)
@@ -48,8 +47,9 @@ def _load_checkpoint_run(args):
             f"checkpoint expects d_in={d_in}, k={k} "
             f"but config declares d_in={cfg.task.d_in}, k={cfg.task.k}"
         )
-    seed = args.seed if args.seed is not None else model.meta["seed"]
-    return cfg, model, seed, _build_task(cfg, seed)
+    if args.seed is None:
+        cfg.task.seed = model.meta["seed"]
+    return cfg, model, _build_task(cfg)
 
 
 def _sibling(path: Path, suffix: str) -> Path:
@@ -58,7 +58,7 @@ def _sibling(path: Path, suffix: str) -> Path:
 
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
-    task = _build_task(cfg, cfg.task.seed)
+    task = _build_task(cfg)
     model = train(cfg.train.config(cfg.task.seed), task.train, n_classes=cfg.task.k)
     # Computed before any file is written, so a numeric failure leaves none.
     train_acc = accuracy(model, *task.train)
@@ -80,7 +80,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    cfg, model, _, task = _load_checkpoint_run(args)
+    cfg, model, task = _load_checkpoint_run(args)
     t, shifts = cfg.task, cfg.shifts.config()
     groups = None
     if shifts.concept:
@@ -99,7 +99,8 @@ def cmd_detect(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    cfg, model, seed, task = _load_checkpoint_run(args)
+    cfg, model, task = _load_checkpoint_run(args)
+    seed = cfg.task.seed
     val = task.val
     if cfg.calibrate.shift_severity:  # validated: 1..5 only with a covariate shift_kind
         val = corrupt(val, ShiftSpec(cfg.calibrate.shift_kind, cfg.calibrate.shift_severity), seed)

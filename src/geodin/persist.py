@@ -13,9 +13,10 @@ Checkpoint layout (all little-endian), format version 1:
         then head.flat (W row-major, alpha_w, alpha_b, beta_w, beta_b)
     checksum u64 FNV-1a over the payload bytes
 
-The loader checks the structure even when the checksum holds: every width
->= 1, n_classes >= 2, an array section of exactly the size the header
-implies, and finite parameters.  Round trips are identity at byte level.
+The loader checks the structure even when the checksum holds: a header
+that fits the payload, known variant code and flag bits, every width >= 1,
+n_classes >= 2, an array section of exactly the size the header implies,
+and finite parameters.  Round trips are identity at byte level.
 Report CSV/JSON round-trip at 6 significant digits.
 """
 
@@ -36,8 +37,8 @@ from .train import ExtractorParams, Model
 
 MAGIC = b"GODN"
 FORMAT_VERSION = 1
-_VARIANT_CODES = {v: i for i, v in enumerate(HeadVariant)}
-_VARIANT_FROM_CODE = {i: v for v, i in _VARIANT_CODES.items()}
+_VARIANTS = tuple(HeadVariant)  # indexed by the checkpoint's variant code
+_HEADER = struct.Struct("<QIIII")  # seed, flags, variant code, d_in, n_hidden
 
 _REPORT_TYPES = get_type_hints(ReportRow)  # field name -> type, in ReportRow's field order
 REPORT_FIELDS = tuple(_REPORT_TYPES)
@@ -107,51 +108,27 @@ def _fnv_powers(n: int) -> np.ndarray:
     return np.multiply.outer(np.concatenate((one, high)), np.concatenate((one, low[:-1]))).ravel()[:n]
 
 
-def _array_bytes(a: np.ndarray) -> bytes:
-    return np.ascontiguousarray(a, dtype="<f8").tobytes()
-
-
 def save_model(model: Model, path) -> None:
     """Write a version-1 checkpoint; bit-exact under load_model.
 
     Raises NumericError, writing nothing, if a parameter is not finite.
     """
-    head = model.head
+    head, meta = model.head, model.meta
     if not model.finite():
         raise NumericError("cannot save a checkpoint with non-finite parameters")
     hidden = model.extractor.dims[1:-1]
-    payload = bytearray()
-    payload += struct.pack("<QII", int(model.meta.get("seed", 0)), _flags(model), _VARIANT_CODES[head.variant])
-    payload += struct.pack("<II", model.extractor.d_in, len(hidden))
-    payload += struct.pack(f"<{len(hidden)}I", *hidden)
-    payload += struct.pack("<II", head.d_feature, head.n_classes)
-    payload += _array_bytes(model.extractor.flat)
-    payload += _array_bytes(head.flat)
-    blob = MAGIC + struct.pack("<I", FORMAT_VERSION) + bytes(payload) + struct.pack("<Q", fnv1a64(bytes(payload)))
-    Path(path).write_bytes(blob)
+    flags = bool(meta.get("trained")) | bool(meta.get("calibrated")) << 1
+    payload = b"".join((
+        _HEADER.pack(int(meta.get("seed", 0)), flags, _VARIANTS.index(head.variant), model.extractor.d_in, len(hidden)),
+        _widths(len(hidden)).pack(*hidden, head.d_feature, head.n_classes),
+        np.concatenate((model.extractor.flat, head.flat)).astype("<f8", copy=False).tobytes(),
+    ))
+    Path(path).write_bytes(MAGIC + struct.pack("<I", FORMAT_VERSION) + payload + struct.pack("<Q", fnv1a64(payload)))
 
 
-def _flags(model: Model) -> int:
-    return (1 if model.meta.get("trained") else 0) | (2 if model.meta.get("calibrated") else 0)
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise FormatError("checkpoint truncated")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def array(self, n: int) -> np.ndarray:
-        return np.frombuffer(self.take(8 * n), dtype="<f8").astype(np.float64)
+def _widths(n_hidden: int) -> struct.Struct:
+    """The header's n_hidden widths, then d_feature and n_classes."""
+    return struct.Struct(f"<{n_hidden + 2}I")
 
 
 def load_model(path) -> Model:
@@ -171,25 +148,30 @@ def load_model(path) -> Model:
     if fnv1a64(payload) != stored:
         raise IntegrityError("checkpoint payload fails its checksum")
 
-    r = _Reader(payload)
-    seed, flags, variant_code = r.unpack("<QII")
-    if variant_code not in _VARIANT_FROM_CODE:
+    try:
+        seed, flags, variant_code, d_in, n_hidden = _HEADER.unpack_from(payload)
+        widths = _widths(n_hidden)
+        *hidden, d_feature, n_classes = widths.unpack_from(payload, _HEADER.size)
+    except struct.error:
+        raise FormatError("checkpoint truncated") from None
+    if variant_code >= len(_VARIANTS):
         raise FormatError(f"unknown head variant code {variant_code}")
-    d_in, n_hidden = r.unpack("<II")
-    hidden = list(r.unpack(f"<{n_hidden}I"))
-    d_feature, n_classes = r.unpack("<II")
+    if flags & ~3:
+        raise FormatError(f"unknown checkpoint flag bits {flags & ~3:#x}")
     dims = [d_in, *hidden, d_feature]
     if min(dims) < 1 or n_classes < 2:
         raise FormatError(f"invalid checkpoint shapes: widths {dims}, n_classes {n_classes}")
 
+    start = _HEADER.size + widths.size
     n_extractor, n_head = ExtractorParams.size(dims), HeadParams.size(n_classes, d_feature)
-    if 8 * (n_extractor + n_head) != len(payload) - r.pos:
+    if 8 * (n_extractor + n_head) != len(payload) - start:
         raise FormatError(
-            f"array section holds {len(payload) - r.pos} bytes but the header implies {8 * (n_extractor + n_head)}"
+            f"array section holds {len(payload) - start} bytes but the header implies {8 * (n_extractor + n_head)}"
         )
-    extractor = ExtractorParams(r.array(n_extractor), dims)
-    head = HeadParams(r.array(n_head), n_classes, d_feature, _VARIANT_FROM_CODE[variant_code])
-    model = Model(extractor, head, {"seed": int(seed), "trained": bool(flags & 1)})
+    flat = np.frombuffer(payload, dtype="<f8", offset=start).astype(np.float64)
+    extractor = ExtractorParams(flat[:n_extractor], dims)
+    head = HeadParams(flat[n_extractor:], n_classes, d_feature, _VARIANTS[variant_code])
+    model = Model(extractor, head, {"seed": seed, "trained": bool(flags & 1)})
     if flags & 2:
         model.meta["calibrated"] = True
     if not model.finite():
@@ -232,37 +214,24 @@ def parse_embeddings(path) -> dict[str, np.ndarray]:
     return table
 
 
-def _format_number(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.6g}"
-
-
-def _round6(x: float) -> float:
-    return float(f"{float(x):.6g}")
+def _row_values(row: ReportRow, format_float) -> list:
+    """The row's fields in declared order, each float field through format_float."""
+    return [format_float(getattr(row, f)) if t is float else getattr(row, f) for f, t in _REPORT_TYPES.items()]
 
 
 def write_report(report: DetectionReport, path, format: str = "csv") -> None:
-    """Write a detection report as CSV (fixed header) or JSON (mirrors fields)."""
+    """Write a detection report as CSV (fixed header) or JSON (mirrors fields).
+
+    Float fields are written at 6 significant digits.
+    """
     path = Path(path)
     if format == "csv":
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(REPORT_FIELDS)
-            for row in report.rows:
-                writer.writerow([_format_number(getattr(row, f)) for f in REPORT_FIELDS])
+            writer.writerows(_row_values(row, "{:.6g}".format) for row in report.rows)
     elif format == "json":
-        doc = {
-            "rows": [
-                {
-                    f: (_round6(getattr(r, f)) if _REPORT_TYPES[f] is float else getattr(r, f))
-                    for f in REPORT_FIELDS
-                }
-                for r in report.rows
-            ]
-        }
+        doc = {"rows": [dict(zip(REPORT_FIELDS, _row_values(row, lambda x: float(f"{x:.6g}")))) for row in report.rows]}
         if report.config is not None:
             doc["config"] = report.config
         path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")

@@ -45,6 +45,7 @@ from .head import (
     head_forward_batch,
     softmax_cross_entropy_batch,
 )
+from .scores import EPS_NORM
 
 # Rows per block of inference and the tuning NLL (see ``row_blocks``).  On
 # OpenBLAS 0.3.31 a product of up to ~1200 output elements takes another
@@ -197,7 +198,7 @@ def unit_rows(X: np.ndarray) -> np.ndarray:
     alone, so ``unit_rows(X)[idx]`` is ``unit_rows(X[idx])`` bit for bit.
     """
     norms = np.sqrt(np.add.reduce(X * X, axis=1, keepdims=True))  # np.linalg.norm's sum for real X
-    return np.divide(X, norms, out=X.astype(np.float64, order="C"), where=norms >= 1e-12)
+    return np.divide(X, norms, out=X.astype(np.float64, order="C"), where=norms >= EPS_NORM)
 
 
 def row_blocks(n: int) -> list[slice]:

@@ -210,6 +210,10 @@ class TestConceptSplit:
             concept_split(["cat"], ["unicorn", "near", "dragon"], self.embeddings(), 1)
         assert err.value.tokens == ["dragon", "unicorn"]
 
+    def test_empty_id_list_rejected(self):
+        with pytest.raises(ConfigError, match="ID class names is empty"):
+            concept_split([], ["near", "mid"], self.embeddings(), 1)
+
     def test_partition_covers_all_classes(self):
         rng = np.random.default_rng(15)
         emb = {f"c{i}": rng.normal(0.0, 1.0, 4) for i in range(30)}

@@ -276,21 +276,35 @@ class TestCmdDetect:
         assert "at least one score" in capsys.readouterr().err
         assert not out.with_suffix(".csv").exists() and not out.with_suffix(".json").exists()
 
-    @pytest.mark.parametrize("corruption", ["nan_weight", "zero_width"])
+    @pytest.mark.parametrize(
+        "corruption", ["nan_weight", "zero_width", "flag_bits", "short_header", "huge_n_hidden"]
+    )
     def test_resigned_malformed_checkpoint_exit_3(self, config_file, trained_checkpoint, tmp_path, capsys, corruption):
         blob = bytearray(trained_checkpoint.read_bytes())
+        # file offsets: magic/version 0, seed 8, flags 16, variant 20, d_in 24, n_hidden 28,
+        # two hidden widths 32, d_feature/n_classes 40, first extractor weight 48
         if corruption == "nan_weight":
-            # first extractor weight: after magic/version, seed/flags/variant, d_in/n_hidden,
-            # two hidden widths and d_feature/n_classes
             blob[48:56] = struct.pack("<d", float("nan"))
+        elif corruption == "zero_width":
+            blob[32:36] = struct.pack("<I", 0)
+        elif corruption == "flag_bits":
+            blob[16:20] = struct.pack("<I", 0xF1)
+        elif corruption == "short_header":
+            blob = blob[:20] + blob[-8:]
         else:
-            blob[32:36] = struct.pack("<I", 0)  # first hidden width
+            blob[28:32] = struct.pack("<I", 2**32 - 1)
         payload = bytes(blob[8:-8])
         broken = tmp_path / "broken.godn"
         broken.write_bytes(bytes(blob[:8]) + payload + struct.pack("<Q", fnv1a64(payload)))
         code = main(["detect", "--config", str(config_file), "--checkpoint", str(broken), "--out", str(tmp_path / "rep")])
         assert code == 3
-        expected = {"nan_weight": "non-finite", "zero_width": "invalid checkpoint shapes"}[corruption]
+        expected = {
+            "nan_weight": "non-finite",
+            "zero_width": "invalid checkpoint shapes",
+            "flag_bits": "flag bits 0xf0",
+            "short_header": "checkpoint truncated",
+            "huge_n_hidden": "checkpoint truncated",
+        }[corruption]
         assert expected in capsys.readouterr().err
         assert not (tmp_path / "rep.csv").exists()
 
@@ -299,6 +313,22 @@ class TestCmdDetect:
             ["detect", "--config", str(config_file), "--checkpoint", str(tmp_path / "none.godn"), "--out", str(tmp_path / "rep")]
         )
         assert code == 3
+
+
+@pytest.mark.parametrize("command", ["detect", "calibrate"])
+@pytest.mark.parametrize("seed_args, seed", [([], 7), (["--seed", "9"], 9)])
+def test_embedded_config_names_the_run_seed(config_file, tmp_path, command, seed_args, seed):
+    """Without --seed a run uses the checkpoint's seed, and so does the config it embeds."""
+    checkpoint, out = tmp_path / "model.godn", tmp_path / "out"
+    assert main(["train", "--config", str(config_file), "--seed", "7", "--out", str(checkpoint)]) == 0
+    argv = [command, "--config", str(config_file), "--checkpoint", str(checkpoint), "--out", str(out), *seed_args]
+    assert main(argv) == 0
+    if command == "detect":
+        doc = json.loads(out.with_suffix(".json").read_text())
+        assert {row["seed"] for row in doc["rows"]} == {seed}
+    else:
+        doc = json.loads((tmp_path / "out.calibration.json").read_text())
+    assert doc["config"]["task"]["seed"] == seed
 
 
 @pytest.mark.parametrize("command", ["detect", "calibrate"])

@@ -157,6 +157,35 @@ class TestCheckpointValidation:
         with pytest.raises(FormatError, match="header implies"):
             load_model(path)
 
+    @pytest.mark.parametrize("flags", [0, 1, 2, 3, 4, 0x80000000, 0xF1])
+    def test_only_trained_and_calibrated_flag_bits_load(self, tmp_path, flags):
+        payload = bytearray(checkpoint_payload(3, [4], 2, 2))
+        payload[8:12] = struct.pack("<I", flags)  # after the u64 seed
+        path = tmp_path / "m.godn"
+        path.write_bytes(sign(bytes(payload)))
+        if flags > 3:
+            with pytest.raises(FormatError, match="flag bits"):
+                load_model(path)
+        else:
+            loaded = load_model(path)
+            assert loaded.meta["trained"] is bool(flags & 1)
+            assert loaded.meta.get("calibrated", False) is bool(flags & 2)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            checkpoint_payload(3, [4], 2, 2)[:23],  # inside the fixed fields
+            checkpoint_payload(3, [4], 2, 2)[:27],  # inside the widths
+            struct.pack("<QIIII", 0, 1, 3, 3, 2**32 - 1) + bytes(64),  # n_hidden far beyond the payload
+        ],
+        ids=["fixed_fields", "widths", "huge_n_hidden"],
+    )
+    def test_truncated_header_with_valid_checksum(self, tmp_path, payload):
+        path = tmp_path / "m.godn"
+        path.write_bytes(sign(payload))
+        with pytest.raises(FormatError, match="checkpoint truncated"):
+            load_model(path)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_parameters_rejected(self, model, tmp_path, bad):
         path = tmp_path / "m.godn"
