@@ -11,11 +11,12 @@ against a pairwise oracle in the tests) and TNR@TPR95.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, MissingTokenError, NumericError, StateError
+from .errors import ConfigError, DataError, DomainError, MissingTokenError, NumericError, StateError
 from .scores import SCORE_NAMES, score_batch
 from .train import Model, extract_features
 
@@ -332,6 +333,7 @@ def concept_split(id_class_names, ood_class_names, embeddings, n_groups: int) ->
     Similarity of an OOD class is its largest inner product against any ID
     class.  Classes are ordered by ascending (similarity, name) and chunked;
     the last (highest-index, most similar) group absorbs any remainder.
+    A name repeated within either list is a DataError, as is one not in the vocabulary.
     """
     id_names = list(id_class_names)
     ood_names = list(ood_class_names)
@@ -341,9 +343,12 @@ def concept_split(id_class_names, ood_class_names, embeddings, n_groups: int) ->
         raise ConfigError(f"need at least one group, got {n_groups}")
     if len(ood_names) < n_groups:
         raise ConfigError(f"{len(ood_names)} classes cannot fill {n_groups} groups")
+    repeated = sorted({name for group in (id_names, ood_names) for name, n in Counter(group).items() if n > 1})
+    if repeated:
+        raise DataError("repeated class names: " + ", ".join(repeated))
     names = id_names + ood_names
     vecs = {name: embeddings[tok] for name in names if (tok := _resolve_token(name, embeddings)) is not None}
-    missing = [name for name in names if name not in vecs]
+    missing = {name for name in names if name not in vecs}  # a name may be in both lists
     if missing:
         raise MissingTokenError(sorted(missing))
     sims = {name: max(float(vecs[name] @ vecs[i]) for i in id_names) for name in ood_names}

@@ -6,15 +6,17 @@ the head rescales all logits by one positive factor, retuning can never
 change a prediction, and every score derived from the feature and the class
 weights is untouched.  The extractor therefore runs once per split: tuning,
 the before/after metrics and every cross-validation fold reuse those
-features.  Tuning also computes the head's plain part s = F W^T and ||f||
-once and steps only the multiplier, on the training schedule
+features.  Tuning also computes the head's plain part s = F W^T, ||f|| and
+max_j s_j once and steps only the multiplier, on the training schedule
 ``train.minibatches`` over the alpha/beta slice of the head, without weight
 decay.  Row sets of one size share that schedule, so ``_tune_head`` tunes
 a stack of heads (see ``head``) on equal-size row sets in one call per
 step: the main run is a stack of one, and the k folds, whose sizes
 ``np.array_split`` makes differ by at most one, are stacked by size, at
 most ``STACK_BYTES`` of row copies per stack.  Each fold's head is bit for
-bit the one a run of its own would give.  The per-epoch tuning NLL runs in
+bit the one a run of its own would give.  The tuning logits are m * s with
+m >= 1, so their class max is m * max_j s_j exactly (``scores.shifted_exp``):
+no step or NLL takes that max again.  The per-epoch tuning NLL runs in
 the row blocks of ``train.row_blocks``, as inference does, so its
 temporaries are bounded by the block, not the split.
 ECE / NLL / reliability-bin metrics and a temperature-scaling baseline live
@@ -212,7 +214,7 @@ def split_metrics(logits, y, n_bins: int = 15) -> SplitMetrics:
 def _tune_head(head, val, rows: np.ndarray, config: CalibConfig):
     """NLL-minimize the alpha/beta parameters of G copies of ``head``, copy g on the val rows ``rows[g]``.
 
-    ``val`` is (features F, plain part s, ||f||, labels) of the tuning split
+    ``val`` is (features F, plain part s, ||f||, max_j s_j, labels) of the tuning split
     and ``rows`` a (G, n) row index into it.  Returns (tuned heads as one
     stacked HeadParams, best epochs, NLLs before, NLLs after), each along the
     leading axis of length G; each copy keeps its best state across epochs
@@ -222,9 +224,10 @@ def _tune_head(head, val, rows: np.ndarray, config: CalibConfig):
     The NLL's logits are taken in the blocks of ``train.row_blocks``, and
     its per-row NLLs go into a (G, n) buffer; that buffer, the head gradient
     and the momentum scratch are allocated once per call and overwritten by
-    each epoch or step.
+    each epoch or step.  Every softmax gets its row max as m * max_j s_j
+    (exact, as m >= 1) instead of taking it from the logits.
     """
-    F, s, fn, y = (a[rows] for a in val)  # each step gathers its batch from these stacked copies
+    F, s, fn, smax, y = (a[rows] for a in val)  # each step gathers its batch from these stacked copies
     heads = head.like(np.tile(head.flat, (rows.shape[0], 1)))
     blocks, nll = row_blocks(rows.shape[1]), np.empty(rows.shape)
 
@@ -233,7 +236,7 @@ def _tune_head(head, val, rows: np.ndarray, config: CalibConfig):
         # split's logits take, at any BLAS thread count; only the (G, n, k) logits go by block.
         m = multiplier(F, fn, heads)[2]
         for blk in blocks:
-            row_nll(m[:, blk, None] * s[:, blk], y[:, blk], out=nll[:, blk])
+            row_nll(m[:, blk, None] * s[:, blk], y[:, blk], out=nll[:, blk], lmax=m[:, blk] * smax[:, blk])
         return nll.sum(axis=-1) / nll.shape[-1]  # cross_entropy's mean
 
     nll_before = full_nll()
@@ -250,7 +253,7 @@ def _tune_head(head, val, rows: np.ndarray, config: CalibConfig):
             Fb = F[:, idx]
             trace = multiplier_forward(Fb, s[:, idx], fn[:, idx], heads)
             # The loss is discarded, not skipped: one softmax cross-entropy serves train and calibrate.
-            _, grad_logits = softmax_cross_entropy_batch(trace.logits, y[:, idx])
+            _, grad_logits = softmax_cross_entropy_batch(trace.logits, y[:, idx], lmax=trace.m * smax[:, idx])
             head_backward_batch(trace, Fb, heads, grad_logits, frozen_plain=True, out=hg)
             momentum_step(live, live_grad, velocity, lr, config.momentum, scratch=scratch)
         epoch_nll = full_nll()
@@ -291,7 +294,8 @@ def calibrate(model: Model, val_set, config: CalibConfig, eval_sets: dict | None
     def metrics(name, head, rows=slice(None)):
         return split_metrics(head_forward_batch(F[name][rows], head).logits, splits[name][1][rows])
 
-    val = (F["val"], *plain_forward(F["val"], model.head), yv)  # features, s, ||f||, labels
+    s, fn = plain_forward(F["val"], model.head)
+    val = (F["val"], s, fn, s.max(axis=-1), yv)  # features, s, ||f||, max_j s_j, labels
     tuned, best_epoch, nll_before, nll_after = _tune_head(model.head, val, np.arange(Xv.shape[0])[None], config)
     tuned_head = tuned.like(tuned.flat[0])
     if not np.all(np.isfinite(tuned_head.flat)):

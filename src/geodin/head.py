@@ -251,12 +251,13 @@ def _mean(nll: np.ndarray):
     return nll.sum(axis=-1) / nll.shape[-1]  # np.mean's sum and division, without its per-call wrapper
 
 
-def row_nll(logits: np.ndarray, labels, out: np.ndarray | None = None) -> np.ndarray:
+def row_nll(logits: np.ndarray, labels, out: np.ndarray | None = None, lmax=None) -> np.ndarray:
     """Softmax cross-entropy of each row of a logit batch (..., n, k) against integer labels (..., n).
 
     Written into ``out`` when given; IndexError unless every label lies in [0, k).
+    ``lmax`` is the logits' exact row max when the caller holds it (see ``shifted_exp``).
     """
-    shifted, _, esum = shifted_exp(logits)
+    shifted, _, esum = shifted_exp(logits, lmax)
     y = np.asarray(labels)
     if (y < 0).any() or (y >= shifted.shape[-1]).any():
         raise IndexError("label out of range")
@@ -272,15 +273,15 @@ def cross_entropy(logits: np.ndarray, labels):
     return _mean(row_nll(logits, labels))
 
 
-def softmax_cross_entropy_batch(logits: np.ndarray, labels):
+def softmax_cross_entropy_batch(logits: np.ndarray, labels, lmax=None):
     """Mean cross-entropy over a batch (as in ``cross_entropy``) and its gradient wrt every logit.
 
     The labels must lie in [0, k): this per-step call does not check them,
     and a negative one silently picks from the end of its row.  ``train``
     checks its labels once per run; calibration's tuning checks its split's
-    in the ``row_nll`` of its NLL before the first step.
+    in the ``row_nll`` of its NLL before the first step.  ``lmax`` is as in ``row_nll``.
     """
-    shifted, e, esum = shifted_exp(logits)
+    shifted, e, esum = shifted_exp(logits, lmax)
     nll, pick = _row_nll(shifted, esum, np.asarray(labels))
     grad = e / esum[..., None]
     grad[pick] -= 1.0

@@ -18,7 +18,9 @@ of the feature and the class weights, unaffected by any downstream
 recalibration of the head.
 
 Everything here is pure and operates on float64.  :func:`score_batch` is the
-one implementation of the five scores.
+one implementation of the five scores.  It takes each row's logit max once,
+for u, the shift and the energy; the shifted max is exactly 0, so the MSP is
+``1 / sum_i exp(l_i - max_j l_j)``.
 """
 
 from __future__ import annotations
@@ -42,22 +44,19 @@ def _as_weights(W) -> np.ndarray:
     return W
 
 
-def shifted_exp(logits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def shifted_exp(logits, lmax=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Max-shifted logits, their exponentials and the exponentials' sum, over the last axis.
 
     The one overflow-safe core of softmax (``e / esum``), log-sum-exp
     (``max + log(esum)``) and cross-entropy (``log(esum) - shifted[label]``).
+    ``lmax``, if given, must be the exact row max ``logits.max(axis=-1)`` that
+    a caller holds.  For logits ``m * s`` with ``m >= 1`` per row it is ``m * s.max(axis=-1)``:
+    rounding is monotone, and with ``m >= 1`` no product underflows into a new tie.
     """
     l = np.asarray(logits, dtype=np.float64)
-    shifted = l - l.max(axis=-1, keepdims=True)
+    shifted = l - (l.max(axis=-1) if lmax is None else lmax)[..., None]
     e = np.exp(shifted)
     return shifted, e, e.sum(axis=-1)
-
-
-def _msp_energy(logits) -> tuple[np.ndarray, np.ndarray]:
-    l = np.asarray(logits, dtype=np.float64)
-    _, e, esum = shifted_exp(l)
-    return e.max(axis=-1) / esum, l.max(axis=-1) + np.log(esum)
 
 
 def score_batch(F, W) -> dict[str, np.ndarray]:
@@ -75,8 +74,9 @@ def score_batch(F, W) -> dict[str, np.ndarray]:
     if np.any(F < 0):
         raise DomainError("feature batch contains negative entries (features are post-rectification)")
     logits = F @ W.T
+    lmax = logits.max(axis=1)
     fn = np.linalg.norm(F, axis=1)
-    u = np.maximum(0.0, logits.max(axis=1) - logits.mean(axis=1))
+    u = np.maximum(0.0, lmax - logits.mean(axis=1))
     h = np.divide(u, fn, out=np.zeros_like(u), where=fn >= EPS_NORM)
-    msp, energy = _msp_energy(logits)  # one shifted exp serves both
-    return {"g": fn, "h": h, "u": u, "msp": msp, "energy": energy}
+    esum = shifted_exp(logits, lmax)[2]  # one shifted exp serves msp and energy
+    return {"g": fn, "h": h, "u": u, "msp": 1.0 / esum, "energy": lmax + np.log(esum)}

@@ -7,8 +7,9 @@ that a test comparing ``score_batch`` with them does not compare the code
 with itself.  The checksum reference is the byte-at-a-time FNV-1a loop.  The
 gradient oracle differentiates its own batched forward pass numerically.
 The training oracle is the SGD loop that projects and allocates afresh on
-every step, and the inference oracle the forward pass that takes the whole
-batch at once.
+every step, the tuning oracle the calibration loop whose every softmax takes
+its own row max, and the inference oracle the forward pass that takes the
+whole batch at once.
 """
 
 import math
@@ -16,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from geodin.errors import ConfigError, DomainError
-from geodin.scores import _msp_energy, score_batch
-from geodin.train import init_model, loss_and_grads, minibatches, momentum_step, unit_rows
+from geodin.errors import ConfigError, DomainError, NumericError
+from geodin.head import head_backward_batch, multiplier, multiplier_forward, row_nll, softmax_cross_entropy_batch
+from geodin.scores import score_batch, shifted_exp
+from geodin.train import init_model, loss_and_grads, minibatches, momentum_step, row_blocks, unit_rows
 
 EPS_NORM = 1e-12
 
@@ -93,7 +95,7 @@ def kl_from_uniform(probs) -> float:
     return max(0.0, float(-np.mean(np.log(m * p))))
 
 
-# Test-only views of the engine: one sample's scores, and the msp/energy core.
+# Test-only views of the engine: one sample's scores, and MSP and energy from its shifted exponentials.
 
 
 @dataclass(frozen=True)
@@ -113,14 +115,24 @@ def score_set(f, W) -> ScoreSet:
     return ScoreSet(**{name: float(values[0]) for name, values in scores.items()})
 
 
+def msp_energy(logits) -> tuple[np.ndarray, np.ndarray]:
+    """(MSP, energy) over the last axis of the logits, from the engine's shifted exponentials.
+
+    Each takes its own max: MSP is ``e.max / esum`` and energy ``l.max + log(esum)``.
+    """
+    l = np.asarray(logits, dtype=np.float64)
+    _, e, esum = shifted_exp(l)
+    return e.max(axis=-1) / esum, l.max(axis=-1) + np.log(esum)
+
+
 def msp_score(logits):
-    """Maximum softmax probability over the last axis of the logits (the engine's core)."""
-    return _msp_energy(logits)[0]
+    """Maximum softmax probability over the last axis of the logits."""
+    return msp_energy(logits)[0]
 
 
 def energy_score(logits):
-    """Log-sum-exp over the last axis of the logits (the engine's core)."""
-    return _msp_energy(logits)[1]
+    """Log-sum-exp over the last axis of the logits."""
+    return msp_energy(logits)[1]
 
 
 def batched_loss(model, thetas: np.ndarray, x: np.ndarray, label: int) -> np.ndarray:
@@ -219,3 +231,43 @@ def reference_forward(params, X):
         z += b
         a = np.maximum(z, 0.0, out=z)
     return a
+
+
+def reference_tune_head(head, val, rows, config):
+    """``calibrate._tune_head`` with every softmax taking the max of its own logits.
+
+    ``val`` is (F, s, ||f||, labels), without the per-row max_j s_j; same
+    schedule, buffers, best-state rule and return values.
+    """
+    F, s, fn, y = (a[rows] for a in val)
+    heads = head.like(np.tile(head.flat, (rows.shape[0], 1)))
+    blocks, nll = row_blocks(rows.shape[1]), np.empty(rows.shape)
+
+    def full_nll():
+        m = multiplier(F, fn, heads)[2]
+        for blk in blocks:
+            row_nll(m[:, blk, None] * s[:, blk], y[:, blk], out=nll[:, blk])
+        return nll.sum(axis=-1) / nll.shape[-1]
+
+    nll_before = full_nll()
+    if not np.all(np.isfinite(nll_before)):
+        bad = nll_before[~np.isfinite(nll_before)][0]
+        raise NumericError(f"non-finite tuning NLL {bad}: the head overflows on this split")
+    best_nll, best_epoch, best_flat = nll_before, np.full(rows.shape[0], -1), heads.flat.copy()
+    tail = head.W.size
+    hg = heads.like(np.zeros_like(heads.flat))
+    live, live_grad = heads.flat[:, tail:], hg.flat[:, tail:]
+    velocity, scratch = np.zeros_like(live), np.empty_like(live)
+    for epoch, steps in enumerate(minibatches(rows.shape[1], config, 2)):
+        for idx, lr in steps:
+            Fb = F[:, idx]
+            trace = multiplier_forward(Fb, s[:, idx], fn[:, idx], heads)
+            _, grad_logits = softmax_cross_entropy_batch(trace.logits, y[:, idx])
+            head_backward_batch(trace, Fb, heads, grad_logits, frozen_plain=True, out=hg)
+            momentum_step(live, live_grad, velocity, lr, config.momentum, scratch=scratch)
+        epoch_nll = full_nll()
+        better = epoch_nll < best_nll
+        best_nll = np.where(better, epoch_nll, best_nll)
+        best_epoch[better] = epoch
+        best_flat[better] = heads.flat[better]
+    return head.like(best_flat), best_epoch, nll_before, best_nll

@@ -31,6 +31,7 @@ from geodin.train import (
     shuffles,
     train,
 )
+from oracles import reference_tune_head
 from test_fingerprint import SMALL_CONFIG
 
 calibrate_module = importlib.import_module("geodin.calibrate")  # the package's `calibrate` is the function
@@ -288,11 +289,12 @@ class TestCalibrate:
 
 
 def _fold_oracle(model, val_set, config):
-    """The tuning split's (F, s, ||f||, labels), the folds' held-out and rest rows, and each
-    fold's head tuned on its own, as a stack of one."""
+    """The tuning split's (F, s, ||f||, max_j s_j, labels), the folds' held-out and rest rows,
+    and each fold's head tuned on its own, as a stack of one."""
     X, y = val_set
     F = extract_features(model, X)
-    val = (F, *plain_forward(F, model.head), np.asarray(y, dtype=np.int64))
+    s, fn = plain_forward(F, model.head)
+    val = (F, s, fn, s.max(axis=-1), np.asarray(y, dtype=np.int64))
     pieces = np.array_split(next(shuffles(len(y), config.seed, 3)), config.folds)
     rests = [np.concatenate(pieces[:k] + pieces[k + 1 :]) for k in range(config.folds)]
     return val, pieces, rests, [calibrate_module._tune_head(model.head, val, rest[None], config) for rest in rests]
@@ -336,7 +338,7 @@ class TestStackedFolds:
                 assert (best_epoch[g], nll_before[g], nll_after[g]) == (one_epoch[0], one_before[0], one_after[0])
 
         _, report = calibrate(model, val_set, config)
-        F, _, _, y = val
+        F, *_, y = val
         for k, held in enumerate(pieces):
             head = oracle[k][0]
             logits = head_forward_batch(F[held], head.like(head.flat[0])).logits
@@ -353,7 +355,7 @@ class TestStackedFolds:
             stacks.append(len(rows))
             return tune(head, val, rows, config)
 
-        row_bytes = (model.head.d_feature + model.head.n_classes + 2) * 8  # a row of F, s, ||f|| and labels
+        row_bytes = (model.head.d_feature + model.head.n_classes + 3) * 8  # a row of F, s, ||f||, max_j s_j, labels
         monkeypatch.setattr(calibrate_module, "_tune_head", counted)
         monkeypatch.setattr(calibrate_module, "STACK_BYTES", 2 * 116 * row_bytes)
         _, split = calibrate(model, task.val, config)
@@ -368,21 +370,24 @@ class TestStackedFolds:
         s, fn = plain_forward(F, model.head)
         rows = np.random.default_rng(0).permutation(len(F))[:120].reshape(3, 40)  # three disjoint row sets
         s[rows[bad_slice, 0]] = 1e308  # that row's logits m * s overflow
+        val = (F, s, fn, s.max(axis=-1), task.val[1])
         steps = []
         monkeypatch.setattr(calibrate_module, "momentum_step", lambda *args: steps.append(args))
         with pytest.raises(NumericError, match="non-finite tuning NLL"):
-            calibrate_module._tune_head(model.head, (F, s, fn, task.val[1]), rows, CalibConfig(seed=21, epochs=2))
+            calibrate_module._tune_head(model.head, val, rows, CalibConfig(seed=21, epochs=2))
         assert steps == []
 
 
-def _synthetic_split(rows: int, d: int = 12, k: int = 6, seed: int = 0):
-    """A random alpha/beta head and a tuning split (F, s, ||f||, labels) of ``rows`` rows for it."""
+def _synthetic_split(rows: int, d: int = 12, k: int = 6, seed: int = 0, variant=HeadVariant.ALPHA_BETA):
+    """A random head and a tuning split (F, s, ||f||, max_j s_j, labels) of ``rows`` rows for it."""
     rng = np.random.default_rng(seed)
-    head = HeadParams.initial(d, k, HeadVariant.ALPHA_BETA, rng)
+    head = HeadParams.initial(d, k, variant, rng)
     head.alpha_w[:] = rng.normal(0.0, 0.3, d)
     head.beta_w[:] = rng.normal(0.0, 0.3, d)
     F = np.abs(rng.normal(0.0, 1.0, (rows, d)))
-    return head, (F, *plain_forward(F, head), rng.integers(0, k, rows))
+    F[0] = 0.0  # a degenerate row: ||f|| = 0 and s = 0
+    s, fn = plain_forward(F, head)
+    return head, (F, s, fn, s.max(axis=-1), rng.integers(0, k, rows))
 
 
 class TestBlockedTuningNll:
@@ -395,7 +400,7 @@ class TestBlockedTuningNll:
         rng = np.random.default_rng(n)
         rows = np.stack([rng.permutation(len(val[0]))[:n] for _ in range(G)])
         tuned, _, before, after = calibrate_module._tune_head(head, val, rows, CalibConfig(epochs=2, batch_size=256))
-        F, s, fn, y = (a[rows] for a in val)
+        F, s, fn, _, y = (a[rows] for a in val)
 
         def one_shot(heads):
             return cross_entropy(multiplier_forward(F, s, fn, heads).logits, y)
@@ -405,14 +410,48 @@ class TestBlockedTuningNll:
         assert np.all(after <= before)
 
     def test_out_of_range_label_in_the_last_block_raises_before_any_step(self, monkeypatch):
-        head, (F, s, fn, y) = _synthetic_split(2 * BLOCK_ROWS + 1)
+        head, val = _synthetic_split(2 * BLOCK_ROWS + 1)
+        y = val[-1]
         rows = np.arange(len(y))[None]
         y[-1] = head.n_classes
         steps = []
         monkeypatch.setattr(calibrate_module, "momentum_step", lambda *args, **kwargs: steps.append(args))
         with pytest.raises(IndexError, match="label out of range"):
-            calibrate_module._tune_head(head, (F, s, fn, y), rows, CalibConfig(epochs=2))
+            calibrate_module._tune_head(head, val, rows, CalibConfig(epochs=2))
         assert steps == []
+
+
+class TestHoistedRowMax:
+    """Every tuning softmax takes its row max as m * max_j s_j; the heads are those of the
+    loop whose softmaxes take it from the logits (``oracles.reference_tune_head``), bit for bit."""
+
+    @staticmethod
+    def without_max(val):
+        return (*val[:3], val[4])
+
+    @pytest.mark.parametrize("variant", [HeadVariant.ALPHA_ONLY, HeadVariant.BETA_ONLY, HeadVariant.ALPHA_BETA])
+    @pytest.mark.parametrize("G", [1, 5])
+    def test_matches_the_per_step_max(self, G, variant):
+        head, val = _synthetic_split(150, variant=variant)  # row 0 is degenerate
+        rows = np.stack([np.random.default_rng(g).permutation(150) for g in range(G)])
+        config = CalibConfig(epochs=3, batch_size=64)  # batches of 64, 64 and a ragged 22
+        tuned, best_epoch, before, after = calibrate_module._tune_head(head, val, rows, config)
+        ref_tuned, ref_epoch, ref_before, ref_after = reference_tune_head(head, self.without_max(val), rows, config)
+        assert tuned.flat.tobytes() == ref_tuned.flat.tobytes()
+        assert best_epoch.tolist() == ref_epoch.tolist()
+        assert (before.tobytes(), after.tobytes()) == (ref_before.tobytes(), ref_after.tobytes())
+        assert np.all(after < before)  # the heads moved
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_underflowing_alpha_raises_the_same_numeric_error(self):
+        head, val = _synthetic_split(150)
+        head.alpha_b = -800.0  # alpha underflows to 0, so m = 1/alpha is inf
+        rows, config = np.arange(150)[None], CalibConfig(epochs=2)
+        with pytest.raises(NumericError, match="non-finite tuning NLL") as hoisted:
+            calibrate_module._tune_head(head, val, rows, config)
+        with pytest.raises(NumericError) as reference:
+            reference_tune_head(head, self.without_max(val), rows, config)
+        assert str(hoisted.value) == str(reference.value)
 
 
 def _inflated(model):

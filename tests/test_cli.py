@@ -430,6 +430,26 @@ class TestCmdSplits:
         assert code == 3
         assert "unicorn" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "id_text,ood_text,message",
+        [
+            ("cat\n", "near\nmid\nnear\nfar\nmid\nnear\n", "repeated class names: mid, near"),
+            ("cat\nfar\ncat\n", "near\nmid\n", "repeated class names: cat"),
+            ("cat\nyak\n", "near\nyak\n", "unresolvable class names: yak"),
+        ],
+        ids=["ood_repeat", "id_repeat", "missing_in_both"],
+    )
+    def test_repeated_name_exit_3_names_it_once(self, tmp_path, capsys, id_text, ood_text, message):
+        emb, id_names, ood_names = self.setup_fixture(tmp_path)
+        id_names.write_text(id_text, encoding="utf-8")
+        ood_names.write_text(ood_text, encoding="utf-8")
+        out = tmp_path / "s.csv"
+        code = main(
+            ["splits", "--embeddings", str(emb), "--id-names", str(id_names), "--ood-names", str(ood_names), "--n-groups", "2", "--out", str(out)]
+        )
+        assert code == 3
+        assert capsys.readouterr().err.strip().endswith(message)
+        assert not out.exists()
 
     def test_empty_embedding_file_exit_3(self, tmp_path, capsys):
         emb, id_names, ood_names = self.setup_fixture(tmp_path)

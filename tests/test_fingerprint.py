@@ -65,6 +65,13 @@ SMALL_DETECT_JSON = "ab3fa761a9cf5acb3d6f87247b929c0cf549c12526efe2b0f7fe95542d1
 SMALL_CALIBRATE_CHECKPOINT = "ab3bbac44bd802fbdaad3787ff550b797a1837a6d244e0154a2f300142928b94"
 SMALL_CALIBRATE_REPORT = "fb152e8b2c0dfe44ed3b1bb2834c7573ef4648b224fabba5897dfe473545925a"
 
+# 204 validation rows (4 classes x 51): the main run tunes on batches of 64, 64, 64 and 12,
+# and five folds tune on 163 rows (a stack of four) and 164 rows (a stack of one), ending
+# on batches of 35 and 36.
+STACKED_CALIBRATE = ["--set", "task.n_per_class=253", "--set", "calibrate.folds=5"]
+STACKED_CALIBRATE_CHECKPOINT = "87db9674280540ecad4f89d38e15a4bfefdc8d038aabb6c46ba545a293f8cfe0"
+STACKED_CALIBRATE_REPORT = "cd623750e1c8d07760907b615eeb4d302ed01e5d4fa6365d455fe6114542a5e8"
+
 
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -117,3 +124,11 @@ def test_small_calibrate_outputs(small_config, small_checkpoint, tmp_path):
     assert main(["calibrate", "--config", str(small_config), "--checkpoint", str(small_checkpoint), "--out", str(out)]) == 0
     assert sha256(out) == SMALL_CALIBRATE_CHECKPOINT
     assert sha256(tmp_path / "calibrated.calibration.json") == SMALL_CALIBRATE_REPORT
+
+
+def test_stacked_calibrate_outputs(small_config, small_checkpoint, tmp_path):
+    out = tmp_path / "calibrated.godn"
+    argv = ["calibrate", "--config", str(small_config), *STACKED_CALIBRATE, "--checkpoint", str(small_checkpoint)]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert sha256(out) == STACKED_CALIBRATE_CHECKPOINT
+    assert sha256(tmp_path / "calibrated.calibration.json") == STACKED_CALIBRATE_REPORT

@@ -14,7 +14,7 @@ import oracles
 from geodin.bench import make_task
 from geodin.calibrate import softmax_probs
 from geodin.errors import DomainError, ShapeError
-from geodin.scores import EPS_NORM, score_batch
+from geodin.scores import EPS_NORM, score_batch, shifted_exp
 from geodin.train import TrainConfig, extract_features, train
 from oracles import energy_score, kl_from_uniform, msp_score, score_set
 
@@ -160,6 +160,48 @@ class TestEnergyScore:
             logits = rng.normal(0.0, 3.0, m)
             lse = energy_score(logits)
             assert logits.max() - 1e-9 <= lse <= logits.max() + math.log(m) + 1e-9
+
+
+class TestGivenRowMax:
+    """``shifted_exp`` with a row max the caller holds, and ``score_batch``'s one max per row."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_max_of_scaled_logits_is_the_scaled_max(self):
+        # Calibration's hoist: for m >= 1, max_j fl(m s_j) is fl(m max_j s_j), bit for bit.
+        rng = np.random.default_rng(30)
+        s = rng.normal(0.0, 1.0, (5, 84, 9))
+        m = 1.0 + rng.exponential(3.0, (5, 84))
+        s[:, 0::6, 3] = s[:, 0::6, 5] = s[:, 0::6].max(axis=-1)  # ties at the max
+        s[:, 1::6] = 0.0
+        s[:, 1::6, ::2] = -0.0  # rows of +0 and -0 only
+        s[:, 2::6] = -0.0
+        s[:, 3::6] *= 1e306  # these products overflow to +-inf
+        m[:, 3::6] = 1e3
+        m[:, 4::6] = 1.0
+        l = m[..., None] * s
+        assert np.isinf(l).any() and np.signbit(l[:, 2::6].max(axis=-1)).all()
+        assert l.max(axis=-1).tobytes() == (m * s.max(axis=-1)).tobytes()
+        given = shifted_exp(l, m * s.max(axis=-1))
+        for ours, taken in zip(given, shifted_exp(l)):
+            assert ours.tobytes() == taken.tobytes()
+
+    @pytest.mark.parametrize("case", ["random", "all_equal", "wide_gap"])
+    def test_score_batch_msp_energy_match_the_per_score_max(self, case):
+        rng = np.random.default_rng(31)
+        if case == "random":
+            F, W = rng.uniform(0.0, 2.0, (64, 9)), rng.normal(0.0, 3.0, (6, 9))
+        elif case == "all_equal":  # small integers: every logit of a row is the same exact sum
+            F, W = rng.integers(0, 5, (16, 9)).astype(float), np.tile(rng.integers(-3, 4, 9), (5, 1)).astype(float)
+            F[0] = 0.0
+        else:
+            F, W = np.array([[1000.0]]), np.array([[1.0], [-1.0]])  # logits [1000, -1000]
+        logits = F @ W.T
+        if case == "all_equal":
+            assert np.all(logits == logits[:, :1])
+        scores = score_batch(F, W)
+        msp, energy = oracles.msp_energy(logits)
+        assert scores["msp"].tobytes() == msp.tobytes()
+        assert scores["energy"].tobytes() == energy.tobytes()
 
 
 class TestKlFromUniform:
