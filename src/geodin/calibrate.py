@@ -9,12 +9,13 @@ the before/after metrics and every cross-validation fold reuse those
 features.  Tuning also computes the head's plain part s = F W^T, ||f|| and
 max_j s_j once and steps only the multiplier, on the training schedule
 ``train.minibatches`` over the alpha/beta slice of the head, without weight
-decay.  Row sets of one size share that schedule, so ``_tune_head`` tunes
-a stack of heads (see ``head``) on equal-size row sets in one call per
-step: the main run is a stack of one, and the k folds, whose sizes
-``np.array_split`` makes differ by at most one, are stacked by size, at
-most ``STACK_BYTES`` of row copies per stack.  Each fold's head is bit for
-bit the one a run of its own would give.  The tuning logits are m * s with
+decay.  ``_tune_head`` tunes the main run's head and the k folds' heads as
+one stack (see ``head``), in lock-step: each head keeps the schedule of its
+own row count, and at each step the heads whose batches are equally long
+take it in one call.  The main run leads the stack and reads the split in
+place; the folds' row copies take at most ``STACK_BYTES`` per stack, so
+more folds go to further stacks.  Each head is bit for bit the one a run of
+its own would give.  The tuning logits are m * s with
 m >= 1, so their class max is m * max_j s_j exactly (``scores.shifted_exp``):
 no step or NLL takes that max again.  The per-epoch tuning NLL runs in
 the row blocks of ``train.row_blocks``, as inference does, so its
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, fields
+from itertools import groupby
 
 import numpy as np
 
@@ -45,9 +47,9 @@ from .head import (
 from .scores import shifted_exp
 from .train import Model, check_sgd, extract_features, minibatches, momentum_step, row_blocks, shuffles
 
-# Bytes of the stacked row copies one _tune_head call may hold.  Five wide folds
-# (2048 rows of D=64, k=32) take 8 MB; more folds go to further stacks rather
-# than grow the copies with the fold count.
+# Bytes of the folds' row copies one _tune_head call may hold; the main run reads the
+# split in place and joins the first call.  Five wide folds (2048 rows of D=64, k=32)
+# take 8 MB; more folds go to further stacks rather than grow the copies with the fold count.
 STACK_BYTES = 16 << 20
 
 
@@ -211,51 +213,96 @@ def split_metrics(logits, y, n_bins: int = 15) -> SplitMetrics:
     )
 
 
-def _tune_head(head, val, rows: np.ndarray, config: CalibConfig):
+def _tune_head(head, val, rows, config: CalibConfig):
     """NLL-minimize the alpha/beta parameters of G copies of ``head``, copy g on the val rows ``rows[g]``.
 
     ``val`` is (features F, plain part s, ||f||, max_j s_j, labels) of the tuning split
-    and ``rows`` a (G, n) row index into it.  Returns (tuned heads as one
-    stacked HeadParams, best epochs, NLLs before, NLLs after), each along the
-    leading axis of length G; each copy keeps its best state across epochs
-    -1..epochs, so no tuning NLL increases.  Raises NumericError when any
-    NLL before tuning is not finite, and IndexError (from that NLL's
-    ``row_nll``) when a label is out of range: the steps do not check them.
-    The NLL's logits are taken in the blocks of ``train.row_blocks``, and
-    its per-row NLLs go into a (G, n) buffer; that buffer, the head gradient
-    and the momentum scratch are allocated once per call and overwritten by
-    each epoch or step.  Every softmax gets its row max as m * max_j s_j
-    (exact, as m >= 1) instead of taking it from the logits.
+    and ``rows`` G row indices into it, longest first.  Returns (tuned heads as
+    one stacked HeadParams, best epochs, NLLs before, NLLs after), each along
+    the leading axis of length G; each copy keeps its best state across epochs
+    -1..epochs, so no tuning NLL increases.  Raises NumericError when any NLL
+    before tuning is not finite, and IndexError (from that NLL's ``row_nll``)
+    when a label is out of range: the steps do not check them.
+
+    Copy g keeps the schedule ``minibatches(len(rows[g]), config, 2)``.  Step
+    i of an epoch runs on the copies that have a batch i, a prefix of the
+    stack, in one call per run of equal batch lengths, on views of the stack
+    and with a column of the copies' rates; each copy so gets the bits of a
+    stack of one.  The per-epoch NLL copies the rows of each run of equal-size
+    copies (a copy on the whole split, in order, reads ``val`` in place) and
+    takes their logits in the blocks of ``train.row_blocks``.  Its per-row
+    NLLs, the head gradient and the momentum scratch are allocated once per
+    call.  Every softmax gets its row max as m * max_j s_j (exact, as m >= 1)
+    instead of taking it from the logits.
     """
-    F, s, fn, smax, y = (a[rows] for a in val)  # each step gathers its batch from these stacked copies
-    heads = head.like(np.tile(head.flat, (rows.shape[0], 1)))
-    blocks, nll = row_blocks(rows.shape[1]), np.empty(rows.shape)
+    sizes = [len(r) for r in rows]
+    if sizes != sorted(sizes, reverse=True):
+        raise ValueError(f"row sets must come longest first, got sizes {sizes}")
+    G, bs, whole = len(sizes), config.batch_size, np.arange(len(val[0]))
+    heads = head.like(np.tile(head.flat, (G, 1)))
+    tail = head.W.size  # the alpha/beta parameters follow W in head.flat
+    hg = heads.like(np.zeros_like(heads.flat))  # its W part stays zero: the steps are frozen_plain
+    live, live_grad = heads.flat[:, tail:], hg.flat[:, tail:]
+    velocity, scratch = np.zeros_like(live), np.empty_like(live)
+
+    def runs(keys):
+        """(a, b) of each run of equal keys along the stack."""
+        a = 0
+        for _, members in groupby(keys):
+            b = a + len(list(members))
+            yield a, b
+            a = b
+
+    in_place = [np.array_equal(r, whole) for r in rows]
+    stacks = []  # the NLL's (heads, rows (F, s, ||f||, max_j s_j, labels), row blocks, per-row NLLs) per run
+    for a, b in runs(zip(sizes, in_place)):
+        part = tuple(np.broadcast_to(x, (b - a, *x.shape)) if in_place[a] else x[np.stack(rows[a:b])] for x in val)
+        stacks.append((heads.like(heads.flat[a:b]), part, row_blocks(sizes[a]), np.empty((b - a, sizes[a]))))
 
     def full_nll() -> np.ndarray:
-        # m over all rows at once: its matrix-vector products are then the ones the whole
-        # split's logits take, at any BLAS thread count; only the (G, n, k) logits go by block.
-        m = multiplier(F, fn, heads)[2]
-        for blk in blocks:
-            row_nll(m[:, blk, None] * s[:, blk], y[:, blk], out=nll[:, blk], lmax=m[:, blk] * smax[:, blk])
-        return nll.sum(axis=-1) / nll.shape[-1]  # cross_entropy's mean
+        out = []
+        for heads_ab, (F, s, fn, smax, y), blocks, nll in stacks:
+            # m over all rows at once: its matrix-vector products are then the ones the whole
+            # split's logits take, at any BLAS thread count; only the (G, n, k) logits go by block.
+            m = multiplier(F, fn, heads_ab)[2]
+            for blk in blocks:
+                row_nll(m[:, blk, None] * s[:, blk], y[:, blk], out=nll[:, blk], lmax=m[:, blk] * smax[:, blk])
+            out.append(nll.sum(axis=-1) / nll.shape[-1])  # cross_entropy's mean
+        return np.concatenate(out)
 
     nll_before = full_nll()
     if not np.all(np.isfinite(nll_before)):
         bad = nll_before[~np.isfinite(nll_before)][0]
         raise NumericError(f"non-finite tuning NLL {bad}: the head overflows on this split")
-    best_nll, best_epoch, best_flat = nll_before, np.full(rows.shape[0], -1), heads.flat.copy()
-    tail = head.W.size  # the alpha/beta parameters follow W in head.flat
-    hg = heads.like(np.zeros_like(heads.flat))  # its W part stays zero: the steps are frozen_plain
-    live, live_grad = heads.flat[:, tail:], hg.flat[:, tail:]
-    velocity, scratch = np.zeros_like(live), np.empty_like(live)
-    for epoch, steps in enumerate(minibatches(rows.shape[1], config, 2)):
-        for idx, lr in steps:
-            Fb = F[:, idx]
-            trace = multiplier_forward(Fb, s[:, idx], fn[:, idx], heads)
-            # The loss is discarded, not skipped: one softmax cross-entropy serves train and calibrate.
-            _, grad_logits = softmax_cross_entropy_batch(trace.logits, y[:, idx], lmax=trace.m * smax[:, idx])
-            head_backward_batch(trace, Fb, heads, grad_logits, frozen_plain=True, out=hg)
-            momentum_step(live, live_grad, velocity, lr, config.momentum, scratch=scratch)
+    best_nll, best_epoch, best_flat = nll_before, np.full(G, -1), heads.flat.copy()
+
+    plan = []  # per step index i: the runs of copies with a batch i of equal length, and their batch columns
+    for i in range(-(-sizes[0] // bs)):
+        lengths = [min(bs, n - i * bs) for n in sizes if n > i * bs]
+        plan.append([
+            (a, b, heads.like(heads.flat[a:b]), hg.like(hg.flat[a:b]), slice(i * bs, i * bs + lengths[a]))
+            for a, b in runs(lengths)
+        ])
+    schedules = {n: minibatches(n, config, 2) for n in set(sizes)}
+    order = np.empty((G, sizes[0]), dtype=np.intp)  # row g: copy g's val rows in this epoch's batch order
+    lrs = np.empty((len(plan), G))  # row i: each copy's learning rate at step i
+    for epoch in range(config.epochs):
+        steps = {n: next(schedule) for n, schedule in schedules.items()}
+        for g, r in enumerate(rows):
+            own = steps[len(r)]
+            order[g, : len(r)] = r[np.concatenate([idx for idx, _ in own])]
+            lrs[: len(own), g] = [lr for _, lr in own]
+        for step, lr in zip(plan, lrs):
+            for a, b, heads_ab, hg_ab, cols in step:
+                idx = order[a:b, cols]
+                Fb, sb, fnb, smaxb, yb = (x[idx] for x in val)
+                trace = multiplier_forward(Fb, sb, fnb, heads_ab)
+                # The loss is discarded, not skipped: one softmax cross-entropy serves train and calibrate.
+                _, grad_logits = softmax_cross_entropy_batch(trace.logits, yb, lmax=trace.m * smaxb)
+                head_backward_batch(trace, Fb, heads_ab, grad_logits, frozen_plain=True, out=hg_ab)
+                momentum_step(
+                    live[a:b], live_grad[a:b], velocity[a:b], lr[a:b, None], config.momentum, scratch=scratch[a:b]
+                )
         epoch_nll = full_nll()
         better = epoch_nll < best_nll
         best_nll = np.where(better, epoch_nll, best_nll)
@@ -296,8 +343,23 @@ def calibrate(model: Model, val_set, config: CalibConfig, eval_sets: dict | None
 
     s, fn = plain_forward(F["val"], model.head)
     val = (F["val"], s, fn, s.max(axis=-1), yv)  # features, s, ||f||, max_j s_j, labels
-    tuned, best_epoch, nll_before, nll_after = _tune_head(model.head, val, np.arange(Xv.shape[0])[None], config)
-    tuned_head = tuned.like(tuned.flat[0])
+    pieces = np.array_split(next(shuffles(Xv.shape[0], config.seed, 3)), config.folds) if config.folds >= 2 else []
+    row_sets = [np.arange(Xv.shape[0])] + [np.concatenate(pieces[:k] + pieces[k + 1 :]) for k in range(len(pieces))]
+    # Row set 0 is the main run's and the rest are the folds' training rows.  Longest first, the main run
+    # leads the first stack; it reads val in place, so only the folds' row copies count to STACK_BYTES.
+    stacks, room, row_bytes = [[]], STACK_BYTES, sum(a[0].nbytes for a in val)
+    for j in sorted(range(len(row_sets)), key=lambda j: -len(row_sets[j])):  # sorted is stable: run 0 comes first
+        need = len(row_sets[j]) * row_bytes if j else 0
+        if need > room and stacks[-1]:
+            stacks.append([])
+            room = STACK_BYTES
+        stacks[-1].append(j)
+        room -= need
+    tuned_runs = {}
+    for stack in stacks:
+        tuned, *results = _tune_head(model.head, val, [row_sets[j] for j in stack], config)
+        tuned_runs.update((j, (tuned.like(tuned.flat[g]), *(r[g] for r in results))) for g, j in enumerate(stack))
+    tuned_head, best_epoch, nll_before, nll_after = tuned_runs[0]
     if not np.all(np.isfinite(tuned_head.flat)):
         raise NumericError("calibration produced non-finite head parameters")
     new_model = Model(
@@ -312,24 +374,15 @@ def calibrate(model: Model, val_set, config: CalibConfig, eval_sets: dict | None
         splits={
             name: {"before": metrics(name, model.head), "after": metrics(name, tuned_head)} for name in F
         },
-        nll_before=float(nll_before[0]),
-        nll_after=float(nll_after[0]),
-        best_epoch=int(best_epoch[0]),
+        nll_before=float(nll_before),
+        nll_after=float(nll_after),
+        best_epoch=int(best_epoch),
     )
 
-    if config.folds >= 2:
-        pieces = np.array_split(next(shuffles(Xv.shape[0], config.seed, 3)), config.folds)
-        rests = [np.concatenate(pieces[:k] + pieces[k + 1 :]) for k in range(config.folds)]
-        fold_heads, row_bytes = {}, sum(a[0].nbytes for a in val)
-        for size in {len(rest) for rest in rests}:  # at most two sizes
-            group = [k for k, rest in enumerate(rests) if len(rest) == size]
-            per_stack = max(1, STACK_BYTES // (size * row_bytes))
-            for stack in (group[i : i + per_stack] for i in range(0, len(group), per_stack)):
-                tuned, *_ = _tune_head(model.head, val, np.stack([rests[k] for k in stack]), config)
-                fold_heads.update((k, tuned.like(tuned.flat[g])) for g, k in enumerate(stack))
+    if pieces:
         for k, held in enumerate(pieces):
             report.folds.append(
-                {"fold": k, "before": metrics("val", model.head, held), "after": metrics("val", fold_heads[k], held)}
+                {"fold": k, "before": metrics("val", model.head, held), "after": metrics("val", tuned_runs[k + 1][0], held)}
             )
         report.cv_mean, report.cv_std = {}, {}
         for key in (f.name for f in fields(SplitMetrics)):

@@ -16,6 +16,7 @@ from .bench import ShiftSpec, concept_split, corrupt, make_concept_groups, make_
 from .calibrate import calibrate
 from .config import RunConfig, load_run_config
 from .errors import ConfigError, DataError, GeodinError, NumericError
+from .head import HeadVariant
 from .persist import load_model, parse_embeddings, read_report, save_model, write_report
 from .train import accuracy, train
 
@@ -100,6 +101,10 @@ def cmd_detect(args) -> int:
 
 def cmd_calibrate(args) -> int:
     cfg, model, task = _load_checkpoint_run(args)
+    if model.head.variant is HeadVariant.VANILLA:
+        raise DataError(
+            f"{args.checkpoint}: checkpoint holds a vanilla head, which has no alpha/beta parameters to tune"
+        )
     seed = cfg.task.seed
     val = task.val
     if cfg.calibrate.shift_severity:  # validated: 1..5 only with a covariate shift_kind

@@ -343,12 +343,14 @@ def loss_and_grads(model: Model, X: np.ndarray, y: np.ndarray, out=None):
 
 
 def momentum_step(
-    p: np.ndarray, g: np.ndarray, v: np.ndarray, lr: float, momentum: float,
+    p: np.ndarray, g: np.ndarray, v: np.ndarray, lr, momentum: float,
     weight_decay: float = 0.0, n_decay: int | None = None, scratch: np.ndarray | None = None,
 ) -> None:
     """One SGD-with-momentum update of the flat vector p (and its velocity v), in place.
 
-    p, g and v may carry leading axes, one vector per slice of a stack.
+    p, g and v may carry leading axes, one vector per slice of a stack; lr
+    is a scalar or, for a stack, a column of per-slice rates (shape (G, 1)),
+    which scales each slice by the same multiply as a scalar rate.
     Weight decay applies to p[..., :n_decay] only (all of p by default).  g
     is not modified; the update uses one scratch array of p's shape, first
     for the decayed gradient g + weight_decay * p, then for lr * v.  That is

@@ -359,8 +359,37 @@ class TestStackedFolds:
         monkeypatch.setattr(calibrate_module, "_tune_head", counted)
         monkeypatch.setattr(calibrate_module, "STACK_BYTES", 2 * 116 * row_bytes)
         _, split = calibrate(model, task.val, config)
-        assert sorted(stacks) == [1, 1, 2, 2]  # the main run; the four 115-row folds in twos; the 116-row fold
+        assert sorted(stacks) == [1, 2, 3]  # the main run, the 116-row fold and a 115-row one; 115-row folds in twos
         assert split.to_dict() == whole.to_dict()
+
+    def test_lock_step_heads_of_differing_sizes_match_one_at_a_time(self, trained_task_model):
+        # The whole 144-row split (read in place), a 116-row and a 115-row fold, and 24 rows, below
+        # batch_size.  At 32 rows a batch the first three share full batches past step 0, where their
+        # rates differ, and end each epoch on batches of 16, 20 and 19.
+        task, model = trained_task_model
+        config = CalibConfig(seed=21, epochs=3, batch_size=32, folds=5)
+        val, _, rests, oracle = _fold_oracle(model, task.val, config)
+        fold_116, fold_115 = (next(k for k, rest in enumerate(rests) if len(rest) == n) for n in (116, 115))
+        rows = [np.arange(144), rests[fold_116], rests[fold_115], np.random.default_rng(5).permutation(144)[:24]]
+        heads, best_epoch, nll_before, nll_after = calibrate_module._tune_head(model.head, val, rows, config)
+        alone = [oracle[fold_116], oracle[fold_115]]
+        alone[:0] = [calibrate_module._tune_head(model.head, val, rows[0][None], config)]
+        alone += [calibrate_module._tune_head(model.head, val, rows[3][None], config)]
+        for g, (one_head, one_epoch, one_before, one_after) in enumerate(alone):
+            assert heads.flat[g].tobytes() == one_head.flat[0].tobytes()
+            assert (best_epoch[g], nll_before[g], nll_after[g]) == (one_epoch[0], one_before[0], one_after[0])
+        assert np.all(nll_after < nll_before)  # every head moved
+        # The main head reads the split in place; the loop that copies its rows gives its bits too.
+        ref_head, ref_epoch, ref_before, ref_after = reference_tune_head(
+            model.head, (*val[:3], val[4]), rows[0][None], config
+        )
+        assert heads.flat[0].tobytes() == ref_head.flat[0].tobytes()
+        assert (best_epoch[0], nll_before[0], nll_after[0]) == (ref_epoch[0], ref_before[0], ref_after[0])
+
+    def test_row_sets_must_come_longest_first(self):
+        head, val = _synthetic_split(150)
+        with pytest.raises(ValueError, match="longest first"):
+            calibrate_module._tune_head(head, val, [np.arange(40), np.arange(150)], CalibConfig(epochs=1))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("bad_slice", [0, 2])

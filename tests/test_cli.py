@@ -377,15 +377,20 @@ class TestCmdCalibrate:
         assert tuning_metrics("zero", "calibrate.shift_kind=gaussian_noise") == clean
         assert tuning_metrics("shifted", "calibrate.shift_kind=gaussian_noise", "calibrate.shift_severity=3") != clean
 
-    def test_vanilla_checkpoint_exit_2(self, config_file, tmp_path):
+    def test_vanilla_checkpoint_exit_3(self, config_file, tmp_path, capsys):
+        # The head variant comes from the checkpoint file, whatever the config says.
         vanilla = tmp_path / "v.godn"
         assert main(
             ["train", "--config", str(config_file), "--set", "train.variant=vanilla", "--out", str(vanilla)]
         ) == 0
+        capsys.readouterr()
         code = main(
-            ["calibrate", "--config", str(config_file), "--set", "train.variant=vanilla", "--checkpoint", str(vanilla), "--out", str(tmp_path / "c.godn")]
+            ["calibrate", "--config", str(config_file), "--checkpoint", str(vanilla), "--out", str(tmp_path / "c.godn")]
         )
-        assert code == 2
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "vanilla head" in err and "temperature_scale" not in err
+        assert not (tmp_path / "c.godn").exists()
 
 
     def test_folds_above_validation_rows_exit_2_before_any_step(self, config_file, trained_checkpoint, tmp_path, capsys, monkeypatch):

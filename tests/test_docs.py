@@ -1,8 +1,11 @@
-"""The README's configuration and CLI examples stay in step with the code."""
+"""The README's configuration and CLI examples, and its reproducibility claim, stay in step with the code."""
 
+import os
 import re
 import shlex
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +14,8 @@ import pytest
 from geodin.cli import build_parser, main
 from geodin.config import RunConfig, load_run_config
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+TESTS = Path(__file__).resolve().parent
+README = TESTS.parent / "README.md"
 
 
 def fenced_block(section: str, lang: str) -> str:
@@ -66,3 +70,14 @@ def test_cli_examples_run_in_order(tmp_path, monkeypatch):
             for name in ("a.csv", "b.csv"):
                 shutil.copy("runs/report.csv", Path("runs") / name)
         assert main(argv) == 0, line
+
+
+def test_golden_digests_hold_at_two_blas_threads():
+    # The README says the pinned digests hold at one and two BLAS threads; the suite itself runs
+    # at whatever count its environment sets, so the digest tests run again in a child at two.
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", str(TESTS / "test_fingerprint.py")],
+        cwd=TESTS.parent, env={**os.environ, "OPENBLAS_NUM_THREADS": "2"}, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-2000:]
+    assert " passed" in done.stdout.splitlines()[-1]

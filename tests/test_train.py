@@ -88,6 +88,17 @@ class TestFlatParameters:
         assert v.tobytes() == v_ref.tobytes()
         assert p.tobytes() == p_ref.tobytes()
 
+    @pytest.mark.parametrize("weight_decay", [5e-4, 0.0])
+    def test_momentum_step_with_a_rate_column_is_the_per_slice_scalar_step(self, weight_decay):
+        rng = np.random.default_rng(4)
+        p, g, v = (rng.normal(0.0, 1.0, (3, 50)) for _ in range(3))
+        lr = np.array([0.0371, 0.1, 1e-3])
+        p_ref, v_ref = p.copy(), v.copy()
+        for i in range(3):
+            momentum_step(p_ref[i], g[i], v_ref[i], float(lr[i]), 0.9, weight_decay, n_decay=30)
+        momentum_step(p, g, v, lr[:, None], 0.9, weight_decay, n_decay=30, scratch=np.empty_like(p))
+        assert (p.tobytes(), v.tobytes()) == (p_ref.tobytes(), v_ref.tobytes())
+
     def test_pinned_heads_stay_exactly_zero(self):
         rng = np.random.default_rng(3)
         X, y = blobs(rng, n=40)
