@@ -343,7 +343,7 @@ def loss_and_grads(model: Model, X: np.ndarray, y: np.ndarray, out=None):
 
 
 def momentum_step(
-    p: np.ndarray, g: np.ndarray, v: np.ndarray, lr, momentum: float,
+    p: np.ndarray, g: np.ndarray, v: np.ndarray, lr: float | np.ndarray, momentum: float,
     weight_decay: float = 0.0, n_decay: int | None = None, scratch: np.ndarray | None = None,
 ) -> None:
     """One SGD-with-momentum update of the flat vector p (and its velocity v), in place.
