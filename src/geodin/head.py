@@ -134,7 +134,12 @@ class HeadParams:
 
 @dataclass
 class BatchHeadTrace:
-    """A forward pass over a feature batch, kept for the backward pass."""
+    """A forward pass over a feature batch, kept for the backward pass.
+
+    ``safe_norm`` is ||f|| with the degenerate rows set to 1 and
+    ``alpha_norm`` is alpha * safe_norm: the forward computes both for m,
+    and the backward reuses them.
+    """
 
     alpha: np.ndarray
     beta: np.ndarray
@@ -143,6 +148,8 @@ class BatchHeadTrace:
     vanilla_logits: np.ndarray
     feature_norm: np.ndarray
     degenerate: np.ndarray
+    safe_norm: np.ndarray
+    alpha_norm: np.ndarray
 
 
 def plain_forward(F: np.ndarray, params: HeadParams) -> tuple[np.ndarray, np.ndarray]:
@@ -153,27 +160,48 @@ def plain_forward(F: np.ndarray, params: HeadParams) -> tuple[np.ndarray, np.nda
 
 
 def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """A @ v over any leading axes, (..., n, D) @ (..., D) -> (..., n): one BLAS gemv per slice."""
-    return (A @ v[..., None])[..., 0]
+    """A @ v over any leading axes, (..., n, D) @ (..., D) -> (..., n): BLAS gemv per slice and row block.
+
+    The rows go in blocks that start at multiples of 64 and hold at most
+    2^18 elements.  A multi-threaded OpenBLAS splits a larger gemv across
+    threads by rows, and rows near a split take another kernel path, so the
+    bits would depend on the thread count; a block this small runs on one
+    thread, and blocks aligned to 64 rows give the whole product's
+    one-thread bits.
+    """
+    n, D = A.shape[-2:]
+    B = max(64, 2**18 // D // 64 * 64)
+    if n <= B:
+        return (A @ v[..., None])[..., 0]
+    out = np.empty(A.shape[:-1])
+    for i in range(0, n, B):
+        out[..., i : i + B] = (A[..., i : i + B, :] @ v[..., None])[..., 0]
+    return out
 
 
 def multiplier(F: np.ndarray, fn: np.ndarray, params: HeadParams):
-    """(alpha, beta, m, degenerate rows) for a feature batch F of row norms fn.
+    """(alpha, beta, m, degenerate rows, safe norm, alpha * safe norm) for a feature batch F of row norms fn.
 
     F is (..., n, D) and fn (..., n); leading axes match those of ``params.flat``.
+    The safe norm is fn with the degenerate rows set to 1 (see ``BatchHeadTrace``).
     """
     variant = params.variant
     alpha = sigmoid(_matvec(F, params.alpha_w) + params.alpha_b[..., None]) if variant.has_alpha else np.ones_like(fn)
     beta = softplus(_matvec(F, params.beta_w) + params.beta_b[..., None]) if variant.has_beta else np.zeros_like(fn)
     degenerate = fn < EPS_NORM
-    m = np.where(degenerate, 1.0 / alpha, 1.0 / alpha + beta / (alpha * np.where(degenerate, 1.0, fn)))
-    return alpha, beta, m, degenerate
+    safe_norm = np.where(degenerate, 1.0, fn)
+    alpha_norm = alpha * safe_norm
+    inv_alpha = 1.0 / alpha
+    m = np.divide(beta, alpha_norm)
+    np.add(inv_alpha, m, out=m)
+    np.copyto(m, inv_alpha, where=degenerate)
+    return alpha, beta, m, degenerate, safe_norm, alpha_norm
 
 
 def multiplier_forward(F: np.ndarray, s: np.ndarray, fn: np.ndarray, params: HeadParams) -> BatchHeadTrace:
     """``multiplier`` and the logits m * s for a feature batch F whose plain part is (s, fn), of shape (..., n, k)."""
-    alpha, beta, m, degenerate = multiplier(F, fn, params)
-    return BatchHeadTrace(alpha, beta, m, m[..., None] * s, s, fn, degenerate)
+    alpha, beta, m, degenerate, safe_norm, alpha_norm = multiplier(F, fn, params)
+    return BatchHeadTrace(alpha, beta, m, m[..., None] * s, s, fn, degenerate, safe_norm, alpha_norm)
 
 
 def head_forward_batch(F: np.ndarray, params: HeadParams) -> BatchHeadTrace:
@@ -209,19 +237,21 @@ def head_backward_batch(
     Ft = np.swapaxes(F, -1, -2)
 
     # The multiplier part: the alpha/beta gradients through us = d(loss)/dm per sample.
-    us = np.where(d, 0.0, np.einsum("...ij,...ij->...i", U, trace.vanilla_logits))
-    safe_fn = np.where(d, 1.0, trace.feature_norm)
+    # Each temporary below is this call's own, so the degenerate rows are zeroed in place.
+    us = np.einsum("...ij,...ij->...i", U, trace.vanilla_logits)
+    us[d] = 0.0
     if variant.has_alpha:
         # dm/dalpha = -m/alpha, dalpha/dz = alpha(1-alpha)
         ga = us * (-m / alpha) * alpha * (1.0 - alpha)
-        grad.alpha_w[:] = _matvec(Ft, ga)
+        np.matmul(Ft, ga[..., None], out=grad.alpha_w[..., None])
         grad.alpha_b = np.add.reduce(ga, axis=-1)
     if variant.has_beta:
         # dm/dbeta = 1/(alpha*||f||), dbeta/dz = sigmoid(z) = 1 - exp(-beta)
         dbeta_dz = -np.expm1(-beta)
-        gb = us * dbeta_dz / (alpha * safe_fn)
-        gb = np.where(d, 0.0, gb)
-        grad.beta_w[:] = _matvec(Ft, gb)
+        gb = us * dbeta_dz
+        gb /= trace.alpha_norm
+        gb[d] = 0.0
+        np.matmul(Ft, gb[..., None], out=grad.beta_w[..., None])
         grad.beta_b = np.add.reduce(gb, axis=-1)
     if frozen_plain:
         return grad, None
@@ -234,8 +264,9 @@ def head_backward_batch(
         grad_F += ga[..., None] * params.alpha_w[..., None, :]
     if variant.has_beta:
         grad_F += gb[..., None] * params.beta_w[..., None, :]
-        # dm/d||f|| = -beta/(alpha ||f||^2), d||f||/df = f/||f||
-        gn = np.where(d, 0.0, us * (-beta / (alpha * safe_fn**2)) / safe_fn)
+        # dm/d||f|| = -beta/(alpha ||f||^2), d||f||/df = f/||f||; the degenerate rows are zeroed below.
+        safe_fn = trace.safe_norm
+        gn = us * (-beta / (alpha * safe_fn**2)) / safe_fn
         grad_F += gn[..., None] * F
     grad_F[d] = 0.0
     return grad, grad_F
@@ -280,9 +311,13 @@ def softmax_cross_entropy_batch(logits: np.ndarray, labels, lmax=None):
     and a negative one silently picks from the end of its row.  ``train``
     checks its labels once per run; calibration's tuning checks its split's
     in the ``row_nll`` of its NLL before the first step.  ``lmax`` is as in ``row_nll``.
+    The gradient is formed in place in the softmax's exponentials, by the
+    operations of ``(e / esum - onehot) / n``.
     """
     shifted, e, esum = shifted_exp(logits, lmax)
     nll, pick = _row_nll(shifted, esum, np.asarray(labels))
-    grad = e / esum[..., None]
+    grad = e
+    grad /= esum[..., None]
     grad[pick] -= 1.0
-    return _mean(nll), grad / shifted.shape[-2]
+    grad /= shifted.shape[-2]
+    return _mean(nll), grad

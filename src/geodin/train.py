@@ -22,11 +22,16 @@ the model bit for bit.
 A step does only that step's arithmetic.  ``train`` checks its inputs and
 labels and projects every row onto the unit sphere once per run (the
 projection works row by row, so a batch of projected rows is the projection
-of the batch), and allocates once per run the buffers each step overwrites:
-the extractor and head gradients (``out=`` of ``loss_and_grads``,
-``extractor_backward`` and ``head_backward_batch``) and one ``momentum_step``
-scratch per parameter vector.  A gradient returned in such a buffer is valid
-until the next step.
+of the batch).  It steps one float64 vector that holds ``extractor.flat``
+and then ``head.flat``, the checkpoint's order: both parameter objects are
+views of it, and both gradients views of one gradient vector, so each step
+makes one ``momentum_step`` call.  It allocates once per run the buffers
+each step overwrites: that gradient vector (``out=`` of ``loss_and_grads``,
+``extractor_backward`` and ``head_backward_batch``), one activation buffer
+per layer, sized for a full batch, whose first rows a ragged last batch
+uses (``layer_out=`` of ``loss_and_grads``), and the ``momentum_step``
+scratch.  A gradient or activation returned in such a buffer is valid until
+the next step.
 """
 
 from __future__ import annotations
@@ -244,14 +249,19 @@ def extractor_forward(params: ExtractorParams, X: np.ndarray) -> np.ndarray:
     return F
 
 
-def extractor_activations(params: ExtractorParams, U: np.ndarray) -> list[np.ndarray]:
+def extractor_activations(
+    params: ExtractorParams, U: np.ndarray, out: Sequence[np.ndarray] | None = None
+) -> list[np.ndarray]:
     """The forward pass backprop needs, for a batch U of rows already projected by ``unit_rows``.
 
-    Returns the activations [U, a_1, ..., a_L = features].
+    Returns the activations [U, a_1, ..., a_L = features].  ``out``, one
+    buffer per layer of shape (rows, layer width) with at least U's rows,
+    receives the layer outputs in the views of its first rows (``train``
+    allocates them once per run, for its batch size); else each is new.
     """
     acts = [U]
-    for W, b in params.layers:
-        acts.append(_layer(acts[-1], W, b))
+    for i, (W, b) in enumerate(params.layers):
+        acts.append(_layer(acts[-1], W, b, None if out is None else out[i][: U.shape[0]]))
     return acts
 
 
@@ -268,14 +278,14 @@ def extractor_backward(
     step), else a new vector.
     """
     grads = ExtractorParams(np.empty_like(params.flat), params.dims) if out is None else out
-    g = grad_F
+    dz = grad_F * (acts[-1] > 0)  # grad_F is the caller's; later masks go in place into this call's own dz
     for i in range(len(params.layers) - 1, -1, -1):
-        dz = g * (acts[i + 1] > 0)
         gW, gb = grads.layers[i]
         np.add.reduce(dz, axis=0, out=gb)
         np.matmul(dz.T, acts[i], out=gW)
         if i > 0:
-            g = dz @ params.layers[i][0]
+            dz = dz @ params.layers[i][0]
+            dz *= acts[i] > 0
     return grads.flat
 
 
@@ -323,7 +333,7 @@ def accuracy(model: Model, X, y) -> float:
     return float(np.mean(predicted == y))
 
 
-def loss_and_grads(model: Model, X: np.ndarray, y: np.ndarray, out=None):
+def loss_and_grads(model: Model, X: np.ndarray, y: np.ndarray, out=None, layer_out=None):
     """Mean cross-entropy over one SGD batch and its gradients.
 
     X holds the batch's rows already projected by ``unit_rows`` and y their
@@ -331,11 +341,14 @@ def loss_and_grads(model: Model, X: np.ndarray, y: np.ndarray, out=None):
     so neither is checked here.  Returns (loss, (extractor gradient, head
     gradient)), each in the layout of its parameter object's ``flat``.
     ``out``, an (ExtractorParams, zeroed HeadParams) pair of buffers for the
-    run, goes to ``extractor_backward`` and ``head_backward_batch``; the
-    gradients returned in it are valid until the next step.
+    run, goes to ``extractor_backward`` and ``head_backward_batch``; ``train``
+    makes both views of one gradient vector in the order extractor, head.
+    ``layer_out``, the per-layer buffers of ``extractor_activations``, takes
+    the forward's activations.  Gradients and activations returned in
+    buffers are valid until the next step.
     """
     ext_out, head_out = (None, None) if out is None else out
-    acts = extractor_activations(model.extractor, X)
+    acts = extractor_activations(model.extractor, X, layer_out)
     trace = head_forward_batch(acts[-1], model.head)
     loss, grad_logits = softmax_cross_entropy_batch(trace.logits, y)
     hg, grad_F = head_backward_batch(trace, acts[-1], model.head, grad_logits, out=head_out)
@@ -351,11 +364,13 @@ def momentum_step(
     p, g and v may carry leading axes, one vector per slice of a stack; lr
     is a scalar or, for a stack, a column of per-slice rates (shape (G, 1)),
     which scales each slice by the same multiply as a scalar rate.
-    Weight decay applies to p[..., :n_decay] only (all of p by default).  g
-    is not modified; the update uses one scratch array of p's shape, first
+    Weight decay applies to p[..., :n_decay] only (all of p by default):
+    ``train`` steps extractor and head as one vector, so with ``decay_heads``
+    off it passes the extractor's size plus the head's W size.  g is not
+    modified; the update uses one scratch array of p's shape, first
     for the decayed gradient g + weight_decay * p, then for lr * v.  That is
-    ``scratch`` when given (``train`` and calibration pass one per parameter
-    vector for the run), else a new array.
+    ``scratch`` when given (``train`` and calibration pass one for the run),
+    else a new array.
     """
     if scratch is None:
         scratch = np.empty_like(p)
@@ -387,23 +402,28 @@ def train(config: TrainConfig, train_set, n_classes: int | None = None) -> Model
 
     model = init_model(config, X.shape[1], n_classes)
     U = unit_rows(X)  # each step gathers its batch from these projected rows
-    ext, head = model.extractor.flat, model.head.flat
-    grads = (ExtractorParams(np.empty_like(ext), model.extractor.dims), model.head.like(np.zeros_like(head)))
-    ext_v, head_v = np.zeros_like(ext), np.zeros_like(head)
-    ext_s, head_s = np.empty_like(ext), np.empty_like(head)  # momentum_step scratch
-    # With decay_heads off only the head's prefix, the class weights W, decays.
-    head_decay = None if config.decay_heads else model.head.W.size
+    # One vector holds extractor.flat and then head.flat, the checkpoint's order; the parameter
+    # objects and the gradient buffers are views of one vector each, so one momentum_step serves both.
+    dims, n_ext = model.extractor.dims, model.extractor.flat.size
+    theta = np.concatenate([model.extractor.flat, model.head.flat])
+    model.extractor, model.head = ExtractorParams(theta[:n_ext], dims), model.head.like(theta[n_ext:])
+    grad = np.zeros_like(theta)  # the head's pinned parts are never written, so they stay zero
+    grads = (ExtractorParams(grad[:n_ext], dims), model.head.like(grad[n_ext:]))
+    velocity, scratch = np.zeros_like(theta), np.empty_like(theta)
+    # With decay_heads off only the extractor and the head's prefix, the class weights W, decay.
+    n_decay = None if config.decay_heads else n_ext + model.head.W.size
+    rows = min(config.batch_size, X.shape[0])
+    layer_out = [np.empty((rows, width)) for width in dims[1:]]
     # The shuffle stream (seed, 1) is separate from the init stream (seed).
     for epoch, steps in enumerate(minibatches(X.shape[0], config, 1)):
         epoch_loss = 0.0
         for bi, (idx, lr) in enumerate(steps):
-            loss, (ext_g, head_g) = loss_and_grads(model, U[idx], y[idx], out=grads)
+            loss, _ = loss_and_grads(model, U[idx], y[idx], out=grads, layer_out=layer_out)
             if not math.isfinite(loss):
                 raise NumericError(
                     f"non-finite loss {loss} at epoch {epoch} batch {bi} (lr={lr:.6g})"
                 )
-            momentum_step(ext, ext_g, ext_v, lr, config.momentum, config.weight_decay, scratch=ext_s)
-            momentum_step(head, head_g, head_v, lr, config.momentum, config.weight_decay, head_decay, scratch=head_s)
+            momentum_step(theta, grad, velocity, lr, config.momentum, config.weight_decay, n_decay, scratch=scratch)
             epoch_loss += loss
         model.history.append({"epoch": epoch, "mean_loss": epoch_loss / len(steps), "lr": lr})
     if not model.finite():

@@ -9,7 +9,9 @@ gradient oracle differentiates its own batched forward pass numerically.
 The training oracle is the SGD loop that projects and allocates afresh on
 every step, the tuning oracle the calibration loop whose every softmax takes
 its own row max, and the inference oracle the forward pass that takes the
-whole batch at once.
+whole batch at once.  The head-backward oracle is the backward pass that
+masks the degenerate rows with ``np.where`` on fresh temporaries and
+recomputes the safe norm.
 """
 
 import math
@@ -271,3 +273,42 @@ def reference_tune_head(head, val, rows, config):
         best_epoch[better] = epoch
         best_flat[better] = heads.flat[better]
     return head.like(best_flat), best_epoch, nll_before, best_nll
+
+
+def reference_head_backward(trace, F, params, grad_logits, frozen_plain=False):
+    """``head_backward_batch`` in its ``np.where`` form, to compare bytes against.
+
+    The safe norm where(d, 1, ||f||) and alpha times it are recomputed from
+    the trace's alpha, ||f|| and degenerate rows; each per-row term is masked
+    with ``np.where(d, 0, x)`` on a new array, ``gn`` included; the weight
+    gradients are products copied into a new zeroed HeadParams.
+    """
+    U = np.asarray(grad_logits, dtype=np.float64)
+    variant = params.variant
+    m, alpha, beta, d = trace.m, trace.alpha, trace.beta, trace.degenerate
+    grad = params.like(np.zeros_like(params.flat))
+    Ft = np.swapaxes(F, -1, -2)
+    us = np.where(d, 0.0, np.einsum("...ij,...ij->...i", U, trace.vanilla_logits))
+    safe_fn = np.where(d, 1.0, trace.feature_norm)
+    if variant.has_alpha:
+        ga = us * (-m / alpha) * alpha * (1.0 - alpha)
+        grad.alpha_w[:] = (Ft @ ga[..., None])[..., 0]
+        grad.alpha_b = np.add.reduce(ga, axis=-1)
+    if variant.has_beta:
+        gb = us * -np.expm1(-beta) / (alpha * safe_fn)
+        gb = np.where(d, 0.0, gb)
+        grad.beta_w[:] = (Ft @ gb[..., None])[..., 0]
+        grad.beta_b = np.add.reduce(gb, axis=-1)
+    if frozen_plain:
+        return grad, None
+    mU = m[..., None] * U
+    grad.W[:] = np.swapaxes(mU, -1, -2) @ F
+    grad_F = mU @ params.W
+    if variant.has_alpha:
+        grad_F += ga[..., None] * params.alpha_w[..., None, :]
+    if variant.has_beta:
+        grad_F += gb[..., None] * params.beta_w[..., None, :]
+        gn = np.where(d, 0.0, us * (-beta / (alpha * safe_fn**2)) / safe_fn)
+        grad_F += gn[..., None] * F
+    grad_F[d] = 0.0
+    return grad, grad_F

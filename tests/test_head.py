@@ -5,10 +5,16 @@ batch functions on one row and return that row.
 """
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import geodin
 from geodin.head import (
     BatchHeadTrace,
     HeadParams,
@@ -16,13 +22,16 @@ from geodin.head import (
     cross_entropy,
     head_backward_batch,
     head_forward_batch,
+    multiplier,
     multiplier_forward,
     plain_forward,
     sigmoid,
     softmax_cross_entropy_batch,
     softplus,
 )
+from geodin.scores import EPS_NORM, shifted_exp
 from geodin.train import momentum_step
+from oracles import reference_head_backward
 
 
 def random_params(rng, d=6, m=4, variant=HeadVariant.ALPHA_BETA):
@@ -337,6 +346,96 @@ def stacked(heads):
 def stacked_plain(F, stack):
     """The plain part (s, ||f||) of feature batches F (G, n, D), batch g against head g of a stack."""
     return F @ np.swapaxes(stack.W, -1, -2), np.linalg.norm(F, axis=-1)
+
+
+class TestDegenerateRowArithmetic:
+    """The backward zeroes degenerate rows in place and reuses the forward's safe norm;
+    its bytes are those of the ``np.where`` form, NaNs of an underflowed alpha included."""
+
+    @staticmethod
+    def batch(rng, heads, n=12):
+        """Features (G, n, 6) for the stacked heads: rows 2 and 7 are zero, and in row 4 each
+        head's alpha product reaches ~ -10^4, so that alpha underflows to 0."""
+        F = rng.uniform(0.0, 2.0, (len(heads), n, 6))
+        F[:, [2, 7]] = 0.0
+        for g, head in enumerate(heads):
+            F[g, 4] = 1e5 * np.maximum(-head.alpha_w, 0.0)
+        return F
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the underflowed alpha's inf and NaN
+    @pytest.mark.parametrize("variant", list(HeadVariant))
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_backward_matches_the_where_form(self, variant, frozen):
+        rng = np.random.default_rng(23)
+        heads = [random_params(rng, variant=variant) for _ in range(3)]
+        F = self.batch(rng, heads)
+        U = rng.normal(0.0, 1.0, (3, 12, 4))
+        stack = stacked(heads)
+        cases = [(stack, F, U)] + [(head, F[g], U[g]) for g, head in enumerate(heads)]
+        for params, Fx, Ux in cases:
+            trace = multiplier_forward(Fx, *stacked_plain(Fx, params), params)
+            assert np.all(trace.degenerate[..., [2, 7]]) and np.all(trace.degenerate.sum(axis=-1) == 2)
+            if variant.has_alpha:
+                assert np.all(trace.alpha[..., 4] == 0.0)
+            # The parent's multiplier: m in one np.where over fresh temporaries.
+            fn, d = trace.feature_norm, trace.degenerate
+            want_m = np.where(d, 1.0 / trace.alpha, 1.0 / trace.alpha + trace.beta / (trace.alpha * np.where(d, 1.0, fn)))
+            assert trace.m.tobytes() == want_m.tobytes()
+            got, got_F = head_backward_batch(trace, Fx, params, Ux, frozen_plain=frozen)
+            want, want_F = reference_head_backward(trace, Fx, params, Ux, frozen_plain=frozen)
+            assert got.flat.tobytes() == want.flat.tobytes()
+            if frozen:
+                assert got_F is None and want_F is None
+            else:
+                assert got_F.tobytes() == want_F.tobytes()
+                assert np.all(got_F[..., [2, 7], :] == 0.0)
+
+    def test_softmax_gradient_in_place_matches_the_quotient_form(self):
+        rng = np.random.default_rng(24)
+        logits = rng.normal(0.0, 3.0, (3, 40, 5))
+        labels = rng.integers(0, 5, (3, 40))
+        shifted, e, esum = shifted_exp(logits)
+        want = e / esum[..., None]
+        want[(*np.indices(labels.shape, sparse=True), labels)] -= 1.0
+        want = want / 40
+        assert softmax_cross_entropy_batch(logits, labels)[1].tobytes() == want.tobytes()
+
+
+# Run in a child process at a given OpenBLAS thread count: the multiplier's bytes on batches
+# whose alpha/beta products exceed the size at which OpenBLAS splits a gemv across threads
+# (n*D > ~0.5M, n not a multiple of 8), and whether _matvec's row blocks give the one-shot bits.
+THREAD_PROBE = """
+import hashlib, json
+import numpy as np
+from geodin.head import HeadParams, HeadVariant, _matvec, multiplier
+rng = np.random.default_rng(7)
+digests, blocked_is_whole = [], []
+for shape in [(4001, 256), (2, 3001, 256)]:
+    F = rng.uniform(0.0, 1.0, shape)
+    head = HeadParams(rng.normal(0.0, 0.1, (*shape[:-2], HeadParams.size(3, shape[-1]))), 3, shape[-1], "alpha_beta")
+    fn = np.sqrt(np.add.reduce(F * F, axis=-1))
+    digests.append(hashlib.sha256(b"".join(a.tobytes() for a in multiplier(F, fn, head)[:3])).hexdigest())
+for n, D in [(100001, 3), (9001, 64), (4001, 256), (1999, 1000), (1001, 5000)]:
+    A, v = rng.uniform(-1.0, 1.0, (n, D)), rng.uniform(-1.0, 1.0, D)
+    blocked_is_whole.append(_matvec(A, v).tobytes() == (A @ v[:, None])[:, 0].tobytes())
+print(json.dumps({"digests": digests, "blocked_is_whole": blocked_is_whole}))
+"""
+
+
+def thread_probe(threads: int) -> dict:
+    src = str(Path(geodin.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    return json.loads(done.stdout)
+
+
+class TestThreadCountIndependence:
+    def test_multiplier_bytes_hold_at_one_and_two_blas_threads(self):
+        assert thread_probe(1)["digests"] == thread_probe(2)["digests"]
+
+    def test_row_blocks_give_the_one_thread_whole_product(self):
+        assert thread_probe(1)["blocked_is_whole"] == [True] * 5
 
 
 class TestStackedHeads:

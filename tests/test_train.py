@@ -99,6 +99,25 @@ class TestFlatParameters:
         momentum_step(p, g, v, lr[:, None], 0.9, weight_decay, n_decay=30, scratch=np.empty_like(p))
         assert (p.tobytes(), v.tobytes()) == (p_ref.tobytes(), v_ref.tobytes())
 
+    @pytest.mark.parametrize("weight_decay", [5e-4, 0.1])
+    @pytest.mark.parametrize("decay_heads", [True, False])
+    def test_one_step_over_extractor_and_head_is_the_two_separate_steps(self, weight_decay, decay_heads):
+        # train() steps extractor.flat and head.flat as one vector; with decay_heads off, n_decay
+        # covers the extractor and the head's class weights W.
+        model = init_model(TrainConfig(hidden=(7, 5), feature_dim=4, seed=2), d_in=6, n_classes=3)
+        ext, head = model.extractor.flat, model.head.flat
+        rng = np.random.default_rng(8)
+        ext_g, ext_v, head_g, head_v = (rng.normal(0.0, 1.0, a.size) for a in (ext, ext, head, head))
+        theta, grad, velocity = (np.concatenate(pair) for pair in ((ext, head), (ext_g, head_g), (ext_v, head_v)))
+        lr, momentum = 0.0371, 0.9
+        head_decay = None if decay_heads else model.head.W.size
+        momentum_step(ext, ext_g, ext_v, lr, momentum, weight_decay, scratch=np.empty_like(ext))
+        momentum_step(head, head_g, head_v, lr, momentum, weight_decay, head_decay, scratch=np.empty_like(head))
+        n_decay = None if decay_heads else ext.size + model.head.W.size
+        momentum_step(theta, grad, velocity, lr, momentum, weight_decay, n_decay, scratch=np.empty_like(theta))
+        assert theta.tobytes() == np.concatenate([ext, head]).tobytes()
+        assert velocity.tobytes() == np.concatenate([ext_v, head_v]).tobytes()
+
     def test_pinned_heads_stay_exactly_zero(self):
         rng = np.random.default_rng(3)
         X, y = blobs(rng, n=40)
@@ -281,6 +300,12 @@ class TestPerRunBuffers:
         assert got.head.flat.tobytes() == want.head.flat.tobytes()
         assert got.history == want.history
 
+    def test_trained_parameters_are_one_vector_in_checkpoint_order(self):
+        model = train(TrainConfig(epochs=1, batch_size=16, hidden=(6,), feature_dim=4), self.data(40))
+        ext, head = model.extractor.flat, model.head.flat
+        assert ext.base is not None and ext.base is head.base
+        assert ext.base.tobytes() == ext.tobytes() + head.tobytes()
+
     def test_each_step_calls_loss_and_grads_once(self, monkeypatch):
         # The benchmark counts SGD steps as calls of this module global.
         calls = []
@@ -372,7 +397,9 @@ class TestActivationCache:
                 g = dz @ W
         assert z[2, 0] == 0.0 and np.all(acts[0][2] == 0.0)
         reference = np.concatenate(parts[::-1])
+        passed = grad_F.copy()
         assert extractor_backward(model.extractor, acts, grad_F).tobytes() == reference.tobytes()
+        assert grad_F.tobytes() == passed.tobytes()  # the masks go into the call's own temporaries
 
 
 class TestBlockedInference:
