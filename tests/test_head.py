@@ -22,14 +22,13 @@ from geodin.head import (
     cross_entropy,
     head_backward_batch,
     head_forward_batch,
-    multiplier,
     multiplier_forward,
     plain_forward,
     sigmoid,
     softmax_cross_entropy_batch,
     softplus,
 )
-from geodin.scores import EPS_NORM, shifted_exp
+from geodin.scores import shifted_exp
 from geodin.train import momentum_step
 from oracles import reference_head_backward
 
@@ -377,7 +376,7 @@ class TestDegenerateRowArithmetic:
             assert np.all(trace.degenerate[..., [2, 7]]) and np.all(trace.degenerate.sum(axis=-1) == 2)
             if variant.has_alpha:
                 assert np.all(trace.alpha[..., 4] == 0.0)
-            # The parent's multiplier: m in one np.where over fresh temporaries.
+            # m as one np.where over fresh temporaries, the form the in-place one must match.
             fn, d = trace.feature_norm, trace.degenerate
             want_m = np.where(d, 1.0 / trace.alpha, 1.0 / trace.alpha + trace.beta / (trace.alpha * np.where(d, 1.0, fn)))
             assert trace.m.tobytes() == want_m.tobytes()
@@ -394,7 +393,7 @@ class TestDegenerateRowArithmetic:
         rng = np.random.default_rng(24)
         logits = rng.normal(0.0, 3.0, (3, 40, 5))
         labels = rng.integers(0, 5, (3, 40))
-        shifted, e, esum = shifted_exp(logits)
+        _, e, esum = shifted_exp(logits)
         want = e / esum[..., None]
         want[(*np.indices(labels.shape, sparse=True), labels)] -= 1.0
         want = want / 40
