@@ -165,14 +165,13 @@ def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     The rows go in blocks that start at multiples of 64 and hold at most
     2^18 elements.  A multi-threaded OpenBLAS splits a larger gemv across
     threads by rows, and rows near a split take another kernel path, so the
-    bits would depend on the thread count; a block this small runs on one
-    thread, and blocks aligned to 64 rows give the whole product's
-    one-thread bits.
+    bits would depend on the thread count.  On OpenBLAS 0.3.31 a block this
+    small runs on one thread, and blocks aligned to 64 rows give the whole
+    product's one-thread bits; another BLAS build may split or group rows
+    otherwise, and ``TestThreadCountIndependence`` checks the installed one.
     """
     n, D = A.shape[-2:]
     B = max(64, 2**18 // D // 64 * 64)
-    if n <= B:
-        return (A @ v[..., None])[..., 0]
     out = np.empty(A.shape[:-1])
     for i in range(0, n, B):
         out[..., i : i + B] = (A[..., i : i + B, :] @ v[..., None])[..., 0]
@@ -192,9 +191,7 @@ def multiplier(F: np.ndarray, fn: np.ndarray, params: HeadParams):
     safe_norm = np.where(degenerate, 1.0, fn)
     alpha_norm = alpha * safe_norm
     inv_alpha = 1.0 / alpha
-    m = np.divide(beta, alpha_norm)
-    np.add(inv_alpha, m, out=m)
-    np.copyto(m, inv_alpha, where=degenerate)
+    m = np.where(degenerate, inv_alpha, inv_alpha + beta / alpha_norm)
     return alpha, beta, m, degenerate, safe_norm, alpha_norm
 
 
@@ -311,13 +308,9 @@ def softmax_cross_entropy_batch(logits: np.ndarray, labels, lmax=None):
     and a negative one silently picks from the end of its row.  ``train``
     checks its labels once per run; calibration's tuning checks its split's
     in the ``row_nll`` of its NLL before the first step.  ``lmax`` is as in ``row_nll``.
-    The gradient is formed in place in the softmax's exponentials, by the
-    operations of ``(e / esum - onehot) / n``.
     """
     shifted, e, esum = shifted_exp(logits, lmax)
     nll, pick = _row_nll(shifted, esum, np.asarray(labels))
-    grad = e
-    grad /= esum[..., None]
+    grad = e / esum[..., None]
     grad[pick] -= 1.0
-    grad /= shifted.shape[-2]
-    return _mean(nll), grad
+    return _mean(nll), grad / shifted.shape[-2]

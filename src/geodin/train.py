@@ -27,11 +27,9 @@ and then ``head.flat``, the checkpoint's order: both parameter objects are
 views of it, and both gradients views of one gradient vector, so each step
 makes one ``momentum_step`` call.  It allocates once per run the buffers
 each step overwrites: that gradient vector (``out=`` of ``loss_and_grads``,
-``extractor_backward`` and ``head_backward_batch``), one activation buffer
-per layer, sized for a full batch, whose first rows a ragged last batch
-uses (``layer_out=`` of ``loss_and_grads``), and the ``momentum_step``
-scratch.  A gradient or activation returned in such a buffer is valid until
-the next step.
+``extractor_backward`` and ``head_backward_batch``) and the
+``momentum_step`` scratch.  A gradient returned in such a buffer is valid
+until the next step.
 """
 
 from __future__ import annotations
@@ -249,19 +247,14 @@ def extractor_forward(params: ExtractorParams, X: np.ndarray) -> np.ndarray:
     return F
 
 
-def extractor_activations(
-    params: ExtractorParams, U: np.ndarray, out: Sequence[np.ndarray] | None = None
-) -> list[np.ndarray]:
+def extractor_activations(params: ExtractorParams, U: np.ndarray) -> list[np.ndarray]:
     """The forward pass backprop needs, for a batch U of rows already projected by ``unit_rows``.
 
-    Returns the activations [U, a_1, ..., a_L = features].  ``out``, one
-    buffer per layer of shape (rows, layer width) with at least U's rows,
-    receives the layer outputs in the views of its first rows (``train``
-    allocates them once per run, for its batch size); else each is new.
+    Returns the activations [U, a_1, ..., a_L = features].
     """
     acts = [U]
-    for i, (W, b) in enumerate(params.layers):
-        acts.append(_layer(acts[-1], W, b, None if out is None else out[i][: U.shape[0]]))
+    for W, b in params.layers:
+        acts.append(_layer(acts[-1], W, b))
     return acts
 
 
@@ -333,7 +326,7 @@ def accuracy(model: Model, X, y) -> float:
     return float(np.mean(predicted == y))
 
 
-def loss_and_grads(model: Model, X: np.ndarray, y: np.ndarray, out=None, layer_out=None):
+def loss_and_grads(model: Model, X: np.ndarray, y: np.ndarray, out=None):
     """Mean cross-entropy over one SGD batch and its gradients.
 
     X holds the batch's rows already projected by ``unit_rows`` and y their
@@ -343,12 +336,10 @@ def loss_and_grads(model: Model, X: np.ndarray, y: np.ndarray, out=None, layer_o
     ``out``, an (ExtractorParams, zeroed HeadParams) pair of buffers for the
     run, goes to ``extractor_backward`` and ``head_backward_batch``; ``train``
     makes both views of one gradient vector in the order extractor, head.
-    ``layer_out``, the per-layer buffers of ``extractor_activations``, takes
-    the forward's activations.  Gradients and activations returned in
-    buffers are valid until the next step.
+    The gradients returned in it are valid until the next step.
     """
     ext_out, head_out = (None, None) if out is None else out
-    acts = extractor_activations(model.extractor, X, layer_out)
+    acts = extractor_activations(model.extractor, X)
     trace = head_forward_batch(acts[-1], model.head)
     loss, grad_logits = softmax_cross_entropy_batch(trace.logits, y)
     hg, grad_F = head_backward_batch(trace, acts[-1], model.head, grad_logits, out=head_out)
@@ -412,13 +403,11 @@ def train(config: TrainConfig, train_set, n_classes: int | None = None) -> Model
     velocity, scratch = np.zeros_like(theta), np.empty_like(theta)
     # With decay_heads off only the extractor and the head's prefix, the class weights W, decay.
     n_decay = None if config.decay_heads else n_ext + model.head.W.size
-    rows = min(config.batch_size, X.shape[0])
-    layer_out = [np.empty((rows, width)) for width in dims[1:]]
     # The shuffle stream (seed, 1) is separate from the init stream (seed).
     for epoch, steps in enumerate(minibatches(X.shape[0], config, 1)):
         epoch_loss = 0.0
         for bi, (idx, lr) in enumerate(steps):
-            loss, _ = loss_and_grads(model, U[idx], y[idx], out=grads, layer_out=layer_out)
+            loss, _ = loss_and_grads(model, U[idx], y[idx], out=grads)
             if not math.isfinite(loss):
                 raise NumericError(
                     f"non-finite loss {loss} at epoch {epoch} batch {bi} (lr={lr:.6g})"
