@@ -131,6 +131,8 @@ class ShiftsConfig:
         for s in self.severities:
             if not 1 <= s <= len(SEVERITY_LADDER):
                 raise ConfigError(f"severities must be 1..5, got {s}")
+        if not (self.include_control or self.concept or (self.kinds and self.severities)):
+            raise ConfigError("the sweep is empty: no control, no concept groups and no kind x severity cell")
         if not self.scores:
             raise ConfigError("scores must name at least one score")
         for name in self.scores:

@@ -12,14 +12,13 @@ max_j s_j once and steps only the multiplier, on the training schedule
 decay.  ``_tune_head`` tunes the main run's head and the k folds' heads as
 one stack (see ``head``), in lock-step: each head keeps the schedule of its
 own row count, and at each step the heads whose batches are equally long
-take it in one call.  The main run leads the stack and reads the split in
-place; the folds' row copies take at most ``STACK_BYTES`` per stack, so
-more folds go to further stacks.  Each head is bit for bit the one a run of
-its own would give.  The tuning logits are m * s with
-m >= 1, so their class max is m * max_j s_j exactly (``scores.shifted_exp``):
-no step or NLL takes that max again.  The per-epoch tuning NLL runs in
-the row blocks of ``train.row_blocks``, as inference does, so its
-temporaries are bounded by the block, not the split.
+take it in one call.  Each head is bit for bit the one a run of its own
+would give.  The tuning logits are m * s with m >= 1, so their class max is
+m * max_j s_j exactly (``scores.shifted_exp``): no step or NLL takes that
+max again.  The per-epoch tuning NLL gathers its rows from the split one
+block of at most ``NLL_LOGITS`` logits at a time, so it copies no head's
+row set and its temporaries are bounded by the block, not by the split or
+the number of folds.
 ECE / NLL / reliability-bin metrics and a temperature-scaling baseline live
 here too.
 """
@@ -45,12 +44,12 @@ from .head import (
     softmax_cross_entropy_batch,
 )
 from .scores import shifted_exp
-from .train import Model, check_sgd, extract_features, minibatches, momentum_step, row_blocks, shuffles
+from .train import Model, check_sgd, extract_features, minibatches, momentum_step, shuffles
 
-# Bytes of the folds' row copies one _tune_head call may hold; the main run reads the
-# split in place and joins the first call.  Five wide folds (2048 rows of D=64, k=32)
-# take 8 MB; more folds go to further stacks rather than grow the copies with the fold count.
-STACK_BYTES = 16 << 20
+# Logits (heads x rows x k) per block of the per-epoch tuning NLL.  A five-fold calibrate at D=64,
+# k=32 took 1.07x as long at 2^14 and 1.36x at 2^18, and the same at 2^15-2^17 (CPU time, 20
+# alternating in-process pairs per budget; one x86_64 core, one OpenBLAS thread).
+NLL_LOGITS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -228,12 +227,14 @@ def _tune_head(head, val, rows, config: CalibConfig):
     i of an epoch runs on the copies that have a batch i, a prefix of the
     stack, in one call per run of equal batch lengths, on views of the stack
     and with a column of the copies' rates; each copy so gets the bits of a
-    stack of one.  The per-epoch NLL copies the rows of each run of equal-size
-    copies (a copy on the whole split, in order, reads ``val`` in place) and
-    takes their logits in the blocks of ``train.row_blocks``.  Its per-row
-    NLLs, the head gradient and the momentum scratch are allocated once per
-    call.  Every softmax gets its row max as m * max_j s_j (exact, as m >= 1)
-    instead of taking it from the logits.
+    stack of one.  The per-epoch NLL takes each run of equal-size copies in
+    blocks of rows that start at multiples of 64 and hold at most
+    ``NLL_LOGITS`` logits, gathering a block's rows from ``val`` (a copy on
+    the whole split, in order, reads it through views); 64-aligned blocks
+    give the multiplier the whole product's bits (``head._matvec``).  Its
+    per-row NLLs, the head gradient and the momentum scratch are allocated
+    once per call.  Every softmax gets its row max as m * max_j s_j (exact,
+    as m >= 1) instead of taking it from the logits.
     """
     sizes = [len(r) for r in rows]
     if sizes != sorted(sizes, reverse=True):
@@ -253,20 +254,21 @@ def _tune_head(head, val, rows, config: CalibConfig):
             yield a, b
             a = b
 
-    in_place = [np.array_equal(r, whole) for r in rows]
-    stacks = []  # the NLL's (heads, rows (F, s, ||f||, max_j s_j, labels), row blocks, per-row NLLs) per run
+    in_place = [g if np.array_equal(r, whole) else -1 for g, r in enumerate(rows)]  # such a copy runs alone
+    stacks = []  # the NLL's (heads, row index or None in place, rows per block, per-row NLLs) per run
     for a, b in runs(zip(sizes, in_place)):
-        part = tuple(np.broadcast_to(x, (b - a, *x.shape)) if in_place[a] else x[np.stack(rows[a:b])] for x in val)
-        stacks.append((heads.like(heads.flat[a:b]), part, row_blocks(sizes[a]), np.empty((b - a, sizes[a]))))
+        block = max(64, NLL_LOGITS // ((b - a) * head.n_classes) // 64 * 64)
+        index = None if in_place[a] >= 0 else np.stack(rows[a:b])
+        stacks.append((heads.like(heads.flat[a:b]), index, block, np.empty((b - a, sizes[a]))))
 
     def full_nll() -> np.ndarray:
         out = []
-        for heads_ab, (F, s, fn, smax, y), blocks, nll in stacks:
-            # m over all rows at once: its matrix-vector products are then the ones the whole
-            # split's logits take, at any BLAS thread count; only the (G, n, k) logits go by block.
-            m = multiplier(F, fn, heads_ab)[2]
-            for blk in blocks:
-                row_nll(m[:, blk, None] * s[:, blk], y[:, blk], out=nll[:, blk], lmax=m[:, blk] * smax[:, blk])
+        for heads_ab, index, block, nll in stacks:
+            for i in range(0, nll.shape[-1], block):
+                blk = slice(i, i + block)
+                F, s, fn, smax, y = (x[None, blk] if index is None else x[index[:, blk]] for x in val)
+                m = multiplier(F, fn, heads_ab)[2]
+                row_nll(m[..., None] * s, y, out=nll[:, blk], lmax=m * smax)
             out.append(nll.sum(axis=-1) / nll.shape[-1])  # cross_entropy's mean
         return np.concatenate(out)
 
@@ -345,20 +347,10 @@ def calibrate(model: Model, val_set, config: CalibConfig, eval_sets: dict | None
     val = (F["val"], s, fn, s.max(axis=-1), yv)  # features, s, ||f||, max_j s_j, labels
     pieces = np.array_split(next(shuffles(Xv.shape[0], config.seed, 3)), config.folds) if config.folds >= 2 else []
     row_sets = [np.arange(Xv.shape[0])] + [np.concatenate(pieces[:k] + pieces[k + 1 :]) for k in range(len(pieces))]
-    # Row set 0 is the main run's and the rest are the folds' training rows.  Longest first, the main run
-    # leads the first stack; it reads val in place, so only the folds' row copies count to STACK_BYTES.
-    stacks, room, row_bytes = [[]], STACK_BYTES, sum(a[0].nbytes for a in val)
-    for j in sorted(range(len(row_sets)), key=lambda j: -len(row_sets[j])):  # sorted is stable: run 0 comes first
-        need = len(row_sets[j]) * row_bytes if j else 0
-        if need > room and stacks[-1]:
-            stacks.append([])
-            room = STACK_BYTES
-        stacks[-1].append(j)
-        room -= need
-    tuned_runs = {}
-    for stack in stacks:
-        tuned, *results = _tune_head(model.head, val, [row_sets[j] for j in stack], config)
-        tuned_runs.update((j, (tuned.like(tuned.flat[g]), *(r[g] for r in results))) for g, j in enumerate(stack))
+    # Row set 0 is the main run's and the rest are the folds' training rows; one stack tunes them all.
+    order = sorted(range(len(row_sets)), key=lambda j: -len(row_sets[j]))  # longest first; the main run leads
+    tuned, *results = _tune_head(model.head, val, [row_sets[j] for j in order], config)
+    tuned_runs = {j: (tuned.like(tuned.flat[g]), *(r[g] for r in results)) for g, j in enumerate(order)}
     tuned_head, best_epoch, nll_before, nll_after = tuned_runs[0]
     if not np.all(np.isfinite(tuned_head.flat)):
         raise NumericError("calibration produced non-finite head parameters")

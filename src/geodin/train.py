@@ -50,11 +50,11 @@ from .head import (
 )
 from .scores import EPS_NORM
 
-# Rows per block of inference and the tuning NLL (see ``row_blocks``).  On
-# OpenBLAS 0.3.31 a product of up to ~1200 output elements takes another
-# kernel, whose last bits differ (up to 600 rows of a 32 -> 2 layer, 400 of a
-# 32 -> 3 one), so blocks need more than 600 rows.  750 keeps a margin, and a
-# 256-wide layer buffer of the largest block (under 2 * 750 rows) under 3 MB.
+# Rows per block of inference (see ``row_blocks``).  On OpenBLAS 0.3.31 a
+# product of up to ~1200 output elements takes another kernel, whose last bits
+# differ (up to 600 rows of a 32 -> 2 layer, 400 of a 32 -> 3 one), so blocks
+# need more than 600 rows.  750 keeps a margin, and a 256-wide layer buffer of
+# the largest block (under 2 * 750 rows) under 3 MB.
 BLOCK_ROWS = 750
 
 
@@ -205,7 +205,7 @@ def unit_rows(X: np.ndarray) -> np.ndarray:
 
 
 def row_blocks(n: int) -> list[slice]:
-    """The blocks of rows that inference and the tuning NLL take a batch of n rows in.
+    """The blocks of rows that inference takes a batch of n rows in.
 
     Blocks start at multiples of BLOCK_ROWS and the last one absorbs the
     remainder, so a batch below two blocks is one block, and the last block

@@ -10,6 +10,7 @@ from geodin.bench import (
     KIND_SCALES,
     SEVERITY_LADDER,
     ConceptGroup,
+    ShiftsConfig,
     ShiftSpec,
     auroc,
     concept_split,
@@ -392,6 +393,21 @@ class TestSweep:
         report = sweep(model, task, ["h"], [ShiftSpec("concept_split", i) for i in range(3)], groups)
         assert [r.severity for r in report.rows] == [0, 1, 2]
         assert all(r.n_ood == 80 for r in report.rows)
+
+
+class TestShiftsConfig:
+    @pytest.mark.parametrize("empty", [{"kinds": ()}, {"severities": ()}])
+    def test_an_empty_sweep_is_rejected(self, empty):
+        config = ShiftsConfig(include_control=False, concept=False, **empty)
+        assert config.specs(5) == []
+        with pytest.raises(ConfigError, match="the sweep is empty"):
+            config.validate()
+
+    @pytest.mark.parametrize("kept", [{"include_control": True}, {"concept": True}, {"kinds": ("smoothing",)}])
+    def test_any_one_row_kind_makes_a_sweep(self, kept):
+        config = ShiftsConfig(**{"kinds": (), "include_control": False, "concept": False, **kept})
+        config.validate()
+        assert config.specs(5) != []
 
 
 class TestAdjacentDrops:

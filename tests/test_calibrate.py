@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from geodin.errors import ConfigError, DomainError, NumericError, UnsupportedVar
 from geodin.head import HeadParams, HeadVariant, cross_entropy, head_forward_batch, multiplier_forward, plain_forward
 from geodin.scores import score_batch
 from geodin.train import (
-    BLOCK_ROWS,
     TrainConfig,
     accuracy,
     extract_features,
@@ -33,6 +33,7 @@ from geodin.train import (
 )
 from oracles import reference_tune_head
 from test_fingerprint import SMALL_CONFIG
+from test_head import thread_probe
 
 calibrate_module = importlib.import_module("geodin.calibrate")  # the package's `calibrate` is the function
 
@@ -313,7 +314,7 @@ def fingerprint_model(tmp_path_factory):
 
 
 class TestStackedFolds:
-    """The k folds are tuned as stacks of equal rest size; each fold's head is
+    """The main run and the k folds are tuned as one stack; each fold's head is
     the one a stack of one on its own rows gives, bit for bit."""
 
     @pytest.mark.parametrize("case", ["even", "ragged"])
@@ -344,23 +345,40 @@ class TestStackedFolds:
             logits = head_forward_batch(F[held], head.like(head.flat[0])).logits
             assert report.folds[k]["after"] == split_metrics(logits, y[held])
 
-    def test_stack_byte_bound_splits_stacks_without_changing_results(self, trained_task_model, monkeypatch):
+    def test_twelve_folds_take_one_tune_head_call(self, trained_task_model, monkeypatch):
         task, model = trained_task_model
-        config = CalibConfig(seed=21, epochs=2, folds=5)
-        _, whole = calibrate(model, task.val, config)
-        stacks = []
+        config = CalibConfig(seed=21, epochs=2, folds=12)
+        _, _, rests, oracle = _fold_oracle(model, task.val, config)
+        calls = []
         tune = calibrate_module._tune_head
 
-        def counted(head, val, rows, config):
-            stacks.append(len(rows))
-            return tune(head, val, rows, config)
+        def recorded(head, val, rows, config):
+            calls.append((rows, tune(head, val, rows, config)))
+            return calls[-1][1]
 
-        row_bytes = (model.head.d_feature + model.head.n_classes + 3) * 8  # a row of F, s, ||f||, max_j s_j, labels
-        monkeypatch.setattr(calibrate_module, "_tune_head", counted)
-        monkeypatch.setattr(calibrate_module, "STACK_BYTES", 2 * 116 * row_bytes)
-        _, split = calibrate(model, task.val, config)
-        assert sorted(stacks) == [1, 2, 3]  # the main run, the 116-row fold and a 115-row one; 115-row folds in twos
-        assert split.to_dict() == whole.to_dict()
+        monkeypatch.setattr(calibrate_module, "_tune_head", recorded)
+        calibrate(model, task.val, config)
+        [(rows, (heads, best_epoch, nll_before, nll_after))] = calls
+        assert [len(r) for r in rows] == [144] + [132] * 12  # the main run, then the 12 folds
+        for k, rest in enumerate(rests):
+            [g] = [g for g, r in enumerate(rows) if np.array_equal(r, rest)]
+            one_head, one_epoch, one_before, one_after = oracle[k]
+            assert heads.flat[g].tobytes() == one_head.flat[0].tobytes()
+            assert (best_epoch[g], nll_before[g], nll_after[g]) == (one_epoch[0], one_before[0], one_after[0])
+
+    def test_tune_head_peak_memory_is_bounded_by_the_nll_block(self):
+        # The wide split, 2560 rows at D=64, k=32, tuned for the main run and five folds of 2048 rows.
+        # Copies of the folds' rows of (F, s, ||f||, max_j s_j, labels) alone would take 8.1 MB.
+        head, val = _synthetic_split(2560, d=64, k=32)
+        pieces = np.array_split(np.random.default_rng(1).permutation(2560), 5)
+        rows = [np.arange(2560)] + [np.concatenate(pieces[:k] + pieces[k + 1 :]) for k in range(5)]
+        tracemalloc.start()
+        try:
+            calibrate_module._tune_head(head, val, rows, CalibConfig(epochs=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 << 20
 
     def test_lock_step_heads_of_differing_sizes_match_one_at_a_time(self, trained_task_model):
         # The whole 144-row split (read in place), a 116-row and a 115-row fold, and 24 rows, below
@@ -419,27 +437,65 @@ def _synthetic_split(rows: int, d: int = 12, k: int = 6, seed: int = 0, variant=
     return head, (F, s, fn, s.max(axis=-1), rng.integers(0, k, rows))
 
 
-class TestBlockedTuningNll:
-    """The per-epoch tuning NLL runs in row blocks; it is the one-shot cross-entropy bit for bit."""
+def _nll_block(G: int, k: int) -> int:
+    """Rows per block of the tuning NLL for a run of G heads over k classes."""
+    return max(64, calibrate_module.NLL_LOGITS // (G * k) // 64 * 64)
 
-    @pytest.mark.parametrize("n", [365, 366, 2 * BLOCK_ROWS + 1])
+
+def _one_shot_nll(heads, val, rows):
+    """The mean cross-entropy of each head over its gathered rows, in one shot."""
+    F, s, fn, _, y = (a[rows] for a in val)
+    return cross_entropy(multiplier_forward(F, s, fn, heads).logits, y)
+
+
+class TestBlockedTuningNll:
+    """The per-epoch tuning NLL gathers its rows from the split block by block; it is the one-shot
+    cross-entropy over the gathered rows, the formulation of ``oracles.reference_tune_head``, bit for bit."""
+
+    @pytest.mark.parametrize("n", [365, 366, 1501])
     @pytest.mark.parametrize("G", [1, 5])
     def test_matches_the_one_shot_cross_entropy(self, G, n):
-        head, val = _synthetic_split(2 * BLOCK_ROWS + 1)
+        # Each run fits one block here; the test below spans three.
+        head, val = _synthetic_split(1501)
         rng = np.random.default_rng(n)
         rows = np.stack([rng.permutation(len(val[0]))[:n] for _ in range(G)])
         tuned, _, before, after = calibrate_module._tune_head(head, val, rows, CalibConfig(epochs=2, batch_size=256))
-        F, s, fn, _, y = (a[rows] for a in val)
-
-        def one_shot(heads):
-            return cross_entropy(multiplier_forward(F, s, fn, heads).logits, y)
-
-        assert before.tobytes() == one_shot(head.like(np.tile(head.flat, (G, 1)))).tobytes()
-        assert after.tobytes() == one_shot(tuned).tobytes()
+        assert before.tobytes() == _one_shot_nll(head.like(np.tile(head.flat, (G, 1))), val, rows).tobytes()
+        assert after.tobytes() == _one_shot_nll(tuned, val, rows).tobytes()
         assert np.all(after <= before)
 
+    @pytest.mark.parametrize("tail", [-1, 1], ids=["tail-1", "tail+1"])
+    @pytest.mark.parametrize("G,in_place", [(1, False), (5, False), (1, True)], ids=["G1", "G5", "G1-in-place"])
+    def test_three_blocks_match_the_one_shot_cross_entropy(self, G, in_place, tail, monkeypatch):
+        block = _nll_block(G, 32)
+        n = 2 * block + 3 * 64 + tail  # two full blocks and a ragged third of 64*3 +- 1 rows
+        head, val = _synthetic_split(n if in_place else n + 100, k=32)
+        rng = np.random.default_rng(n)
+        rows = np.arange(n)[None] if in_place else np.stack([rng.permutation(n + 100)[:n] for _ in range(G)])
+        blocks, row_nll = [], calibrate_module.row_nll
+
+        def counted(logits, *args, **kwargs):
+            blocks.append(logits.shape[-2])
+            return row_nll(logits, *args, **kwargs)
+
+        monkeypatch.setattr(calibrate_module, "row_nll", counted)
+        tuned, _, before, after = calibrate_module._tune_head(head, val, rows, CalibConfig(epochs=2, batch_size=256))
+        assert blocks == [block, block, 3 * 64 + tail] * 3  # the NLL before tuning and after each epoch
+        assert before.tobytes() == _one_shot_nll(head.like(np.tile(head.flat, (G, 1))), val, rows).tobytes()
+        assert after.tobytes() == _one_shot_nll(tuned, val, rows).tobytes()
+        assert np.all(after <= before)
+
+    def test_copies_on_the_whole_split_in_order_match_the_copying_loop(self):
+        head, val = _synthetic_split(150)
+        rows = np.stack([np.arange(150), np.arange(150), np.random.default_rng(2).permutation(150)])
+        config = CalibConfig(epochs=2)
+        tuned, *results = calibrate_module._tune_head(head, val, rows, config)
+        ref_tuned, *ref_results = reference_tune_head(head, (*val[:3], val[4]), rows, config)
+        assert tuned.flat.tobytes() == ref_tuned.flat.tobytes()
+        assert [r.tobytes() for r in results] == [r.tobytes() for r in ref_results]
+
     def test_out_of_range_label_in_the_last_block_raises_before_any_step(self, monkeypatch):
-        head, val = _synthetic_split(2 * BLOCK_ROWS + 1)
+        head, val = _synthetic_split(2 * _nll_block(1, 32) + 3 * 64 + 1, k=32)
         y = val[-1]
         rows = np.arange(len(y))[None]
         y[-1] = head.n_classes
@@ -448,6 +504,44 @@ class TestBlockedTuningNll:
         with pytest.raises(IndexError, match="label out of range"):
             calibrate_module._tune_head(head, val, rows, CalibConfig(epochs=2))
         assert steps == []
+
+    def test_tuned_heads_hold_at_one_and_two_blas_threads(self):
+        assert thread_probe(1, TUNE_PROBE) == thread_probe(2, TUNE_PROBE)
+
+
+# Run in a child process at a given OpenBLAS thread count: the digest of three heads tuned on a
+# split whose alpha/beta products (9001 or 8001 rows at D=64) exceed the size at which OpenBLAS
+# splits a gemv across threads, and of every per-row NLL the tuning takes.  A product split across
+# threads changes a few rows' last bits, which the mean NLL and so the tuned heads mostly absorb;
+# the per-row NLLs show it (on these two draws, with _matvec's row blocks taken out).  The plain
+# part s is drawn, not computed, so no product outside the tuning enters the digest.
+TUNE_PROBE = """
+import hashlib, importlib, json
+import numpy as np
+from geodin.head import HeadParams, HeadVariant
+calibrate = importlib.import_module("geodin.calibrate")
+digest, row_nll = hashlib.sha256(), calibrate.row_nll
+
+def recorded(*args, **kwargs):
+    nll = row_nll(*args, **kwargs)
+    digest.update(nll.tobytes())
+    return nll
+
+calibrate.row_nll = recorded
+for seed in (1, 4):
+    rng = np.random.default_rng(seed)
+    head = HeadParams.initial(64, 4, HeadVariant.ALPHA_BETA, rng)
+    head.alpha_w[:] = rng.normal(0.0, 0.1, 64)
+    head.beta_w[:] = rng.normal(0.0, 0.1, 64)
+    F = rng.uniform(0.0, 1.0, (9001, 64))
+    s = rng.normal(0.0, 1.0, (9001, 4))
+    val = (F, s, np.sqrt(np.add.reduce(F * F, axis=1)), s.max(axis=-1), rng.integers(0, 4, 9001))
+    rows = [np.arange(9001)] + [rng.permutation(9001)[:8001] for _ in range(2)]
+    tuned = calibrate._tune_head(head, val, rows, calibrate.CalibConfig(epochs=2, batch_size=512))
+    for a in (tuned[0].flat, *tuned[1:]):
+        digest.update(np.asarray(a).tobytes())
+print(json.dumps(digest.hexdigest()))
+"""
 
 
 class TestHoistedRowMax:

@@ -130,6 +130,10 @@ INVALID_CONFIGS = {
     "unknown_kind": (["shifts.kinds=gaussian_noise,salt"], "salt"),
     "unknown_score": (["shifts.scores=g,mahalanobis"], "mahalanobis"),
     "empty_scores": (["shifts.scores="], "at least one score"),
+    "empty_kinds": (["shifts.kinds=", "shifts.include_control=false", "shifts.concept=false"], "the sweep is empty"),
+    "empty_severities": (
+        ["shifts.severities=", "shifts.include_control=false", "shifts.concept=false"], "the sweep is empty"
+    ),
     "severity_0": (["shifts.severities=0,1"], "1..5"),
     "severity_6": (["shifts.severities=1,6"], "1..5"),
     "calibrate_kind": (["calibrate.shift_kind=blur"], "blur"),
@@ -274,6 +278,15 @@ class TestCmdDetect:
         argv = ["detect", "--config", str(config_file), "--checkpoint", str(trained_checkpoint)]
         assert main([*argv, "--set", "shifts.scores=", "--out", str(out)]) == 2
         assert "at least one score" in capsys.readouterr().err
+        assert not out.with_suffix(".csv").exists() and not out.with_suffix(".json").exists()
+
+    @pytest.mark.parametrize("emptied", ["shifts.kinds=", "shifts.severities="])
+    def test_empty_sweep_exit_2(self, config_file, trained_checkpoint, tmp_path, capsys, emptied):
+        out = tmp_path / "rep"
+        argv = ["detect", "--config", str(config_file), "--checkpoint", str(trained_checkpoint), "--out", str(out)]
+        overrides = [emptied, "shifts.include_control=false", "shifts.concept=false"]
+        assert main([*argv, *(a for o in overrides for a in ("--set", o))]) == 2
+        assert "the sweep is empty" in capsys.readouterr().err
         assert not out.with_suffix(".csv").exists() and not out.with_suffix(".json").exists()
 
     @pytest.mark.parametrize(

@@ -410,10 +410,11 @@ print(json.dumps({"digests": digests, "blocked_is_whole": blocked_is_whole}))
 """
 
 
-def thread_probe(threads: int) -> dict:
+def thread_probe(threads: int, script: str = THREAD_PROBE):
+    """The JSON that ``script`` prints in a child process at ``threads`` OpenBLAS threads."""
     src = str(Path(geodin.__file__).resolve().parents[1])
     env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "PYTHONPATH": src}
-    done = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env, capture_output=True, text=True, timeout=300)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]
     return json.loads(done.stdout)
 
