@@ -229,12 +229,12 @@ def _tune_head(head, val, rows, config: CalibConfig):
     and with a column of the copies' rates; each copy so gets the bits of a
     stack of one.  The per-epoch NLL takes each run of equal-size copies in
     blocks of rows that start at multiples of 64 and hold at most
-    ``NLL_LOGITS`` logits, gathering a block's rows from ``val`` (a copy on
-    the whole split, in order, reads it through views); 64-aligned blocks
-    give the multiplier the whole product's bits (``head._matvec``).  Its
-    per-row NLLs, the head gradient and the momentum scratch are allocated
-    once per call.  Every softmax gets its row max as m * max_j s_j (exact,
-    as m >= 1) instead of taking it from the logits.
+    ``NLL_LOGITS`` logits, gathering a block's rows from ``val``; a copy on
+    the whole split, in order, runs alone and reads it through views.
+    64-aligned blocks give the multiplier the whole product's bits
+    (``head._matvec``).  Its per-row NLLs, the head gradient and the momentum
+    scratch are allocated once per call.  Every softmax gets its row max as
+    m * max_j s_j (exact, as m >= 1) instead of taking it from the logits.
     """
     sizes = [len(r) for r in rows]
     if sizes != sorted(sizes, reverse=True):
@@ -254,7 +254,7 @@ def _tune_head(head, val, rows, config: CalibConfig):
             yield a, b
             a = b
 
-    in_place = [g if np.array_equal(r, whole) else -1 for g, r in enumerate(rows)]  # such a copy runs alone
+    in_place = [g if np.array_equal(r, whole) else -1 for g, r in enumerate(rows)]  # each its own run
     stacks = []  # the NLL's (heads, row index or None in place, rows per block, per-row NLLs) per run
     for a, b in runs(zip(sizes, in_place)):
         block = max(64, NLL_LOGITS // ((b - a) * head.n_classes) // 64 * 64)
