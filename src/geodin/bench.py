@@ -437,13 +437,9 @@ def sweep(
     ShiftsConfig(scores=tuple(score_names)).validate()
 
     W = model.head.W
-    # F_id stays referenced for the whole sweep; freeing it after scoring makes no
-    # measurable difference: a fresh-process wide detect (one CPU, one BLAS thread,
-    # 20 runs each) reads ~10.1k minor faults, 796 ms median and 52.6 MB peak RSS
-    # freed against ~10.2k, 789 ms and 54.0 MB held, inside the runs' spread (IQR
-    # ~80-110 ms).
-    F_id = extract_features(model, task.test[0])
-    id_all = score_batch(F_id, W)
+    # The clean test split's features are dropped once scored, so only their scores stay
+    # alive through the sweep, next to one shifted copy's features at a time.
+    id_all = score_batch(extract_features(model, task.test[0]), W)
     report = DetectionReport()
     for spec in specs:
         if spec.kind == "none" or (spec.kind != CONCEPT_KIND and spec.severity == 0):

@@ -182,8 +182,9 @@ def load_model(path) -> Model:
 def parse_embeddings(path) -> dict[str, np.ndarray]:
     """Read a whitespace-separated token/vector text file.
 
-    The dimension is inferred from the first record; ragged or unparsable
-    lines raise FormatError with their line number; blank lines are skipped;
+    The dimension is inferred from the first record; ragged lines and bad
+    (unparsable or non-finite) numbers raise FormatError with their line
+    number; blank lines are skipped;
     the first occurrence of a duplicate token wins.
     """
     table: dict[str, np.ndarray] = {}
@@ -205,6 +206,8 @@ def parse_embeddings(path) -> dict[str, np.ndarray]:
                     vec = np.array([float(v) for v in values])
                 except ValueError as exc:
                     raise FormatError(f"line {lineno}: {exc}") from None
+                if not np.isfinite(vec).all():
+                    raise FormatError(f"line {lineno}: non-finite vector component")
                 if token not in table:
                     table[token] = vec
     except UnicodeDecodeError as exc:
@@ -265,6 +268,9 @@ def read_report(path) -> DetectionReport:
 
 def _row_from_dict(d: dict, path) -> ReportRow:
     try:
-        return ReportRow(**{f: _REPORT_TYPES[f](d[f]) for f in REPORT_FIELDS})
+        row = ReportRow(**{f: _REPORT_TYPES[f](d[f]) for f in REPORT_FIELDS})
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed report row {d!r} ({exc})") from None
+    if not all(0.0 <= getattr(row, f) <= 1.0 for f, t in _REPORT_TYPES.items() if t is float):
+        raise FormatError(f"{path}: report row {d!r} has a rate that is not a finite number in [0, 1]")
+    return row

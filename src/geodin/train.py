@@ -8,9 +8,11 @@ to input direction rather than magnitude: activations, and with them the
 feature norm, fall off as an input rotates away from the training manifold,
 which is what the norm-based covariate score measures.  Inference
 (``extractor_forward``) runs a batch through the layers in blocks of rows
-(``row_blocks``), so its memory beyond the returned features is bounded by
-the block, not the batch; training (``extractor_activations``) keeps every
-layer's output for backprop.  Both run the same per-layer step.
+(``row_blocks``) sized by the narrowest layer, so its memory beyond the
+returned features is bounded by the block, not the batch, and ``predict``
+streams each block through features, logits and argmax.  Training
+(``extractor_activations``) keeps every layer's output for backprop.  Both
+run the same per-layer step.
 
 Optimization is plain SGD with momentum, weight decay and per-step cosine
 learning-rate annealing on the ``minibatches`` schedule, which calibration
@@ -49,13 +51,6 @@ from .head import (
     softmax_cross_entropy_batch,
 )
 from .scores import EPS_NORM
-
-# Rows per block of inference (see ``row_blocks``).  On OpenBLAS 0.3.31 a
-# product of up to ~1200 output elements takes another kernel, whose last bits
-# differ (up to 600 rows of a 32 -> 2 layer, 400 of a 32 -> 3 one), so blocks
-# need more than 600 rows.  750 keeps a margin, and a 256-wide layer buffer of
-# the largest block (under 2 * 750 rows) under 3 MB.
-BLOCK_ROWS = 750
 
 
 @dataclass(frozen=True)
@@ -204,17 +199,26 @@ def unit_rows(X: np.ndarray) -> np.ndarray:
     return np.divide(X, norms, out=X.astype(np.float64, order="C"), where=norms >= EPS_NORM)
 
 
-def row_blocks(n: int) -> list[slice]:
-    """The blocks of rows that inference takes a batch of n rows in.
+# On OpenBLAS 0.3.31 a product of r rows into an N-wide layer from K inputs takes another
+# kernel, whose last bits differ, exactly when r*N <= 1200, K >= 32 and r*N*K <= 10^6 (a
+# 32 -> 2 layer differs at 600 rows and matches at 601; a 256 -> 64 one at 18 and 19).
+def row_blocks(n: int, width: int) -> list[slice]:
+    """The blocks of rows that inference takes a batch of n rows in, for products at least ``width`` wide.
 
-    Blocks start at multiples of BLOCK_ROWS and the last one absorbs the
-    remainder, so a batch below two blocks is one block, and the last block
-    is the largest.  A row's product with a weight matrix is then the one the
-    whole batch gets, bit for bit: no block is small enough for OpenBLAS to
-    switch to its small-matrix kernel.
+    Blocks start at multiples of B = max(512, 64 * ceil(1536 / (64 * width)))
+    rows (768 for width 2, 512 from width 3 on) and the last one absorbs the
+    remainder, so a batch below two blocks is one block and the last block is
+    the largest.  B * width >= 1536 keeps a 28% margin from the kernel switch,
+    so a row's product with a weight matrix is the one the whole batch gets,
+    bit for bit, and starts at multiples of 64 give ``head._matvec`` the
+    whole product's bits.  Below 512 rows the wide forward slowed (1.8% at
+    256, 7.6% at 128).  With width 1 the batch is one block: a matrix-vector
+    product, which a multi-threaded OpenBLAS splits by the batch's rows,
+    could differ from the batch's in a block's last bits.
     """
-    count = max(1, n // BLOCK_ROWS)
-    return [slice(i * BLOCK_ROWS, n if i == count - 1 else (i + 1) * BLOCK_ROWS) for i in range(count)]
+    B = max(512, -(-1536 // (64 * width)) * 64)
+    count = max(1, n // B) if width > 1 else 1
+    return [slice(i * B, n if i == count - 1 else (i + 1) * B) for i in range(count)]
 
 
 def _layer(a: np.ndarray, W: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -225,16 +229,14 @@ def _layer(a: np.ndarray, W: np.ndarray, b: np.ndarray, out: np.ndarray | None =
 
 
 def extractor_forward(params: ExtractorParams, X: np.ndarray) -> np.ndarray:
-    """Features of the batch X, computed block by block of ``row_blocks``.
+    """Features of the batch X, computed block by block of ``row_blocks`` for the narrowest layer.
 
     Each block is projected with ``unit_rows`` and runs through two layer
     buffers allocated once per call, sized for the largest block; the last
     layer writes into the block's rows of the returned (n, d_feature) array.
-    A net with a 1-wide layer runs as one block: that layer's product is a
-    matrix-vector one, which a multi-threaded OpenBLAS splits by the batch's
-    rows, so a block's rows could differ from the batch's in the last bit.
+    A net with a 1-wide layer runs as one block.
     """
-    blocks = row_blocks(X.shape[0]) if min(params.dims[1:]) > 1 else [slice(0, X.shape[0])]
+    blocks = row_blocks(X.shape[0], min(params.dims[1:]))
     F = np.empty((X.shape[0], params.d_feature))
     rows = blocks[-1].stop - blocks[-1].start
     buffers = np.empty((2, rows * max(params.dims[1:-1], default=0)))
@@ -314,7 +316,17 @@ def model_logits(model: Model, X) -> np.ndarray:
 
 
 def predict(model: Model, X) -> np.ndarray:
-    return np.argmax(model_logits(model, X), axis=1)
+    """The argmax of ``model_logits(model, X)`` per row, bit for bit, one block of ``row_blocks`` at a time.
+
+    Each block's features, logits and argmax come before the next block's, so
+    no whole-batch features or logits are held.  The blocks are sized for the
+    narrowest extractor layer or the k classes: s = F W^T is (rows, D) @ (D, k).
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    pred = np.empty(X.shape[0], dtype=np.intp)
+    for blk in row_blocks(X.shape[0], min(*model.extractor.dims[1:], model.head.n_classes)):
+        pred[blk] = np.argmax(head_forward_batch(extract_features(model, X[blk]), model.head).logits, axis=1)
+    return pred
 
 
 def accuracy(model: Model, X, y) -> float:

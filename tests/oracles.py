@@ -243,7 +243,7 @@ def reference_tune_head(head, val, rows, config):
     """
     F, s, fn, y = (a[rows] for a in val)
     heads = head.like(np.tile(head.flat, (rows.shape[0], 1)))
-    blocks, nll = row_blocks(rows.shape[1]), np.empty(rows.shape)
+    blocks, nll = row_blocks(rows.shape[1], head.n_classes), np.empty(rows.shape)
 
     def full_nll():
         m = multiplier(F, fn, heads)[2]

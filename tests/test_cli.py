@@ -469,6 +469,18 @@ class TestCmdSplits:
         assert capsys.readouterr().err.strip().endswith(message)
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_embedding_exit_3(self, tmp_path, capsys, bad):
+        emb, id_names, ood_names = self.setup_fixture(tmp_path)
+        emb.write_text(emb.read_text(encoding="utf-8").replace("mid 0.5", f"mid {bad}"), encoding="utf-8")
+        out = tmp_path / "s.csv"
+        code = main(
+            ["splits", "--embeddings", str(emb), "--id-names", str(id_names), "--ood-names", str(ood_names), "--n-groups", "2", "--out", str(out)]
+        )
+        assert code == 3
+        assert "line 3: non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_embedding_file_exit_3(self, tmp_path, capsys):
         emb, id_names, ood_names = self.setup_fixture(tmp_path)
         emb.write_text("", encoding="utf-8")
@@ -526,6 +538,24 @@ class TestCmdReportMerge:
         m = read_report(merged)
         assert len(m.rows) == len(a.rows) + len(b.rows)
         assert m.rows[: len(a.rows)] == a.rows
+
+    @pytest.mark.parametrize(
+        "name,content",
+        [
+            ("nan.csv", "score,shift_kind,severity,auroc,tnr_at_tpr95,n_id,n_ood,seed\ng,none,0,nan,0.5,10,10,0\n"),
+            ("nan.json", '{"rows": [{"score": "g", "shift_kind": "none", "severity": 0, "auroc": NaN, '
+                         '"tnr_at_tpr95": 0.5, "n_id": 10, "n_ood": 10, "seed": 0}]}'),
+            ("range.csv", "score,shift_kind,severity,auroc,tnr_at_tpr95,n_id,n_ood,seed\ng,none,0,0.5,1.25,10,10,0\n"),
+        ],
+        ids=["nan_csv", "nan_json", "tnr_above_one_csv"],
+    )
+    def test_rate_outside_unit_interval_exit_3(self, tmp_path, capsys, name, content):
+        path = tmp_path / name
+        path.write_text(content, encoding="utf-8")
+        merged = tmp_path / "merged.json"
+        assert main(["report-merge", str(path), "--out", str(merged)]) == 3
+        assert str(path) in capsys.readouterr().err
+        assert not merged.exists()
 
     @pytest.mark.parametrize(
         "name,content",

@@ -1,5 +1,7 @@
 """Checkpoint round trips, embedding parsing, report serialization."""
 
+import dataclasses
+import math
 import struct
 
 import numpy as np
@@ -287,6 +289,13 @@ class TestParseEmbeddings:
         with pytest.raises(FormatError, match="line 2"):
             parse_embeddings(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "NaN", "inf", "-inf", "1e999"])
+    def test_non_finite_component_reports_number(self, tmp_path, bad):
+        path = tmp_path / "emb.txt"
+        path.write_text(f"cat 1.0 0.0\ncar {bad} 1.0\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="line 2: non-finite"):
+            parse_embeddings(path)
+
     def test_duplicate_first_wins(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("cat 1.0\ncat 9.0\n", encoding="utf-8")
@@ -344,6 +353,26 @@ class TestReports:
         write_report(sample_report(), path, "csv")
         line = path.read_text().splitlines()[1]
         assert "0.876543" in line
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "field,value",
+        [("auroc", math.nan), ("auroc", math.inf), ("tnr_at_tpr95", -math.inf), ("tnr_at_tpr95", math.nan),
+         ("auroc", 1.5), ("tnr_at_tpr95", -0.25)],
+    )
+    def test_rate_that_is_not_in_the_unit_interval_rejected(self, tmp_path, fmt, field, value):
+        path = tmp_path / f"r.{fmt}"
+        rows = sample_report().rows
+        write_report(DetectionReport(rows=[rows[0], dataclasses.replace(rows[1], **{field: value})]), path, fmt)
+        with pytest.raises(FormatError, match="not a finite number in \\[0, 1\\]"):
+            read_report(path)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rates_at_the_interval_ends_read_back(self, tmp_path, fmt):
+        path = tmp_path / f"r.{fmt}"
+        row = dataclasses.replace(sample_report().rows[0], auroc=0.0, tnr_at_tpr95=1.0)
+        write_report(DetectionReport(rows=[row]), path, fmt)
+        assert read_report(path).rows == [row]
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(DomainError):

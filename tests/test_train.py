@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from geodin.errors import ConfigError, NumericError, ShapeError
-from geodin.head import HeadVariant
+from geodin.head import HeadVariant, head_forward_batch
 from geodin.train import (
     Model,
     TrainConfig,
@@ -19,12 +19,15 @@ from geodin.train import (
     extractor_backward,
     init_model,
     minibatches,
+    model_logits,
     momentum_step,
+    predict,
     row_blocks,
     train,
     unit_rows,
 )
 from oracles import full_gradient_check, reference_forward, reference_train
+from test_head import thread_probe
 
 train_module = importlib.import_module("geodin.train")  # the package's `train` is the function
 
@@ -402,46 +405,129 @@ class TestActivationCache:
         assert grad_F.tobytes() == passed.tobytes()  # the masks go into the call's own temporaries
 
 
+def block_of(width):
+    """Rows per inference block for products at least ``width`` wide: r * width >= 1536, 64-aligned, >= 512."""
+    return max(512, 64 * math.ceil(1536 / (64 * width)))
+
+
+def ragged_rows(B):
+    return (B - 1, B, B + 1, 2 * B - 1, 2 * B + 1, 5 * B + 3)
+
+
 class TestBlockedInference:
     """Inference runs in row blocks; each block's rows get the bytes the whole batch would."""
 
-    def test_row_blocks_start_at_multiples_and_the_last_absorbs_the_rest(self):
-        B = train_module.BLOCK_ROWS
-        assert row_blocks(0) == [slice(0, 0)]
-        assert row_blocks(B - 1) == [slice(0, B - 1)]
-        assert row_blocks(2 * B - 1) == [slice(0, 2 * B - 1)]
-        assert row_blocks(2 * B) == [slice(0, B), slice(B, 2 * B)]
-        assert row_blocks(5 * B + 3) == [slice(i * B, (i + 1) * B) for i in range(4)] + [slice(4 * B, 5 * B + 3)]
+    @pytest.mark.parametrize("width", [2, 3, 4, 64, 256])
+    def test_row_blocks_start_at_multiples_and_the_last_absorbs_the_rest(self, width):
+        B = block_of(width)
+        assert B == {2: 768}.get(width, 512)
+        assert row_blocks(0, width) == [slice(0, 0)]
+        assert row_blocks(B - 1, width) == [slice(0, B - 1)]
+        assert row_blocks(2 * B - 1, width) == [slice(0, 2 * B - 1)]
+        assert row_blocks(2 * B, width) == [slice(0, B), slice(B, 2 * B)]
+        assert row_blocks(5 * B + 3, width) == [slice(i * B, (i + 1) * B) for i in range(4)] + [slice(4 * B, 5 * B + 3)]
+
+    def test_a_one_wide_product_runs_as_one_block(self):
+        for n in (0, 1, 5000, 100_000):
+            assert row_blocks(n, 1) == [slice(0, n)]
 
     @pytest.mark.parametrize("hidden", [(64, 32), (256, 256)])
-    @pytest.mark.parametrize("width", [1, 2, 4, 6, 16, 64, 256])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 6, 16, 64, 256])
     def test_extract_features_matches_the_one_shot_forward(self, width, hidden):
-        B = train_module.BLOCK_ROWS
+        B = block_of(min(*hidden, width))
         model = init_model(TrainConfig(hidden=hidden, feature_dim=width, seed=width), d_in=16, n_classes=3)
         rng = np.random.default_rng(width)
         x = rng.normal(0.0, 1.0, 16)
         assert extract_features(model, x).tobytes() == reference_forward(model.extractor, x[None])[0].tobytes()
-        for rows in (0, B - 1, B, B + 1, 2 * B - 1, 2 * B + 1, 5 * B + 3):
+        for rows in (0, *ragged_rows(B)):
             X = rng.normal(0.0, 1.0, (rows, 16))
             F = extract_features(model, X)
             assert F.shape == (rows, width)
             assert F.tobytes() == reference_forward(model.extractor, X).tobytes(), rows
 
+    @pytest.mark.parametrize("variant", [HeadVariant.VANILLA, HeadVariant.ALPHA_BETA])
+    @pytest.mark.parametrize("k", [2, 32])
+    def test_predict_matches_the_one_shot_argmax(self, k, variant, monkeypatch):
+        # D = 64, so with k = 2 the head's plain product is the narrowest and sets 768-row blocks.
+        # An argmax rarely shows a logit's last bit, so the blocks' logits are compared too.
+        block_logits = []
+
+        def recording_forward(F, params):
+            trace = head_forward_batch(F, params)
+            block_logits.append(trace.logits)
+            return trace
+
+        monkeypatch.setattr(train_module, "head_forward_batch", recording_forward)
+        model = init_model(TrainConfig(hidden=(64,), feature_dim=64, variant=variant, seed=k), d_in=16, n_classes=k)
+        rng = np.random.default_rng(k)
+        model.head.flat[:] = rng.normal(0.0, 0.5, model.head.flat.shape)
+        x = rng.normal(0.0, 1.0, 16)
+        assert predict(model, x).tolist() == [int(np.argmax(model_logits(model, x)))]
+        B = block_of(k)
+        assert len(row_blocks(2 * B - 1, min(*model.extractor.dims[1:], k))) == 1
+        for rows in (0, *ragged_rows(B)):
+            X = rng.normal(0.0, 1.0, (rows, 16))
+            F = reference_forward(model.extractor, X)
+            logits = head_forward_batch(F, model.head).logits
+            block_logits.clear()
+            assert predict(model, X).tobytes() == np.argmax(logits, axis=1).tobytes(), rows
+            assert np.concatenate(block_logits).tobytes() == logits.tobytes(), rows
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_feature_in_the_last_block_raises(self):
-        B = train_module.BLOCK_ROWS
+        B = block_of(4)
         model = init_model(TrainConfig(hidden=(8,), feature_dim=4, seed=0), d_in=3, n_classes=2)
         X = np.random.default_rng(0).normal(0.0, 1.0, (2 * B + 1, 3))
         extract_features(model, X)
         X[-1, 0] = np.nan
-        with pytest.raises(NumericError, match="non-finite features"):
-            extract_features(model, X)
+        for infer in (extract_features, predict):
+            with pytest.raises(NumericError, match="non-finite features"):
+                infer(model, X)
         model.extractor.layers[-1][1][2] = np.inf  # every row's feature 2 is +inf
         with pytest.raises(NumericError, match="non-finite features"):
             extract_features(model, X[:5])
 
+    def test_the_kernel_switch_the_block_rule_clears(self):
+        """The OpenBLAS property ``row_blocks`` relies on: r rows of an N-wide product from K inputs
+        get the whole product's bits when r * N >= 1536, and other bits when r * N <= 1200 and K >= 32."""
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if blas.get("name") != "scipy-openblas" or not str(blas.get("version")).startswith("0.3.31"):
+            pytest.skip(f"the kernel switch was measured on scipy-openblas 0.3.31, not {blas.get('name')} {blas.get('version')}")
+        rng = np.random.default_rng(5)
+
+        def block_is_whole(K, N, r):
+            A, W = rng.uniform(-1.0, 1.0, (4096, K)), rng.uniform(-1.0, 1.0, (N, K))
+            whole = A @ W.T
+            return [(A[i : i + r] @ W.T).tobytes() == whole[i : i + r].tobytes() for i in (0, 512)]
+
+        for K, N in [(32, 2), (32, 3), (64, 32), (256, 64), (256, 256)]:
+            assert block_is_whole(K, N, -(-1536 // N)) == [True, True], (K, N)
+            assert block_is_whole(K, N, 1200 // N) == [False, False], (K, N)
+
+
+# Run in a child process at a given OpenBLAS thread count: the bytes of blocked features and of
+# predict on ragged batches of a 2-class and a 32-class net.
+INFERENCE_PROBE = """
+import hashlib, json
+import numpy as np
+from geodin.train import TrainConfig, extract_features, init_model, predict
+rng = np.random.default_rng(11)
+digests = []
+for hidden, width, k in [((256, 256), 64, 32), ((64, 32), 2, 2), ((32,), 16, 2)]:
+    model = init_model(TrainConfig(hidden=hidden, feature_dim=width, seed=k), d_in=16, n_classes=k)
+    model.head.flat[:] = rng.normal(0.0, 0.5, model.head.flat.shape)
+    for rows in (767, 1537, 5003):
+        X = rng.normal(0.0, 1.0, (rows, 16))
+        blob = extract_features(model, X).tobytes() + predict(model, X).tobytes()
+        digests.append(hashlib.sha256(blob).hexdigest())
+print(json.dumps(digests))
+"""
+
 
 class TestStreamingInference:
+    def test_blocked_inference_holds_at_one_and_two_blas_threads(self):
+        assert thread_probe(1, INFERENCE_PROBE) == thread_probe(2, INFERENCE_PROBE)
+
     def test_extract_features_memory_does_not_grow_with_rows(self):
         width = 256
         model = init_model(TrainConfig(hidden=(width, width), feature_dim=width, seed=3), d_in=width, n_classes=2)
@@ -456,7 +542,8 @@ class TestStreamingInference:
             finally:
                 tracemalloc.stop()
 
-        small, large = peak_beyond_output(2000), peak_beyond_output(8000)
+        # 3 and 14 blocks of 512 rows, the last one 976 rows in both
+        small, large = peak_beyond_output(3 * 512 + 464), peak_beyond_output(13 * 512 + 976)
         assert abs(large - small) < 4096, (small, large)  # a few Python objects, not 6000 rows of anything
 
     def test_extract_features_holds_two_layer_outputs(self):
@@ -475,6 +562,21 @@ class TestStreamingInference:
 
         assert peak_bytes(lambda: extract_features(model, X)) < 3 * layer_bytes
         assert peak_bytes(lambda: extractor_activations(model.extractor, unit_rows(X))) >= 4 * layer_bytes
+
+    def test_accuracy_of_a_wide_net_holds_no_whole_batch_features_or_logits(self):
+        # The wide benchmark net over a 7680-row split: whole-batch F, F * F, s and m * s alone
+        # take 3.9 + 3.9 + 2.0 + 2.0 MiB; block by block the pass peaks near 2.5 MiB.
+        model = init_model(TrainConfig(hidden=(256, 256), feature_dim=64, seed=2), d_in=16, n_classes=32)
+        rng = np.random.default_rng(2)
+        X, y = rng.normal(0.0, 1.0, (7680, 16)), rng.integers(0, 32, 7680)
+        accuracy(model, X, y)
+        tracemalloc.start()
+        try:
+            accuracy(model, X, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
 
 
 class TestFullGradientCheck:
