@@ -302,7 +302,7 @@ def extract_features(model: Model, inputs) -> np.ndarray:
     if single:
         X = X[None, :]
     if X.ndim != 2 or X.shape[1] != model.extractor.d_in:
-        raise ShapeError(f"input batch shape {X.shape} does not match model d_in {model.extractor.d_in}")
+        raise ShapeError(f"input row shape {X.shape[1:]} does not match model d_in {model.extractor.d_in}")
     F = extractor_forward(model.extractor, X)
     # Rectified features lie in [0, inf] or are NaN, so the max is finite only when all are.
     if F.size and not math.isfinite(F.max()):

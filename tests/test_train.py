@@ -364,6 +364,10 @@ class TestExtractFeatures:
         model = init_model(TrainConfig(hidden=(8,), feature_dim=4, seed=0), d_in=3, n_classes=2)
         with pytest.raises(ShapeError):
             extract_features(model, np.zeros((4, 5)))
+        # predict checks block by block, so the message names the row shape, not a block's row count
+        for infer in (extract_features, predict):
+            with pytest.raises(ShapeError, match=r"input row shape \(5,\) does not match model d_in 3"):
+                infer(model, np.zeros((5000, 5)))
 
     def test_unit_rows_zero_row_passthrough(self):
         X = np.array([[0.0, 0.0], [3.0, 4.0]])
@@ -417,15 +421,15 @@ def ragged_rows(B):
 class TestBlockedInference:
     """Inference runs in row blocks; each block's rows get the bytes the whole batch would."""
 
-    @pytest.mark.parametrize("width", [2, 3, 4, 64, 256])
-    def test_row_blocks_start_at_multiples_and_the_last_absorbs_the_rest(self, width):
-        B = block_of(width)
-        assert B == {2: 768}.get(width, 512)
-        assert row_blocks(0, width) == [slice(0, 0)]
-        assert row_blocks(B - 1, width) == [slice(0, B - 1)]
-        assert row_blocks(2 * B - 1, width) == [slice(0, 2 * B - 1)]
-        assert row_blocks(2 * B, width) == [slice(0, B), slice(B, 2 * B)]
-        assert row_blocks(5 * B + 3, width) == [slice(i * B, (i + 1) * B) for i in range(4)] + [slice(4 * B, 5 * B + 3)]
+    def test_row_blocks_start_at_multiples_and_the_last_absorbs_the_rest(self):
+        for width in (2, 3, 4, 64, 256):
+            B = block_of(width)
+            assert B == {2: 768}.get(width, 512)
+            assert row_blocks(0, width) == [slice(0, 0)]
+            assert row_blocks(B - 1, width) == [slice(0, B - 1)]
+            assert row_blocks(2 * B - 1, width) == [slice(0, 2 * B - 1)]
+            assert row_blocks(2 * B, width) == [slice(0, B), slice(B, 2 * B)]
+            assert row_blocks(5 * B + 3, width) == [slice(i * B, (i + 1) * B) for i in range(4)] + [slice(4 * B, 5 * B + 3)]
 
     def test_a_one_wide_product_runs_as_one_block(self):
         for n in (0, 1, 5000, 100_000):
