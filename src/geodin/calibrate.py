@@ -6,19 +6,20 @@ the head rescales all logits by one positive factor, retuning can never
 change a prediction, and every score derived from the feature and the class
 weights is untouched.  The extractor therefore runs once per split: tuning,
 the before/after metrics and every cross-validation fold reuse those
-features.  Tuning also computes the head's plain part s = F W^T, ||f|| and
-max_j s_j once and steps only the multiplier, on the training schedule
-``train.minibatches`` over the alpha/beta slice of the head, without weight
-decay.  ``_tune_head`` tunes the main run's head and the k folds' heads as
-one stack (see ``head``), in lock-step: each head keeps the schedule of its
-own row count, and at each step the heads whose batches are equally long
-take it in one call.  Each head is bit for bit the one a run of its own
-would give.  The tuning logits are m * s with m >= 1, so their class max is
-m * max_j s_j exactly (``scores.shifted_exp``): no step or NLL takes that
-max again.  The per-epoch tuning NLL gathers its rows from the split one
-block of at most ``NLL_LOGITS`` logits at a time, so it copies no head's
-row set and its temporaries are bounded by the block, not by the split or
-the number of folds.
+features.  Tuning also computes the head's plain part once, as ||f|| and
+the class gaps d = s - max_j s_j of s = F W^T, and steps only the
+multiplier m, on the training schedule ``train.minibatches`` over the
+alpha/beta slice of the head, without weight decay.  As m > 0, the logits
+m * d have row max exactly 0: no tuning softmax takes a max or a shift, and
+a step needs only dL/dm (``head.gap_cross_entropy``).  ``_tune_head`` tunes
+the main run's head and the k folds' heads as one stack (see ``head``), in
+lock-step: each head keeps the schedule of its own row count, and at each
+step the heads whose batches are equally long take it in one call.  Each
+head is bit for bit the one a run of its own would give.  The per-epoch
+tuning NLL runs every head over the whole split in order, one block of at
+most ``NLL_LOGITS`` logits at a time, so it gathers no head's features or
+gaps and its temporaries are bounded by the block, not by the split or the
+number of folds.
 ECE / NLL / reliability-bin metrics and a temperature-scaling baseline live
 here too.
 """
@@ -35,20 +36,21 @@ from .errors import ConfigError, DomainError, NumericError, UnsupportedVariantEr
 from .head import (
     HeadVariant,
     cross_entropy,
+    gap_cross_entropy,
     head_backward_batch,
     head_forward_batch,
-    multiplier,
     multiplier_forward,
     plain_forward,
-    row_nll,
+    # Not called here since tuning steps on class gaps; bound because perfbench's tracer wraps
+    # every name it lists in ``spans.PATCHES``, this one included, around each traced op.
     softmax_cross_entropy_batch,
 )
 from .scores import shifted_exp
 from .train import Model, check_sgd, extract_features, minibatches, momentum_step, shuffles
 
-# Logits (heads x rows x k) per block of the per-epoch tuning NLL.  A five-fold calibrate at D=64,
-# k=32 took 1.07x as long at 2^14 and 1.36x at 2^18, and the same at 2^15-2^17 (CPU time, 20
-# alternating in-process pairs per budget; one x86_64 core, one OpenBLAS thread).
+# Logits (heads x rows x k) per block of the per-epoch tuning NLL.  Tuning six heads on 2560 rows at
+# D=64, k=32 took 1.02-1.12x as long at 2^14-2^15, 1.18x at 2^18 and the same at 2^17 (median CPU
+# time of 12-20 alternating in-process runs per budget; one x86_64 core, one OpenBLAS thread).
 NLL_LOGITS = 1 << 16
 
 
@@ -212,65 +214,56 @@ def split_metrics(logits, y, n_bins: int = 15) -> SplitMetrics:
     )
 
 
+def _gap_split(F: np.ndarray, y, head):
+    """The tuning split (F, class gaps d = s - max_j s_j, ||f||, the labels' gaps d_y); d overwrites s = F W^T."""
+    s, fn = plain_forward(F, head)
+    y = np.asarray(y)
+    if (y < 0).any() or (y >= head.n_classes).any():
+        raise IndexError("label out of range")  # checked here, as picking d_y would wrap a negative label
+    s -= s.max(axis=-1)[:, None]
+    return F, s, fn, s[np.arange(len(y)), y]
+
+
 def _tune_head(head, val, rows, config: CalibConfig):
     """NLL-minimize the alpha/beta parameters of G copies of ``head``, copy g on the val rows ``rows[g]``.
 
-    ``val`` is (features F, plain part s, ||f||, max_j s_j, labels) of the tuning split
-    and ``rows`` G row indices into it, longest first.  Returns (tuned heads as
-    one stacked HeadParams, best epochs, NLLs before, NLLs after), each along
-    the leading axis of length G; each copy keeps its best state across epochs
-    -1..epochs, so no tuning NLL increases.  Raises NumericError when any NLL
-    before tuning is not finite, and IndexError (from that NLL's ``row_nll``)
-    when a label is out of range: the steps do not check them.
+    ``val`` is the tuning split from ``_gap_split`` and ``rows`` G row
+    indices into it, longest first.  Returns (tuned heads as one stacked
+    HeadParams, best epochs, NLLs before, NLLs after), each along the
+    leading axis of length G; each copy keeps its best state across epochs
+    -1..epochs, so no tuning NLL increases.  Raises NumericError when any
+    NLL before tuning is not finite.
 
     Copy g keeps the schedule ``minibatches(len(rows[g]), config, 2)``.  Step
     i of an epoch runs on the copies that have a batch i, a prefix of the
     stack, in one call per run of equal batch lengths, on views of the stack
     and with a column of the copies' rates; each copy so gets the bits of a
-    stack of one.  The per-epoch NLL takes each run of equal-size copies in
-    blocks of rows that start at multiples of 64 and hold at most
-    ``NLL_LOGITS`` logits, gathering a block's rows from ``val``; a copy on
-    the whole split, in order, runs alone and reads it through views.
+    stack of one.  A step takes dL/dm from the gaps (``gap_cross_entropy``)
+    and backpropagates only that.  The per-epoch NLL runs all G copies over
+    the whole split in order, in blocks of rows that start at multiples of
+    64 and hold at most ``NLL_LOGITS`` logits, into one (G, n) buffer; copy
+    g's NLL is the mean of its own rows' entries, in its row order.
     64-aligned blocks give the multiplier the whole product's bits
-    (``head._matvec``).  Its per-row NLLs, the head gradient and the momentum
-    scratch are allocated once per call.  Every softmax gets its row max as
-    m * max_j s_j (exact, as m >= 1) instead of taking it from the logits.
+    (``head._matvec``), so an entry has the bits it would have gathered.
+    The per-row NLLs, the head gradient and the momentum scratch are
+    allocated once per call.
     """
     sizes = [len(r) for r in rows]
     if sizes != sorted(sizes, reverse=True):
         raise ValueError(f"row sets must come longest first, got sizes {sizes}")
-    G, bs, whole = len(sizes), config.batch_size, np.arange(len(val[0]))
+    G, bs, n = len(sizes), config.batch_size, len(val[0])
     heads = head.like(np.tile(head.flat, (G, 1)))
     tail = head.W.size  # the alpha/beta parameters follow W in head.flat
-    hg = heads.like(np.zeros_like(heads.flat))  # its W part stays zero: the steps are frozen_plain
+    hg = heads.like(np.zeros_like(heads.flat))  # its W part stays zero: the steps pass only grad_m
     live, live_grad = heads.flat[:, tail:], hg.flat[:, tail:]
     velocity, scratch = np.zeros_like(live), np.empty_like(live)
-
-    def runs(keys):
-        """(a, b) of each run of equal keys along the stack."""
-        a = 0
-        for _, members in groupby(keys):
-            b = a + len(list(members))
-            yield a, b
-            a = b
-
-    in_place = [g if np.array_equal(r, whole) else -1 for g, r in enumerate(rows)]  # each its own run
-    stacks = []  # the NLL's (heads, row index or None in place, rows per block, per-row NLLs) per run
-    for a, b in runs(zip(sizes, in_place)):
-        block = max(64, NLL_LOGITS // ((b - a) * head.n_classes) // 64 * 64)
-        index = None if in_place[a] >= 0 else np.stack(rows[a:b])
-        stacks.append((heads.like(heads.flat[a:b]), index, block, np.empty((b - a, sizes[a]))))
+    block, nll = max(64, NLL_LOGITS // (G * head.n_classes) // 64 * 64), np.empty((G, n))
 
     def full_nll() -> np.ndarray:
-        out = []
-        for heads_ab, index, block, nll in stacks:
-            for i in range(0, nll.shape[-1], block):
-                blk = slice(i, i + block)
-                F, s, fn, smax, y = (x[None, blk] if index is None else x[index[:, blk]] for x in val)
-                m = multiplier(F, fn, heads_ab)[2]
-                row_nll(m[..., None] * s, y, out=nll[:, blk], lmax=m * smax)
-            out.append(nll.sum(axis=-1) / nll.shape[-1])  # cross_entropy's mean
-        return np.concatenate(out)
+        for i in range(0, n, block):
+            F, d, fn, dy = (x[i : i + block] for x in val)
+            gap_cross_entropy(multiplier_forward(F, d, fn, heads), dy, out=nll[:, i : i + block])
+        return np.array([nll[g, r].sum() / len(r) for g, r in enumerate(rows)])  # cross_entropy's mean
 
     nll_before = full_nll()
     if not np.all(np.isfinite(nll_before)):
@@ -278,33 +271,30 @@ def _tune_head(head, val, rows, config: CalibConfig):
         raise NumericError(f"non-finite tuning NLL {bad}: the head overflows on this split")
     best_nll, best_epoch, best_flat = nll_before, np.full(G, -1), heads.flat.copy()
 
-    plan = []  # per step index i: the runs of copies with a batch i of equal length, and their batch columns
+    plan = []  # per run of copies a:b with a batch i of equal length: (i, a, b, heads, gradients, batch columns)
     for i in range(-(-sizes[0] // bs)):
-        lengths = [min(bs, n - i * bs) for n in sizes if n > i * bs]
-        plan.append([
-            (a, b, heads.like(heads.flat[a:b]), hg.like(hg.flat[a:b]), slice(i * bs, i * bs + lengths[a]))
-            for a, b in runs(lengths)
-        ])
-    schedules = {n: minibatches(n, config, 2) for n in set(sizes)}
+        a = 0
+        for length, members in groupby(min(bs, size - i * bs) for size in sizes if size > i * bs):
+            b = a + len(list(members))
+            plan.append((i, a, b, heads.like(heads.flat[a:b]), hg.like(hg.flat[a:b]), slice(i * bs, i * bs + length)))
+            a = b
+    schedules = {size: minibatches(size, config, 2) for size in set(sizes)}
     order = np.empty((G, sizes[0]), dtype=np.intp)  # row g: copy g's val rows in this epoch's batch order
-    lrs = np.empty((len(plan), G))  # row i: each copy's learning rate at step i
+    lrs = np.empty((-(-sizes[0] // bs), G))  # row i: each copy's learning rate at step i
     for epoch in range(config.epochs):
-        steps = {n: next(schedule) for n, schedule in schedules.items()}
+        steps = {size: next(schedule) for size, schedule in schedules.items()}
         for g, r in enumerate(rows):
             own = steps[len(r)]
             order[g, : len(r)] = r[np.concatenate([idx for idx, _ in own])]
             lrs[: len(own), g] = [lr for _, lr in own]
-        for step, lr in zip(plan, lrs):
-            for a, b, heads_ab, hg_ab, cols in step:
-                idx = order[a:b, cols]
-                Fb, sb, fnb, smaxb, yb = (x[idx] for x in val)
-                trace = multiplier_forward(Fb, sb, fnb, heads_ab)
-                # The loss is discarded, not skipped: one softmax cross-entropy serves train and calibrate.
-                _, grad_logits = softmax_cross_entropy_batch(trace.logits, yb, lmax=trace.m * smaxb)
-                head_backward_batch(trace, Fb, heads_ab, grad_logits, frozen_plain=True, out=hg_ab)
-                momentum_step(
-                    live[a:b], live_grad[a:b], velocity[a:b], lr[a:b, None], config.momentum, scratch=scratch[a:b]
-                )
+        for i, a, b, heads_ab, hg_ab, cols in plan:
+            Fb, db, fnb, dyb = (x[order[a:b, cols]] for x in val)
+            trace = multiplier_forward(Fb, db, fnb, heads_ab)
+            grad_m = gap_cross_entropy(trace, dyb, grad_m=True)
+            head_backward_batch(trace, Fb, heads_ab, out=hg_ab, grad_m=grad_m)
+            momentum_step(
+                live[a:b], live_grad[a:b], velocity[a:b], lrs[i, a:b, None], config.momentum, scratch=scratch[a:b]
+            )
         epoch_nll = full_nll()
         better = epoch_nll < best_nll
         best_nll = np.where(better, epoch_nll, best_nll)
@@ -332,19 +322,17 @@ def calibrate(model: Model, val_set, config: CalibConfig, eval_sets: dict | None
     Xv, yv = val_set
     Xv = np.asarray(Xv, dtype=np.float64)
     yv = np.asarray(yv, dtype=np.int64)
-    if Xv.shape[0] == 0:
-        raise DomainError("validation set is empty")
+    splits = {"val": (Xv, yv), **(eval_sets or {})}
+    if empty := [name for name, (X, _) in splits.items() if len(np.atleast_2d(X)) == 0]:
+        raise DomainError(f"split {empty[0]!r} is empty")
     if config.folds > Xv.shape[0]:
         raise ConfigError(f"folds={config.folds} exceeds validation size {Xv.shape[0]}")
-
-    splits = {"val": (Xv, yv), **(eval_sets or {})}
     F = {name: extract_features(model, np.atleast_2d(X)) for name, (X, _) in splits.items()}
 
     def metrics(name, head, rows=slice(None)):
         return split_metrics(head_forward_batch(F[name][rows], head).logits, splits[name][1][rows])
 
-    s, fn = plain_forward(F["val"], model.head)
-    val = (F["val"], s, fn, s.max(axis=-1), yv)  # features, s, ||f||, max_j s_j, labels
+    val = _gap_split(F["val"], yv, model.head)
     pieces = np.array_split(next(shuffles(Xv.shape[0], config.seed, 3)), config.folds) if config.folds >= 2 else []
     row_sets = [np.arange(Xv.shape[0])] + [np.concatenate(pieces[:k] + pieces[k + 1 :]) for k in range(len(pieces))]
     # Row set 0 is the main run's and the rest are the folds' training rows; one stack tunes them all.

@@ -15,8 +15,9 @@ Variants: ``vanilla`` (l = s), ``alpha_only`` (beta pinned to 0),
 
 A plain part (s = F W^T, ||f||) and a multiplier part (m and its backward
 pass) make up the layer; calibration freezes F and W, so it computes the plain
-part once per split.  Every pass works on a feature batch (one sample is a
-one-row batch); the tests check the backward pass by finite differences.
+part once per split, as class gaps (``gap_cross_entropy``).  Every pass works
+on a feature batch (one sample is a one-row batch); the tests check the
+backward pass by finite differences.
 
 A HeadParams may stack heads along a leading axis of its flat vector; the
 multiplier part and the softmax cross-entropy then take batches with the
@@ -163,12 +164,14 @@ def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     """A @ v over any leading axes, (..., n, D) @ (..., D) -> (..., n): BLAS gemv per slice and row block.
 
     The rows go in blocks that start at multiples of 64 and hold at most
-    2^18 elements.  A multi-threaded OpenBLAS splits a larger gemv across
-    threads by rows, and rows near a split take another kernel path, so the
-    bits would depend on the thread count.  On OpenBLAS 0.3.31 a block this
-    small runs on one thread, and blocks aligned to 64 rows give the whole
-    product's one-thread bits; another BLAS build may split or group rows
-    otherwise, and ``TestThreadCountIndependence`` checks the installed one.
+    2^18 elements, but for a last lone row, which joins the block before it:
+    numpy takes a one-row product as a dot, whose bits differ from gemv's.
+    A multi-threaded OpenBLAS splits a larger gemv across threads by rows,
+    and rows near a split take another kernel path, so the bits would depend
+    on the thread count.  On OpenBLAS 0.3.31 a block this small runs on one
+    thread, and blocks aligned to 64 rows give the whole product's one-thread
+    bits; another BLAS build may split or group rows otherwise, and
+    ``TestThreadCountIndependence`` checks the installed one.
     """
     n, D = A.shape[-2:]
     B = max(64, 2**18 // D // 64 * 64)
@@ -177,9 +180,10 @@ def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
         # a default `train` 3-4% slower (CPU time; two probes of 80 alternating in-process pairs,
         # loop slower in 53 and 54; one x86_64 core, one OpenBLAS thread).
         return (A @ v[..., None])[..., 0]
-    out = np.empty(A.shape[:-1])
-    for i in range(0, n, B):
-        out[..., i : i + B] = (A[..., i : i + B, :] @ v[..., None])[..., 0]
+    out = np.empty((*np.broadcast_shapes(A.shape[:-2], v.shape[:-1]), n))
+    edges = [*range(0, n - 1, B), n]
+    for i, j in zip(edges, edges[1:]):
+        out[..., i:j] = (A[..., i:j, :] @ v[..., None])[..., 0]
     return out
 
 
@@ -213,26 +217,25 @@ def head_forward_batch(F: np.ndarray, params: HeadParams) -> BatchHeadTrace:
 
 
 def head_backward_batch(
-    trace: BatchHeadTrace, F: np.ndarray, params: HeadParams, grad_logits: np.ndarray, frozen_plain: bool = False,
-    out: HeadParams | None = None,
+    trace: BatchHeadTrace, F: np.ndarray, params: HeadParams, grad_logits: np.ndarray | None = None,
+    out: HeadParams | None = None, grad_m: np.ndarray | None = None,
 ) -> tuple[HeadParams, np.ndarray | None]:
     """Analytic gradients of sum(grad_logits * logits) for a batch.
 
     Returns the pair (parameter gradients, feature gradients).  The first is
     summed over the batch, a HeadParams in the layout of ``params`` (zero for
     the heads a variant pins); the second holds one row per sample, zeroed
-    for degenerate samples; a stack of heads sums each slice apart.  With
-    ``frozen_plain`` (F and W fixed, as in calibration) only the multiplier
-    part runs: W's gradient stays zero and the feature gradients are None.
+    for degenerate samples; a stack of heads sums each slice apart.  Given
+    ``grad_m``, the loss's derivative in each row's m, instead of
+    ``grad_logits``, only the multiplier part runs: a caller that holds only
+    dL/dm has frozen F and W (as calibration does), so W's gradient stays
+    zero and the feature gradients are None.  ``grad_m`` is not written to.
 
     The parameter gradients go into ``out`` when given, else into a new
     zeroed HeadParams.  A call writes only the live parts (not the pinned
-    heads, nor W when ``frozen_plain``), so one buffer zeroed once serves a
+    heads, nor W given ``grad_m``), so one buffer zeroed once serves a
     whole run; each step's gradient in it is valid until the next call.
     """
-    U = np.asarray(grad_logits, dtype=np.float64)
-    if U.shape != trace.logits.shape:
-        raise ShapeError(f"grad_logits shape {U.shape} does not match logits {trace.logits.shape}")
     variant = params.variant
     m, alpha, beta, d = trace.m, trace.alpha, trace.beta, trace.degenerate
     grad = params.like(np.zeros_like(params.flat)) if out is None else out
@@ -240,7 +243,13 @@ def head_backward_batch(
 
     # The multiplier part: the alpha/beta gradients through us = d(loss)/dm per sample.
     # Each temporary below is this call's own, so the degenerate rows are zeroed in place.
-    us = np.einsum("...ij,...ij->...i", U, trace.vanilla_logits)
+    if grad_m is None:
+        U = np.asarray(grad_logits, dtype=np.float64)
+        if U.shape != trace.logits.shape:
+            raise ShapeError(f"grad_logits shape {U.shape} does not match logits {trace.logits.shape}")
+        us = np.einsum("...ij,...ij->...i", U, trace.vanilla_logits)
+    else:
+        us = np.array(grad_m, dtype=np.float64)  # a copy, zeroed below
     us[d] = 0.0
     if variant.has_alpha:
         # dm/dalpha = -m/alpha, dalpha/dz = alpha(1-alpha)
@@ -255,7 +264,7 @@ def head_backward_batch(
         gb[d] = 0.0
         np.matmul(Ft, gb[..., None], out=grad.beta_w[..., None])
         grad.beta_b = np.add.reduce(gb, axis=-1)
-    if frozen_plain:
+    if grad_m is not None:
         return grad, None
 
     # The plain part: the class-weight and feature gradients, then the multiplier's feature terms.
@@ -284,13 +293,12 @@ def _mean(nll: np.ndarray):
     return nll.sum(axis=-1) / nll.shape[-1]  # np.mean's sum and division, without its per-call wrapper
 
 
-def row_nll(logits: np.ndarray, labels, out: np.ndarray | None = None, lmax=None) -> np.ndarray:
+def row_nll(logits: np.ndarray, labels, out: np.ndarray | None = None) -> np.ndarray:
     """Softmax cross-entropy of each row of a logit batch (..., n, k) against integer labels (..., n).
 
     Written into ``out`` when given; IndexError unless every label lies in [0, k).
-    ``lmax`` is the logits' exact row max when the caller holds it (see ``shifted_exp``).
     """
-    shifted, _, esum = shifted_exp(logits, lmax)
+    shifted, _, esum = shifted_exp(logits)
     y = np.asarray(labels)
     if (y < 0).any() or (y >= shifted.shape[-1]).any():
         raise IndexError("label out of range")
@@ -306,16 +314,31 @@ def cross_entropy(logits: np.ndarray, labels):
     return _mean(row_nll(logits, labels))
 
 
-def softmax_cross_entropy_batch(logits: np.ndarray, labels, lmax=None):
+def softmax_cross_entropy_batch(logits: np.ndarray, labels):
     """Mean cross-entropy over a batch (as in ``cross_entropy``) and its gradient wrt every logit.
 
     The labels must lie in [0, k): this per-step call does not check them,
     and a negative one silently picks from the end of its row.  ``train``
-    checks its labels once per run; calibration's tuning checks its split's
-    in the ``row_nll`` of its NLL before the first step.  ``lmax`` is as in ``row_nll``.
+    checks its labels once per run.
     """
-    shifted, e, esum = shifted_exp(logits, lmax)
+    shifted, e, esum = shifted_exp(logits)
     nll, pick = _row_nll(shifted, esum, np.asarray(labels))
     grad = e / esum[..., None]
     grad[pick] -= 1.0
     return _mean(nll), grad / shifted.shape[-2]
+
+
+def gap_cross_entropy(trace: BatchHeadTrace, dy: np.ndarray, out: np.ndarray | None = None, grad_m: bool = False):
+    """Softmax cross-entropy of a trace over class gaps: each row's NLL, or with ``grad_m`` the mean's dL/dm.
+
+    The trace's plain part is d = s - max_j s_j (<= 0, exactly 0 at the argmax) and ``dy`` the labels'
+    gaps.  As m > 0, the logits m * d have row max exactly 0: exp needs no shift and esum lies in [1, k].
+    A row's NLL is log(esum) - m * d_y (into ``out`` when given).  The n rows' mean NLL has
+    dL/dm = (sum_j e_j d_j / esum - d_y) / n, the full gradient's sum_j U_ij s_ij, as the softmax
+    weights sum to 1.  An infinite m gives NaN (inf * 0 at the argmax).
+    """
+    e = np.exp(trace.logits)
+    esum = e.sum(axis=-1)
+    if grad_m:
+        return (np.einsum("...ij,...ij->...i", e, trace.vanilla_logits) / esum - dy) / dy.shape[-1]
+    return np.subtract(np.log(esum), trace.m * dy, out=out)

@@ -50,8 +50,7 @@ def shifted_exp(logits, lmax=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     The one overflow-safe core of softmax (``e / esum``), log-sum-exp
     (``max + log(esum)``) and cross-entropy (``log(esum) - shifted[label]``).
     ``lmax``, if given, must be the exact row max ``logits.max(axis=-1)`` that
-    a caller holds.  For logits ``m * s`` with ``m >= 1`` per row it is ``m * s.max(axis=-1)``:
-    rounding is monotone, and with ``m >= 1`` no product underflows into a new tie.
+    a caller holds: ``score_batch`` passes the max it takes for u and the energy.
     """
     l = np.asarray(logits, dtype=np.float64)
     shifted = l - (l.max(axis=-1) if lmax is None else lmax)[..., None]

@@ -7,9 +7,9 @@ that a test comparing ``score_batch`` with them does not compare the code
 with itself.  The checksum reference is the byte-at-a-time FNV-1a loop.  The
 gradient oracle differentiates its own batched forward pass numerically.
 The training oracle is the SGD loop that projects and allocates afresh on
-every step, the tuning oracle the calibration loop whose every softmax takes
-its own row max, and the inference oracle the forward pass that takes the
-whole batch at once.  The head-backward oracle is the backward pass that
+every step, the tuning oracle the calibration loop run one head at a time on
+a copy of its own rows, with the gap softmax written out, and the inference
+oracle the forward pass that takes the whole batch at once.  The head-backward oracle is the backward pass that
 masks the degenerate rows with ``np.where`` on fresh temporaries and
 recomputes the safe norm.
 """
@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from geodin.errors import ConfigError, DomainError, NumericError
-from geodin.head import head_backward_batch, multiplier, multiplier_forward, row_nll, softmax_cross_entropy_batch
+from geodin.head import head_backward_batch, multiplier, multiplier_forward
 from geodin.scores import score_batch, shifted_exp
-from geodin.train import init_model, loss_and_grads, minibatches, momentum_step, row_blocks, unit_rows
+from geodin.train import init_model, loss_and_grads, minibatches, momentum_step, unit_rows
 
 EPS_NORM = 1e-12
 
@@ -235,47 +235,51 @@ def reference_forward(params, X):
     return a
 
 
+def reference_gap_nll(head, F, d, fn, dy):
+    """Each row's softmax cross-entropy of the logits m * d, as log(sum_j exp(m d_j)) - m d_y, in one shot."""
+    m = multiplier(F, fn, head)[2]
+    return np.subtract(np.log(np.exp(m[..., None] * d).sum(axis=-1)), m * dy)
+
+
 def reference_tune_head(head, val, rows, config):
-    """``calibrate._tune_head`` with every softmax taking the max of its own logits.
+    """``calibrate._tune_head`` one head at a time, each on a copy of its own rows.
 
-    ``val`` is (F, s, ||f||, labels), without the per-row max_j s_j; same
-    schedule, buffers, best-state rule and return values.
+    ``val`` is the gap split (F, d, ||f||, d_y), d = s - max_j s_j.  The gap
+    softmax is written out here: e = exp(m d) with no shift, the row NLL
+    log(sum_j e_j) - m d_y, and per step dL/dm = (sum_j e_j d_j / sum_j e_j
+    - d_y) / b.  Each head's NLL takes its gathered rows in one shot.  Same
+    schedule, best-state rule and return values (stacked) as ``_tune_head``.
     """
-    F, s, fn, y = (a[rows] for a in val)
-    heads = head.like(np.tile(head.flat, (rows.shape[0], 1)))
-    blocks, nll = row_blocks(rows.shape[1], head.n_classes), np.empty(rows.shape)
+    tail, results = head.W.size, []
+    for r in rows:
+        F, d, fn, dy = (a[r] for a in val)
+        one = head.copy()
+        hg = one.like(np.zeros_like(one.flat))
+        velocity = np.zeros_like(one.flat[tail:])
 
-    def full_nll():
-        m = multiplier(F, fn, heads)[2]
-        for blk in blocks:
-            row_nll(m[:, blk, None] * s[:, blk], y[:, blk], out=nll[:, blk])
-        return nll.sum(axis=-1) / nll.shape[-1]
+        def full_nll():
+            return reference_gap_nll(one, F, d, fn, dy).sum() / len(r)
 
-    nll_before = full_nll()
-    if not np.all(np.isfinite(nll_before)):
-        bad = nll_before[~np.isfinite(nll_before)][0]
-        raise NumericError(f"non-finite tuning NLL {bad}: the head overflows on this split")
-    best_nll, best_epoch, best_flat = nll_before, np.full(rows.shape[0], -1), heads.flat.copy()
-    tail = head.W.size
-    hg = heads.like(np.zeros_like(heads.flat))
-    live, live_grad = heads.flat[:, tail:], hg.flat[:, tail:]
-    velocity, scratch = np.zeros_like(live), np.empty_like(live)
-    for epoch, steps in enumerate(minibatches(rows.shape[1], config, 2)):
-        for idx, lr in steps:
-            Fb = F[:, idx]
-            trace = multiplier_forward(Fb, s[:, idx], fn[:, idx], heads)
-            _, grad_logits = softmax_cross_entropy_batch(trace.logits, y[:, idx])
-            head_backward_batch(trace, Fb, heads, grad_logits, frozen_plain=True, out=hg)
-            momentum_step(live, live_grad, velocity, lr, config.momentum, scratch=scratch)
-        epoch_nll = full_nll()
-        better = epoch_nll < best_nll
-        best_nll = np.where(better, epoch_nll, best_nll)
-        best_epoch[better] = epoch
-        best_flat[better] = heads.flat[better]
-    return head.like(best_flat), best_epoch, nll_before, best_nll
+        nll_before = full_nll()
+        if not np.isfinite(nll_before):
+            raise NumericError(f"non-finite tuning NLL {nll_before}: the head overflows on this split")
+        best_nll, best_epoch, best_flat = nll_before, -1, one.flat.copy()
+        for epoch, steps in enumerate(minibatches(len(r), config, 2)):
+            for idx, lr in steps:
+                trace = multiplier_forward(F[idx], d[idx], fn[idx], one)
+                e = np.exp(trace.logits)
+                grad_m = (np.einsum("...ij,...ij->...i", e, d[idx]) / e.sum(axis=-1) - dy[idx]) / len(idx)
+                head_backward_batch(trace, F[idx], one, grad_m=grad_m, out=hg)
+                momentum_step(one.flat[tail:], hg.flat[tail:], velocity, lr, config.momentum)
+            epoch_nll = full_nll()
+            if epoch_nll < best_nll:
+                best_nll, best_epoch, best_flat = epoch_nll, epoch, one.flat.copy()
+        results.append((best_flat, best_epoch, nll_before, best_nll))
+    flats, *rest = zip(*results)
+    return head.like(np.stack(flats)), *(np.array(x) for x in rest)
 
 
-def reference_head_backward(trace, F, params, grad_logits, frozen_plain=False):
+def reference_head_backward(trace, F, params, grad_logits=None, grad_m=None):
     """``head_backward_batch`` in its ``np.where`` form, to compare bytes against.
 
     The safe norm where(d, 1, ||f||) and alpha times it are recomputed from
@@ -283,12 +287,13 @@ def reference_head_backward(trace, F, params, grad_logits, frozen_plain=False):
     with ``np.where(d, 0, x)`` on a new array, ``gn`` included; the weight
     gradients are products copied into a new zeroed HeadParams.
     """
-    U = np.asarray(grad_logits, dtype=np.float64)
     variant = params.variant
     m, alpha, beta, d = trace.m, trace.alpha, trace.beta, trace.degenerate
     grad = params.like(np.zeros_like(params.flat))
     Ft = np.swapaxes(F, -1, -2)
-    us = np.where(d, 0.0, np.einsum("...ij,...ij->...i", U, trace.vanilla_logits))
+    if grad_m is None:
+        grad_m = np.einsum("...ij,...ij->...i", np.asarray(grad_logits, dtype=np.float64), trace.vanilla_logits)
+    us = np.where(d, 0.0, grad_m)
     safe_fn = np.where(d, 1.0, trace.feature_norm)
     if variant.has_alpha:
         ga = us * (-m / alpha) * alpha * (1.0 - alpha)
@@ -299,9 +304,9 @@ def reference_head_backward(trace, F, params, grad_logits, frozen_plain=False):
         gb = np.where(d, 0.0, gb)
         grad.beta_w[:] = (Ft @ gb[..., None])[..., 0]
         grad.beta_b = np.add.reduce(gb, axis=-1)
-    if frozen_plain:
+    if grad_logits is None:
         return grad, None
-    mU = m[..., None] * U
+    mU = m[..., None] * grad_logits
     grad.W[:] = np.swapaxes(mU, -1, -2) @ F
     grad_F = mU @ params.W
     if variant.has_alpha:

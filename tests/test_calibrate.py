@@ -20,7 +20,7 @@ from geodin.calibrate import (
 )
 from geodin.config import load_run_config
 from geodin.errors import ConfigError, DomainError, NumericError, UnsupportedVariantError
-from geodin.head import HeadParams, HeadVariant, cross_entropy, head_forward_batch, multiplier_forward, plain_forward
+from geodin.head import HeadParams, HeadVariant, head_forward_batch
 from geodin.scores import score_batch
 from geodin.train import (
     TrainConfig,
@@ -31,7 +31,7 @@ from geodin.train import (
     shuffles,
     train,
 )
-from oracles import reference_tune_head
+from oracles import reference_gap_nll, reference_tune_head
 from test_fingerprint import SMALL_CONFIG
 from test_head import thread_probe
 
@@ -175,6 +175,16 @@ class TestCalibrate:
         with pytest.raises(DomainError):
             calibrate(model, (np.zeros((0, 12)), np.zeros(0, dtype=int)), CalibConfig(folds=0))
 
+    @pytest.mark.filterwarnings("error")
+    def test_empty_eval_split_rejected_before_tuning(self, trained_task_model, monkeypatch):
+        task, model = trained_task_model
+        tuned = []
+        monkeypatch.setattr(calibrate_module, "_tune_head", lambda *args: tuned.append(args))
+        empty = {"test": task.test, "shifted": (task.test[0][:0], task.test[1][:0])}
+        with pytest.raises(DomainError, match="split 'shifted' is empty"):
+            calibrate(model, task.val, CalibConfig(folds=0, epochs=2), eval_sets=empty)
+        assert tuned == []
+
     def test_overconfident_model_improves(self, trained_task_model):
         task, model = trained_task_model
         over = _inflated(model)
@@ -290,12 +300,10 @@ class TestCalibrate:
 
 
 def _fold_oracle(model, val_set, config):
-    """The tuning split's (F, s, ||f||, max_j s_j, labels), the folds' held-out and rest rows,
+    """The tuning split's (F, d, ||f||, d_y), the folds' held-out and rest rows,
     and each fold's head tuned on its own, as a stack of one."""
     X, y = val_set
-    F = extract_features(model, X)
-    s, fn = plain_forward(F, model.head)
-    val = (F, s, fn, s.max(axis=-1), np.asarray(y, dtype=np.int64))
+    val = calibrate_module._gap_split(extract_features(model, X), np.asarray(y, dtype=np.int64), model.head)
     pieces = np.array_split(next(shuffles(len(y), config.seed, 3)), config.folds)
     rests = [np.concatenate(pieces[:k] + pieces[k + 1 :]) for k in range(config.folds)]
     return val, pieces, rests, [calibrate_module._tune_head(model.head, val, rest[None], config) for rest in rests]
@@ -339,7 +347,7 @@ class TestStackedFolds:
                 assert (best_epoch[g], nll_before[g], nll_after[g]) == (one_epoch[0], one_before[0], one_after[0])
 
         _, report = calibrate(model, val_set, config)
-        F, *_, y = val
+        F, y = val[0], val_set[1]
         for k, held in enumerate(pieces):
             head = oracle[k][0]
             logits = head_forward_batch(F[held], head.like(head.flat[0])).logits
@@ -368,7 +376,7 @@ class TestStackedFolds:
 
     def test_tune_head_peak_memory_is_bounded_by_the_nll_block(self):
         # The wide split, 2560 rows at D=64, k=32, tuned for the main run and five folds of 2048 rows.
-        # Copies of the folds' rows of (F, s, ||f||, max_j s_j, labels) alone would take 8.1 MB.
+        # Copies of the folds' rows of (F, d, ||f||, d_y) alone would take 7.9 MB.
         head, val = _synthetic_split(2560, d=64, k=32)
         pieces = np.array_split(np.random.default_rng(1).permutation(2560), 5)
         rows = [np.arange(2560)] + [np.concatenate(pieces[:k] + pieces[k + 1 :]) for k in range(5)]
@@ -397,12 +405,12 @@ class TestStackedFolds:
             assert heads.flat[g].tobytes() == one_head.flat[0].tobytes()
             assert (best_epoch[g], nll_before[g], nll_after[g]) == (one_epoch[0], one_before[0], one_after[0])
         assert np.all(nll_after < nll_before)  # every head moved
-        # The main head reads the split in place; the loop that copies its rows gives its bits too.
-        ref_head, ref_epoch, ref_before, ref_after = reference_tune_head(
-            model.head, (*val[:3], val[4]), rows[0][None], config
+        # The loop that tunes one head at a time on a copy of its rows gives every head's bits too.
+        ref_head, ref_epoch, ref_before, ref_after = reference_tune_head(model.head, val, rows, config)
+        assert heads.flat.tobytes() == ref_head.flat.tobytes()
+        assert (best_epoch.tolist(), nll_before.tobytes(), nll_after.tobytes()) == (
+            ref_epoch.tolist(), ref_before.tobytes(), ref_after.tobytes()
         )
-        assert heads.flat[0].tobytes() == ref_head.flat[0].tobytes()
-        assert (best_epoch[0], nll_before[0], nll_after[0]) == (ref_epoch[0], ref_before[0], ref_after[0])
 
     def test_row_sets_must_come_longest_first(self):
         head, val = _synthetic_split(150)
@@ -413,11 +421,11 @@ class TestStackedFolds:
     @pytest.mark.parametrize("bad_slice", [0, 2])
     def test_non_finite_nll_in_one_slice_raises_before_any_step(self, trained_task_model, monkeypatch, bad_slice):
         task, model = trained_task_model
-        F = extract_features(model, task.val[0])
-        s, fn = plain_forward(F, model.head)
+        F, d, fn, dy = calibrate_module._gap_split(extract_features(model, task.val[0]), task.val[1], model.head)
         rows = np.random.default_rng(0).permutation(len(F))[:120].reshape(3, 40)  # three disjoint row sets
-        s[rows[bad_slice, 0]] = 1e308  # that row's logits m * s overflow
-        val = (F, s, fn, s.max(axis=-1), task.val[1])
+        bad = rows[bad_slice, 0]
+        d[bad, task.val[1][bad]] = dy[bad] = -math.inf  # as if s_max - s_y overflowed: that row's NLL is inf
+        val = (F, d, fn, dy)
         steps = []
         monkeypatch.setattr(calibrate_module, "momentum_step", lambda *args: steps.append(args))
         with pytest.raises(NumericError, match="non-finite tuning NLL"):
@@ -426,36 +434,36 @@ class TestStackedFolds:
 
 
 def _synthetic_split(rows: int, d: int = 12, k: int = 6, seed: int = 0, variant=HeadVariant.ALPHA_BETA):
-    """A random head and a tuning split (F, s, ||f||, max_j s_j, labels) of ``rows`` rows for it."""
+    """A random head and a tuning split (F, d, ||f||, d_y) of ``rows`` rows for it."""
     rng = np.random.default_rng(seed)
     head = HeadParams.initial(d, k, variant, rng)
     head.alpha_w[:] = rng.normal(0.0, 0.3, d)
     head.beta_w[:] = rng.normal(0.0, 0.3, d)
     F = np.abs(rng.normal(0.0, 1.0, (rows, d)))
     F[0] = 0.0  # a degenerate row: ||f|| = 0 and s = 0
-    s, fn = plain_forward(F, head)
-    return head, (F, s, fn, s.max(axis=-1), rng.integers(0, k, rows))
+    return head, calibrate_module._gap_split(F, rng.integers(0, k, rows), head)
 
 
 def _nll_block(G: int, k: int) -> int:
-    """Rows per block of the tuning NLL for a run of G heads over k classes."""
+    """Rows per block of the tuning NLL for a stack of G heads over k classes."""
     return max(64, calibrate_module.NLL_LOGITS // (G * k) // 64 * 64)
 
 
 def _one_shot_nll(heads, val, rows):
-    """The mean cross-entropy of each head over its gathered rows, in one shot."""
-    F, s, fn, _, y = (a[rows] for a in val)
-    return cross_entropy(multiplier_forward(F, s, fn, heads).logits, y)
+    """The mean gap NLL of each head over its gathered rows, in one shot."""
+    nll = [reference_gap_nll(heads.like(heads.flat[g]), *(a[r] for a in val)) for g, r in enumerate(rows)]
+    return np.array([x.sum() / len(x) for x in nll])
 
 
 class TestBlockedTuningNll:
-    """The per-epoch tuning NLL gathers its rows from the split block by block; it is the one-shot
-    cross-entropy over the gathered rows, the formulation of ``oracles.reference_tune_head``, bit for bit."""
+    """The per-epoch tuning NLL runs every head over the whole split in order, block by block; each
+    head's is the one-shot gap NLL over its gathered rows, the formulation of
+    ``oracles.reference_tune_head``, bit for bit."""
 
     @pytest.mark.parametrize("n", [365, 366, 1501])
     @pytest.mark.parametrize("G", [1, 5])
-    def test_matches_the_one_shot_cross_entropy(self, G, n):
-        # Each run fits one block here; the test below spans three.
+    def test_matches_the_one_shot_nll(self, G, n):
+        # The 1501-row split fits one block here; the test below spans three.
         head, val = _synthetic_split(1501)
         rng = np.random.default_rng(n)
         rows = np.stack([rng.permutation(len(val[0]))[:n] for _ in range(G)])
@@ -465,45 +473,54 @@ class TestBlockedTuningNll:
         assert np.all(after <= before)
 
     @pytest.mark.parametrize("tail", [-1, 1], ids=["tail-1", "tail+1"])
-    @pytest.mark.parametrize("G,in_place", [(1, False), (5, False), (1, True)], ids=["G1", "G5", "G1-in-place"])
-    def test_three_blocks_match_the_one_shot_cross_entropy(self, G, in_place, tail, monkeypatch):
+    @pytest.mark.parametrize("G", [1, 5])
+    def test_three_blocks_match_the_one_shot_nll(self, G, tail, monkeypatch):
         block = _nll_block(G, 32)
         n = 2 * block + 3 * 64 + tail  # two full blocks and a ragged third of 64*3 +- 1 rows
-        head, val = _synthetic_split(n if in_place else n + 100, k=32)
+        head, val = _synthetic_split(n, k=32)
         rng = np.random.default_rng(n)
-        rows = np.arange(n)[None] if in_place else np.stack([rng.permutation(n + 100)[:n] for _ in range(G)])
-        blocks, row_nll = [], calibrate_module.row_nll
+        rows = [np.arange(n)] + [rng.permutation(n)[: n - 100] for _ in range(G - 1)]
+        blocks, gap_cross_entropy = [], calibrate_module.gap_cross_entropy
 
-        def counted(logits, *args, **kwargs):
-            blocks.append(logits.shape[-2])
-            return row_nll(logits, *args, **kwargs)
+        def counted(trace, *args, grad_m=False, **kwargs):
+            if not grad_m:
+                blocks.append(trace.logits.shape)
+            return gap_cross_entropy(trace, *args, grad_m=grad_m, **kwargs)
 
-        monkeypatch.setattr(calibrate_module, "row_nll", counted)
+        monkeypatch.setattr(calibrate_module, "gap_cross_entropy", counted)
         tuned, _, before, after = calibrate_module._tune_head(head, val, rows, CalibConfig(epochs=2, batch_size=256))
-        assert blocks == [block, block, 3 * 64 + tail] * 3  # the NLL before tuning and after each epoch
+        # The NLL before tuning and after each epoch: every head over all n rows, in order.
+        assert blocks == [(G, block, 32), (G, block, 32), (G, 3 * 64 + tail, 32)] * 3
         assert before.tobytes() == _one_shot_nll(head.like(np.tile(head.flat, (G, 1))), val, rows).tobytes()
         assert after.tobytes() == _one_shot_nll(tuned, val, rows).tobytes()
         assert np.all(after <= before)
 
-    def test_copies_on_the_whole_split_in_order_match_the_copying_loop(self):
+    def test_two_classes_take_blocks_past_one_multiplier_block(self):
+        # At k=2 and G=2 an NLL block holds 16384 rows, past _matvec's 4096-row block at D=64.
+        assert _nll_block(2, 2) == 16384
+        head, val = _synthetic_split(16500, d=64, k=2)
+        rows = [np.arange(16500), np.random.default_rng(3).permutation(16500)[:16000]]
+        tuned, _, before, after = calibrate_module._tune_head(head, val, rows, CalibConfig(epochs=1, batch_size=4096))
+        assert before.tobytes() == _one_shot_nll(head.like(np.tile(head.flat, (2, 1))), val, rows).tobytes()
+        assert after.tobytes() == _one_shot_nll(tuned, val, rows).tobytes()
+
+    def test_heads_on_the_whole_split_in_order_match_one_at_a_time(self):
         head, val = _synthetic_split(150)
         rows = np.stack([np.arange(150), np.arange(150), np.random.default_rng(2).permutation(150)])
         config = CalibConfig(epochs=2)
         tuned, *results = calibrate_module._tune_head(head, val, rows, config)
-        ref_tuned, *ref_results = reference_tune_head(head, (*val[:3], val[4]), rows, config)
+        ref_tuned, *ref_results = reference_tune_head(head, val, rows, config)
         assert tuned.flat.tobytes() == ref_tuned.flat.tobytes()
         assert [r.tobytes() for r in results] == [r.tobytes() for r in ref_results]
 
-    def test_out_of_range_label_in_the_last_block_raises_before_any_step(self, monkeypatch):
-        head, val = _synthetic_split(2 * _nll_block(1, 32) + 3 * 64 + 1, k=32)
-        y = val[-1]
-        rows = np.arange(len(y))[None]
-        y[-1] = head.n_classes
-        steps = []
-        monkeypatch.setattr(calibrate_module, "momentum_step", lambda *args, **kwargs: steps.append(args))
+    @pytest.mark.parametrize("bad", [6, -1])
+    def test_out_of_range_label_rejected_when_the_gaps_are_taken(self, bad):
+        # A negative label would silently pick its row's last gap.
+        head, (F, *_) = _synthetic_split(150)
+        y = np.random.default_rng(4).integers(0, 6, 150)
+        y[-1] = bad
         with pytest.raises(IndexError, match="label out of range"):
-            calibrate_module._tune_head(head, val, rows, CalibConfig(epochs=2))
-        assert steps == []
+            calibrate_module._gap_split(F, y, head)
 
     def test_tuned_heads_hold_at_one_and_two_blas_threads(self):
         assert thread_probe(1, TUNE_PROBE) == thread_probe(2, TUNE_PROBE)
@@ -520,14 +537,14 @@ import hashlib, importlib, json
 import numpy as np
 from geodin.head import HeadParams, HeadVariant
 calibrate = importlib.import_module("geodin.calibrate")
-digest, row_nll = hashlib.sha256(), calibrate.row_nll
+digest, gap_cross_entropy = hashlib.sha256(), calibrate.gap_cross_entropy
 
 def recorded(*args, **kwargs):
-    nll = row_nll(*args, **kwargs)
-    digest.update(nll.tobytes())
-    return nll
+    out = gap_cross_entropy(*args, **kwargs)
+    digest.update(out.tobytes())
+    return out
 
-calibrate.row_nll = recorded
+calibrate.gap_cross_entropy = recorded
 for seed in (1, 4):
     rng = np.random.default_rng(seed)
     head = HeadParams.initial(64, 4, HeadVariant.ALPHA_BETA, rng)
@@ -535,7 +552,9 @@ for seed in (1, 4):
     head.beta_w[:] = rng.normal(0.0, 0.1, 64)
     F = rng.uniform(0.0, 1.0, (9001, 64))
     s = rng.normal(0.0, 1.0, (9001, 4))
-    val = (F, s, np.sqrt(np.add.reduce(F * F, axis=1)), s.max(axis=-1), rng.integers(0, 4, 9001))
+    y = rng.integers(0, 4, 9001)
+    s -= s.max(axis=-1)[:, None]
+    val = (F, s, np.sqrt(np.add.reduce(F * F, axis=1)), s[np.arange(9001), y])
     rows = [np.arange(9001)] + [rng.permutation(9001)[:8001] for _ in range(2)]
     tuned = calibrate._tune_head(head, val, rows, calibrate.CalibConfig(epochs=2, batch_size=512))
     for a in (tuned[0].flat, *tuned[1:]):
@@ -544,22 +563,18 @@ print(json.dumps(digest.hexdigest()))
 """
 
 
-class TestHoistedRowMax:
-    """Every tuning softmax takes its row max as m * max_j s_j; the heads are those of the
-    loop whose softmaxes take it from the logits (``oracles.reference_tune_head``), bit for bit."""
-
-    @staticmethod
-    def without_max(val):
-        return (*val[:3], val[4])
+class TestGapTuning:
+    """Tuning steps on class gaps and takes no row max; the heads are those of the loop that
+    tunes one head at a time on a copy of its rows (``oracles.reference_tune_head``), bit for bit."""
 
     @pytest.mark.parametrize("variant", [HeadVariant.ALPHA_ONLY, HeadVariant.BETA_ONLY, HeadVariant.ALPHA_BETA])
     @pytest.mark.parametrize("G", [1, 5])
-    def test_matches_the_per_step_max(self, G, variant):
+    def test_matches_one_head_at_a_time(self, G, variant):
         head, val = _synthetic_split(150, variant=variant)  # row 0 is degenerate
         rows = np.stack([np.random.default_rng(g).permutation(150) for g in range(G)])
         config = CalibConfig(epochs=3, batch_size=64)  # batches of 64, 64 and a ragged 22
         tuned, best_epoch, before, after = calibrate_module._tune_head(head, val, rows, config)
-        ref_tuned, ref_epoch, ref_before, ref_after = reference_tune_head(head, self.without_max(val), rows, config)
+        ref_tuned, ref_epoch, ref_before, ref_after = reference_tune_head(head, val, rows, config)
         assert tuned.flat.tobytes() == ref_tuned.flat.tobytes()
         assert best_epoch.tolist() == ref_epoch.tolist()
         assert (before.tobytes(), after.tobytes()) == (ref_before.tobytes(), ref_after.tobytes())
@@ -568,13 +583,13 @@ class TestHoistedRowMax:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_underflowing_alpha_raises_the_same_numeric_error(self):
         head, val = _synthetic_split(150)
-        head.alpha_b = -800.0  # alpha underflows to 0, so m = 1/alpha is inf
+        head.alpha_b = -800.0  # alpha underflows to 0, so m = 1/alpha is inf and inf * 0 is NaN
         rows, config = np.arange(150)[None], CalibConfig(epochs=2)
-        with pytest.raises(NumericError, match="non-finite tuning NLL") as hoisted:
+        with pytest.raises(NumericError, match="non-finite tuning NLL nan") as tuned:
             calibrate_module._tune_head(head, val, rows, config)
         with pytest.raises(NumericError) as reference:
-            reference_tune_head(head, self.without_max(val), rows, config)
-        assert str(hoisted.value) == str(reference.value)
+            reference_tune_head(head, val, rows, config)
+        assert str(tuned.value) == str(reference.value)
 
 
 def _inflated(model):

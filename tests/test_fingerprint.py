@@ -62,14 +62,14 @@ SMALL_TRAIN_LOG = "829179681c62da5e23bef3734dee844be9abb341ea4503f012fe9857ab9ba
 
 SMALL_DETECT_CSV = "8a1c363bddd369c8d48ddad7f1f44ba737458ef1014819f48e81e93441a728c8"
 SMALL_DETECT_JSON = "ab3fa761a9cf5acb3d6f87247b929c0cf549c12526efe2b0f7fe95542d10e23f"
-SMALL_CALIBRATE_CHECKPOINT = "ab3bbac44bd802fbdaad3787ff550b797a1837a6d244e0154a2f300142928b94"
-SMALL_CALIBRATE_REPORT = "fb152e8b2c0dfe44ed3b1bb2834c7573ef4648b224fabba5897dfe473545925a"
+SMALL_CALIBRATE_CHECKPOINT = "b9f541d0204212eb0cf616786adef094cb89e48580ddd049284f5a07076b4827"
+SMALL_CALIBRATE_REPORT = "7050c43a1c9177b23eea515f7155416e97456d97b2189d78184265f58e736e5d"
 
 # 204 validation rows (4 classes x 51): the main run tunes on batches of 64, 64, 64 and 12,
 # and five folds tune on 163 rows (a stack of four) and 164 rows (a stack of one), ending
 # on batches of 35 and 36.
 STACKED_CALIBRATE = ["--set", "task.n_per_class=253", "--set", "calibrate.folds=5"]
-STACKED_CALIBRATE_CHECKPOINT = "87db9674280540ecad4f89d38e15a4bfefdc8d038aabb6c46ba545a293f8cfe0"
+STACKED_CALIBRATE_CHECKPOINT = "5b8453e7af9865db64d317671c9183513511ce3b19526cac43dff80ef9cc6516"
 STACKED_CALIBRATE_REPORT = "cd623750e1c8d07760907b615eeb4d302ed01e5d4fa6365d455fe6114542a5e8"
 
 

@@ -20,10 +20,12 @@ from geodin.head import (
     HeadParams,
     HeadVariant,
     cross_entropy,
+    gap_cross_entropy,
     head_backward_batch,
     head_forward_batch,
     multiplier_forward,
     plain_forward,
+    row_nll,
     sigmoid,
     softmax_cross_entropy_batch,
     softplus,
@@ -57,6 +59,16 @@ def backward(f, params, grad_logits):
     F = np.asarray(f, dtype=np.float64)[None, :]
     g, grad_F = head_backward_batch(head_forward_batch(F, params), F, params, np.asarray(grad_logits)[None, :])
     return g, grad_F[0]
+
+
+def dl_dm(trace, U):
+    """The loss's derivative in each row's m for the logit gradient U: sum_j U_ij s_ij, as the backward takes it."""
+    return np.einsum("...ij,...ij->...i", U, trace.vanilla_logits)
+
+
+def multiplier_backward(trace, F, params, U, frozen, backward=head_backward_batch):
+    """``backward`` on the logit gradient U, or, when ``frozen``, only on its dL/dm."""
+    return backward(trace, F, params, grad_m=dl_dm(trace, U)) if frozen else backward(trace, F, params, U)
 
 
 def softmax_cross_entropy(logits, label):
@@ -316,7 +328,7 @@ class TestSharedMultiplierGradient:
     computed once; its gradient is the full backward's, bit for bit."""
 
     @pytest.mark.parametrize("variant", [HeadVariant.ALPHA_ONLY, HeadVariant.BETA_ONLY, HeadVariant.ALPHA_BETA])
-    def test_frozen_plain_matches_full_backward_on_row_subsets(self, variant):
+    def test_grad_m_matches_full_backward_on_row_subsets(self, variant):
         rng = np.random.default_rng(17)
         p = random_params(rng, variant=variant)
         F = rng.uniform(0.0, 2.0, (48, 6))
@@ -329,8 +341,11 @@ class TestSharedMultiplierGradient:
             trace = multiplier_forward(F[idx], s[idx], fn[idx], p)
             full = head_forward_batch(F[idx], p)
             assert trace.logits.tobytes() == full.logits.tobytes()
-            got, got_F = head_backward_batch(trace, F[idx], p, U, frozen_plain=True)
+            grad_m = dl_dm(trace, U)
+            kept = grad_m.copy()
+            got, got_F = head_backward_batch(trace, F[idx], p, grad_m=grad_m)
             want, _ = head_backward_batch(full, F[idx], p, U)
+            assert grad_m.tobytes() == kept.tobytes()  # row 5 is degenerate, and its dL/dm stays
             assert got.flat[tail:].tobytes() == want.flat[tail:].tobytes()
             assert np.any(got.flat[tail:] != 0.0)
             assert np.all(got.W == 0.0) and got_F is None
@@ -379,8 +394,8 @@ class TestDegenerateRowArithmetic:
             fn, d = trace.feature_norm, trace.degenerate
             want_m = np.where(d, 1.0 / trace.alpha, 1.0 / trace.alpha + trace.beta / (trace.alpha * np.where(d, 1.0, fn)))
             assert trace.m.tobytes() == want_m.tobytes()
-            got, got_F = head_backward_batch(trace, Fx, params, Ux, frozen_plain=frozen)
-            want, want_F = reference_head_backward(trace, Fx, params, Ux, frozen_plain=frozen)
+            got, got_F = multiplier_backward(trace, Fx, params, Ux, frozen)
+            want, want_F = multiplier_backward(trace, Fx, params, Ux, frozen, reference_head_backward)
             assert got.flat.tobytes() == want.flat.tobytes()
             if frozen:
                 assert got_F is None and want_F is None
@@ -419,12 +434,34 @@ def thread_probe(threads: int, script: str = THREAD_PROBE):
     return json.loads(done.stdout)
 
 
+# Run in a child process at one OpenBLAS thread: whether _matvec gives the one-shot product's bytes
+# and shape when A's or v's leading axis is a broadcast 1, or A has none, for n = B-1, B, B+1 and
+# 3B+5 rows of its B-row blocks (B = 1024 at D = 256).
+BROADCAST_PROBE = """
+import json
+import numpy as np
+from geodin.head import _matvec
+rng, D = np.random.default_rng(8), 256
+B = 2**18 // D // 64 * 64
+same = []
+for n in (B - 1, B, B + 1, 3 * B + 5):
+    for a_lead, v_lead in [((1,), (3,)), ((3,), (1,)), ((), (3,))]:
+        A, v = rng.uniform(-1.0, 1.0, (*a_lead, n, D)), rng.uniform(-1.0, 1.0, (*v_lead, D))
+        got, want = _matvec(A, v), (A @ v[..., None])[..., 0]
+        same.append(got.shape == want.shape == (3, n) and got.tobytes() == want.tobytes())
+print(json.dumps(same))
+"""
+
+
 class TestThreadCountIndependence:
     def test_multiplier_bytes_hold_at_one_and_two_blas_threads(self):
         assert thread_probe(1)["digests"] == thread_probe(2)["digests"]
 
     def test_row_blocks_give_the_one_thread_whole_product(self):
         assert thread_probe(1)["blocked_is_whole"] == [True] * 5
+
+    def test_row_blocks_over_broadcast_leading_axes_give_the_whole_product(self):
+        assert thread_probe(1, BROADCAST_PROBE) == [True] * 12
 
 
 class TestStackedHeads:
@@ -448,11 +485,9 @@ class TestStackedHeads:
             for field in dataclasses.fields(one):
                 assert getattr(trace, field.name)[g].tobytes() == getattr(one, field.name).tobytes(), field.name
         for frozen in (True, False):
-            got, got_F = head_backward_batch(trace, F, stack, U, frozen_plain=frozen)
+            got, got_F = multiplier_backward(trace, F, stack, U, frozen)
             for g, head in enumerate(heads):
-                want, want_F = head_backward_batch(
-                    multiplier_forward(F[g], s[g], fn[g], head), F[g], head, U[g], frozen_plain=frozen
-                )
+                want, want_F = multiplier_backward(multiplier_forward(F[g], s[g], fn[g], head), F[g], head, U[g], frozen)
                 assert got.flat[g].tobytes() == want.flat.tobytes()
                 assert (got_F is None) == (want_F is None) == frozen
                 if not frozen:
@@ -528,6 +563,63 @@ class TestSoftmaxCrossEntropy:
         for bad in (5, -1):
             with pytest.raises(IndexError):
                 cross_entropy(logits, np.full(40, bad))
+
+
+class TestGapCrossEntropy:
+    """Calibration's gap softmax against the softmax cross-entropy of the logits m * s, to rounding."""
+
+    @staticmethod
+    def traces(variant, n=60, k=5):
+        """Traces over a plain part s and over its class gaps d, with the labels and their gaps.
+
+        Rows 0 and 9 are degenerate (s = 0: every class ties); rows 1-4 tie classes 1 and 3 at the
+        max, and their label is 1.
+        """
+        rng = np.random.default_rng(24)
+        p = random_params(rng, m=k, variant=variant)
+        F = rng.uniform(0.0, 2.0, (n, 6))
+        F[[0, 9]] = 0.0
+        s, fn = plain_forward(F, p)
+        s[1:5, 1] = s[1:5, 3] = s[1:5].max(axis=-1)
+        y = rng.integers(0, k, n)
+        y[1:5] = 1
+        d = s - s.max(axis=-1)[:, None]
+        return multiplier_forward(F, s, fn, p), multiplier_forward(F, d, fn, p), y, d[np.arange(n), y]
+
+    @pytest.mark.parametrize("variant", [HeadVariant.ALPHA_ONLY, HeadVariant.BETA_ONLY, HeadVariant.ALPHA_BETA])
+    def test_nll_matches_the_softmax_cross_entropy(self, variant):
+        plain, gaps, y, dy = self.traces(variant)
+        nll = gap_cross_entropy(gaps, dy)
+        np.testing.assert_allclose(nll, row_nll(plain.logits, y), rtol=1e-13, atol=1e-13)
+        assert nll[0] == nll[9] == np.log(5.0)
+        out = np.empty(len(y))
+        assert gap_cross_entropy(gaps, dy, out=out) is out and out.tobytes() == nll.tobytes()
+
+    @pytest.mark.parametrize("variant", [HeadVariant.ALPHA_ONLY, HeadVariant.BETA_ONLY, HeadVariant.ALPHA_BETA])
+    def test_grad_m_matches_the_softmax_cross_entropy_gradient(self, variant):
+        plain, gaps, y, dy = self.traces(variant)
+        grad_m = gap_cross_entropy(gaps, dy, grad_m=True)
+        np.testing.assert_allclose(grad_m, dl_dm(plain, softmax_cross_entropy_batch(plain.logits, y)[1]), atol=1e-15)
+        assert grad_m[0] == grad_m[9] == 0.0
+        assert np.all(grad_m[1:5] < 0.0)  # a label at a tied max still gains from a larger m
+
+    def test_grad_m_matches_finite_differences(self):
+        _, gaps, y, dy = self.traces(HeadVariant.ALPHA_BETA)
+        eps = 1e-6
+
+        def nll_at(m):
+            return gap_cross_entropy(dataclasses.replace(gaps, m=m, logits=m[:, None] * gaps.vanilla_logits), dy)
+
+        # Row i's NLL depends on m_i alone, so one pair of shifts gives every row's derivative of the mean.
+        numeric = (nll_at(gaps.m + eps) - nll_at(gaps.m - eps)) / (2 * eps * len(y))
+        np.testing.assert_allclose(gap_cross_entropy(gaps, dy, grad_m=True), numeric, rtol=1e-6, atol=1e-10)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_infinite_m_gives_nan(self):
+        _, gaps, y, dy = self.traces(HeadVariant.ALPHA_BETA)
+        m = np.full_like(gaps.m, np.inf)
+        inf = dataclasses.replace(gaps, m=m, logits=m[:, None] * gaps.vanilla_logits)
+        assert np.all(np.isnan(gap_cross_entropy(inf, dy)))
 
 
 class TestBatchForward:

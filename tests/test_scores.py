@@ -167,7 +167,7 @@ class TestGivenRowMax:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_max_of_scaled_logits_is_the_scaled_max(self):
-        # Calibration's hoist: for m >= 1, max_j fl(m s_j) is fl(m max_j s_j), bit for bit.
+        # For m >= 1, max_j fl(m s_j) is fl(m max_j s_j), bit for bit: a row max a caller can hold.
         rng = np.random.default_rng(30)
         s = rng.normal(0.0, 1.0, (5, 84, 9))
         m = 1.0 + rng.exponential(3.0, (5, 84))
