@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, DomainError, MissingTokenError, NumericError, StateError
 from .scores import SCORE_NAMES, score_batch
-from .train import Model, extract_features
+from .train import Model, extract_features, row_blocks
 
 COVARIATE_KINDS = ("gaussian_noise", "uniform_noise", "feature_dropout", "smoothing")
 CONCEPT_KIND = "concept_split"
@@ -95,8 +95,8 @@ class TaskConfig:
             raise ConfigError(f"need at least 5 samples per class, got {self.n_per_class}")
         if not 0 <= self.noise < np.inf:
             raise ConfigError(f"noise must be finite and >= 0, got {self.noise}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed}")
+        if not 0 <= self.seed < 2**64:  # a checkpoint's header holds the seed as a u64
+            raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed}")
         fracs = (self.val_frac, self.test_frac)
         if not all(0 < f < 1 for f in fracs) or min(_split_sizes(self.n_per_class, *fracs)) < 1:
             raise ConfigError("split fractions leave an empty split")
@@ -427,9 +427,11 @@ def sweep(
     """AUROC and TNR@TPR95 for every (score, shift spec) cell.
 
     ID scores come from the clean test split.  Severity-0 specs compare the
-    two halves of the clean test split as a no-shift control.  Each spec's
-    OOD inputs go through the extractor in their own call, so only one
-    shifted copy of the test split is alive at a time.
+    two halves of the clean test split as a no-shift control.  Only one
+    shifted copy of the test split is alive at a time, and each split is
+    scored as ``predict`` runs, one block of ``row_blocks`` at a time, so no
+    split's features or logits are held whole; every score works per row,
+    so the scores are the whole split's bit for bit.
     """
     if not model.meta.get("trained"):
         raise StateError("model has not been trained")
@@ -437,9 +439,16 @@ def sweep(
     ShiftsConfig(scores=tuple(score_names)).validate()
 
     W = model.head.W
-    # The clean test split's features are dropped once scored, so only their scores stay
-    # alive through the sweep, next to one shifted copy's features at a time.
-    id_all = score_batch(extract_features(model, task.test[0]), W)
+    width = min(*model.extractor.dims[1:], model.head.n_classes)
+
+    def scores(X) -> dict[str, np.ndarray]:
+        out = {name: np.empty(len(X)) for name in SCORE_NAMES}
+        for blk in row_blocks(len(X), width):
+            for name, values in score_batch(extract_features(model, X[blk]), W).items():
+                out[name][blk] = values
+        return out
+
+    id_all = scores(task.test[0])
     report = DetectionReport()
     for spec in specs:
         if spec.kind == "none" or (spec.kind != CONCEPT_KIND and spec.severity == 0):
@@ -458,7 +467,7 @@ def sweep(
             else:
                 X_ood, _ = corrupt(task.test, spec, task.seed)
             id_sc = id_all
-            ood_sc = score_batch(extract_features(model, X_ood), W)
+            ood_sc = scores(X_ood)
         for name in score_names:
             a, b = id_sc[name], ood_sc[name]
             report.rows.append(

@@ -45,7 +45,6 @@ from .head import (
     # every name it lists in ``spans.PATCHES``, this one included, around each traced op.
     softmax_cross_entropy_batch,
 )
-from .scores import shifted_exp
 from .train import Model, check_sgd, extract_features, minibatches, momentum_step, shuffles
 
 # Logits (heads x rows x k) per block of the per-epoch tuning NLL.  Tuning six heads on 2560 rows at
@@ -195,8 +194,12 @@ def temperature_scale(logits, labels) -> float:
 
 
 def softmax_probs(logits: np.ndarray) -> np.ndarray:
-    _, e, esum = shifted_exp(logits)
-    return e / esum[..., None]
+    """Softmax over the last axis: the max shift, the exp and the normalisation, in one new array."""
+    l = np.asarray(logits, dtype=np.float64)
+    p = np.subtract(l, l.max(axis=-1)[..., None])
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1)[..., None]
+    return p
 
 
 def split_metrics(logits, y, n_bins: int = 15) -> SplitMetrics:
@@ -332,12 +335,12 @@ def calibrate(model: Model, val_set, config: CalibConfig, eval_sets: dict | None
     def metrics(name, head, rows=slice(None)):
         return split_metrics(head_forward_batch(F[name][rows], head).logits, splits[name][1][rows])
 
-    val = _gap_split(F["val"], yv, model.head)
     pieces = np.array_split(next(shuffles(Xv.shape[0], config.seed, 3)), config.folds) if config.folds >= 2 else []
     row_sets = [np.arange(Xv.shape[0])] + [np.concatenate(pieces[:k] + pieces[k + 1 :]) for k in range(len(pieces))]
     # Row set 0 is the main run's and the rest are the folds' training rows; one stack tunes them all.
     order = sorted(range(len(row_sets)), key=lambda j: -len(row_sets[j]))  # longest first; the main run leads
-    tuned, *results = _tune_head(model.head, val, [row_sets[j] for j in order], config)
+    # The tuning split's gaps are made for this call only, so none of them outlive the tuning.
+    tuned, *results = _tune_head(model.head, _gap_split(F["val"], yv, model.head), [row_sets[j] for j in order], config)
     tuned_runs = {j: (tuned.like(tuned.flat[g]), *(r[g] for r in results)) for g, j in enumerate(order)}
     tuned_head, best_epoch, nll_before, nll_after = tuned_runs[0]
     if not np.all(np.isfinite(tuned_head.flat)):

@@ -52,19 +52,16 @@ class HeadVariant(str, Enum):
         return self in (HeadVariant.BETA_ONLY, HeadVariant.ALPHA_BETA)
 
 
-def sigmoid(x):
-    """Numerically stable logistic function."""
-    x = np.asarray(x, dtype=np.float64)
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Numerically stable logistic function of an array."""
     ex = np.exp(-np.abs(x))  # exp(-x) where x >= 0, exp(x) elsewhere: never overflows
     denom = 1.0 + ex
-    out = np.where(x >= 0, 1.0 / denom, ex / denom)
-    return out if out.ndim else float(out)
+    return np.where(x >= 0, 1.0 / denom, ex / denom)
 
 
-def softplus(x):
-    """log(1 + exp(x)) without overflow."""
-    out = np.logaddexp(0.0, np.asarray(x, dtype=np.float64))
-    return out if out.ndim else float(out)
+def softplus(x: np.ndarray) -> np.ndarray:
+    """log(1 + exp(x)) of an array, without overflow."""
+    return np.logaddexp(0.0, x)
 
 
 class HeadParams:
@@ -128,9 +125,6 @@ class HeadParams:
     def like(self, flat: np.ndarray) -> "HeadParams":
         """A head (or stack) of this one's class count, feature size and variant, wrapping ``flat``."""
         return HeadParams(flat, self.n_classes, self.d_feature, self.variant)
-
-    def copy(self) -> "HeadParams":
-        return self.like(self.flat.copy())
 
 
 @dataclass

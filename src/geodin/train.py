@@ -87,8 +87,8 @@ def check_sgd(config) -> None:
         raise ConfigError(f"lr0 must be finite and > 0, got {config.lr0}")
     if not 0 <= config.momentum < 1:
         raise ConfigError(f"momentum must be in [0, 1), got {config.momentum}")
-    if config.seed < 0:
-        raise ConfigError(f"seed must be a nonnegative integer, got {config.seed}")
+    if not 0 <= config.seed < 2**64:  # a checkpoint's header holds the seed as a u64
+        raise ConfigError(f"seed must be an integer in [0, 2**64), got {config.seed}")
 
 
 class ExtractorParams:
@@ -192,11 +192,20 @@ def minibatches(n: int, config, tag: int):
 def unit_rows(X: np.ndarray) -> np.ndarray:
     """Project the rows of a float64 batch onto the unit sphere, in a new C-ordered array.
 
-    Rows with ~zero norm pass through.  Each row's result depends on that row
-    alone, so ``unit_rows(X)[idx]`` is ``unit_rows(X[idx])`` bit for bit.
+    Rows with ~zero norm pass through.  A finite row whose squared norm
+    overflows is divided by its largest magnitude first; a row with an
+    infinite entry is not finite after projection.  Each row's result
+    depends on that row alone, so ``unit_rows(X)[idx]`` is
+    ``unit_rows(X[idx])`` bit for bit.
     """
-    norms = np.sqrt(np.add.reduce(X * X, axis=1, keepdims=True))  # np.linalg.norm's sum for real X
-    return np.divide(X, norms, out=X.astype(np.float64, order="C"), where=norms >= EPS_NORM)
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.add.reduce(X * X, axis=1, keepdims=True))  # np.linalg.norm's sum for real X
+    out = np.divide(X, norms, out=X.astype(np.float64, order="C"), where=norms >= EPS_NORM)
+    if np.isinf(norms).any():
+        big = np.flatnonzero(np.isinf(norms[:, 0]) & np.isfinite(X).all(axis=1))
+        scaled = X[big] / np.abs(X[big]).max(axis=1, keepdims=True)
+        out[big] = scaled / np.sqrt(np.add.reduce(scaled * scaled, axis=1, keepdims=True))
+    return out
 
 
 # On OpenBLAS 0.3.31 a product of r rows into an N-wide layer from K inputs takes another
@@ -310,13 +319,8 @@ def extract_features(model: Model, inputs) -> np.ndarray:
     return F[0] if single else F
 
 
-def model_logits(model: Model, X) -> np.ndarray:
-    F = extract_features(model, np.atleast_2d(np.asarray(X, dtype=np.float64)))
-    return head_forward_batch(F, model.head).logits
-
-
 def predict(model: Model, X) -> np.ndarray:
-    """The argmax of ``model_logits(model, X)`` per row, bit for bit, one block of ``row_blocks`` at a time.
+    """The argmax of the whole batch's logits per row, bit for bit, one block of ``row_blocks`` at a time.
 
     Each block's features, logits and argmax come before the next block's, so
     no whole-batch features or logits are held.  The blocks are sized for the

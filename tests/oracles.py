@@ -9,7 +9,9 @@ gradient oracle differentiates its own batched forward pass numerically.
 The training oracle is the SGD loop that projects and allocates afresh on
 every step, the tuning oracle the calibration loop run one head at a time on
 a copy of its own rows, with the gap softmax written out, and the inference
-oracle the forward pass that takes the whole batch at once.  The head-backward oracle is the backward pass that
+oracle the forward pass that takes the whole batch at once, as do the
+whole-batch logits and the sweep oracle, which scores each split in one
+``score_batch`` call.  The head-backward oracle is the backward pass that
 masks the degenerate rows with ``np.where`` on fresh temporaries and
 recomputes the safe norm.
 """
@@ -19,10 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from geodin.bench import CONCEPT_KIND, DetectionReport, ReportRow, auroc, corrupt, tnr_at_tpr95
 from geodin.errors import ConfigError, DomainError, NumericError
-from geodin.head import head_backward_batch, multiplier, multiplier_forward
+from geodin.head import head_backward_batch, head_forward_batch, multiplier, multiplier_forward
 from geodin.scores import score_batch, shifted_exp
-from geodin.train import init_model, loss_and_grads, minibatches, momentum_step, unit_rows
+from geodin.train import extract_features, init_model, loss_and_grads, minibatches, momentum_step, unit_rows
 
 EPS_NORM = 1e-12
 
@@ -235,6 +238,41 @@ def reference_forward(params, X):
     return a
 
 
+def model_logits(model, X) -> np.ndarray:
+    """The logits of a whole input batch (or one sample, as a one-row batch) in one head forward pass."""
+    F = extract_features(model, np.atleast_2d(np.asarray(X, dtype=np.float64)))
+    return head_forward_batch(F, model.head).logits
+
+
+def copy_head(head):
+    """A head (or stack) like ``head`` over a copy of its parameters."""
+    return head.like(head.flat.copy())
+
+
+def reference_sweep(model, task, score_names, specs, concept_groups=None) -> DetectionReport:
+    """``bench.sweep`` with each split scored in one shot, ``score_batch(extract_features(model, X), W)``.
+
+    The clean test split's halves are the control; every other spec scores
+    its concept group or its corrupted copy of the test split.  No checks.
+    """
+    W = model.head.W
+    id_all = score_batch(extract_features(model, task.test[0]), W)
+    report = DetectionReport()
+    for spec in specs:
+        if spec.kind != CONCEPT_KIND and spec.severity == 0:
+            id_sc = {k: v[0::2] for k, v in id_all.items()}
+            ood_sc = {k: v[1::2] for k, v in id_all.items()}
+        else:
+            X = concept_groups[spec.severity].X if spec.kind == CONCEPT_KIND else corrupt(task.test, spec, task.seed)[0]
+            id_sc, ood_sc = id_all, score_batch(extract_features(model, X), W)
+        for name in score_names:
+            a, b = id_sc[name], ood_sc[name]
+            report.rows.append(
+                ReportRow(name, spec.kind, spec.severity, auroc(a, b), tnr_at_tpr95(a, b), a.size, b.size, task.seed)
+            )
+    return report
+
+
 def reference_gap_nll(head, F, d, fn, dy):
     """Each row's softmax cross-entropy of the logits m * d, as log(sum_j exp(m d_j)) - m d_y, in one shot."""
     m = multiplier(F, fn, head)[2]
@@ -253,7 +291,7 @@ def reference_tune_head(head, val, rows, config):
     tail, results = head.W.size, []
     for r in rows:
         F, d, fn, dy = (a[r] for a in val)
-        one = head.copy()
+        one = copy_head(head)
         hg = one.like(np.zeros_like(one.flat))
         velocity = np.zeros_like(one.flat[tail:])
 

@@ -33,12 +33,11 @@ from geodin.train import (
     accuracy,
     extract_features,
     init_model,
-    model_logits,
     predict,
     train,
 )
 
-from oracles import energy_score, full_gradient_check, kl_from_uniform, msp_score, score_set
+from oracles import copy_head, energy_score, full_gradient_check, kl_from_uniform, model_logits, msp_score, score_set
 from trends import adjacent_drops
 
 TREND_SEEDS = (0, 1, 2, 3, 4)
@@ -262,7 +261,7 @@ def test_c8_calibration_effect():
     """Calibrating an overconfident model halves shifted-data ECE, keeps accuracy."""
     task = make_task(8, 16, 400, 0.15, seed=0)
     model = train(TrainConfig(seed=0), task.train, n_classes=8)
-    over = Model(model.extractor.copy(), model.head.copy(), dict(model.meta))
+    over = Model(model.extractor.copy(), copy_head(model.head), dict(model.meta))
     over.head.beta_b += 4.0
 
     shifted_val = corrupt(task.val, ShiftSpec("gaussian_noise", 3), seed=task.seed)

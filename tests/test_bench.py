@@ -1,12 +1,16 @@
 """Benchmark tests: task construction, corruptions, metrics, splits, sweeps."""
 
+import dataclasses
+import importlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from geodin.bench import (
+    COVARIATE_KINDS,
     KIND_SCALES,
     SEVERITY_LADDER,
     ConceptGroup,
@@ -22,9 +26,13 @@ from geodin.bench import (
 )
 from geodin.config import RunConfig
 from geodin.errors import ConfigError, DomainError, MissingTokenError, NumericError, StateError
-from geodin.train import Model, TrainConfig, init_model, train
+from geodin.train import Model, TrainConfig, init_model, row_blocks, train
 
+import oracles
+from oracles import copy_head
 from trends import adjacent_drops
+
+bench_module = importlib.import_module("geodin.bench")
 
 
 class TestMakeTask:
@@ -370,7 +378,7 @@ class TestSweep:
 
     def test_nan_weight_raises_numeric_error(self, small_trained):
         task, model = small_trained
-        broken = Model(model.extractor.copy(), model.head.copy(), dict(model.meta))
+        broken = Model(model.extractor.copy(), copy_head(model.head), dict(model.meta))
         broken.extractor.layers[0][0][0, 0] = np.nan
         with pytest.raises(NumericError):
             sweep(broken, task, ["g"], [ShiftSpec("none", 0)])
@@ -393,6 +401,73 @@ class TestSweep:
         report = sweep(model, task, ["h"], [ShiftSpec("concept_split", i) for i in range(3)], groups)
         assert [r.severity for r in report.rows] == [0, 1, 2]
         assert all(r.n_ood == 80 for r in report.rows)
+
+
+STREAM_B = 768  # rows per block of row_blocks for products 2 wide
+STREAM_SPECS = [
+    ShiftSpec("none", 0),
+    *(ShiftSpec(kind, s) for kind, s in zip(COVARIATE_KINDS, (2, 1, 4, 5))),
+    *(ShiftSpec("concept_split", i) for i in range(2)),
+]
+
+
+def _scored(monkeypatch, module, run):
+    """run()'s result and the bytes of every (ID, OOD) score pair it passed to ``module.auroc``."""
+    seen, real = [], module.auroc
+
+    def recording(a, b):
+        seen.append((a.tobytes(), b.tobytes()))
+        return real(a, b)
+
+    monkeypatch.setattr(module, "auroc", recording)
+    return run(), seen
+
+
+class TestStreamedSweep:
+    @pytest.mark.parametrize("rows", [STREAM_B - 1, STREAM_B, STREAM_B + 1, 3 * STREAM_B + 5])
+    @pytest.mark.parametrize("hidden,k", [((64, 64), 2), ((64, 1), 3)], ids=["narrowest-2", "1-wide-layer"])
+    def test_matches_the_one_shot_sweep(self, monkeypatch, hidden, k, rows):
+        # With k = 2 the products are 2 wide, so a split of 3B+5 rows is scored in three blocks; the
+        # logits of 512 rows of 32 features would take another kernel.  With a 1-wide layer every
+        # split is one block.
+        model = init_model(TrainConfig(hidden=hidden, feature_dim=32, seed=rows), d_in=6, n_classes=k)
+        for _, b in model.extractor.layers:
+            b += 0.2  # keeps the 1-wide layer's unit alive on most rows
+        rng = np.random.default_rng(rows)
+        model.head.W[:] = rng.normal(0.0, 1.0, model.head.W.shape)
+        model.meta["trained"] = True
+        test = (rng.normal(0.0, 1.0, (rows, 6)), np.zeros(rows, dtype=np.int64))
+        task = dataclasses.replace(make_task(k, 6, 20, 0.3, seed=rows), test=test)
+        groups = [ConceptGroup(i, 0.5, rng.normal(0.0, 1.0, (n, 6))) for i, n in enumerate((STREAM_B + 1, 2 * STREAM_B))]
+        width = min(*model.extractor.dims[1:], k)
+        assert len(row_blocks(rows, width)) == (3 if width == 2 and rows > 2 * STREAM_B else 1)
+        names = ["g", "h", "u", "msp", "energy"]
+        streamed, streamed_scores = _scored(
+            monkeypatch, bench_module, lambda: sweep(model, task, names, STREAM_SPECS, groups)
+        )
+        one_shot, one_shot_scores = _scored(
+            monkeypatch, oracles, lambda: oracles.reference_sweep(model, task, names, STREAM_SPECS, groups)
+        )
+        assert streamed.rows == one_shot.rows
+        assert len(streamed_scores) == len(STREAM_SPECS) * len(names)
+        assert streamed_scores == one_shot_scores
+
+    def test_a_wide_net_holds_no_whole_split_features_or_logits(self):
+        # The wide benchmark net over its 2560-row test split: the split's features and their squares
+        # alone take 1.25 MiB each, its logits 0.62 MiB; block by block the sweep peaks near 3.0 MiB.
+        model = init_model(TrainConfig(hidden=(256, 256), feature_dim=64, seed=2), d_in=16, n_classes=32)
+        model.meta["trained"] = True
+        task = make_task(32, 16, 400, 0.15, seed=2)
+        groups = make_concept_groups(task)
+        specs = ShiftsConfig().specs(len(groups))
+        sweep(model, task, ShiftsConfig.scores, specs, groups)
+        tracemalloc.start()
+        try:
+            sweep(model, task, ShiftsConfig.scores, specs, groups)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 2**20, peak
 
 
 class TestShiftsConfig:

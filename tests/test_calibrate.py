@@ -21,17 +21,17 @@ from geodin.calibrate import (
 from geodin.config import load_run_config
 from geodin.errors import ConfigError, DomainError, NumericError, UnsupportedVariantError
 from geodin.head import HeadParams, HeadVariant, head_forward_batch
-from geodin.scores import score_batch
+from geodin.scores import score_batch, shifted_exp
 from geodin.train import (
     TrainConfig,
     accuracy,
     extract_features,
-    model_logits,
+    init_model,
     predict,
     shuffles,
     train,
 )
-from oracles import reference_gap_nll, reference_tune_head
+from oracles import copy_head, model_logits, reference_gap_nll, reference_tune_head
 from test_fingerprint import SMALL_CONFIG
 from test_head import thread_probe
 
@@ -123,6 +123,20 @@ class TestNll:
     def test_clamps_zero_probability(self):
         p = np.array([[1.0, 0.0]])
         assert np.isfinite(nll(p, np.array([1])))
+
+
+class TestSoftmaxProbs:
+    @pytest.mark.parametrize("shape", [(257, 9), (3, 65, 4)], ids=["batch", "stack"])
+    def test_matches_the_three_array_path_bit_for_bit(self, shape):
+        rng = np.random.default_rng(8)
+        logits = rng.normal(0.0, 30.0, shape)
+        logits[..., 0, :] = 2.5  # every class tied
+        logits[..., 1, :2] = logits[..., 1, :].max(axis=-1, keepdims=True) + 1.0  # two classes tied at the max
+        logits[..., 2, :] = [-800.0] * (shape[-1] - 1) + [800.0]  # every class but one underflows
+        _, e, esum = shifted_exp(logits)  # the old path: shifted logits, their exponentials, then the quotient
+        old = (e / esum[..., None]).tobytes()
+        assert softmax_probs(logits).tobytes() == old
+        assert softmax_probs(logits.tolist()).tobytes() == old
 
 
 class TestTemperatureScale:
@@ -595,9 +609,25 @@ class TestGapTuning:
 def _inflated(model):
     from geodin.train import Model
 
-    over = Model(model.extractor.copy(), model.head.copy(), dict(model.meta), list(model.history))
+    over = Model(model.extractor.copy(), copy_head(model.head), dict(model.meta), list(model.history))
     over.head.beta_b += 4.0
     return over
+
+
+def test_calibrate_on_a_wide_net_holds_no_tuning_gaps_or_softmax_temporaries_for_its_metrics():
+    # The wide benchmark net on 2560-row val and test splits: their features take 1.25 MiB each, the
+    # tuning gaps d another 0.62 MiB and each (n, k) softmax temporary 0.62 MiB.
+    model = init_model(TrainConfig(hidden=(256, 256), feature_dim=64, seed=2), d_in=16, n_classes=32)
+    task = make_task(32, 16, 400, 0.15, seed=2)
+    config = CalibConfig(epochs=2)
+    calibrate(model, task.val, config, eval_sets={"test": task.test})
+    tracemalloc.start()
+    try:
+        calibrate(model, task.val, config, eval_sets={"test": task.test})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.9 * 2**20, peak
 
 
 class TestAccuracyHelpers:

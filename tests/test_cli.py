@@ -138,6 +138,7 @@ INVALID_CONFIGS = {
     "severity_6": (["shifts.severities=1,6"], "1..5"),
     "calibrate_kind": (["calibrate.shift_kind=blur"], "blur"),
     "negative_seed": (["task.seed=-1"], "seed"),
+    "seed_2**64": ([f"task.seed={2**64}"], "seed"),
     "ladder_length": (["task.concept_groups=4"], "concept_similarities"),
     "zero_epochs": (["train.epochs=0"], "epochs"),
     "one_class": (["task.k=1"], "2 classes"),
@@ -176,6 +177,30 @@ class TestValidation:
         assert main(["train", *_cli_args(overrides), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+    def test_the_largest_u64_seed_is_valid(self):
+        seed = 2**64 - 1
+        cfg = load_run_config(None, [f"task.seed={seed}"])
+        assert cfg.task.seed == seed
+        for config in (TaskConfig(seed=seed), TrainConfig(seed=seed), CalibConfig(seed=seed)):
+            config.validate()
+        for config in (TaskConfig(seed=seed + 1), TrainConfig(seed=seed + 1), CalibConfig(seed=seed + 1)):
+            with pytest.raises(ConfigError, match="seed"):
+                config.validate()
+
+    @pytest.mark.parametrize("command", ["train", "detect", "calibrate"])
+    def test_seed_of_2_64_exits_2_and_writes_nothing(self, config_file, tmp_path, capsys, command):
+        # A checkpoint's header holds the seed as a u64, so train used to fail at save, after training.
+        cfg = load_run_config(config_file)
+        model = init_model(cfg.train.config(cfg.task.seed), cfg.task.d_in, cfg.task.k)
+        model.meta["trained"] = True
+        checkpoint = tmp_path / "model.godn"
+        save_model(model, checkpoint)
+        argv = [command, "--config", str(config_file), "--seed", str(2**64), "--out", str(tmp_path / "out")]
+        assert main(argv + ([] if command == "train" else ["--checkpoint", str(checkpoint)])) == 2
+        assert "seed must be an integer in [0, 2**64)" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.godn", "run.cfg"]
 
 
 class TestCmdTrain:

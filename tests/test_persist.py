@@ -27,7 +27,7 @@ from geodin.persist import (
     write_report,
 )
 from geodin.train import Model, TrainConfig, train
-from oracles import fnv1a64_reference
+from oracles import copy_head, fnv1a64_reference
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +97,7 @@ class TestCheckpointRoundTrip:
 
     def test_non_finite_parameter_not_saved(self, model, tmp_path):
         path = tmp_path / "m.godn"
-        broken = Model(model.extractor, model.head.copy(), dict(model.meta))
+        broken = Model(model.extractor, copy_head(model.head), dict(model.meta))
         broken.head.flat[0] = np.nan
         with pytest.raises(NumericError, match="non-finite"):
             save_model(broken, path)

@@ -19,14 +19,13 @@ from geodin.train import (
     extractor_backward,
     init_model,
     minibatches,
-    model_logits,
     momentum_step,
     predict,
     row_blocks,
     train,
     unit_rows,
 )
-from oracles import full_gradient_check, reference_forward, reference_train
+from oracles import full_gradient_check, model_logits, reference_forward, reference_train
 from test_head import thread_probe
 
 train_module = importlib.import_module("geodin.train")  # the package's `train` is the function
@@ -374,6 +373,27 @@ class TestExtractFeatures:
         U = unit_rows(X)
         np.testing.assert_array_equal(U[0], [0.0, 0.0])
         np.testing.assert_allclose(np.linalg.norm(U[1]), 1.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_unit_rows_rescales_a_finite_row_whose_squared_norm_overflows(self):
+        assert unit_rows(np.array([[3e200, 4e200]])).tolist() == [[0.6, 0.8]]
+        huge = unit_rows(np.array([[1e308, -1e308, 0.0], [-1.7e308, 1e-300, 0.0]]))
+        np.testing.assert_allclose(huge, [[0.5**0.5, -(0.5**0.5), 0.0], [-1.0, 0.0, 0.0]], rtol=1e-15)
+
+    def test_unit_rows_keeps_the_bits_of_ordinary_rows(self):
+        rng = np.random.default_rng(17)
+        X = np.vstack([[3.0, 4.0, 0.0], rng.normal(0.0, 1e3, (40, 3)), [3e200, 4e200, 0.0], [0.0, 0.0, 0.0]])
+        plain = X[:-2] / np.sqrt(np.add.reduce(X[:-2] * X[:-2], axis=1, keepdims=True))  # the projection's formula
+        assert unit_rows(X)[:-2].tobytes() == plain.tobytes()
+        assert unit_rows(np.array([[3.0, 4.0]])).tobytes() == np.array([[3.0 / 5.0, 4.0 / 5.0]]).tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_row_with_an_infinite_entry_is_still_rejected(self):
+        X = np.array([[np.inf, 1.0], [3e200, 4e200]])
+        assert not np.isfinite(unit_rows(X)[0]).all()
+        model = init_model(TrainConfig(hidden=(4,), feature_dim=3, seed=0), d_in=2, n_classes=2)
+        with pytest.raises(NumericError, match="non-finite features"):
+            extract_features(model, X)
 
 
 class TestActivationCache:
