@@ -27,7 +27,6 @@ from .calibrate import (
     CalibrationReport,
     calibrate,
     ece,
-    nll,
     reliability_bins,
     temperature_scale,
 )

@@ -21,7 +21,8 @@ most ``NLL_LOGITS`` logits at a time, so it gathers no head's features or
 gaps and its temporaries are bounded by the block, not by the split or the
 number of folds.
 ECE / NLL / reliability-bin metrics and a temperature-scaling baseline live
-here too.
+here too.  Every NLL here is log(esum) - d_y over class gaps d = l - max_j l_j,
+so none is capped, and a temperature is fitted by bisection on dL/dm.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import numpy as np
 from .errors import ConfigError, DomainError, NumericError, UnsupportedVariantError
 from .head import (
     HeadVariant,
-    cross_entropy,
     gap_cross_entropy,
     head_backward_batch,
     head_forward_batch,
@@ -116,7 +116,7 @@ def _validate_conf(confidences, correct):
         raise DomainError("empty input")
     if conf.shape != corr.shape or conf.ndim != 1:
         raise DomainError(f"mismatched shapes {conf.shape} vs {corr.shape}")
-    if np.any(conf < 0) or np.any(conf > 1):
+    if not np.all((conf >= 0) & (conf <= 1)):  # so written that NaN fails it
         raise DomainError("confidences must lie in [0, 1]")
     return conf, corr
 
@@ -150,81 +150,66 @@ def ece(confidences, correct, n_bins: int = 15) -> float:
     return float(np.sum(bins.counts / n * np.abs(bins.accuracy - bins.mean_confidence)))
 
 
-def nll(probs, labels) -> float:
-    """Mean negative log likelihood of the labels; probabilities floored at 1e-300."""
-    p = np.asarray(probs, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if p.ndim != 2 or y.shape != (p.shape[0],) or p.shape[0] == 0:
-        raise DomainError(f"bad shapes: probs {p.shape}, labels {y.shape}")
-    if np.any(y < 0) or np.any(y >= p.shape[1]):
-        raise IndexError("label out of range")
-    picked = p[np.arange(p.shape[0]), y]
-    return float(np.mean(-np.log(np.maximum(picked, 1e-300))))
+def _gaps(logits, labels, out: np.ndarray | None = None):
+    """The class gaps d = l - max_j l_j of a logit batch (n, k), into ``out`` when given, and the labels' gaps d_y.
 
-
-def temperature_scale(logits, labels) -> float:
-    """Temperature T > 0 minimizing NLL of softmax(l / T).
-
-    Golden-section search on ln T over [-3, 3]; predictions are unchanged by
-    construction since T is a positive scalar.
+    DomainError unless l is a nonempty (n, k) and the labels (n,), then NumericError for a non-finite
+    logit, then IndexError for a label outside [0, k), which picking d_y would wrap (-1: the last class).
     """
     l = np.asarray(logits, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    if l.ndim != 2 or l.shape[0] == 0:
-        raise DomainError("logit batch must be nonempty")
+    if l.ndim != 2 or l.shape[0] == 0 or y.shape != l.shape[:1]:
+        raise DomainError(f"logits {l.shape} and labels {y.shape} are not a nonempty (n, k) batch and its n labels")
+    if not np.all(np.isfinite(l)):
+        raise NumericError("non-finite logits: the head overflows on this split")
+    if (y < 0).any() or (y >= l.shape[1]).any():
+        raise IndexError("label out of range")
+    d = np.subtract(l, l.max(axis=1)[:, None], out=out)
+    return d, d[np.arange(len(y)), y]
 
-    def objective(a: float) -> float:
-        return cross_entropy(l / math.exp(a), y)
 
+def temperature_scale(logits, labels) -> float:
+    """Temperature T > 0 minimizing NLL of softmax(l / T); raises as ``_gaps`` does.
+
+    Bisection on ln m, m = 1/T, over [-3, 3] for the zero of the gap NLL's dL/dm, which increases
+    with m as the NLL is convex in m; T is e^3 where dL/dm >= 0 throughout and e^-3 where it stays
+    negative.  Predictions are unchanged since T is a positive scalar.
+    """
+    d, dy = _gaps(logits, labels)
     lo, hi = -3.0, 3.0
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = objective(c), objective(d)
     while hi - lo > 1e-8:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = objective(c)
+        mid = 0.5 * (lo + hi)
+        m = math.exp(mid)
+        if gap_cross_entropy(m * d, d, m, dy, grad_m=True).sum() >= 0.0:
+            hi = mid
         else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = objective(d)
-    return math.exp(0.5 * (lo + hi))
-
-
-def softmax_probs(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis: the max shift, the exp and the normalisation, in one new array."""
-    l = np.asarray(logits, dtype=np.float64)
-    p = np.subtract(l, l.max(axis=-1)[..., None])
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1)[..., None]
-    return p
+            lo = mid
+    return math.exp(-0.5 * (lo + hi))
 
 
 def split_metrics(logits, y, n_bins: int = 15) -> SplitMetrics:
-    """Accuracy, ECE and NLL of a batch of logits against its labels."""
-    if not np.all(np.isfinite(logits)):
-        raise NumericError("non-finite logits: the head overflows on this split")
-    y = np.asarray(y, dtype=np.int64)
-    p = softmax_probs(logits)
-    pred = p.argmax(axis=1)
-    conf = p.max(axis=1)
+    """Accuracy, ECE and NLL of a batch of logits against its labels; raises as ``_gaps`` does.
+
+    The prediction is the logits' argmax, as in ``train.predict``, and the confidence 1 / esum, the
+    softmax at the argmax (exp(d) is 1 there), as in ``score_batch``.  The gaps d are exponentiated
+    in place once d_y is picked, so one (n, k) array serves the confidence and the NLL.
+    """
+    l, y = np.asarray(logits, dtype=np.float64), np.asarray(y, dtype=np.int64)
+    d, dy = _gaps(l, y)
+    esum = np.exp(d, out=d).sum(axis=1)
+    correct = l.argmax(axis=1) == y
     return SplitMetrics(
-        accuracy=float(np.mean(pred == y)),
-        ece=ece(conf, pred == y, n_bins),
-        nll=nll(p, y),
+        accuracy=float(np.mean(correct)),
+        ece=ece(1.0 / esum, correct, n_bins),
+        nll=float(np.mean(np.log(esum) - dy)),
     )
 
 
 def _gap_split(F: np.ndarray, y, head):
     """The tuning split (F, class gaps d = s - max_j s_j, ||f||, the labels' gaps d_y); d overwrites s = F W^T."""
     s, fn = plain_forward(F, head)
-    y = np.asarray(y)
-    if (y < 0).any() or (y >= head.n_classes).any():
-        raise IndexError("label out of range")  # checked here, as picking d_y would wrap a negative label
-    s -= s.max(axis=-1)[:, None]
-    return F, s, fn, s[np.arange(len(y)), y]
+    d, dy = _gaps(s, y, out=s)
+    return F, d, fn, dy
 
 
 def _tune_head(head, val, rows, config: CalibConfig):
@@ -265,8 +250,9 @@ def _tune_head(head, val, rows, config: CalibConfig):
     def full_nll() -> np.ndarray:
         for i in range(0, n, block):
             F, d, fn, dy = (x[i : i + block] for x in val)
-            gap_cross_entropy(multiplier_forward(F, d, fn, heads), dy, out=nll[:, i : i + block])
-        return np.array([nll[g, r].sum() / len(r) for g, r in enumerate(rows)])  # cross_entropy's mean
+            t = multiplier_forward(F, d, fn, heads)
+            gap_cross_entropy(t.logits, d, t.m, dy, out=nll[:, i : i + block])
+        return np.array([nll[g, r].sum() / len(r) for g, r in enumerate(rows)])  # head._mean's sum / n
 
     nll_before = full_nll()
     if not np.all(np.isfinite(nll_before)):
@@ -293,7 +279,7 @@ def _tune_head(head, val, rows, config: CalibConfig):
         for i, a, b, heads_ab, hg_ab, cols in plan:
             Fb, db, fnb, dyb = (x[order[a:b, cols]] for x in val)
             trace = multiplier_forward(Fb, db, fnb, heads_ab)
-            grad_m = gap_cross_entropy(trace, dyb, grad_m=True)
+            grad_m = gap_cross_entropy(trace.logits, db, trace.m, dyb, grad_m=True)
             head_backward_batch(trace, Fb, heads_ab, out=hg_ab, grad_m=grad_m)
             momentum_step(
                 live[a:b], live_grad[a:b], velocity[a:b], lrs[i, a:b, None], config.momentum, scratch=scratch[a:b]

@@ -15,9 +15,11 @@ Variants: ``vanilla`` (l = s), ``alpha_only`` (beta pinned to 0),
 
 A plain part (s = F W^T, ||f||) and a multiplier part (m and its backward
 pass) make up the layer; calibration freezes F and W, so it computes the plain
-part once per split, as class gaps (``gap_cross_entropy``).  Every pass works
-on a feature batch (one sample is a one-row batch); the tests check the
-backward pass by finite differences.
+part once per split, as class gaps.  Every pass works on a feature batch (one
+sample is a one-row batch); the tests check the backward pass by finite
+differences.  The softmax cross-entropy comes in two forms: training's over
+logits (``softmax_cross_entropy_batch``) and calibration's over class gaps
+(``gap_cross_entropy``), with one m per row or one for a batch (a temperature).
 
 A HeadParams may stack heads along a leading axis of its flat vector; the
 multiplier part and the softmax cross-entropy then take batches with the
@@ -33,7 +35,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import ShapeError
 from .scores import EPS_NORM, shifted_exp
 
 
@@ -277,39 +279,18 @@ def head_backward_batch(
     return grad, grad_F
 
 
-def _row_nll(shifted: np.ndarray, esum: np.ndarray, y: np.ndarray, out: np.ndarray | None = None):
-    """log(esum) - shifted[label] per row (into ``out`` when given), and the index of the picked logits."""
+def _row_nll(shifted: np.ndarray, esum: np.ndarray, y: np.ndarray):
+    """log(esum) - shifted[label] per row, and the index of the picked logits."""
     pick = (*np.indices(y.shape, sparse=True), y)
-    return np.subtract(np.log(esum), shifted[pick], out=out), pick
+    return np.log(esum) - shifted[pick], pick
 
 
 def _mean(nll: np.ndarray):
     return nll.sum(axis=-1) / nll.shape[-1]  # np.mean's sum and division, without its per-call wrapper
 
 
-def row_nll(logits: np.ndarray, labels, out: np.ndarray | None = None) -> np.ndarray:
-    """Softmax cross-entropy of each row of a logit batch (..., n, k) against integer labels (..., n).
-
-    Written into ``out`` when given; IndexError unless every label lies in [0, k).
-    """
-    shifted, _, esum = shifted_exp(logits)
-    y = np.asarray(labels)
-    if (y < 0).any() or (y >= shifted.shape[-1]).any():
-        raise IndexError("label out of range")
-    return _row_nll(shifted, esum, y, out)[0]
-
-
-def cross_entropy(logits: np.ndarray, labels):
-    """Mean softmax cross-entropy of a logit batch (..., n, k) against integer labels (..., n).
-
-    The mean of ``row_nll``: a float for one batch, an array over the
-    leading axes for a stack; IndexError unless every label lies in [0, k).
-    """
-    return _mean(row_nll(logits, labels))
-
-
 def softmax_cross_entropy_batch(logits: np.ndarray, labels):
-    """Mean cross-entropy over a batch (as in ``cross_entropy``) and its gradient wrt every logit.
+    """Mean softmax cross-entropy of a logit batch (..., n, k) against its labels, and its gradient wrt every logit.
 
     The labels must lie in [0, k): this per-step call does not check them,
     and a negative one silently picks from the end of its row.  ``train``
@@ -322,17 +303,21 @@ def softmax_cross_entropy_batch(logits: np.ndarray, labels):
     return _mean(nll), grad / shifted.shape[-2]
 
 
-def gap_cross_entropy(trace: BatchHeadTrace, dy: np.ndarray, out: np.ndarray | None = None, grad_m: bool = False):
-    """Softmax cross-entropy of a trace over class gaps: each row's NLL, or with ``grad_m`` the mean's dL/dm.
+def gap_cross_entropy(
+    logits: np.ndarray, d: np.ndarray, m, dy: np.ndarray, out: np.ndarray | None = None, grad_m: bool = False
+):
+    """Softmax cross-entropy over class gaps: each row's NLL, or with ``grad_m`` the mean's dL/dm.
 
-    The trace's plain part is d = s - max_j s_j (<= 0, exactly 0 at the argmax) and ``dy`` the labels'
-    gaps.  As m > 0, the logits m * d have row max exactly 0: exp needs no shift and esum lies in [1, k].
+    d = s - max_j s_j are the gaps (<= 0, exactly 0 at the argmax), ``logits`` the caller's m * d and
+    ``dy`` the labels' gaps; m is one multiplier per row or one for the whole batch (a temperature
+    1/m).  As m > 0, the logits have row max exactly 0: exp needs no shift and esum lies in [1, k].
     A row's NLL is log(esum) - m * d_y (into ``out`` when given).  The n rows' mean NLL has
-    dL/dm = (sum_j e_j d_j / esum - d_y) / n, the full gradient's sum_j U_ij s_ij, as the softmax
-    weights sum to 1.  An infinite m gives NaN (inf * 0 at the argmax).
+    dL/dm_i = (sum_j e_ij d_ij / esum_i - d_yi) / n, the full gradient's sum_j U_ij s_ij, as the
+    softmax weights sum to 1; a shared m's derivative is their sum.  An infinite m gives NaN (inf * 0
+    at the argmax).
     """
-    e = np.exp(trace.logits)
+    e = np.exp(logits)
     esum = e.sum(axis=-1)
     if grad_m:
-        return (np.einsum("...ij,...ij->...i", e, trace.vanilla_logits) / esum - dy) / dy.shape[-1]
-    return np.subtract(np.log(esum), trace.m * dy, out=out)
+        return (np.einsum("...ij,...ij->...i", e, d) / esum - dy) / dy.shape[-1]
+    return np.subtract(np.log(esum), m * dy, out=out)

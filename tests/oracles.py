@@ -13,7 +13,9 @@ oracle the forward pass that takes the whole batch at once, as do the
 whole-batch logits and the sweep oracle, which scores each split in one
 ``score_batch`` call.  The head-backward oracle is the backward pass that
 masks the degenerate rows with ``np.where`` on fresh temporaries and
-recomputes the safe norm.
+recomputes the safe norm.  The softmax references (probabilities, each row's NLL
+and its mean) take plain logits with their own max shift, and the
+temperature reference is the golden-section search on ln T over their NLL.
 """
 
 import math
@@ -138,6 +140,57 @@ def msp_score(logits):
 def energy_score(logits):
     """Log-sum-exp over the last axis of the logits."""
     return msp_energy(logits)[1]
+
+
+# Softmax references over plain logits: the probabilities, each row's NLL and its mean, and the
+# golden-section temperature search that bisection on dL/dm replaced in ``temperature_scale``.
+
+
+def softmax_probs(logits) -> np.ndarray:
+    """Softmax over the last axis: e / esum from the engine's shifted exponentials."""
+    _, e, esum = shifted_exp(logits)
+    return e / esum[..., None]
+
+
+def row_nll(logits, labels) -> np.ndarray:
+    """Softmax cross-entropy of each row of a logit batch (..., n, k) against integer labels (..., n).
+
+    log(esum) - shifted[label] per row; IndexError unless every label lies in [0, k).
+    """
+    shifted, _, esum = shifted_exp(logits)
+    y = np.asarray(labels)
+    if (y < 0).any() or (y >= shifted.shape[-1]).any():
+        raise IndexError("label out of range")
+    return np.subtract(np.log(esum), shifted[(*np.indices(y.shape, sparse=True), y)])
+
+
+def cross_entropy(logits, labels):
+    """The mean of ``row_nll`` over its rows, as sum / n: a float for one batch, an array for a stack."""
+    nll = row_nll(logits, labels)
+    return nll.sum(axis=-1) / nll.shape[-1]
+
+
+def golden_section_temperature(logits, labels) -> float:
+    """The temperature T minimizing ``cross_entropy(l / T, labels)``: golden-section search on ln T over [-3, 3]."""
+    l = np.asarray(logits, dtype=np.float64)
+
+    def objective(a: float) -> float:
+        return cross_entropy(l / math.exp(a), labels)
+
+    lo, hi = -3.0, 3.0
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+    fc, fd = objective(c), objective(d)
+    while hi - lo > 1e-8:
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - invphi * (hi - lo)
+            fc = objective(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + invphi * (hi - lo)
+            fd = objective(d)
+    return math.exp(0.5 * (lo + hi))
 
 
 def batched_loss(model, thetas: np.ndarray, x: np.ndarray, label: int) -> np.ndarray:

@@ -12,16 +12,14 @@ from geodin.calibrate import (
     CalibConfig,
     calibrate,
     ece,
-    nll,
     reliability_bins,
-    softmax_probs,
     split_metrics,
     temperature_scale,
 )
 from geodin.config import load_run_config
 from geodin.errors import ConfigError, DomainError, NumericError, UnsupportedVariantError
 from geodin.head import HeadParams, HeadVariant, head_forward_batch
-from geodin.scores import score_batch, shifted_exp
+from geodin.scores import score_batch
 from geodin.train import (
     TrainConfig,
     accuracy,
@@ -31,7 +29,14 @@ from geodin.train import (
     shuffles,
     train,
 )
-from oracles import copy_head, model_logits, reference_gap_nll, reference_tune_head
+from oracles import (
+    copy_head,
+    golden_section_temperature,
+    model_logits,
+    reference_gap_nll,
+    reference_tune_head,
+    softmax_probs,
+)
 from test_fingerprint import SMALL_CONFIG
 from test_head import thread_probe
 
@@ -78,6 +83,12 @@ class TestEce:
         with pytest.raises(DomainError):
             ece(np.array([1.2]), np.array([True]))
 
+    @pytest.mark.parametrize("conf", [[np.nan], [0.5, np.nan]], ids=["nan", "ok-nan"])
+    @pytest.mark.parametrize("metric", [ece, reliability_bins])
+    def test_nan_confidence_rejected(self, metric, conf):
+        with pytest.raises(DomainError, match=r"confidences must lie in \[0, 1\]"):
+            metric(conf, [True] * len(conf))
+
 
 class TestReliabilityBins:
     def test_single_sample_bin(self):
@@ -99,71 +110,119 @@ class TestReliabilityBins:
         assert total == ece(conf, correct, 15)
 
 
+def calibrated_logits(n=20000, m=5, seed=3):
+    """n rows of N(0, 2^2) logits and labels drawn from their own softmax, so T = 1 fits them."""
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(0.0, 2.0, (n, m))
+    probs = softmax_probs(logits)
+    labels = np.array([rng.choice(m, p=probs[i]) for i in range(n)])
+    return logits, labels
+
+
 class TestNll:
+    """The report's NLL: the mean of log(esum) - d_y over the logits' class gaps, uncapped."""
+
     def test_perfect_one_hot(self):
-        p = np.eye(4)
-        assert nll(p, np.arange(4)) == 0.0
+        assert split_metrics(np.eye(4) * 1000.0, np.arange(4)).nll == 0.0
 
     def test_uniform(self):
-        p = np.full((6, 10), 0.1)
-        assert nll(p, np.zeros(6, dtype=int)) == pytest.approx(math.log(10.0), abs=1e-12)
+        for k in (2, 10, 32):
+            assert split_metrics(np.full((8, k), 2.5), np.arange(8) % k).nll == math.log(k)
 
     def test_matches_summation_oracle(self):
         rng = np.random.default_rng(2)
-        p = rng.dirichlet(np.ones(5), size=40)
+        logits = rng.normal(0.0, 3.0, (40, 5))
         y = rng.integers(0, 5, 40)
-        oracle = sum(-math.log(p[i, y[i]]) for i in range(40)) / 40
-        assert abs(nll(p, y) - oracle) < 1e-12
+        oracle = 0.0
+        for row, label in zip(logits.tolist(), y):
+            top = max(row)
+            oracle += top + math.log(sum(math.exp(v - top) for v in row)) - row[label]
+        assert abs(split_metrics(logits, y).nll - oracle / 40) < 1e-12
 
     def test_label_out_of_range(self):
         for bad in (3, -1):
             with pytest.raises(IndexError):
-                nll(np.full((2, 3), 1 / 3), np.array([0, bad]))
+                split_metrics(np.zeros((2, 3)), np.array([0, bad]))
 
-    def test_clamps_zero_probability(self):
-        p = np.array([[1.0, 0.0]])
-        assert np.isfinite(nll(p, np.array([1])))
+    def test_underflowing_probability_is_uncapped(self):
+        # The label's probability underflows to 0; its NLL is still its finite gap to the max.
+        assert split_metrics([[0.0, -1000.0]], [1]).nll == 1000.0
+        assert split_metrics([[0.0, -1e300]], [1]).nll == 1e300
+
+    def test_near_tie_is_the_logits_argmax(self):
+        # Both logits round to the probability 0.5, whose argmax is class 0; the logits' is class 1,
+        # as ``predict`` takes it.
+        logits = np.array([[0.0, 1e-17]])
+        assert softmax_probs(logits)[0, 0] == softmax_probs(logits)[0, 1]
+        assert np.argmax(logits, axis=1).tolist() == [1]
+        assert split_metrics(logits, [1]).accuracy == 1.0
+
+    def test_confidence_is_the_largest_probability(self):
+        logits, y = calibrated_logits(500, seed=7)
+        p = softmax_probs(logits)
+        correct = logits.argmax(axis=1) == y
+        assert split_metrics(logits, y).ece == ece(p.max(axis=1), correct)
 
 
-class TestSoftmaxProbs:
-    @pytest.mark.parametrize("shape", [(257, 9), (3, 65, 4)], ids=["batch", "stack"])
-    def test_matches_the_three_array_path_bit_for_bit(self, shape):
-        rng = np.random.default_rng(8)
-        logits = rng.normal(0.0, 30.0, shape)
-        logits[..., 0, :] = 2.5  # every class tied
-        logits[..., 1, :2] = logits[..., 1, :].max(axis=-1, keepdims=True) + 1.0  # two classes tied at the max
-        logits[..., 2, :] = [-800.0] * (shape[-1] - 1) + [800.0]  # every class but one underflows
-        _, e, esum = shifted_exp(logits)  # the old path: shifted logits, their exponentials, then the quotient
-        old = (e / esum[..., None]).tobytes()
-        assert softmax_probs(logits).tobytes() == old
-        assert softmax_probs(logits.tolist()).tobytes() == old
+BAD_BATCHES = {
+    "nan-logit": ([[0.0, np.nan]], [0], NumericError, "non-finite logits"),
+    "inf-logit": ([[np.inf, 0.0]], [0], NumericError, "non-finite logits"),
+    "more-labels": ([[0.0, 1.0]], [0, 1], DomainError, r"\(1, 2\).*\(2,\)"),
+    "fewer-labels": ([[0.0, 1.0], [1.0, 0.0]], [0], DomainError, r"\(2, 2\).*\(1,\)"),
+    "empty": (np.zeros((0, 3)), np.zeros(0, dtype=int), DomainError, r"\(0, 3\).*\(0,\)"),
+    "one-d": ([0.0, 1.0], [0, 1], DomainError, r"\(2,\).*\(2,\)"),
+    "label-k": ([[0.0, 1.0, 2.0]] * 2, [0, 3], IndexError, "label out of range"),
+    "label-minus-1": ([[0.0, 1.0, 2.0]] * 2, [0, -1], IndexError, "label out of range"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_BATCHES))
+@pytest.mark.parametrize("fn", [split_metrics, temperature_scale])
+def test_bad_logits_or_labels_raise_the_same_error(fn, case):
+    logits, labels, error, message = BAD_BATCHES[case]
+    with pytest.raises(error, match=message):  # RuntimeWarnings fail tier-1, so none precedes the error
+        fn(logits, labels)
 
 
 class TestTemperatureScale:
-    def make_calibrated_logits(self, n=20000, m=5, seed=3):
-        rng = np.random.default_rng(seed)
-        logits = rng.normal(0.0, 2.0, (n, m))
-        probs = softmax_probs(logits)
-        labels = np.array([rng.choice(m, p=probs[i]) for i in range(n)])
-        return logits, labels
-
     def test_calibrated_gives_unit_temperature(self):
-        logits, labels = self.make_calibrated_logits()
+        logits, labels = calibrated_logits()
         assert abs(temperature_scale(logits, labels) - 1.0) <= 0.05
 
     def test_scaled_logits_recover_scale(self):
-        logits, labels = self.make_calibrated_logits(seed=4)
+        logits, labels = calibrated_logits(seed=4)
         t = temperature_scale(10.0 * logits, labels)
         assert abs(t - 10.0) / 10.0 <= 0.05
 
     def test_predictions_unchanged(self):
-        logits, labels = self.make_calibrated_logits(n=500, seed=5)
+        logits, labels = calibrated_logits(500, seed=5)
         t = temperature_scale(logits, labels)
         np.testing.assert_array_equal((logits / t).argmax(axis=1), logits.argmax(axis=1))
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             temperature_scale(np.zeros((0, 3)), np.zeros(0, dtype=int))
+
+    @pytest.mark.parametrize("scale", [0.03, 0.3, 1.0, 3.0, 30.0])
+    def test_matches_the_golden_section_search(self, scale):
+        # The labels are drawn from softmax(logits), so T = scale fits scale * logits; at 0.03 and 30
+        # that lies past the bracket [e^-3, e^3] = [0.0498, 20.1], and both searches end at its edge.
+        logits, labels = calibrated_logits(5000, seed=int(scale * 100))
+        t = temperature_scale(scale * logits, labels)
+        assert t == pytest.approx(golden_section_temperature(scale * logits, labels), rel=1e-7)
+
+    @pytest.mark.parametrize("scale,edge", [(1e-3, -3.0), (1e3, 3.0)], ids=["low", "high"])
+    def test_bracket_edges(self, scale, edge):
+        logits, labels = calibrated_logits(2000, seed=9)
+        t = temperature_scale(scale * logits, labels)
+        assert t == pytest.approx(math.exp(edge), rel=1e-7)
+        assert t == pytest.approx(golden_section_temperature(scale * logits, labels), rel=1e-7)
+
+    def test_flat_nll_gives_the_upper_edge(self):
+        # Uniform logits: every T gives NLL log k, and both searches end at T = e^3.
+        logits, labels = np.zeros((6, 3)), np.arange(6) % 3
+        assert temperature_scale(logits, labels) == pytest.approx(math.exp(3.0), rel=1e-7)
+        assert golden_section_temperature(logits, labels) == pytest.approx(math.exp(3.0), rel=1e-7)
 
 
 @pytest.fixture(scope="module")
@@ -496,10 +555,10 @@ class TestBlockedTuningNll:
         rows = [np.arange(n)] + [rng.permutation(n)[: n - 100] for _ in range(G - 1)]
         blocks, gap_cross_entropy = [], calibrate_module.gap_cross_entropy
 
-        def counted(trace, *args, grad_m=False, **kwargs):
+        def counted(logits, *args, grad_m=False, **kwargs):
             if not grad_m:
-                blocks.append(trace.logits.shape)
-            return gap_cross_entropy(trace, *args, grad_m=grad_m, **kwargs)
+                blocks.append(logits.shape)
+            return gap_cross_entropy(logits, *args, grad_m=grad_m, **kwargs)
 
         monkeypatch.setattr(calibrate_module, "gap_cross_entropy", counted)
         tuned, _, before, after = calibrate_module._tune_head(head, val, rows, CalibConfig(epochs=2, batch_size=256))

@@ -19,19 +19,17 @@ from geodin.head import (
     BatchHeadTrace,
     HeadParams,
     HeadVariant,
-    cross_entropy,
     gap_cross_entropy,
     head_backward_batch,
     head_forward_batch,
     multiplier_forward,
     plain_forward,
-    row_nll,
     sigmoid,
     softmax_cross_entropy_batch,
     softplus,
 )
 from geodin.train import momentum_step
-from oracles import copy_head, reference_head_backward
+from oracles import copy_head, cross_entropy, reference_head_backward, row_nll
 
 
 def random_params(rng, d=6, m=4, variant=HeadVariant.ALPHA_BETA):
@@ -587,19 +585,26 @@ class TestGapCrossEntropy:
         d = s - s.max(axis=-1)[:, None]
         return multiplier_forward(F, s, fn, p), multiplier_forward(F, d, fn, p), y, d[np.arange(n), y]
 
+    @staticmethod
+    def gap_ce(gaps, dy, m=None, **kwargs):
+        """``gap_cross_entropy`` on a gap trace's arrays, or on its gaps at the multipliers ``m``."""
+        m = gaps.m if m is None else m
+        return gap_cross_entropy(m[..., None] * gaps.vanilla_logits, gaps.vanilla_logits, m, dy, **kwargs)
+
     @pytest.mark.parametrize("variant", [HeadVariant.ALPHA_ONLY, HeadVariant.BETA_ONLY, HeadVariant.ALPHA_BETA])
     def test_nll_matches_the_softmax_cross_entropy(self, variant):
         plain, gaps, y, dy = self.traces(variant)
-        nll = gap_cross_entropy(gaps, dy)
+        nll = gap_cross_entropy(gaps.logits, gaps.vanilla_logits, gaps.m, dy)
         np.testing.assert_allclose(nll, row_nll(plain.logits, y), rtol=1e-13, atol=1e-13)
         assert nll[0] == nll[9] == np.log(5.0)
         out = np.empty(len(y))
-        assert gap_cross_entropy(gaps, dy, out=out) is out and out.tobytes() == nll.tobytes()
+        assert gap_cross_entropy(gaps.logits, gaps.vanilla_logits, gaps.m, dy, out=out) is out
+        assert out.tobytes() == nll.tobytes()
 
     @pytest.mark.parametrize("variant", [HeadVariant.ALPHA_ONLY, HeadVariant.BETA_ONLY, HeadVariant.ALPHA_BETA])
     def test_grad_m_matches_the_softmax_cross_entropy_gradient(self, variant):
         plain, gaps, y, dy = self.traces(variant)
-        grad_m = gap_cross_entropy(gaps, dy, grad_m=True)
+        grad_m = gap_cross_entropy(gaps.logits, gaps.vanilla_logits, gaps.m, dy, grad_m=True)
         np.testing.assert_allclose(grad_m, dl_dm(plain, softmax_cross_entropy_batch(plain.logits, y)[1]), atol=1e-15)
         assert grad_m[0] == grad_m[9] == 0.0
         assert np.all(grad_m[1:5] < 0.0)  # a label at a tied max still gains from a larger m
@@ -607,20 +612,22 @@ class TestGapCrossEntropy:
     def test_grad_m_matches_finite_differences(self):
         _, gaps, y, dy = self.traces(HeadVariant.ALPHA_BETA)
         eps = 1e-6
-
-        def nll_at(m):
-            return gap_cross_entropy(dataclasses.replace(gaps, m=m, logits=m[:, None] * gaps.vanilla_logits), dy)
-
         # Row i's NLL depends on m_i alone, so one pair of shifts gives every row's derivative of the mean.
-        numeric = (nll_at(gaps.m + eps) - nll_at(gaps.m - eps)) / (2 * eps * len(y))
-        np.testing.assert_allclose(gap_cross_entropy(gaps, dy, grad_m=True), numeric, rtol=1e-6, atol=1e-10)
+        numeric = (self.gap_ce(gaps, dy, gaps.m + eps) - self.gap_ce(gaps, dy, gaps.m - eps)) / (2 * eps * len(y))
+        np.testing.assert_allclose(self.gap_ce(gaps, dy, grad_m=True), numeric, rtol=1e-6, atol=1e-10)
+
+    @pytest.mark.parametrize("grad_m", [False, True], ids=["nll", "grad_m"])
+    def test_one_shared_m_gives_the_bits_of_a_column_of_it(self, grad_m):
+        # Temperature scaling passes one float m for the batch; tuning passes one m per row.
+        _, gaps, _, dy = self.traces(HeadVariant.ALPHA_BETA)
+        d, m = gaps.vanilla_logits, 0.37
+        shared = gap_cross_entropy(m * d, d, m, dy, grad_m=grad_m)
+        assert shared.tobytes() == self.gap_ce(gaps, dy, np.full(len(dy), m), grad_m=grad_m).tobytes()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_infinite_m_gives_nan(self):
         _, gaps, y, dy = self.traces(HeadVariant.ALPHA_BETA)
-        m = np.full_like(gaps.m, np.inf)
-        inf = dataclasses.replace(gaps, m=m, logits=m[:, None] * gaps.vanilla_logits)
-        assert np.all(np.isnan(gap_cross_entropy(inf, dy)))
+        assert np.all(np.isnan(self.gap_ce(gaps, dy, np.full_like(gaps.m, np.inf))))
 
 
 class TestBatchForward:

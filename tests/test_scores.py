@@ -12,11 +12,10 @@ import pytest
 
 import oracles
 from geodin.bench import make_task
-from geodin.calibrate import softmax_probs
 from geodin.errors import DomainError, ShapeError
 from geodin.scores import EPS_NORM, score_batch, shifted_exp
 from geodin.train import TrainConfig, extract_features, train
-from oracles import energy_score, kl_from_uniform, msp_score, score_set
+from oracles import energy_score, kl_from_uniform, msp_score, score_set, softmax_probs
 
 
 def random_pair(rng, d=8, m=5):

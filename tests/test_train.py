@@ -244,8 +244,13 @@ class TestTraining:
         rng = np.random.default_rng(5)
         X, y = blobs(rng, n=60)
         X[17, 0] = np.inf  # poisons whichever batch draws this sample
-        with pytest.raises(NumericError, match=r"epoch \d+ batch \d+ \(lr="):
+        with pytest.warns(RuntimeWarning) as caught, pytest.raises(NumericError, match=r"epoch \d+ batch \d+ \(lr="):
             train(TrainConfig(epochs=2, seed=1, hidden=(8,), feature_dim=4), (X, y))
+        # The inf row's projection divides inf by inf, and its NaN reaches the beta head's softplus.
+        assert [str(w.message) for w in caught] == [
+            "invalid value encountered in divide",
+            "invalid value encountered in logaddexp",
+        ]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_result_is_a_numeric_error(self):
