@@ -37,6 +37,8 @@ severities = 1, 4
 DEFAULT_TRAIN = "1767bec035af7d5b02c3cc991bb91fa6e886f020745844eb68d8f24f317461f4"
 DEFAULT_TRAIN_CONFIG = "b257bfcd905efdf2daa72fcaed554289176cac96d510510eed7b6d3f9799eef3"
 DEFAULT_TRAIN_LOG = "2b6c2cd1b29bf434595a4df5870e091708feb8261644da969fee75deb7a1f420"
+DEFAULT_DETECT_CSV = "b18178e63dfec75c7600b0c71aa4b27d8fec2e1cdfde207962984626fa871698"
+DEFAULT_DETECT_JSON = "c6edf091086ee5dfed84f6946ace3dde13667c2aca538050c86f57e9258baf1e"
 
 SMALL_TRAIN = {
     ("vanilla", True):
@@ -91,12 +93,24 @@ def small_checkpoint(small_config):
     return out
 
 
-def test_default_train_checkpoint(tmp_path):
-    out = tmp_path / "model.godn"
+@pytest.fixture(scope="module")
+def default_checkpoint(tmp_path_factory):
+    out = tmp_path_factory.mktemp("default") / "model.godn"
     assert main(["train", "--out", str(out)]) == 0
-    assert sha256(out) == DEFAULT_TRAIN
-    assert sha256(tmp_path / "model.config.json") == DEFAULT_TRAIN_CONFIG
-    assert sha256(tmp_path / "model.train_log.csv") == DEFAULT_TRAIN_LOG
+    return out
+
+
+def test_default_train_checkpoint(default_checkpoint):
+    assert sha256(default_checkpoint) == DEFAULT_TRAIN
+    assert sha256(default_checkpoint.parent / "model.config.json") == DEFAULT_TRAIN_CONFIG
+    assert sha256(default_checkpoint.parent / "model.train_log.csv") == DEFAULT_TRAIN_LOG
+
+
+def test_default_detect_report(default_checkpoint, tmp_path):
+    out = tmp_path / "report"
+    assert main(["detect", "--checkpoint", str(default_checkpoint), "--out", str(out)]) == 0
+    assert sha256(out.with_suffix(".csv")) == DEFAULT_DETECT_CSV
+    assert sha256(out.with_suffix(".json")) == DEFAULT_DETECT_JSON
 
 
 @pytest.mark.parametrize("variant,decay_heads", sorted(SMALL_TRAIN))
