@@ -298,8 +298,10 @@ def calibrate(model: Model, val_set, config: CalibConfig, eval_sets: dict | None
     Returns a new model (extractor and class weights copied unchanged) and a
     report with before/after accuracy, ECE, NLL on the tuning split and any
     extra named eval splits, plus k-fold cross-validation metrics when
-    config.folds >= 2.  Raises NumericError for non-finite parameters,
-    tuned parameters or logits.
+    config.folds >= 2.  Raises, before any tuning, DomainError for an empty
+    split or labels that are not one per row and IndexError for a label
+    outside [0, k), each naming the split; NumericError for non-finite
+    parameters, tuned parameters or logits.
     """
     config.validate()
     if not model.finite():
@@ -312,8 +314,15 @@ def calibrate(model: Model, val_set, config: CalibConfig, eval_sets: dict | None
     Xv = np.asarray(Xv, dtype=np.float64)
     yv = np.asarray(yv, dtype=np.int64)
     splits = {"val": (Xv, yv), **(eval_sets or {})}
-    if empty := [name for name, (X, _) in splits.items() if len(np.atleast_2d(X)) == 0]:
-        raise DomainError(f"split {empty[0]!r} is empty")
+    for name, (X, y) in splits.items():
+        n, y = len(np.atleast_2d(X)), np.asarray(y, dtype=np.int64)
+        if n == 0:
+            raise DomainError(f"split {name!r} is empty")
+        # Checked here, as ``_gaps`` would check them, so that a bad split fails before any tuning.
+        if y.shape != (n,):
+            raise DomainError(f"split {name!r} has labels of shape {y.shape} for its {n} rows")
+        if (y < 0).any() or (y >= model.head.n_classes).any():
+            raise IndexError(f"split {name!r}: label out of range [0, {model.head.n_classes})")
     if config.folds > Xv.shape[0]:
         raise ConfigError(f"folds={config.folds} exceeds validation size {Xv.shape[0]}")
     F = {name: extract_features(model, np.atleast_2d(X)) for name, (X, _) in splits.items()}

@@ -36,7 +36,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ShapeError
-from .scores import EPS_NORM, shifted_exp
+from .scores import EPS_NORM, row_norms, shifted_exp
 
 
 class HeadVariant(str, Enum):
@@ -153,7 +153,7 @@ def plain_forward(F: np.ndarray, params: HeadParams) -> tuple[np.ndarray, np.nda
     """The plain part of a feature batch F of shape (n, D): s = F W^T and ||f|| per row."""
     if F.ndim != 2 or F.shape[1] != params.d_feature:
         raise ShapeError(f"feature batch shape {F.shape} does not match head dim {params.d_feature}")
-    return F @ params.W.T, np.sqrt(np.add.reduce(F * F, axis=1))  # np.linalg.norm's sum for real F
+    return F @ params.W.T, row_norms(F)
 
 
 def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -44,6 +44,11 @@ def _as_weights(W) -> np.ndarray:
     return W
 
 
+def row_norms(F: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of a real 2-D batch: ``np.linalg.norm(F, axis=1)``'s sum, bit for bit."""
+    return np.sqrt(np.add.reduce(F * F, axis=1))
+
+
 def shifted_exp(logits, lmax=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Max-shifted logits, their exponentials and the exponentials' sum, over the last axis.
 
@@ -74,7 +79,7 @@ def score_batch(F, W) -> dict[str, np.ndarray]:
         raise DomainError("feature batch contains negative entries (features are post-rectification)")
     logits = F @ W.T
     lmax = logits.max(axis=1)
-    fn = np.linalg.norm(F, axis=1)
+    fn = row_norms(F)
     u = np.maximum(0.0, lmax - logits.mean(axis=1))
     h = np.divide(u, fn, out=np.zeros_like(u), where=fn >= EPS_NORM)
     esum = shifted_exp(logits, lmax)[2]  # one shifted exp serves msp and energy

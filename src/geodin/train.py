@@ -42,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, DataError, NumericError, ShapeError
 from .head import (
     HeadParams,
     HeadVariant,
@@ -50,7 +50,7 @@ from .head import (
     head_forward_batch,
     softmax_cross_entropy_batch,
 )
-from .scores import EPS_NORM
+from .scores import EPS_NORM, row_norms
 
 
 @dataclass(frozen=True)
@@ -199,34 +199,48 @@ def unit_rows(X: np.ndarray) -> np.ndarray:
     ``unit_rows(X[idx])`` bit for bit.
     """
     with np.errstate(over="ignore"):
-        norms = np.sqrt(np.add.reduce(X * X, axis=1, keepdims=True))  # np.linalg.norm's sum for real X
+        norms = row_norms(X)[:, None]
     out = np.divide(X, norms, out=X.astype(np.float64, order="C"), where=norms >= EPS_NORM)
     if np.isinf(norms).any():
         big = np.flatnonzero(np.isinf(norms[:, 0]) & np.isfinite(X).all(axis=1))
         scaled = X[big] / np.abs(X[big]).max(axis=1, keepdims=True)
-        out[big] = scaled / np.sqrt(np.add.reduce(scaled * scaled, axis=1, keepdims=True))
+        out[big] = scaled / row_norms(scaled)[:, None]
     return out
 
 
 # On OpenBLAS 0.3.31 a product of r rows into an N-wide layer from K inputs takes another
 # kernel, whose last bits differ, exactly when r*N <= 1200, K >= 32 and r*N*K <= 10^6 (a
 # 32 -> 2 layer differs at 600 rows and matches at 601; a 256 -> 64 one at 18 and 19).
+def whole_bits_rows(width: int) -> int | None:
+    """The fewest rows whose products at least ``width`` wide give each row the bits of any larger batch.
+
+    That is ceil(1536 / width): r * width >= 1536 keeps a 28% margin from
+    the kernel switch, so a row's product with a weight matrix is the one
+    the whole batch gets, bit for bit, whichever rows join it.  None for
+    width 1: a matrix-vector product, which a multi-threaded OpenBLAS splits
+    by the batch's rows, could differ from the batch's in any subset's last
+    bits, so a net with a 1-wide product runs each batch whole.
+    """
+    return -(-1536 // width) if width > 1 else None
+
+
 def row_blocks(n: int, width: int) -> list[slice]:
     """The blocks of rows that inference takes a batch of n rows in, for products at least ``width`` wide.
 
-    Blocks start at multiples of B = max(512, 64 * ceil(1536 / (64 * width)))
-    rows (768 for width 2, 512 from width 3 on) and the last one absorbs the
-    remainder, so a batch below two blocks is one block and the last block is
-    the largest.  B * width >= 1536 keeps a 28% margin from the kernel switch,
-    so a row's product with a weight matrix is the one the whole batch gets,
-    bit for bit, and starts at multiples of 64 give ``head._matvec`` the
-    whole product's bits.  Below 512 rows the wide forward slowed (1.8% at
-    256, 7.6% at 128).  With width 1 the batch is one block: a matrix-vector
-    product, which a multi-threaded OpenBLAS splits by the batch's rows,
-    could differ from the batch's in a block's last bits.
+    Blocks start at multiples of B = max(512, the 64-multiple at or above
+    ``whole_bits_rows(width)``) rows (768 for width 2, 512 from width 3 on)
+    and the last one absorbs the remainder, so a batch below two blocks is
+    one block and the last block is the largest.  So each block's products
+    have the whole batch's bits, and starts at multiples of 64 give
+    ``head._matvec`` the whole product's bits.  Below 512 rows the wide
+    forward slowed (1.8% at 256, 7.6% at 128).  With width 1 the batch is
+    one block.
     """
-    B = max(512, -(-1536 // (64 * width)) * 64)
-    count = max(1, n // B) if width > 1 else 1
+    fewest = whole_bits_rows(width)
+    if fewest is None:
+        return [slice(0, n)]
+    B = max(512, -(-fewest // 64) * 64)
+    count = max(1, n // B)
     return [slice(i * B, n if i == count - 1 else (i + 1) * B) for i in range(count)]
 
 
@@ -394,7 +408,10 @@ def momentum_step(
 
 
 def train(config: TrainConfig, train_set, n_classes: int | None = None) -> Model:
-    """Train a fresh model on (X, y), deterministically; NumericError on a non-finite loss or result."""
+    """Train a fresh model on (X, y), deterministically.
+
+    DataError for a non-finite input row, before any step; NumericError on a non-finite loss or result.
+    """
     X, y = train_set
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -406,6 +423,9 @@ def train(config: TrainConfig, train_set, n_classes: int | None = None) -> Model
         n_classes = int(y.max()) + 1
     if np.any(y < 0) or np.any(y >= n_classes):
         raise ConfigError("labels out of range")
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        raise DataError(f"train set row {int(np.argmin(finite))} is not finite")
 
     model = init_model(config, X.shape[1], n_classes)
     U = unit_rows(X)  # each step gathers its batch from these projected rows

@@ -302,6 +302,15 @@ def copy_head(head):
     return head.like(head.flat.copy())
 
 
+def two_search_auroc(id_scores, ood_scores) -> float:
+    """``bench.auroc`` as a left- and a right-side search of every sorted OOD score in the sorted ID scores."""
+    id_s, ood_s = np.sort(np.ravel(id_scores)), np.sort(np.ravel(ood_scores))
+    below = np.searchsorted(id_s, ood_s, side="left")
+    at_or_below = np.searchsorted(id_s, ood_s, side="right")
+    twice_u = int(2 * id_s.size * ood_s.size - at_or_below.sum() - below.sum())
+    return twice_u / (2 * id_s.size * ood_s.size)
+
+
 def reference_sweep(model, task, score_names, specs, concept_groups=None) -> DetectionReport:
     """``bench.sweep`` with each split scored in one shot, ``score_batch(extract_features(model, X), W)``.
 

@@ -26,7 +26,7 @@ from geodin.bench import (
 )
 from geodin.config import RunConfig
 from geodin.errors import ConfigError, DomainError, MissingTokenError, NumericError, StateError
-from geodin.train import Model, TrainConfig, init_model, row_blocks, train
+from geodin.train import Model, TrainConfig, init_model, row_blocks, train, whole_bits_rows
 
 import oracles
 from oracles import copy_head
@@ -285,6 +285,24 @@ class TestAuroc:
             eq = int(np.sum(id_s[:, None] == ood_s[None, :]))
             assert auroc(id_s, ood_s) == float(Fraction(2 * gt + eq, 2 * n1 * n2))
 
+    @pytest.mark.parametrize("kind", ["integer", "msp_like"])
+    def test_one_search_matches_two_searches_on_ties(self, kind):
+        # msp saturates at 1.0, so most of its ties sit at the top of both score sets.
+        rng = np.random.default_rng(29)
+        for _ in range(30):
+            n1, n2 = rng.integers(1, 400, 2)
+            if kind == "integer":
+                id_s, ood_s = rng.integers(0, 6, n1).astype(float), rng.integers(-1, 8, n2).astype(float)
+            else:
+                id_s = np.minimum(rng.uniform(0.6, 1.4, n1), 1.0)
+                ood_s = np.minimum(rng.uniform(0.2, 1.2, n2), 1.0)
+            assert auroc(id_s, ood_s) == oracles.two_search_auroc(id_s, ood_s)
+            assert abs(auroc(id_s, ood_s) - pairwise_auroc(id_s, ood_s)) < 1e-12
+
+    def test_ood_scores_above_every_id_score(self):
+        assert auroc([1.0], [1.0, 2.0, 3.0]) == 1 / 6 == oracles.two_search_auroc([1.0], [1.0, 2.0, 3.0])
+        assert auroc([0.0, 1.0], [1.0, 1.0]) == 0.25
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(18)
         id_s = rng.normal(1.0, 1.0, 100)
@@ -451,6 +469,63 @@ class TestStreamedSweep:
         assert streamed.rows == one_shot.rows
         assert len(streamed_scores) == len(STREAM_SPECS) * len(names)
         assert streamed_scores == one_shot_scores
+
+    @pytest.mark.parametrize("hidden", [(64, 64), (64, 1)], ids=["narrowest-4", "1-wide-layer"])
+    def test_a_shifted_block_extracts_only_its_changed_rows(self, monkeypatch, hidden):
+        # k = 4 makes the blocks 512 rows and the subset threshold ceil(1536 / 4) = 384 rows.  The clean
+        # split's zero rows are left as they are by feature_dropout, and at severity 5 (p = 0.5) over 24
+        # inputs every other row changes, so its three blocks change 383, 384 and all 517 rows: whole,
+        # subset, whole.  Severity 1 changes fewer than 384 rows of a block, so each block runs whole.
+        B, fewest = 512, whole_bits_rows(4)
+        assert row_blocks(3 * B + 5, 4) == [slice(0, B), slice(B, 2 * B), slice(2 * B, 3 * B + 5)]
+        model = init_model(TrainConfig(hidden=hidden, feature_dim=32, seed=3), d_in=24, n_classes=4)
+        for _, b in model.extractor.layers:
+            b += 0.2  # keeps the 1-wide layer's unit alive on most rows
+        rng = np.random.default_rng(3)
+        model.head.W[:] = rng.normal(0.0, 1.0, model.head.W.shape)
+        model.meta["trained"] = True
+        X = np.zeros((3 * B + 5, 24))
+        for blk, live in zip(row_blocks(len(X), 4), (fewest - 1, fewest, B + 5)):
+            X[blk.start + rng.choice(blk.stop - blk.start, size=live, replace=False)] = rng.normal(0.0, 1.0, (live, 24))
+        task = dataclasses.replace(make_task(4, 24, 20, 0.3, seed=3), test=(X, np.zeros(len(X), dtype=np.int64)))
+        specs = [ShiftSpec("feature_dropout", 5), ShiftSpec("feature_dropout", 1), ShiftSpec("gaussian_noise", 2)]
+        shifted = corrupt(task.test, specs[0], task.seed)[0]
+        assert [int((shifted[blk] != X[blk]).any(axis=1).sum()) for blk in row_blocks(len(X), 4)] == [383, 384, 517]
+
+        rows = []
+        real = bench_module.extract_features
+        monkeypatch.setattr(bench_module, "extract_features", lambda m, X: rows.append(len(X)) or real(m, X))
+        names = ["g", "h", "u", "msp", "energy"]
+        streamed, streamed_scores = _scored(monkeypatch, bench_module, lambda: sweep(model, task, names, specs))
+        one_shot, one_shot_scores = _scored(
+            monkeypatch, oracles, lambda: oracles.reference_sweep(model, task, names, specs)
+        )
+        assert streamed.rows == one_shot.rows
+        assert streamed_scores == one_shot_scores
+        if hidden[-1] == 1:
+            assert rows == [len(X)] * 4  # a net with a 1-wide product runs every split whole
+        else:
+            # the clean split, then severity 5's subset in its middle block, then severity 1 and the noise
+            assert rows == [B, B, B + 5] + [B, fewest, B + 5] + [B, B, B + 5] * 2
+
+    def test_the_wide_sweep_extracts_every_row_but_the_untouched_ones(self, monkeypatch):
+        # The wide benchmark net (width 32, so 48 changed rows clear a block) on its 2560-row test split:
+        # the clean split, 20 shifted copies and 5 concept groups of 400 rows are 55,760 rows in 110 blocks.
+        model = init_model(TrainConfig(hidden=(256, 256), feature_dim=64, seed=2), d_in=16, n_classes=32)
+        model.meta["trained"] = True
+        task = make_task(32, 16, 400, 0.15, seed=0)
+        groups = make_concept_groups(task)
+        specs = ShiftsConfig().specs(len(groups))
+        untouched = sum(
+            int((corrupt(task.test, spec, task.seed)[0] == task.test[0]).all(axis=1).sum())
+            for spec in specs if spec.kind in COVARIATE_KINDS and spec.severity > 0
+        )
+        assert untouched == 2730
+        rows = []
+        real = bench_module.extract_features
+        monkeypatch.setattr(bench_module, "extract_features", lambda m, X: rows.append(len(X)) or real(m, X))
+        sweep(model, task, ShiftsConfig.scores, specs, groups)
+        assert (len(rows), sum(rows)) == (110, 55_760 - untouched)
 
     def test_a_wide_net_holds_no_whole_split_features_or_logits(self):
         # The wide benchmark net over its 2560-row test split: the split's features and their squares

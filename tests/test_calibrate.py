@@ -258,6 +258,24 @@ class TestCalibrate:
             calibrate(model, task.val, CalibConfig(folds=0, epochs=2), eval_sets=empty)
         assert tuned == []
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "labels,error,message",
+        [
+            (lambda y: y[:-1], DomainError, r"split 'test' has labels of shape \(143,\) for its 144 rows"),
+            (lambda y: np.where(np.arange(len(y)) == 5, 7, y), IndexError, r"split 'test': label out of range \[0, 6\)"),
+        ],
+        ids=["short", "label-7-of-6"],
+    )
+    def test_bad_eval_labels_rejected_before_tuning(self, trained_task_model, monkeypatch, labels, error, message):
+        task, model = trained_task_model
+        tuned = []
+        monkeypatch.setattr(calibrate_module, "_tune_head", lambda *args: tuned.append(args))
+        X, y = task.test
+        with pytest.raises(error, match=message):
+            calibrate(model, task.val, CalibConfig(folds=0, epochs=2), eval_sets={"test": (X, labels(y))})
+        assert tuned == []
+
     def test_overconfident_model_improves(self, trained_task_model):
         task, model = trained_task_model
         over = _inflated(model)

@@ -13,7 +13,7 @@ import pytest
 import oracles
 from geodin.bench import make_task
 from geodin.errors import DomainError, ShapeError
-from geodin.scores import EPS_NORM, score_batch, shifted_exp
+from geodin.scores import EPS_NORM, row_norms, score_batch, shifted_exp
 from geodin.train import TrainConfig, extract_features, train
 from oracles import energy_score, kl_from_uniform, msp_score, score_set, softmax_probs
 
@@ -248,6 +248,16 @@ class TestKlFromUniform:
             kl = kl_from_uniform(p)
             assert ui - math.log(m) - 1e-9 <= kl <= ui + 1e-9
         assert np.any(u > math.log(m))  # the lower bound is not vacuous on this split
+
+
+class TestRowNorms:
+    def test_bit_for_bit_numpy_norm(self):
+        # score_batch's g, the head's ||f|| and unit_rows all take their norms here.
+        rng = np.random.default_rng(30)
+        for n, d in [(1, 1), (7, 3), (64, 16), (513, 64), (300, 257)]:
+            F = np.abs(rng.normal(0.0, rng.choice([1e-3, 1.0, 1e3]), (n, d)))
+            F[rng.random((n, d)) < 0.3] = 0.0  # rectified features are often exactly 0
+            assert row_norms(F).tobytes() == np.linalg.norm(F, axis=1).tobytes()
 
 
 class TestScoreSetAndBatch:

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from geodin.errors import ConfigError, NumericError, ShapeError
+from geodin.errors import ConfigError, DataError, NumericError, ShapeError
 from geodin.head import HeadVariant, head_forward_batch
 from geodin.train import (
     Model,
@@ -24,6 +24,7 @@ from geodin.train import (
     row_blocks,
     train,
     unit_rows,
+    whole_bits_rows,
 )
 from oracles import full_gradient_check, model_logits, reference_forward, reference_train
 from test_head import thread_probe
@@ -240,17 +241,26 @@ class TestTraining:
         # monotone on average: recorded, not gated; just check it went down overall
         assert model.history[-1]["mean_loss"] < model.history[0]["mean_loss"]
 
-    def test_nan_abort_diagnostic(self):
+    @pytest.mark.filterwarnings("error")
+    def test_nan_abort_diagnostic(self, monkeypatch):
+        # A non-finite input row is rejected before the model is built, so no step runs and warns.
         rng = np.random.default_rng(5)
         X, y = blobs(rng, n=60)
-        X[17, 0] = np.inf  # poisons whichever batch draws this sample
-        with pytest.warns(RuntimeWarning) as caught, pytest.raises(NumericError, match=r"epoch \d+ batch \d+ \(lr="):
+        X[17, 0], X[40, 1] = np.inf, np.nan
+        calls = []
+        for name in ("init_model", "loss_and_grads"):
+            monkeypatch.setattr(train_module, name, lambda *args, name=name, **kwargs: calls.append(name))
+        with pytest.raises(DataError, match="train set row 17 is not finite"):
             train(TrainConfig(epochs=2, seed=1, hidden=(8,), feature_dim=4), (X, y))
-        # The inf row's projection divides inf by inf, and its NaN reaches the beta head's softplus.
-        assert [str(w.message) for w in caught] == [
-            "invalid value encountered in divide",
-            "invalid value encountered in logaddexp",
-        ]
+        assert calls == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_loss_names_its_step(self):
+        # Finite inputs, but the first of two steps overflows the parameters, so the second step's loss is NaN.
+        X, y = blobs(np.random.default_rng(5), n=60)
+        cfg = TrainConfig(epochs=1, batch_size=60, lr0=1e300, seed=1, hidden=(8,), feature_dim=4)
+        with pytest.raises(NumericError, match=r"non-finite loss nan at epoch 0 batch 1 \(lr=5e\+299\)"):
+            train(cfg, (X, y))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_result_is_a_numeric_error(self):
@@ -530,7 +540,7 @@ class TestBlockedInference:
             return [(A[i : i + r] @ W.T).tobytes() == whole[i : i + r].tobytes() for i in (0, 512)]
 
         for K, N in [(32, 2), (32, 3), (64, 32), (256, 64), (256, 256)]:
-            assert block_is_whole(K, N, -(-1536 // N)) == [True, True], (K, N)
+            assert block_is_whole(K, N, whole_bits_rows(N)) == [True, True], (K, N)
             assert block_is_whole(K, N, 1200 // N) == [False, False], (K, N)
 
 
