@@ -441,6 +441,13 @@ def _scored(monkeypatch, module, run):
     return run(), seen
 
 
+def _extracted_rows(monkeypatch) -> list[int]:
+    """The row count of every ``extract_features`` call that ``bench`` makes from now on."""
+    rows, real = [], bench_module.extract_features
+    monkeypatch.setattr(bench_module, "extract_features", lambda model, X: rows.append(len(X)) or real(model, X))
+    return rows
+
+
 class TestStreamedSweep:
     @pytest.mark.parametrize("rows", [STREAM_B - 1, STREAM_B, STREAM_B + 1, 3 * STREAM_B + 5])
     @pytest.mark.parametrize("hidden,k", [((64, 64), 2), ((64, 1), 3)], ids=["narrowest-2", "1-wide-layer"])
@@ -492,9 +499,7 @@ class TestStreamedSweep:
         shifted = corrupt(task.test, specs[0], task.seed)[0]
         assert [int((shifted[blk] != X[blk]).any(axis=1).sum()) for blk in row_blocks(len(X), 4)] == [383, 384, 517]
 
-        rows = []
-        real = bench_module.extract_features
-        monkeypatch.setattr(bench_module, "extract_features", lambda m, X: rows.append(len(X)) or real(m, X))
+        rows = _extracted_rows(monkeypatch)
         names = ["g", "h", "u", "msp", "energy"]
         streamed, streamed_scores = _scored(monkeypatch, bench_module, lambda: sweep(model, task, names, specs))
         one_shot, one_shot_scores = _scored(
@@ -518,12 +523,10 @@ class TestStreamedSweep:
         specs = ShiftsConfig().specs(len(groups))
         untouched = sum(
             int((corrupt(task.test, spec, task.seed)[0] == task.test[0]).all(axis=1).sum())
-            for spec in specs if spec.kind in COVARIATE_KINDS and spec.severity > 0
+            for spec in specs if spec.kind in COVARIATE_KINDS
         )
         assert untouched == 2730
-        rows = []
-        real = bench_module.extract_features
-        monkeypatch.setattr(bench_module, "extract_features", lambda m, X: rows.append(len(X)) or real(m, X))
+        rows = _extracted_rows(monkeypatch)
         sweep(model, task, ShiftsConfig.scores, specs, groups)
         assert (len(rows), sum(rows)) == (110, 55_760 - untouched)
 
