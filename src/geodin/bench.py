@@ -436,13 +436,14 @@ def sweep(
     split's features or logits are held whole; every score works per row,
     so the scores are the whole split's bit for bit.
 
-    In a block of a covariate-shifted copy, a row bit for bit equal to its
-    clean test row takes the clean split's scores, and only the changed
+    In a block of a ``feature_dropout`` copy, a row bit for bit equal to
+    its clean test row takes the clean split's scores, and only the changed
     rows are extracted and scored, when they number at least
     ``whole_bits_rows`` of the block width (never on a net with a 1-wide
     product): so they keep the block's bits.  Otherwise the block runs
-    whole.  Each block still makes one ``extract_features`` and one
-    ``score_batch`` call.
+    whole, as every block of the other covariate kinds does uncompared,
+    since they change every row.  Each block still makes one
+    ``extract_features`` and one ``score_batch`` call.
     """
     if not model.meta.get("trained"):
         raise StateError("model has not been trained")
@@ -485,7 +486,7 @@ def sweep(
                     )
                 ood_sc = scores(concept_groups[spec.severity].X)
             else:
-                ood_sc = scores(corrupt(task.test, spec, task.seed)[0], reuse=True)
+                ood_sc = scores(corrupt(task.test, spec, task.seed)[0], reuse=spec.kind == "feature_dropout")
             id_sc = id_all
         for name in score_names:
             a, b = id_sc[name], ood_sc[name]

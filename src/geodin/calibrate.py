@@ -4,9 +4,11 @@ Calibration freezes the extractor and the class weights and retunes only the
 alpha/beta head parameters by minimizing NLL on a validation split.  Because
 the head rescales all logits by one positive factor, retuning can never
 change a prediction, and every score derived from the feature and the class
-weights is untouched.  The extractor therefore runs once per split: tuning,
-the before/after metrics and every cross-validation fold reuse those
-features.  Tuning also computes the head's plain part once, as ||f|| and
+weights is untouched.  The extractor therefore runs once per split, and
+only one split's features are alive at a time: the tuning split's serve
+tuning, its before/after metrics and every cross-validation fold, and are
+released before the first eval split is extracted; each eval split's, in
+turn, serve only its own before/after metrics.  Tuning also computes the head's plain part once, as ||f|| and
 the class gaps d = s - max_j s_j of s = F W^T, and steps only the
 multiplier m, on the training schedule ``train.minibatches`` over the
 alpha/beta slice of the head, without weight decay.  As m > 0, the logits
@@ -33,7 +35,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NumericError, UnsupportedVariantError
+from .errors import ConfigError, DataError, DomainError, NumericError, ShapeError, UnsupportedVariantError
 from .head import (
     HeadVariant,
     gap_cross_entropy,
@@ -298,9 +300,11 @@ def calibrate(model: Model, val_set, config: CalibConfig, eval_sets: dict | None
     Returns a new model (extractor and class weights copied unchanged) and a
     report with before/after accuracy, ECE, NLL on the tuning split and any
     extra named eval splits, plus k-fold cross-validation metrics when
-    config.folds >= 2.  Raises, before any tuning, DomainError for an empty
-    split or labels that are not one per row and IndexError for a label
-    outside [0, k), each naming the split; NumericError for non-finite
+    config.folds >= 2.  Raises, before any split is extracted or any head
+    tuned, DomainError for an eval split named "val", an empty split or
+    labels that are not one per row, IndexError for a label outside [0, k),
+    ShapeError for rows that are not d_in wide and DataError for a
+    non-finite row, each naming the split; NumericError for non-finite
     parameters, tuned parameters or logits.
     """
     config.validate()
@@ -310,32 +314,47 @@ def calibrate(model: Model, val_set, config: CalibConfig, eval_sets: dict | None
         raise UnsupportedVariantError(
             "vanilla heads have no alpha/beta parameters to tune; use temperature_scale"
         )
-    Xv, yv = val_set
-    Xv = np.asarray(Xv, dtype=np.float64)
-    yv = np.asarray(yv, dtype=np.int64)
-    splits = {"val": (Xv, yv), **(eval_sets or {})}
-    for name, (X, y) in splits.items():
-        n, y = len(np.atleast_2d(X)), np.asarray(y, dtype=np.int64)
+    eval_sets = eval_sets or {}
+    if "val" in eval_sets:
+        raise DomainError("split name 'val' is reserved for the tuning split")
+    splits = {}
+    for name, (X, y) in {"val": val_set, **eval_sets}.items():
+        X, y = np.atleast_2d(np.asarray(X, dtype=np.float64)), np.asarray(y, dtype=np.int64)
+        n = len(X)
         if n == 0:
             raise DomainError(f"split {name!r} is empty")
-        # Checked here, as ``_gaps`` would check them, so that a bad split fails before any tuning.
+        # Checked here, as ``_gaps`` and ``extract_features`` would check them, so that a bad split
+        # fails before any split is extracted or any head tuned.
         if y.shape != (n,):
             raise DomainError(f"split {name!r} has labels of shape {y.shape} for its {n} rows")
         if (y < 0).any() or (y >= model.head.n_classes).any():
             raise IndexError(f"split {name!r}: label out of range [0, {model.head.n_classes})")
+        if X.ndim != 2 or X.shape[1] != model.extractor.d_in:
+            raise ShapeError(
+                f"split {name!r}: input row shape {X.shape[1:]} does not match model d_in {model.extractor.d_in}"
+            )
+        finite = np.isfinite(X).all(axis=1)
+        if not finite.all():
+            raise DataError(f"split {name!r} row {int(np.argmin(finite))} is not finite")
+        splits[name] = (X, y)
+    Xv, yv = splits["val"]
     if config.folds > Xv.shape[0]:
         raise ConfigError(f"folds={config.folds} exceeds validation size {Xv.shape[0]}")
-    F = {name: extract_features(model, np.atleast_2d(X)) for name, (X, _) in splits.items()}
 
-    def metrics(name, head, rows=slice(None)):
-        return split_metrics(head_forward_batch(F[name][rows], head).logits, splits[name][1][rows])
+    def before_after(F, y, tuned_head, rows=slice(None)):
+        """The metrics of rows ``rows`` of a split, with features F and labels y, before and after tuning."""
+        return {
+            "before": split_metrics(head_forward_batch(F[rows], model.head).logits, y[rows]),
+            "after": split_metrics(head_forward_batch(F[rows], tuned_head).logits, y[rows]),
+        }
 
     pieces = np.array_split(next(shuffles(Xv.shape[0], config.seed, 3)), config.folds) if config.folds >= 2 else []
     row_sets = [np.arange(Xv.shape[0])] + [np.concatenate(pieces[:k] + pieces[k + 1 :]) for k in range(len(pieces))]
     # Row set 0 is the main run's and the rest are the folds' training rows; one stack tunes them all.
     order = sorted(range(len(row_sets)), key=lambda j: -len(row_sets[j]))  # longest first; the main run leads
+    F = extract_features(model, Xv)
     # The tuning split's gaps are made for this call only, so none of them outlive the tuning.
-    tuned, *results = _tune_head(model.head, _gap_split(F["val"], yv, model.head), [row_sets[j] for j in order], config)
+    tuned, *results = _tune_head(model.head, _gap_split(F, yv, model.head), [row_sets[j] for j in order], config)
     tuned_runs = {j: (tuned.like(tuned.flat[g]), *(r[g] for r in results)) for g, j in enumerate(order)}
     tuned_head, best_epoch, nll_before, nll_after = tuned_runs[0]
     if not np.all(np.isfinite(tuned_head.flat)):
@@ -349,19 +368,18 @@ def calibrate(model: Model, val_set, config: CalibConfig, eval_sets: dict | None
     new_model.meta["calibrated"] = True
 
     report = CalibrationReport(
-        splits={
-            name: {"before": metrics(name, model.head), "after": metrics(name, tuned_head)} for name in F
-        },
+        splits={"val": before_after(F, yv, tuned_head)},
         nll_before=float(nll_before),
         nll_after=float(nll_after),
         best_epoch=int(best_epoch),
+        folds=[{"fold": k, **before_after(F, yv, tuned_runs[k + 1][0], held)} for k, held in enumerate(pieces)],
     )
+    del F  # the tuning split's features end here; each eval split's live only for its own metrics
+    for name in eval_sets:
+        X, y = splits[name]
+        report.splits[name] = before_after(extract_features(model, X), y, tuned_head)
 
     if pieces:
-        for k, held in enumerate(pieces):
-            report.folds.append(
-                {"fold": k, "before": metrics("val", model.head, held), "after": metrics("val", tuned_runs[k + 1][0], held)}
-            )
         report.cv_mean, report.cv_std = {}, {}
         for key in (f.name for f in fields(SplitMetrics)):
             values = [getattr(fold["after"], key) for fold in report.folds]

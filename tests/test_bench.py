@@ -513,6 +513,34 @@ class TestStreamedSweep:
             # the clean split, then severity 5's subset in its middle block, then severity 1 and the noise
             assert rows == [B, B, B + 5] + [B, fewest, B + 5] + [B, B, B + 5] * 2
 
+    def test_blocks_of_the_other_covariate_kinds_run_whole(self, monkeypatch):
+        # Only feature_dropout's blocks are compared with the clean split's.  Smoothing leaves this
+        # split's zero rows as they are and changes its `fewest` live rows per block, which would clear
+        # the subset threshold; its blocks, like those of both noises, still run whole.
+        B, fewest = 512, whole_bits_rows(4)
+        model = init_model(TrainConfig(hidden=(64, 64), feature_dim=32, seed=5), d_in=24, n_classes=4)
+        rng = np.random.default_rng(5)
+        model.head.W[:] = rng.normal(0.0, 1.0, model.head.W.shape)
+        model.meta["trained"] = True
+        X = np.zeros((3 * B + 5, 24))
+        for blk in row_blocks(len(X), 4):
+            live = blk.start + rng.choice(blk.stop - blk.start, size=fewest, replace=False)
+            X[live] = rng.normal(0.0, 1.0, (fewest, 24))
+        task = dataclasses.replace(make_task(4, 24, 20, 0.3, seed=5), test=(X, np.zeros(len(X), dtype=np.int64)))
+        specs = [ShiftSpec(kind, 3) for kind in COVARIATE_KINDS if kind != "feature_dropout"]
+        smoothed = corrupt(task.test, ShiftSpec("smoothing", 3), task.seed)[0]
+        assert [int((smoothed[blk] != X[blk]).any(axis=1).sum()) for blk in row_blocks(len(X), 4)] == [fewest] * 3
+
+        rows = _extracted_rows(monkeypatch)
+        names = ["g", "h", "u", "msp", "energy"]
+        streamed, streamed_scores = _scored(monkeypatch, bench_module, lambda: sweep(model, task, names, specs))
+        one_shot, one_shot_scores = _scored(
+            monkeypatch, oracles, lambda: oracles.reference_sweep(model, task, names, specs)
+        )
+        assert streamed.rows == one_shot.rows
+        assert streamed_scores == one_shot_scores
+        assert rows == [B, B, B + 5] * (1 + len(specs))  # the clean split, then each kind's copy, block by block
+
     def test_the_wide_sweep_extracts_every_row_but_the_untouched_ones(self, monkeypatch):
         # The wide benchmark net (width 32, so 48 changed rows clear a block) on its 2560-row test split:
         # the clean split, 20 shifted copies and 5 concept groups of 400 rows are 55,760 rows in 110 blocks.
