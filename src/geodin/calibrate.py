@@ -8,10 +8,11 @@ weights is untouched.  The extractor therefore runs once per split, and
 only one split's features are alive at a time: the tuning split's serve
 tuning, its before/after metrics and every cross-validation fold, and are
 released before the first eval split is extracted; each eval split's, in
-turn, serve only its own before/after metrics.  Tuning also computes the head's plain part once, as ||f|| and
-the class gaps d = s - max_j s_j of s = F W^T, and steps only the
-multiplier m, on the training schedule ``train.minibatches`` over the
-alpha/beta slice of the head, without weight decay.  As m > 0, the logits
+turn, serve only its own before/after metrics.  Tuning also computes the
+head's plain part once, as ||f|| and the class gaps d = s - max_j s_j of
+s = F W^T, and steps only the multiplier m, on the training schedule
+``train.minibatches`` over the alpha/beta slice of the head, without weight
+decay.  As m > 0, the logits
 m * d have row max exactly 0: no tuning softmax takes a max or a shift, and
 a step needs only dL/dm (``head.gap_cross_entropy``).  ``_tune_head`` tunes
 the main run's head and the k folds' heads as one stack (see ``head``), in

@@ -342,6 +342,14 @@ class TestCalibrate:
         _, batch = calibrate(model, task.val, config, eval_sets={"one": (X[:1], y[:1])})
         assert row.splits["one"] == batch.splits["one"]
 
+    def test_single_sample_tuning_split(self, trained_task_model):
+        task, model = trained_task_model
+        X, y = task.test
+        config = CalibConfig(seed=21, folds=0, epochs=2)
+        _, row = calibrate(model, (X[0], y[:1]), config)
+        _, batch = calibrate(model, (X[:1], y[:1]), config)
+        assert row.to_dict() == batch.to_dict()
+
     def test_argmax_and_scores_immutable(self, trained_task_model):
         task, model = trained_task_model
         cal, _ = calibrate(model, task.val, CalibConfig(seed=21, folds=0))
