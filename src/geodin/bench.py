@@ -138,6 +138,10 @@ class ShiftsConfig:
         for name in self.scores:
             if name not in SCORE_NAMES:
                 raise ConfigError(f"unknown score {name!r}; known: {', '.join(SCORE_NAMES)}")
+        for key in ("kinds", "severities", "scores"):
+            repeated = [str(v) for v, n in Counter(getattr(self, key)).items() if n > 1]
+            if repeated:
+                raise ConfigError(f"repeated {key}: {', '.join(repeated)}")
 
     def specs(self, n_groups: int) -> list[ShiftSpec]:
         """The control, every kind at every severity, then n_groups concept groups."""

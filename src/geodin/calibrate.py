@@ -255,7 +255,7 @@ def _tune_head(head, val, rows, config: CalibConfig):
             F, d, fn, dy = (x[i : i + block] for x in val)
             t = multiplier_forward(F, d, fn, heads)
             gap_cross_entropy(t.logits, d, t.m, dy, out=nll[:, i : i + block])
-        return np.array([nll[g, r].sum() / len(r) for g, r in enumerate(rows)])  # head._mean's sum / n
+        return np.array([nll[g, r].sum() / len(r) for g, r in enumerate(rows)])  # sum / n, as in training's loss
 
     nll_before = full_nll()
     if not np.all(np.isfinite(nll_before)):

@@ -17,15 +17,15 @@ A plain part (s = F W^T, ||f||) and a multiplier part (m and its backward
 pass) make up the layer; calibration freezes F and W, so it computes the plain
 part once per split, as class gaps.  Every pass works on a feature batch (one
 sample is a one-row batch); the tests check the backward pass by finite
-differences.  The softmax cross-entropy comes in two forms: training's over
-logits (``softmax_cross_entropy_batch``) and calibration's over class gaps
-(``gap_cross_entropy``), with one m per row or one for a batch (a temperature).
+differences.  Training's softmax cross-entropy takes one (n, k) logit batch
+(``softmax_cross_entropy_batch``), calibration's the class gaps and one m per
+row or one per batch, a temperature (``gap_cross_entropy``).
 
-A HeadParams may stack heads along a leading axis of its flat vector; the
-multiplier part and the softmax cross-entropy then take batches with the
-same leading axis and pair slice g with head g.  Each slice runs the BLAS
-calls and reductions of an unstacked call, so the results are the per-head
-ones bit for bit; calibration tunes its cross-validation folds this way.
+A HeadParams may stack heads along a leading axis of its flat vector, as
+calibration does for its folds.  Only the multiplier part
+(``multiplier_forward``, ``head_backward_batch``) and ``gap_cross_entropy``
+take such batches, pairing slice g with head g; a slice runs an unstacked
+call's BLAS calls and reductions, and gives its bits.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ShapeError
-from .scores import EPS_NORM, row_norms, shifted_exp
+from .scores import EPS_NORM, row_norms
 
 
 class HeadVariant(str, Enum):
@@ -183,11 +183,10 @@ def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def multiplier(F: np.ndarray, fn: np.ndarray, params: HeadParams):
-    """(alpha, beta, m, degenerate rows, safe norm, alpha * safe norm) for a feature batch F of row norms fn.
+def multiplier_forward(F: np.ndarray, s: np.ndarray, fn: np.ndarray, params: HeadParams) -> BatchHeadTrace:
+    """The multiplier m and the logits m * s for a feature batch F whose plain part is (s, fn).
 
-    F is (..., n, D) and fn (..., n); leading axes match those of ``params.flat``.
-    The safe norm is fn with the degenerate rows set to 1 (see ``BatchHeadTrace``).
+    F is (..., n, D), s (..., n, k) and fn (..., n); leading axes match those of ``params.flat``.
     """
     variant = params.variant
     alpha = sigmoid(_matvec(F, params.alpha_w) + params.alpha_b[..., None]) if variant.has_alpha else np.ones_like(fn)
@@ -197,12 +196,6 @@ def multiplier(F: np.ndarray, fn: np.ndarray, params: HeadParams):
     alpha_norm = alpha * safe_norm
     inv_alpha = 1.0 / alpha
     m = np.where(degenerate, inv_alpha, inv_alpha + beta / alpha_norm)
-    return alpha, beta, m, degenerate, safe_norm, alpha_norm
-
-
-def multiplier_forward(F: np.ndarray, s: np.ndarray, fn: np.ndarray, params: HeadParams) -> BatchHeadTrace:
-    """``multiplier`` and the logits m * s for a feature batch F whose plain part is (s, fn), of shape (..., n, k)."""
-    alpha, beta, m, degenerate, safe_norm, alpha_norm = multiplier(F, fn, params)
     return BatchHeadTrace(alpha, beta, m, m[..., None] * s, s, fn, degenerate, safe_norm, alpha_norm)
 
 
@@ -279,28 +272,22 @@ def head_backward_batch(
     return grad, grad_F
 
 
-def _row_nll(shifted: np.ndarray, esum: np.ndarray, y: np.ndarray):
-    """log(esum) - shifted[label] per row, and the index of the picked logits."""
-    pick = (*np.indices(y.shape, sparse=True), y)
-    return np.log(esum) - shifted[pick], pick
-
-
-def _mean(nll: np.ndarray):
-    return nll.sum(axis=-1) / nll.shape[-1]  # np.mean's sum and division, without its per-call wrapper
-
-
 def softmax_cross_entropy_batch(logits: np.ndarray, labels):
-    """Mean softmax cross-entropy of a logit batch (..., n, k) against its labels, and its gradient wrt every logit.
+    """Mean softmax cross-entropy of a logit batch (n, k) against its labels, and its gradient wrt every logit.
 
     The labels must lie in [0, k): this per-step call does not check them,
     and a negative one silently picks from the end of its row.  ``train``
     checks its labels once per run.
     """
-    shifted, e, esum = shifted_exp(logits)
-    nll, pick = _row_nll(shifted, esum, np.asarray(labels))
-    grad = e / esum[..., None]
+    n = len(logits)
+    shifted = logits - logits.max(axis=1)[:, None]
+    e = np.exp(shifted)
+    esum = e.sum(axis=1)
+    pick = (np.arange(n), labels)
+    nll = np.log(esum) - shifted[pick]
+    grad = e / esum[:, None]
     grad[pick] -= 1.0
-    return _mean(nll), grad / shifted.shape[-2]
+    return nll.sum() / n, grad / n
 
 
 def gap_cross_entropy(

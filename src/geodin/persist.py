@@ -253,24 +253,30 @@ def read_report(path) -> DetectionReport:
         rows = doc.get("rows", []) if isinstance(doc, dict) else None
         if not isinstance(rows, list):
             raise FormatError(f"{path}: a JSON report must be an object with a list of rows")
+        for d in rows:
+            if isinstance(d, dict) and any(type(d.get(f)) is not int for f, t in _REPORT_TYPES.items() if t is int):
+                raise FormatError(f"{path}: report row {d!r} has an integer field that is not a JSON integer")
         return DetectionReport(rows=[_row_from_dict(d, path) for d in rows], config=doc.get("config"))
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != list(REPORT_FIELDS):
-                raise FormatError(f"{path}: unexpected report header {header}")
-            rows = [_row_from_dict(dict(zip(REPORT_FIELDS, line)), path) for line in reader if line]
+            reader = csv.DictReader(fh)
+            if reader.fieldnames != list(REPORT_FIELDS):
+                raise FormatError(f"{path}: unexpected report header {reader.fieldnames}")
+            rows = [_row_from_dict(d, path) for d in reader]
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not a UTF-8 CSV report ({exc})") from None
     return DetectionReport(rows=rows)
 
 
 def _row_from_dict(d: dict, path) -> ReportRow:
-    try:
+    try:  # a short CSV row's missing cells are None, so int() fails at its last, the seed
         row = ReportRow(**{f: _REPORT_TYPES[f](d[f]) for f in REPORT_FIELDS})
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed report row {d!r} ({exc})") from None
+    if None in d:  # csv.DictReader's key for the cells past the header's
+        raise FormatError(f"{path}: report row {d!r} has more cells than the header")
+    if row.n_id < 1 or row.n_ood < 1:
+        raise FormatError(f"{path}: report row {d!r} has a count below 1")
     if not all(0.0 <= getattr(row, f) <= 1.0 for f, t in _REPORT_TYPES.items() if t is float):
         raise FormatError(f"{path}: report row {d!r} has a rate that is not a finite number in [0, 1]")
     return row

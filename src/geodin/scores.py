@@ -49,20 +49,6 @@ def row_norms(F: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(F * F, axis=1))
 
 
-def shifted_exp(logits, lmax=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Max-shifted logits, their exponentials and the exponentials' sum, over the last axis.
-
-    The one overflow-safe core of softmax (``e / esum``), log-sum-exp
-    (``max + log(esum)``) and cross-entropy (``log(esum) - shifted[label]``).
-    ``lmax``, if given, must be the exact row max ``logits.max(axis=-1)`` that
-    a caller holds: ``score_batch`` passes the max it takes for u and the energy.
-    """
-    l = np.asarray(logits, dtype=np.float64)
-    shifted = l - (l.max(axis=-1) if lmax is None else lmax)[..., None]
-    e = np.exp(shifted)
-    return shifted, e, e.sum(axis=-1)
-
-
 def score_batch(F, W) -> dict[str, np.ndarray]:
     """Scores for a feature batch F (n, D) against class weights W (M, D).
 
@@ -82,5 +68,5 @@ def score_batch(F, W) -> dict[str, np.ndarray]:
     fn = row_norms(F)
     u = np.maximum(0.0, lmax - logits.mean(axis=1))
     h = np.divide(u, fn, out=np.zeros_like(u), where=fn >= EPS_NORM)
-    esum = shifted_exp(logits, lmax)[2]  # one shifted exp serves msp and energy
+    esum = np.exp(logits - lmax[:, None]).sum(axis=1)  # one shifted exp serves msp and energy
     return {"g": fn, "h": h, "u": u, "msp": 1.0 / esum, "energy": lmax + np.log(esum)}

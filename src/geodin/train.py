@@ -312,6 +312,8 @@ def init_model(config: TrainConfig, d_in: int, n_classes: int) -> Model:
     config.validate()
     if n_classes < 2:
         raise ConfigError(f"need at least 2 classes, got {n_classes}")
+    if d_in < 1:
+        raise ConfigError(f"need at least 1 input feature, got d_in={d_in}")
     rng = np.random.default_rng(config.seed)
     extractor = ExtractorParams.initial(d_in, config.hidden, config.feature_dim, rng)
     head = HeadParams.initial(config.feature_dim, n_classes, config.variant, rng)

@@ -25,8 +25,8 @@ import numpy as np
 
 from geodin.bench import CONCEPT_KIND, DetectionReport, ReportRow, auroc, corrupt, tnr_at_tpr95
 from geodin.errors import ConfigError, DomainError, NumericError
-from geodin.head import head_backward_batch, head_forward_batch, multiplier, multiplier_forward
-from geodin.scores import score_batch, shifted_exp
+from geodin.head import head_backward_batch, head_forward_batch, multiplier_forward
+from geodin.scores import score_batch
 from geodin.train import extract_features, init_model, loss_and_grads, minibatches, momentum_step, unit_rows
 
 EPS_NORM = 1e-12
@@ -122,8 +122,16 @@ def score_set(f, W) -> ScoreSet:
     return ScoreSet(**{name: float(values[0]) for name, values in scores.items()})
 
 
+def shifted_exp(logits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Max-shifted logits, their exponentials and the exponentials' sum, over the last axis."""
+    l = np.asarray(logits, dtype=np.float64)
+    shifted = l - l.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return shifted, e, e.sum(axis=-1)
+
+
 def msp_energy(logits) -> tuple[np.ndarray, np.ndarray]:
-    """(MSP, energy) over the last axis of the logits, from the engine's shifted exponentials.
+    """(MSP, energy) over the last axis of the logits, from ``shifted_exp``.
 
     Each takes its own max: MSP is ``e.max / esum`` and energy ``l.max + log(esum)``.
     """
@@ -147,7 +155,7 @@ def energy_score(logits):
 
 
 def softmax_probs(logits) -> np.ndarray:
-    """Softmax over the last axis: e / esum from the engine's shifted exponentials."""
+    """Softmax over the last axis: e / esum from ``shifted_exp``."""
     _, e, esum = shifted_exp(logits)
     return e / esum[..., None]
 
@@ -337,7 +345,7 @@ def reference_sweep(model, task, score_names, specs, concept_groups=None) -> Det
 
 def reference_gap_nll(head, F, d, fn, dy):
     """Each row's softmax cross-entropy of the logits m * d, as log(sum_j exp(m d_j)) - m d_y, in one shot."""
-    m = multiplier(F, fn, head)[2]
+    m = multiplier_forward(F, d, fn, head).m
     return np.subtract(np.log(np.exp(m[..., None] * d).sum(axis=-1)), m * dy)
 
 

@@ -406,6 +406,11 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep(model, task, ["mahalanobis"], [ShiftSpec("none", 0)])
 
+    def test_repeated_score_rejected(self, small_trained):
+        task, model = small_trained
+        with pytest.raises(ConfigError, match="repeated scores: g"):
+            sweep(model, task, ["g", "g"], [ShiftSpec("none", 0)])
+
     def test_deterministic(self, small_trained):
         task, model = small_trained
         specs = [ShiftSpec("gaussian_noise", s) for s in (1, 3, 5)] + [ShiftSpec("none", 0)]

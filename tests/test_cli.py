@@ -12,7 +12,7 @@ from geodin.calibrate import CalibConfig
 from geodin.cli import main
 from geodin.config import load_run_config
 from geodin.errors import ConfigError
-from geodin.persist import fnv1a64, load_model, read_report, save_model
+from geodin.persist import REPORT_FIELDS, fnv1a64, load_model, read_report, save_model
 from geodin.train import TrainConfig, init_model
 
 calibrate_module = importlib.import_module("geodin.calibrate")  # the package's `calibrate` is the function
@@ -154,6 +154,9 @@ INVALID_CONFIGS = {
     "inf_weight_decay": (["train.weight_decay=inf"], "weight_decay"),
     "inf_noise": (["task.noise=inf"], "noise"),
     "calibrate_momentum": (["calibrate.momentum=1.5"], "momentum"),
+    "repeated_kinds": (["shifts.kinds=gaussian_noise,smoothing,smoothing"], "repeated kinds: smoothing"),
+    "repeated_severities": (["shifts.severities=2,4,2"], "repeated severities: 2"),
+    "repeated_scores": (["shifts.scores=g,u,g,u"], "repeated scores: g, u"),
 }
 
 
@@ -303,6 +306,15 @@ class TestCmdDetect:
         argv = ["detect", "--config", str(config_file), "--checkpoint", str(trained_checkpoint)]
         assert main([*argv, "--set", "shifts.scores=", "--out", str(out)]) == 2
         assert "at least one score" in capsys.readouterr().err
+        assert not out.with_suffix(".csv").exists() and not out.with_suffix(".json").exists()
+
+    def test_repeated_shift_entries_exit_2(self, config_file, trained_checkpoint, tmp_path, capsys):
+        # Each of these used to compute the same cell again and write its rows once more.
+        out = tmp_path / "rep"
+        argv = ["detect", "--config", str(config_file), "--checkpoint", str(trained_checkpoint), "--out", str(out)]
+        overrides = ["shifts.scores=g,g", "shifts.kinds=smoothing,smoothing", "shifts.severities=2,2"]
+        assert main([*argv, *(a for o in overrides for a in ("--set", o))]) == 2
+        assert "repeated kinds: smoothing" in capsys.readouterr().err
         assert not out.with_suffix(".csv").exists() and not out.with_suffix(".json").exists()
 
     @pytest.mark.parametrize("emptied", ["shifts.kinds=", "shifts.severities="])
@@ -550,7 +562,22 @@ class TestCmdSplits:
         assert not (tmp_path / "m.godn").exists() and not (tmp_path / "s.csv").exists()
 
 
+HEADER = ",".join(REPORT_FIELDS)
+
+
+def json_row(**changed) -> bytes:
+    """A one-row JSON report, valid but for ``changed``."""
+    row = dict(score="g", shift_kind="none", severity=0, auroc=0.5, tnr_at_tpr95=0.5, n_id=10, n_ood=10, seed=0)
+    return json.dumps({"rows": [{**row, **changed}]}).encode()
+
+
 class TestCmdReportMerge:
+    def test_the_valid_one_row_reports_read(self, tmp_path):
+        (tmp_path / "a.csv").write_text(f"{HEADER}\ng,none,0,0.5,0.5,10,10,0\n", encoding="utf-8")
+        (tmp_path / "a.json").write_bytes(json_row())
+        assert read_report(tmp_path / "a.csv").rows == read_report(tmp_path / "a.json").rows
+        assert read_report(tmp_path / "a.csv").rows[0].n_id == 10
+
     def test_merge(self, config_file, trained_checkpoint, tmp_path):
         r1, r2 = tmp_path / "r1", tmp_path / "r2"
         main(["detect", "--config", str(config_file), "--checkpoint", str(trained_checkpoint), "--out", str(r1)])
@@ -589,8 +616,21 @@ class TestCmdReportMerge:
             ("list.json", b"[1, 2]"),
             ("rows.json", b'{"rows": [1]}'),
             ("latin1.csv", "score,shift_kind\n\xe9\n".encode("latin-1")),
+            ("long.csv", f"{HEADER}\ng,none,0,0.5,0.5,10,10,0,7\n".encode()),
+            ("short.csv", f"{HEADER}\ng,none,0,0.5,0.5,10,10\n".encode()),
+            ("negative.csv", f"{HEADER}\ng,none,0,0.5,0.5,-5,10,0\n".encode()),
+            ("float_count.json", json_row(n_id=3.7)),
+            ("integral_float.json", json_row(n_ood=10.0)),
+            ("string_count.json", json_row(n_id="10")),
+            ("bool_severity.json", json_row(severity=True)),
+            ("negative.json", json_row(n_id=-5)),
+            ("zero.json", json_row(n_ood=0)),
         ],
-        ids=["invalid_json", "top_level_list", "row_not_object", "not_utf8_csv"],
+        ids=[
+            "invalid_json", "top_level_list", "row_not_object", "not_utf8_csv", "extra_cell_csv", "missing_cell_csv",
+            "negative_count_csv", "float_count_json", "integral_float_count_json", "string_count_json",
+            "bool_severity_json", "negative_count_json", "zero_count_json",
+        ],
     )
     def test_unreadable_report_exit_3(self, tmp_path, capsys, name, content):
         path = tmp_path / name

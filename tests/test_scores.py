@@ -13,7 +13,7 @@ import pytest
 import oracles
 from geodin.bench import make_task
 from geodin.errors import DomainError, ShapeError
-from geodin.scores import EPS_NORM, row_norms, score_batch, shifted_exp
+from geodin.scores import EPS_NORM, row_norms, score_batch
 from geodin.train import TrainConfig, extract_features, train
 from oracles import energy_score, kl_from_uniform, msp_score, score_set, softmax_probs
 
@@ -162,27 +162,7 @@ class TestEnergyScore:
 
 
 class TestGivenRowMax:
-    """``shifted_exp`` with a row max the caller holds, and ``score_batch``'s one max per row."""
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_max_of_scaled_logits_is_the_scaled_max(self):
-        # For m >= 1, max_j fl(m s_j) is fl(m max_j s_j), bit for bit: a row max a caller can hold.
-        rng = np.random.default_rng(30)
-        s = rng.normal(0.0, 1.0, (5, 84, 9))
-        m = 1.0 + rng.exponential(3.0, (5, 84))
-        s[:, 0::6, 3] = s[:, 0::6, 5] = s[:, 0::6].max(axis=-1)  # ties at the max
-        s[:, 1::6] = 0.0
-        s[:, 1::6, ::2] = -0.0  # rows of +0 and -0 only
-        s[:, 2::6] = -0.0
-        s[:, 3::6] *= 1e306  # these products overflow to +-inf
-        m[:, 3::6] = 1e3
-        m[:, 4::6] = 1.0
-        l = m[..., None] * s
-        assert np.isinf(l).any() and np.signbit(l[:, 2::6].max(axis=-1)).all()
-        assert l.max(axis=-1).tobytes() == (m * s.max(axis=-1)).tobytes()
-        given = shifted_exp(l, m * s.max(axis=-1))
-        for ours, taken in zip(given, shifted_exp(l)):
-            assert ours.tobytes() == taken.tobytes()
+    """``score_batch``'s one max per row serves u, msp and energy."""
 
     @pytest.mark.parametrize("case", ["random", "all_equal", "wide_gap"])
     def test_score_batch_msp_energy_match_the_per_score_max(self, case):

@@ -189,6 +189,13 @@ class TestTrainConfig:
             with pytest.raises(ConfigError, match="labels out of range"):
                 train(TrainConfig(epochs=1, hidden=(4,), feature_dim=2), (X, y), n_classes=n_classes)
 
+    def test_inputs_without_features_rejected(self):
+        # ExtractorParams.initial used to divide by d_in and raise a bare ZeroDivisionError.
+        with pytest.raises(ConfigError, match="d_in=0"):
+            train(TrainConfig(), (np.zeros((4, 0)), np.array([0, 1, 0, 1])))
+        with pytest.raises(ConfigError, match="d_in=-1"):
+            init_model(TrainConfig(), d_in=-1, n_classes=2)
+
     def test_unknown_variant_rejected(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ConfigError, match="bogus"):
