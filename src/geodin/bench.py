@@ -451,8 +451,13 @@ def sweep(
     """
     if not model.meta.get("trained"):
         raise StateError("model has not been trained")
-    score_names = list(score_names)
+    score_names, specs = list(score_names), list(specs)
     ShiftsConfig(scores=tuple(score_names)).validate()
+    concept = [spec.severity for spec in specs if spec.kind == CONCEPT_KIND]
+    if concept and not concept_groups:
+        raise ConfigError("concept_split specs require concept groups")
+    if concept and max(concept) >= len(concept_groups):
+        raise ConfigError(f"concept group {max(concept)} out of range ({len(concept_groups)} groups)")
 
     W = model.head.W
     width = min(*model.extractor.dims[1:], model.head.n_classes)
@@ -482,12 +487,6 @@ def sweep(
             ood_sc = {k: v[1::2] for k, v in id_all.items()}
         else:
             if spec.kind == CONCEPT_KIND:
-                if not concept_groups:
-                    raise ConfigError("concept_split specs require concept groups")
-                if spec.severity >= len(concept_groups):
-                    raise ConfigError(
-                        f"concept group {spec.severity} out of range ({len(concept_groups)} groups)"
-                    )
                 ood_sc = scores(concept_groups[spec.severity].X)
             else:
                 ood_sc = scores(corrupt(task.test, spec, task.seed)[0], reuse=spec.kind == "feature_dropout")

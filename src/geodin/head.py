@@ -73,48 +73,28 @@ class HeadParams:
     shape ``(..., HeadParams.size(n_classes, d_feature))``, without copying;
     leading axes stack heads of one shape and variant.  The last axis holds
     W (k x D, row-major), alpha_w, alpha_b, beta_w, beta_b in that order,
-    which is also the checkpoint's order.  W, alpha_w and beta_w are views
-    into it that keep the leading axes; alpha_b and beta_b read and write
-    ``flat[..., i]`` (a scalar for one head).  W has no bias row: the
-    geometric factorization of the logits assumes pure inner products.
-    Gradients come in the same layout.
+    which is also the checkpoint's order; ShapeError for any other length.
+    All five parts are views into it that keep the leading axes (alpha_b and
+    beta_b are 0-d for one head), so writes go through ``part[...] =``.  W
+    has no bias row: the geometric factorization of the logits assumes pure
+    inner products.  Gradients come in the same layout.
     """
 
     def __init__(self, flat: np.ndarray, n_classes: int, d_feature: int, variant):
         k, d = n_classes, d_feature
+        if flat.shape[-1:] != (HeadParams.size(k, d),):
+            raise ShapeError(f"head buffer of shape {flat.shape} for {HeadParams.size(k, d)} parameters")
         self.flat = flat
         self.variant = HeadVariant(variant)
         self.W = flat[..., : k * d].reshape(*flat.shape[:-1], k, d)
         self.alpha_w = flat[..., k * d : (k + 1) * d]
+        self.alpha_b = flat[..., (k + 1) * d : (k + 1) * d + 1].squeeze(-1)
         self.beta_w = flat[..., (k + 1) * d + 1 : (k + 2) * d + 1]
+        self.beta_b = flat[..., -1:].squeeze(-1)
 
     @staticmethod
     def size(n_classes: int, d_feature: int) -> int:
         return (n_classes + 2) * d_feature + 2
-
-    @classmethod
-    def initial(cls, d_feature: int, n_classes: int, variant: HeadVariant, rng: np.random.Generator) -> "HeadParams":
-        """W ~ U(-1/sqrt(D), 1/sqrt(D)); zeroed heads so alpha=0.5, beta=softplus(0)."""
-        head = cls(np.zeros(cls.size(n_classes, d_feature)), n_classes, d_feature, variant)
-        bound = 1.0 / np.sqrt(d_feature)
-        head.W[:] = rng.uniform(-bound, bound, size=head.W.shape)
-        return head
-
-    @property
-    def alpha_b(self):
-        return self.flat[..., (self.n_classes + 1) * self.d_feature][()]  # [()] makes one head's a scalar
-
-    @alpha_b.setter
-    def alpha_b(self, value) -> None:
-        self.flat[..., (self.n_classes + 1) * self.d_feature] = value
-
-    @property
-    def beta_b(self):
-        return self.flat[..., -1][()]
-
-    @beta_b.setter
-    def beta_b(self, value) -> None:
-        self.flat[..., -1] = value
 
     @property
     def n_classes(self) -> int:
@@ -244,7 +224,7 @@ def head_backward_batch(
         # dm/dalpha = -m/alpha, dalpha/dz = alpha(1-alpha)
         ga = us * (-m / alpha) * alpha * (1.0 - alpha)
         np.matmul(Ft, ga[..., None], out=grad.alpha_w[..., None])
-        grad.alpha_b = np.add.reduce(ga, axis=-1)
+        grad.alpha_b[...] = np.add.reduce(ga, axis=-1)
     if variant.has_beta:
         # dm/dbeta = 1/(alpha*||f||), dbeta/dz = sigmoid(z) = 1 - exp(-beta)
         dbeta_dz = -np.expm1(-beta)
@@ -252,7 +232,7 @@ def head_backward_batch(
         gb /= trace.alpha_norm
         gb[d] = 0.0
         np.matmul(Ft, gb[..., None], out=grad.beta_w[..., None])
-        grad.beta_b = np.add.reduce(gb, axis=-1)
+        grad.beta_b[...] = np.add.reduce(gb, axis=-1)
     if grad_m is not None:
         return grad, None
 

@@ -42,6 +42,7 @@ _HEADER = struct.Struct("<QIIII")  # seed, flags, variant code, d_in, n_hidden
 
 _REPORT_TYPES = get_type_hints(ReportRow)  # field name -> type, in ReportRow's field order
 REPORT_FIELDS = tuple(_REPORT_TYPES)
+_JSON_TYPES = {str: (str,), float: (int, float), int: (int,)}  # a field type's JSON values, as parsed; never bool
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -254,8 +255,9 @@ def read_report(path) -> DetectionReport:
         if not isinstance(rows, list):
             raise FormatError(f"{path}: a JSON report must be an object with a list of rows")
         for d in rows:
-            if isinstance(d, dict) and any(type(d.get(f)) is not int for f, t in _REPORT_TYPES.items() if t is int):
-                raise FormatError(f"{path}: report row {d!r} has an integer field that is not a JSON integer")
+            bad = isinstance(d, dict) and [f for f, t in _REPORT_TYPES.items() if type(d.get(f)) not in _JSON_TYPES[t]]
+            if bad:
+                raise FormatError(f"{path}: report row {d!r} has fields of the wrong JSON type: {', '.join(bad)}")
         return DetectionReport(rows=[_row_from_dict(d, path) for d in rows], config=doc.get("config"))
     try:
         with open(path, newline="", encoding="utf-8") as fh:

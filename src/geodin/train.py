@@ -98,11 +98,14 @@ class ExtractorParams:
     ``ExtractorParams.size(dims)`` elements for widths dims = [d_in,
     *hidden, d_feature], without copying.  It holds each layer's W (out x
     in, row-major) and then its b, first layer first; ``layers`` lists (W, b)
-    views into it.  A checkpoint's array section is this vector followed by
-    HeadParams.flat.  Gradients come in the same layout.
+    views into it.  ShapeError for a vector of any other length.  A
+    checkpoint's array section is this vector followed by HeadParams.flat.
+    Gradients come in the same layout.
     """
 
     def __init__(self, flat: np.ndarray, dims: Sequence[int]):
+        if flat.shape != (ExtractorParams.size(dims),):
+            raise ShapeError(f"extractor buffer of shape {flat.shape} for {ExtractorParams.size(dims)} parameters")
         self.flat = flat
         self.layers = []
         pos = 0
@@ -115,18 +118,6 @@ class ExtractorParams:
     @staticmethod
     def size(dims: Sequence[int]) -> int:
         return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
-
-    @classmethod
-    def initial(
-        cls, d_in: int, hidden: Sequence[int], d_feature: int, rng: np.random.Generator
-    ) -> "ExtractorParams":
-        """Each W ~ U(-1/sqrt(fan_in), 1/sqrt(fan_in)), first layer first; zero biases."""
-        dims = [d_in, *hidden, d_feature]
-        params = cls(np.zeros(cls.size(dims)), dims)
-        for W, _ in params.layers:
-            bound = 1.0 / math.sqrt(W.shape[1])
-            W[:] = rng.uniform(-bound, bound, size=W.shape)
-        return params
 
     @property
     def dims(self) -> list[int]:
@@ -308,15 +299,24 @@ def extractor_backward(
 
 
 def init_model(config: TrainConfig, d_in: int, n_classes: int) -> Model:
-    """Untrained model with the documented parameter draw order."""
+    """Untrained model: every W ~ U(-1/sqrt(fan_in), 1/sqrt(fan_in)), every other parameter 0.
+
+    One ``default_rng(config.seed)`` draws the extractor's W first layer
+    first, then the head's W (fan_in D); the zeroed alpha/beta heads start
+    at alpha = 0.5 and beta = softplus(0).
+    """
     config.validate()
     if n_classes < 2:
         raise ConfigError(f"need at least 2 classes, got {n_classes}")
     if d_in < 1:
         raise ConfigError(f"need at least 1 input feature, got d_in={d_in}")
+    dims, d = [d_in, *config.hidden, config.feature_dim], config.feature_dim
+    extractor = ExtractorParams(np.zeros(ExtractorParams.size(dims)), dims)
+    head = HeadParams(np.zeros(HeadParams.size(n_classes, d)), n_classes, d, config.variant)
     rng = np.random.default_rng(config.seed)
-    extractor = ExtractorParams.initial(d_in, config.hidden, config.feature_dim, rng)
-    head = HeadParams.initial(config.feature_dim, n_classes, config.variant, rng)
+    for W in [*(w for w, _ in extractor.layers), head.W]:
+        bound = 1.0 / math.sqrt(W.shape[1])
+        W[:] = rng.uniform(-bound, bound, size=W.shape)
     return Model(extractor, head, {"seed": int(config.seed), "trained": False})
 
 

@@ -6,7 +6,8 @@ explicit scalar inner products and norms instead of numpy reductions, so
 that a test comparing ``score_batch`` with them does not compare the code
 with itself.  The checksum reference is the byte-at-a-time FNV-1a loop.  The
 gradient oracle differentiates its own batched forward pass numerically.
-The training oracle is the SGD loop that projects and allocates afresh on
+The init oracle draws every weight matrix from one seeded generator in
+checkpoint order.  The training oracle is the SGD loop that projects and allocates afresh on
 every step, the tuning oracle the calibration loop run one head at a time on
 a copy of its own rows, with the gap softmax written out, and the inference
 oracle the forward pass that takes the whole batch at once, as do the
@@ -299,6 +300,22 @@ def reference_forward(params, X):
     return a
 
 
+def reference_init(config, d_in: int, n_classes: int) -> np.ndarray:
+    """An untrained model's parameters as one vector in checkpoint order: extractor, then head.
+
+    One ``default_rng(config.seed)`` draws each extractor layer's W, first
+    layer first, then the head's W, each from U(-1/sqrt(fan_in),
+    1/sqrt(fan_in)) and row-major; every other parameter is 0.
+    """
+    rng = np.random.default_rng(config.seed)
+    dims, D = [d_in, *config.hidden, config.feature_dim], config.feature_dim
+    parts = []
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        parts += [rng.uniform(-1 / math.sqrt(fan_in), 1 / math.sqrt(fan_in), fan_out * fan_in), np.zeros(fan_out)]
+    parts += [rng.uniform(-1 / math.sqrt(D), 1 / math.sqrt(D), n_classes * D), np.zeros(2 * D + 2)]
+    return np.concatenate(parts)
+
+
 def model_logits(model, X) -> np.ndarray:
     """The logits of a whole input batch (or one sample, as a one-row batch) in one head forward pass."""
     F = extract_features(model, np.atleast_2d(np.asarray(X, dtype=np.float64)))
@@ -406,12 +423,12 @@ def reference_head_backward(trace, F, params, grad_logits=None, grad_m=None):
     if variant.has_alpha:
         ga = us * (-m / alpha) * alpha * (1.0 - alpha)
         grad.alpha_w[:] = (Ft @ ga[..., None])[..., 0]
-        grad.alpha_b = np.add.reduce(ga, axis=-1)
+        grad.alpha_b[...] = np.add.reduce(ga, axis=-1)
     if variant.has_beta:
         gb = us * -np.expm1(-beta) / (alpha * safe_fn)
         gb = np.where(d, 0.0, gb)
         grad.beta_w[:] = (Ft @ gb[..., None])[..., 0]
-        grad.beta_b = np.add.reduce(gb, axis=-1)
+        grad.beta_b[...] = np.add.reduce(gb, axis=-1)
     if grad_logits is None:
         return grad, None
     mU = m[..., None] * grad_logits

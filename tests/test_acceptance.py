@@ -112,9 +112,9 @@ def test_c3_gradient_suite():
                 b += rng.normal(0.0, 0.2, b.shape)
             model.head.W += rng.normal(0.0, 0.3, model.head.W.shape)
             model.head.alpha_w += rng.normal(0.0, 0.3, 5)
-            model.head.alpha_b = float(rng.normal(0.0, 0.4))
+            model.head.alpha_b[...] = float(rng.normal(0.0, 0.4))
             model.head.beta_w += rng.normal(0.0, 0.3, 5)
-            model.head.beta_b = float(rng.normal(0.0, 0.4))
+            model.head.beta_b[...] = float(rng.normal(0.0, 0.4))
             sample = (rng.normal(0.0, 1.0, 4), int(rng.integers(3)))
             err = full_gradient_check(model, sample, eps=1e-5)
             worst = max(worst, err)
@@ -136,9 +136,9 @@ def test_c4_order_preserving_suite():
         params = HeadParams(np.zeros(HeadParams.size(m, d)), m, d, HeadVariant.ALPHA_BETA)
         params.W[:] = rng.normal(0.0, 0.7, (m, d))
         params.alpha_w[:] = rng.normal(0.0, 0.5, d)
-        params.alpha_b = float(rng.normal(0.0, 0.5))
+        params.alpha_b[...] = float(rng.normal(0.0, 0.5))
         params.beta_w[:] = rng.normal(0.0, 0.5, d)
-        params.beta_b = float(rng.normal(0.0, 0.5))
+        params.beta_b[...] = float(rng.normal(0.0, 0.5))
         F = rng.uniform(1e-6, 2.0, (500, d))
         trace = head_forward_batch(F, params)
         vanilla = F @ params.W.T

@@ -388,6 +388,15 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep(model, task, ["g"], [ShiftSpec("concept_split", 0)])
 
+    @pytest.mark.parametrize("with_groups", [False, True], ids=["no_groups", "group_out_of_range"])
+    def test_concept_specs_checked_before_any_extraction(self, monkeypatch, small_trained, with_groups):
+        task, model = small_trained
+        groups = make_concept_groups(task, 3, 2, 40, (0.65, 0.785, 0.92)) if with_groups else None
+        rows = _extracted_rows(monkeypatch)
+        with pytest.raises(ConfigError, match="concept"):
+            sweep(model, task, ["g"], [ShiftSpec("gaussian_noise", 1), ShiftSpec("concept_split", 9)], groups)
+        assert rows == []
+
     def test_untrained_model_rejected(self, small_trained):
         task, _ = small_trained
         fresh = init_model(TrainConfig(hidden=(24,), feature_dim=8, seed=0), d_in=10, n_classes=4)

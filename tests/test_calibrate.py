@@ -408,9 +408,9 @@ class TestCalibrate:
         task, model = trained_task_model
         broken = _inflated(model)
         if fault == "inf_parameter":
-            broken.head.beta_b = math.inf
+            broken.head.beta_b[...] = math.inf
         elif fault == "overflowing_logits":
-            broken.head.alpha_b = -800.0  # alpha underflows to 0, so m = 1/alpha is inf
+            broken.head.alpha_b[...] = -800.0  # alpha underflows to 0, so m = 1/alpha is inf
             steps = []
             monkeypatch.setattr(calibrate_module, "momentum_step", lambda *args: steps.append(args))
         else:
@@ -418,7 +418,7 @@ class TestCalibrate:
 
             def inf_tuned_head(*args):
                 head, *rest = tune(*args)
-                head.alpha_b = math.inf
+                head.alpha_b[...] = math.inf
                 return (head, *rest)
 
             monkeypatch.setattr(calibrate_module, "_tune_head", inf_tuned_head)
@@ -583,7 +583,8 @@ class TestStackedFolds:
 def _synthetic_split(rows: int, d: int = 12, k: int = 6, seed: int = 0, variant=HeadVariant.ALPHA_BETA):
     """A random head and a tuning split (F, d, ||f||, d_y) of ``rows`` rows for it."""
     rng = np.random.default_rng(seed)
-    head = HeadParams.initial(d, k, variant, rng)
+    head = HeadParams(np.zeros(HeadParams.size(k, d)), k, d, variant)
+    head.W[:] = rng.uniform(-1.0 / np.sqrt(d), 1.0 / np.sqrt(d), size=head.W.shape)
     head.alpha_w[:] = rng.normal(0.0, 0.3, d)
     head.beta_w[:] = rng.normal(0.0, 0.3, d)
     F = np.abs(rng.normal(0.0, 1.0, (rows, d)))
@@ -694,7 +695,8 @@ def recorded(*args, **kwargs):
 calibrate.gap_cross_entropy = recorded
 for seed in (1, 4):
     rng = np.random.default_rng(seed)
-    head = HeadParams.initial(64, 4, HeadVariant.ALPHA_BETA, rng)
+    head = HeadParams(np.zeros(HeadParams.size(4, 64)), 4, 64, HeadVariant.ALPHA_BETA)
+    head.W[:] = rng.uniform(-1.0 / 8.0, 1.0 / 8.0, size=head.W.shape)
     head.alpha_w[:] = rng.normal(0.0, 0.1, 64)
     head.beta_w[:] = rng.normal(0.0, 0.1, 64)
     F = rng.uniform(0.0, 1.0, (9001, 64))
@@ -730,7 +732,7 @@ class TestGapTuning:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_underflowing_alpha_raises_the_same_numeric_error(self):
         head, val = _synthetic_split(150)
-        head.alpha_b = -800.0  # alpha underflows to 0, so m = 1/alpha is inf and inf * 0 is NaN
+        head.alpha_b[...] = -800.0  # alpha underflows to 0, so m = 1/alpha is inf and inf * 0 is NaN
         rows, config = np.arange(150)[None], CalibConfig(epochs=2)
         with pytest.raises(NumericError, match="non-finite tuning NLL nan") as tuned:
             calibrate_module._tune_head(head, val, rows, config)

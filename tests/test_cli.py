@@ -578,6 +578,11 @@ class TestCmdReportMerge:
         assert read_report(tmp_path / "a.csv").rows == read_report(tmp_path / "a.json").rows
         assert read_report(tmp_path / "a.csv").rows[0].n_id == 10
 
+    def test_a_json_integer_rate_reads_as_a_float(self, tmp_path):
+        (tmp_path / "a.json").write_bytes(json_row(auroc=1, tnr_at_tpr95=0))
+        row = read_report(tmp_path / "a.json").rows[0]
+        assert (row.auroc, row.tnr_at_tpr95) == (1.0, 0.0) and type(row.auroc) is float
+
     def test_merge(self, config_file, trained_checkpoint, tmp_path):
         r1, r2 = tmp_path / "r1", tmp_path / "r2"
         main(["detect", "--config", str(config_file), "--checkpoint", str(trained_checkpoint), "--out", str(r1)])
@@ -625,11 +630,18 @@ class TestCmdReportMerge:
             ("bool_severity.json", json_row(severity=True)),
             ("negative.json", json_row(n_id=-5)),
             ("zero.json", json_row(n_ood=0)),
+            ("null_score.json", json_row(score=None)),
+            ("int_kind.json", json_row(shift_kind=7)),
+            ("bool_auroc.json", json_row(auroc=True)),
+            ("string_rate.json", json_row(tnr_at_tpr95="0.5")),
+            ("missing_score.json", b'{"rows": [{"shift_kind": "none", "severity": 0, "auroc": 0.5, '
+                                   b'"tnr_at_tpr95": 0.5, "n_id": 10, "n_ood": 10, "seed": 0}]}'),
         ],
         ids=[
             "invalid_json", "top_level_list", "row_not_object", "not_utf8_csv", "extra_cell_csv", "missing_cell_csv",
             "negative_count_csv", "float_count_json", "integral_float_count_json", "string_count_json",
-            "bool_severity_json", "negative_count_json", "zero_count_json",
+            "bool_severity_json", "negative_count_json", "zero_count_json", "null_score_json", "int_kind_json",
+            "bool_auroc_json", "string_rate_json", "missing_score_json",
         ],
     )
     def test_unreadable_report_exit_3(self, tmp_path, capsys, name, content):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import geodin
+from geodin.errors import ShapeError
 from geodin.head import (
     BatchHeadTrace,
     HeadParams,
@@ -36,9 +37,9 @@ def random_params(rng, d=6, m=4, variant=HeadVariant.ALPHA_BETA):
     p = HeadParams(np.zeros(HeadParams.size(m, d)), m, d, variant)
     p.W[:] = rng.normal(0.0, 0.6, (m, d))
     p.alpha_w[:] = rng.normal(0.0, 0.4, d)
-    p.alpha_b = float(rng.normal(0.0, 0.5))
+    p.alpha_b[...] = float(rng.normal(0.0, 0.5))
     p.beta_w[:] = rng.normal(0.0, 0.4, d)
-    p.beta_b = float(rng.normal(0.0, 0.5))
+    p.beta_b[...] = float(rng.normal(0.0, 0.5))
     return p
 
 
@@ -87,13 +88,30 @@ class TestHeadParamsLayout:
         for view in (p.W, p.alpha_w, p.beta_w):
             assert np.shares_memory(view, p.flat)
         p.W[1, 2] = 7.0
-        p.alpha_b = 8.0
+        p.alpha_b[...] = 8.0
         p.beta_w[0] = 9.0
-        p.beta_b = 10.0
+        p.beta_b[...] = 10.0
         assert p.flat[d + 2] == 7.0
         assert p.flat[k * d + d] == 8.0
         assert p.flat[k * d + d + 1] == 9.0
         assert p.flat[-1] == 10.0
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["one_head", "stack"])
+    def test_the_biases_are_views_of_flat(self, lead):
+        p = HeadParams(np.zeros((*lead, HeadParams.size(3, 4))), 3, 4, HeadVariant.ALPHA_BETA)
+        for name, at in (("alpha_b", (3 + 1) * 4), ("beta_b", -1)):
+            view = getattr(p, name)
+            assert view.shape == lead and np.shares_memory(view, p.flat)
+            view[...] = 2.5
+            assert np.all(p.flat[..., at] == 2.5)
+            p.flat[..., at] = -1.0
+            assert np.all(getattr(p, name) == -1.0)
+
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["one_short", "one_long"])
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["one_head", "stack"])
+    def test_a_buffer_of_another_length_is_rejected(self, lead, extra):
+        with pytest.raises(ShapeError):
+            HeadParams(np.zeros((*lead, HeadParams.size(3, 4) + extra)), 3, 4, HeadVariant.ALPHA_BETA)
 
     def test_constructor_and_copy_do_not_alias(self):
         rng = np.random.default_rng(41)
@@ -101,7 +119,7 @@ class TestHeadParamsLayout:
         p.W[:] = rng.normal(0.0, 1.0, (3, 4))
         q = copy_head(p)
         q.W[0, 0] = 5.0
-        q.alpha_b = 1.0
+        q.alpha_b[...] = 1.0
         assert p.W[0, 0] != 5.0 and p.alpha_b == 0.0
         assert not np.shares_memory(p.flat, q.flat)
         assert q.variant is p.variant and q.W.shape == (3, 4)
@@ -141,9 +159,9 @@ class TestHeadForward:
         f = random_feature(rng)
         p = random_params(rng)
         p.alpha_w[:] = 0.0
-        p.alpha_b = 600.0
+        p.alpha_b[...] = 600.0
         p.beta_w[:] = 0.0
-        p.beta_b = -800.0
+        p.beta_b[...] = -800.0
         trace = forward(f, p)
         np.testing.assert_array_equal(trace.logits, p.W @ f)
 
@@ -216,10 +234,10 @@ class TestHeadForward:
         f = random_feature(rng)
         ab = random_params(rng, variant=HeadVariant.ALPHA_BETA)
         ab.beta_w[:] = 0.0
-        ab.beta_b = -30.0
+        ab.beta_b[...] = -30.0
         alpha_only = HeadParams(ab.flat.copy(), ab.n_classes, ab.d_feature, HeadVariant.ALPHA_ONLY)
         alpha_only.beta_w[:] = 0.0
-        alpha_only.beta_b = 0.0
+        alpha_only.beta_b[...] = 0.0
         np.testing.assert_allclose(
             forward(f, ab).logits, forward(f, alpha_only).logits, atol=1e-8
         )
@@ -232,7 +250,7 @@ def fd_gradients(f, params, grad_logits, eps=1e-5):
         return float(np.dot(grad_logits, forward(ff, pp).logits))
 
     out = {}
-    for name in ("W", "alpha_w", "beta_w"):
+    for name in ("W", "alpha_w", "alpha_b", "beta_w", "beta_b"):
         base = getattr(params, name)
         g = np.zeros_like(base)
         flat = base.reshape(-1)
@@ -246,14 +264,6 @@ def fd_gradients(f, params, grad_logits, eps=1e-5):
             flat[i] = orig
             gflat[i] = (up - down) / (2 * eps)
         out[name] = g
-    for name in ("alpha_b", "beta_b"):
-        orig = getattr(params, name)
-        setattr(params, name, orig + eps)
-        up = value(f, params)
-        setattr(params, name, orig - eps)
-        down = value(f, params)
-        setattr(params, name, orig)
-        out[name] = (up - down) / (2 * eps)
     g = np.zeros_like(f)
     for i in range(f.size):
         fp, fm = f.copy(), f.copy()

@@ -10,6 +10,7 @@ import pytest
 from geodin.errors import ConfigError, DataError, NumericError, ShapeError
 from geodin.head import HeadVariant, head_forward_batch
 from geodin.train import (
+    ExtractorParams,
     Model,
     TrainConfig,
     accuracy,
@@ -26,7 +27,7 @@ from geodin.train import (
     unit_rows,
     whole_bits_rows,
 )
-from oracles import full_gradient_check, model_logits, reference_forward, reference_train
+from oracles import full_gradient_check, model_logits, reference_forward, reference_init, reference_train
 from test_head import thread_probe
 
 train_module = importlib.import_module("geodin.train")  # the package's `train` is the function
@@ -66,6 +67,20 @@ class TestFlatParameters:
         clone = ext.copy()
         clone.flat[:] = 0.0
         assert np.any(ext.flat != 0.0) and not np.any(clone.layers[0][0])
+
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["one_short", "one_long"])
+    def test_a_buffer_of_another_length_is_rejected(self, extra):
+        dims = [4, 5, 2]
+        with pytest.raises(ShapeError):
+            ExtractorParams(np.zeros(ExtractorParams.size(dims) + extra), dims)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("hidden", [(5,), (6, 4, 3)], ids=["1-hidden", "3-hidden"])
+    def test_init_model_draws_as_the_reference(self, hidden, seed):
+        config = TrainConfig(hidden=hidden, feature_dim=4, seed=seed)
+        model = init_model(config, d_in=3, n_classes=5)
+        flat = np.concatenate([model.extractor.flat, model.head.flat])
+        assert flat.tobytes() == reference_init(config, 3, 5).tobytes()
 
     def test_momentum_step_decays_only_the_prefix(self):
         p = np.array([1.0, 2.0, 3.0, 4.0])
@@ -190,7 +205,7 @@ class TestTrainConfig:
                 train(TrainConfig(epochs=1, hidden=(4,), feature_dim=2), (X, y), n_classes=n_classes)
 
     def test_inputs_without_features_rejected(self):
-        # ExtractorParams.initial used to divide by d_in and raise a bare ZeroDivisionError.
+        # init_model used to divide by d_in and raise a bare ZeroDivisionError.
         with pytest.raises(ConfigError, match="d_in=0"):
             train(TrainConfig(), (np.zeros((4, 0)), np.array([0, 1, 0, 1])))
         with pytest.raises(ConfigError, match="d_in=-1"):
@@ -637,9 +652,9 @@ class TestFullGradientCheck:
                 b += rng.normal(0.0, 0.2, b.shape)
             model.head.W += rng.normal(0.0, 0.3, model.head.W.shape)
             model.head.alpha_w += rng.normal(0.0, 0.3, 5)
-            model.head.alpha_b = float(rng.normal(0.0, 0.4))
+            model.head.alpha_b[...] = float(rng.normal(0.0, 0.4))
             model.head.beta_w += rng.normal(0.0, 0.3, 5)
-            model.head.beta_b = float(rng.normal(0.0, 0.4))
+            model.head.beta_b[...] = float(rng.normal(0.0, 0.4))
             x = rng.normal(0.0, 1.0, 4)
             assert full_gradient_check(model, (x, 1), eps=1e-5) < 1e-5
 
