@@ -36,7 +36,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DomainError, NumericError, ShapeError, UnsupportedVariantError
+from .errors import ConfigError, DataError, DomainError, NumericError, ShapeError, StateError, UnsupportedVariantError
 from .head import (
     HeadVariant,
     gap_cross_entropy,
@@ -48,7 +48,7 @@ from .head import (
     # every name it lists in ``spans.PATCHES``, this one included, around each traced op.
     softmax_cross_entropy_batch,
 )
-from .train import Model, check_sgd, extract_features, minibatches, momentum_step, shuffles
+from .train import Model, check_sgd, extract_features, minibatches, momentum_step, shuffles, whole_labels
 
 # Logits (heads x rows x k) per block of the per-epoch tuning NLL.  Tuning six heads on 2560 rows at
 # D=64, k=32 took 1.02-1.12x as long at 2^14-2^15, 1.18x at 2^18 and the same at 2^17 (median CPU
@@ -302,13 +302,15 @@ def calibrate(model: Model, val_set, config: CalibConfig, eval_sets: dict | None
     report with before/after accuracy, ECE, NLL on the tuning split and any
     extra named eval splits, plus k-fold cross-validation metrics when
     config.folds >= 2.  Raises, before any split is extracted or any head
-    tuned, DomainError for an eval split named "val", an empty split or
-    labels that are not one per row, IndexError for a label outside [0, k),
-    ShapeError for rows that are not d_in wide and DataError for a
-    non-finite row, each naming the split; NumericError for non-finite
-    parameters, tuned parameters or logits.
+    tuned, StateError for an untrained model; then, naming the split,
+    DomainError for an eval split named "val", an empty split or labels
+    not one per row, IndexError for a label outside [0, k), ShapeError for
+    rows not d_in wide and DataError for a non-finite row or non-integer
+    label.  NumericError for non-finite parameters, tuned ones or logits.
     """
     config.validate()
+    if not model.meta.get("trained"):
+        raise StateError("model has not been trained")
     if not model.finite():
         raise NumericError("model has non-finite parameters")
     if model.head.variant is HeadVariant.VANILLA:
@@ -320,7 +322,7 @@ def calibrate(model: Model, val_set, config: CalibConfig, eval_sets: dict | None
         raise DomainError("split name 'val' is reserved for the tuning split")
     splits = {}
     for name, (X, y) in {"val": val_set, **eval_sets}.items():
-        X, y = np.atleast_2d(np.asarray(X, dtype=np.float64)), np.asarray(y, dtype=np.int64)
+        X, y = np.atleast_2d(np.asarray(X, dtype=np.float64)), whole_labels(y, f"split {name!r}")
         n = len(X)
         if n == 0:
             raise DomainError(f"split {name!r} is empty")
@@ -360,12 +362,8 @@ def calibrate(model: Model, val_set, config: CalibConfig, eval_sets: dict | None
     tuned_head, best_epoch, nll_before, nll_after = tuned_runs[0]
     if not np.all(np.isfinite(tuned_head.flat)):
         raise NumericError("calibration produced non-finite head parameters")
-    new_model = Model(
-        extractor=model.extractor.copy(),
-        head=tuned_head,
-        meta=dict(model.meta),
-        history=list(model.history),
-    )
+    new_model = model.like(model.flat.copy())
+    new_model.head.flat[...] = tuned_head.flat
     new_model.meta["calibrated"] = True
 
     report = CalibrationReport(

@@ -85,6 +85,7 @@ class HeadParams:
         if flat.shape[-1:] != (HeadParams.size(k, d),):
             raise ShapeError(f"head buffer of shape {flat.shape} for {HeadParams.size(k, d)} parameters")
         self.flat = flat
+        self.n_classes, self.d_feature = k, d
         self.variant = HeadVariant(variant)
         self.W = flat[..., : k * d].reshape(*flat.shape[:-1], k, d)
         self.alpha_w = flat[..., k * d : (k + 1) * d]
@@ -95,14 +96,6 @@ class HeadParams:
     @staticmethod
     def size(n_classes: int, d_feature: int) -> int:
         return (n_classes + 2) * d_feature + 2
-
-    @property
-    def n_classes(self) -> int:
-        return self.W.shape[-2]
-
-    @property
-    def d_feature(self) -> int:
-        return self.W.shape[-1]
 
     def like(self, flat: np.ndarray) -> "HeadParams":
         """A head (or stack) of this one's class count, feature size and variant, wrapping ``flat``."""

@@ -9,8 +9,8 @@ Checkpoint layout (all little-endian), format version 1:
         variant   u32     (0 vanilla, 1 alpha_only, 2 beta_only, 3 alpha_beta)
         d_in      u32     n_hidden u32, then n_hidden u32 widths
         d_feature u32     n_classes u32
-        f64 array section: extractor.flat (per layer W row-major, then b),
-        then head.flat (W row-major, alpha_w, alpha_b, beta_w, beta_b)
+        f64 array section: Model.flat, of which extractor (per layer W row-major,
+        then b) and head (W row-major, alpha_w, alpha_b, beta_w, beta_b) are views
     checksum u64 FNV-1a over the payload bytes
 
 The loader checks the structure even when the checksum holds: a header
@@ -122,7 +122,7 @@ def save_model(model: Model, path) -> None:
     payload = b"".join((
         _HEADER.pack(int(meta.get("seed", 0)), flags, _VARIANTS.index(head.variant), model.extractor.d_in, len(hidden)),
         _widths(len(hidden)).pack(*hidden, head.d_feature, head.n_classes),
-        np.concatenate((model.extractor.flat, head.flat)).astype("<f8", copy=False).tobytes(),
+        model.flat.astype("<f8", copy=False).tobytes(),
     ))
     Path(path).write_bytes(MAGIC + struct.pack("<I", FORMAT_VERSION) + payload + struct.pack("<Q", fnv1a64(payload)))
 
@@ -164,15 +164,11 @@ def load_model(path) -> Model:
         raise FormatError(f"invalid checkpoint shapes: widths {dims}, n_classes {n_classes}")
 
     start = _HEADER.size + widths.size
-    n_extractor, n_head = ExtractorParams.size(dims), HeadParams.size(n_classes, d_feature)
-    if 8 * (n_extractor + n_head) != len(payload) - start:
-        raise FormatError(
-            f"array section holds {len(payload) - start} bytes but the header implies {8 * (n_extractor + n_head)}"
-        )
+    n_params = ExtractorParams.size(dims) + HeadParams.size(n_classes, d_feature)
+    if 8 * n_params != len(payload) - start:
+        raise FormatError(f"array section holds {len(payload) - start} bytes but the header implies {8 * n_params}")
     flat = np.frombuffer(payload, dtype="<f8", offset=start).astype(np.float64)
-    extractor = ExtractorParams(flat[:n_extractor], dims)
-    head = HeadParams(flat[n_extractor:], n_classes, d_feature, _VARIANTS[variant_code])
-    model = Model(extractor, head, {"seed": seed, "trained": bool(flags & 1)})
+    model = Model(flat, dims, n_classes, _VARIANTS[variant_code], {"seed": seed, "trained": bool(flags & 1)})
     if flags & 2:
         model.meta["calibrated"] = True
     if not model.finite():

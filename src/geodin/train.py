@@ -24,20 +24,19 @@ the model bit for bit.
 A step does only that step's arithmetic.  ``train`` checks its inputs and
 labels and projects every row onto the unit sphere once per run (the
 projection works row by row, so a batch of projected rows is the projection
-of the batch).  It steps one float64 vector that holds ``extractor.flat``
-and then ``head.flat``, the checkpoint's order: both parameter objects are
-views of it, and both gradients views of one gradient vector, so each step
-makes one ``momentum_step`` call.  It allocates once per run the buffers
-each step overwrites: that gradient vector (``out=`` of ``loss_and_grads``,
-``extractor_backward`` and ``head_backward_batch``) and the
-``momentum_step`` scratch.  A gradient returned in such a buffer is valid
-until the next step.
+of the batch).  It steps ``model.flat``, the one vector that the model's
+extractor and head are views of, so each step makes one ``momentum_step``
+call.  It allocates once per run the buffers each step overwrites: the
+gradient, a Model of the same shape (``out=`` of ``loss_and_grads``, which
+passes its extractor and head to ``extractor_backward`` and
+``head_backward_batch``), and the ``momentum_step`` scratch.  A gradient
+returned in such a buffer is valid until the next step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -98,15 +97,15 @@ class ExtractorParams:
     ``ExtractorParams.size(dims)`` elements for widths dims = [d_in,
     *hidden, d_feature], without copying.  It holds each layer's W (out x
     in, row-major) and then its b, first layer first; ``layers`` lists (W, b)
-    views into it.  ShapeError for a vector of any other length.  A
-    checkpoint's array section is this vector followed by HeadParams.flat.
-    Gradients come in the same layout.
+    views into it.  ShapeError for a vector of any other length.  Gradients
+    come in the same layout.
     """
 
     def __init__(self, flat: np.ndarray, dims: Sequence[int]):
         if flat.shape != (ExtractorParams.size(dims),):
             raise ShapeError(f"extractor buffer of shape {flat.shape} for {ExtractorParams.size(dims)} parameters")
         self.flat = flat
+        self.dims, self.d_in, self.d_feature = list(dims), dims[0], dims[-1]
         self.layers = []
         pos = 0
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
@@ -119,32 +118,32 @@ class ExtractorParams:
     def size(dims: Sequence[int]) -> int:
         return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
 
-    @property
-    def dims(self) -> list[int]:
-        """Layer widths [d_in, *hidden, d_feature]."""
-        return [self.d_in, *(W.shape[0] for W, _ in self.layers)]
 
-    @property
-    def d_in(self) -> int:
-        return self.layers[0][0].shape[1]
-
-    @property
-    def d_feature(self) -> int:
-        return self.layers[-1][0].shape[0]
-
-    def copy(self) -> "ExtractorParams":
-        return ExtractorParams(self.flat.copy(), self.dims)
-
-
-@dataclass
 class Model:
-    extractor: ExtractorParams
-    head: HeadParams
-    meta: dict
-    history: list = field(default_factory=list)  # per-epoch log, not serialized
+    """Extractor and head parameters in one float64 vector, with meta and a per-epoch log (not saved).
+
+    ``Model(flat, dims, n_classes, variant, meta, history=None)`` wraps
+    ``flat`` without copying; ``extractor`` (widths ``dims``) and ``head``
+    (``n_classes``, ``dims[-1]``, ``variant``) are views of it, in the order
+    extractor, then head, the checkpoint's array section.  ShapeError for a
+    vector of any other length.  A gradient is a Model of the same shape.
+    """
+
+    def __init__(self, flat: np.ndarray, dims: Sequence[int], n_classes: int, variant, meta: dict, history=None):
+        n = ExtractorParams.size(dims)
+        self.flat = flat
+        self.extractor = ExtractorParams(flat[:n], dims)
+        self.head = HeadParams(flat[n:], n_classes, dims[-1], variant)
+        self.meta = meta
+        self.history = [] if history is None else history
+
+    def like(self, flat: np.ndarray) -> "Model":
+        """A model of this one's shape and variant wrapping ``flat``, with copies of its meta and history."""
+        head = self.head
+        return Model(flat, self.extractor.dims, head.n_classes, head.variant, dict(self.meta), list(self.history))
 
     def finite(self) -> bool:
-        return bool(np.isfinite(self.extractor.flat).all() and np.isfinite(self.head.flat).all())
+        return bool(np.isfinite(self.flat).all())
 
 
 def cosine_lr(step: int, total_steps: int, lr0: float) -> float:
@@ -310,14 +309,14 @@ def init_model(config: TrainConfig, d_in: int, n_classes: int) -> Model:
         raise ConfigError(f"need at least 2 classes, got {n_classes}")
     if d_in < 1:
         raise ConfigError(f"need at least 1 input feature, got d_in={d_in}")
-    dims, d = [d_in, *config.hidden, config.feature_dim], config.feature_dim
-    extractor = ExtractorParams(np.zeros(ExtractorParams.size(dims)), dims)
-    head = HeadParams(np.zeros(HeadParams.size(n_classes, d)), n_classes, d, config.variant)
+    dims = [d_in, *config.hidden, config.feature_dim]
+    flat = np.zeros(ExtractorParams.size(dims) + HeadParams.size(n_classes, config.feature_dim))
+    model = Model(flat, dims, n_classes, config.variant, {"seed": int(config.seed), "trained": False})
     rng = np.random.default_rng(config.seed)
-    for W in [*(w for w, _ in extractor.layers), head.W]:
+    for W in [*(w for w, _ in model.extractor.layers), model.head.W]:
         bound = 1.0 / math.sqrt(W.shape[1])
         W[:] = rng.uniform(-bound, bound, size=W.shape)
-    return Model(extractor, head, {"seed": int(config.seed), "trained": False})
+    return model
 
 
 def extract_features(model: Model, inputs) -> np.ndarray:
@@ -365,17 +364,16 @@ def loss_and_grads(model: Model, X: np.ndarray, y: np.ndarray, out=None):
     labels in [0, k); ``train`` checks and projects its inputs once per run,
     so neither is checked here.  Returns (loss, (extractor gradient, head
     gradient)), each in the layout of its parameter object's ``flat``.
-    ``out``, an (ExtractorParams, zeroed HeadParams) pair of buffers for the
-    run, goes to ``extractor_backward`` and ``head_backward_batch``; ``train``
-    makes both views of one gradient vector in the order extractor, head.
-    The gradients returned in it are valid until the next step.
+    ``out``, a gradient Model for the run whose head is zeroed, passes its
+    extractor to ``extractor_backward`` and its head to
+    ``head_backward_batch``, so both gradients land in ``out.flat``; they
+    are valid until the next step.
     """
-    ext_out, head_out = (None, None) if out is None else out
     acts = extractor_activations(model.extractor, X)
     trace = head_forward_batch(acts[-1], model.head)
     loss, grad_logits = softmax_cross_entropy_batch(trace.logits, y)
-    hg, grad_F = head_backward_batch(trace, acts[-1], model.head, grad_logits, out=head_out)
-    return loss, (extractor_backward(model.extractor, acts, grad_F, out=ext_out), hg.flat)
+    hg, grad_F = head_backward_batch(trace, acts[-1], model.head, grad_logits, out=out and out.head)
+    return loss, (extractor_backward(model.extractor, acts, grad_F, out=out and out.extractor), hg.flat)
 
 
 def momentum_step(
@@ -409,14 +407,23 @@ def momentum_step(
     p -= np.multiply(v, lr, out=scratch)
 
 
+def whole_labels(y, split: str) -> np.ndarray:
+    """``y`` as int64; DataError naming ``split`` for a label that the cast changes (2.0 is 2, 2.5 is not)."""
+    raw = np.asarray(y)
+    with np.errstate(invalid="ignore"):  # NaN and inf cast to some integer, which differs from them
+        labels = raw.astype(np.int64)
+    if (labels != raw).any():
+        raise DataError(f"{split} label {int(np.argmax(labels != raw))} is not an integer")
+    return labels
+
+
 def train(config: TrainConfig, train_set, n_classes: int | None = None) -> Model:
     """Train a fresh model on (X, y), deterministically.
 
-    DataError for a non-finite input row, before any step; NumericError on a non-finite loss or result.
+    DataError for a non-finite row or a non-integer label, before any step; NumericError on a non-finite loss or result.
     """
     X, y = train_set
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
+    X, y = np.asarray(X, dtype=np.float64), whole_labels(y, "train set")
     if X.ndim != 2 or X.shape[0] == 0:
         raise ConfigError(f"train set must be a nonempty 2-D batch, got shape {X.shape}")
     if y.shape != (X.shape[0],):
@@ -431,26 +438,18 @@ def train(config: TrainConfig, train_set, n_classes: int | None = None) -> Model
 
     model = init_model(config, X.shape[1], n_classes)
     U = unit_rows(X)  # each step gathers its batch from these projected rows
-    # One vector holds extractor.flat and then head.flat, the checkpoint's order; the parameter
-    # objects and the gradient buffers are views of one vector each, so one momentum_step serves both.
-    dims, n_ext = model.extractor.dims, model.extractor.flat.size
-    theta = np.concatenate([model.extractor.flat, model.head.flat])
-    model.extractor, model.head = ExtractorParams(theta[:n_ext], dims), model.head.like(theta[n_ext:])
-    grad = np.zeros_like(theta)  # the head's pinned parts are never written, so they stay zero
-    grads = (ExtractorParams(grad[:n_ext], dims), model.head.like(grad[n_ext:]))
-    velocity, scratch = np.zeros_like(theta), np.empty_like(theta)
+    grad = model.like(np.zeros_like(model.flat))  # the head's pinned parts are never written, so they stay zero
+    velocity, scratch = np.zeros_like(model.flat), np.empty_like(model.flat)
     # With decay_heads off only the extractor and the head's prefix, the class weights W, decay.
-    n_decay = None if config.decay_heads else n_ext + model.head.W.size
+    n_decay = None if config.decay_heads else model.extractor.flat.size + model.head.W.size
     # The shuffle stream (seed, 1) is separate from the init stream (seed).
     for epoch, steps in enumerate(minibatches(X.shape[0], config, 1)):
         epoch_loss = 0.0
         for bi, (idx, lr) in enumerate(steps):
-            loss, _ = loss_and_grads(model, U[idx], y[idx], out=grads)
+            loss, _ = loss_and_grads(model, U[idx], y[idx], out=grad)
             if not math.isfinite(loss):
-                raise NumericError(
-                    f"non-finite loss {loss} at epoch {epoch} batch {bi} (lr={lr:.6g})"
-                )
-            momentum_step(theta, grad, velocity, lr, config.momentum, config.weight_decay, n_decay, scratch=scratch)
+                raise NumericError(f"non-finite loss {loss} at epoch {epoch} batch {bi} (lr={lr:.6g})")
+            momentum_step(model.flat, grad.flat, velocity, lr, config.momentum, config.weight_decay, n_decay, scratch)
             epoch_loss += loss
         model.history.append({"epoch": epoch, "mean_loss": epoch_loss / len(steps), "lr": lr})
     if not model.finite():

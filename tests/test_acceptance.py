@@ -28,7 +28,6 @@ from geodin.head import HeadParams, HeadVariant, head_forward_batch
 from geodin.persist import parse_embeddings
 from geodin.scores import score_batch
 from geodin.train import (
-    Model,
     TrainConfig,
     accuracy,
     extract_features,
@@ -37,7 +36,7 @@ from geodin.train import (
     train,
 )
 
-from oracles import copy_head, energy_score, full_gradient_check, kl_from_uniform, model_logits, msp_score, score_set
+from oracles import energy_score, full_gradient_check, kl_from_uniform, model_logits, msp_score, score_set
 from trends import adjacent_drops
 
 TREND_SEEDS = (0, 1, 2, 3, 4)
@@ -261,7 +260,7 @@ def test_c8_calibration_effect():
     """Calibrating an overconfident model halves shifted-data ECE, keeps accuracy."""
     task = make_task(8, 16, 400, 0.15, seed=0)
     model = train(TrainConfig(seed=0), task.train, n_classes=8)
-    over = Model(model.extractor.copy(), copy_head(model.head), dict(model.meta))
+    over = model.like(model.flat.copy())
     over.head.beta_b += 4.0
 
     shifted_val = corrupt(task.val, ShiftSpec("gaussian_noise", 3), seed=task.seed)

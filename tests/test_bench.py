@@ -26,10 +26,9 @@ from geodin.bench import (
 )
 from geodin.config import RunConfig
 from geodin.errors import ConfigError, DomainError, MissingTokenError, NumericError, StateError
-from geodin.train import Model, TrainConfig, init_model, row_blocks, train, whole_bits_rows
+from geodin.train import TrainConfig, init_model, row_blocks, train, whole_bits_rows
 
 import oracles
-from oracles import copy_head
 from trends import adjacent_drops
 
 bench_module = importlib.import_module("geodin.bench")
@@ -405,7 +404,7 @@ class TestSweep:
 
     def test_nan_weight_raises_numeric_error(self, small_trained):
         task, model = small_trained
-        broken = Model(model.extractor.copy(), copy_head(model.head), dict(model.meta))
+        broken = model.like(model.flat.copy())
         broken.extractor.layers[0][0][0, 0] = np.nan
         with pytest.raises(NumericError):
             sweep(broken, task, ["g"], [ShiftSpec("none", 0)])

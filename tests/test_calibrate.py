@@ -17,7 +17,15 @@ from geodin.calibrate import (
     temperature_scale,
 )
 from geodin.config import load_run_config
-from geodin.errors import ConfigError, DataError, DomainError, NumericError, ShapeError, UnsupportedVariantError
+from geodin.errors import (
+    ConfigError,
+    DataError,
+    DomainError,
+    NumericError,
+    ShapeError,
+    StateError,
+    UnsupportedVariantError,
+)
 from geodin.head import HeadParams, HeadVariant, head_forward_batch
 from geodin.scores import score_batch
 from geodin.train import (
@@ -30,7 +38,6 @@ from geodin.train import (
     train,
 )
 from oracles import (
-    copy_head,
     golden_section_temperature,
     model_logits,
     reference_gap_nll,
@@ -306,6 +313,35 @@ class TestCalibrate:
         with pytest.raises(error, match=message):
             calibrate(model, sets["val"], CalibConfig(folds=0, epochs=2), eval_sets={"test": sets["test"]})
         assert calls == []
+
+    def test_an_untrained_model_is_rejected_before_extraction(self, trained_task_model, monkeypatch):
+        # Its result would be saved as calibrated but untrained, a checkpoint that detect and calibrate refuse.
+        task, model = trained_task_model
+        fresh = init_model(TrainConfig(), model.extractor.d_in, model.head.n_classes)
+        calls = _spied(monkeypatch)
+        with pytest.raises(StateError, match="model has not been trained"):
+            calibrate(fresh, task.val, CalibConfig(epochs=1))
+        assert calls == []
+
+    @pytest.mark.parametrize("split", ["val", "test"])
+    def test_a_label_that_is_not_an_integer_is_rejected_before_extraction(self, trained_task_model, monkeypatch, split):
+        # A cast to int64 alone would truncate 1.7 to 1 and tune or score on that label.
+        task, model = trained_task_model
+        sets = {"val": task.val, "test": task.test}
+        y = sets[split][1].astype(np.float64)
+        y[6] += 0.7
+        sets[split] = (sets[split][0], y)
+        calls = _spied(monkeypatch)
+        with pytest.raises(DataError, match=f"split '{split}' label 6 is not an integer"):
+            calibrate(model, sets["val"], CalibConfig(folds=0, epochs=2), eval_sets={"test": sets["test"]})
+        assert calls == []
+
+    def test_whole_valued_float_labels_calibrate_as_their_integers(self, trained_task_model):
+        task, model = trained_task_model
+        config = CalibConfig(folds=0, epochs=2)
+        new_model, report = calibrate(model, (task.val[0], task.val[1].astype(np.float64)), config)
+        expected_model, expected_report = calibrate(model, task.val, config)
+        assert new_model.flat.tobytes() == expected_model.flat.tobytes() and report == expected_report
 
     def test_each_split_is_extracted_once_and_each_eval_split_after_tuning(self, trained_task_model, monkeypatch):
         task, model = trained_task_model
@@ -761,9 +797,7 @@ def _spied(monkeypatch, run=False) -> list:
 
 
 def _inflated(model):
-    from geodin.train import Model
-
-    over = Model(model.extractor.copy(), copy_head(model.head), dict(model.meta), list(model.history))
+    over = model.like(model.flat.copy())
     over.head.beta_b += 4.0
     return over
 
@@ -773,6 +807,7 @@ def test_calibrate_on_a_wide_net_holds_no_tuning_gaps_or_softmax_temporaries_for
     # tuning gaps d another 0.62 MiB and each (n, k) softmax temporary 0.62 MiB.  Only one split's
     # features are alive at a time, so the peak is near 4.3 MiB; holding both splits' would make it 5.3.
     model = init_model(TrainConfig(hidden=(256, 256), feature_dim=64, seed=2), d_in=16, n_classes=32)
+    model.meta["trained"] = True
     task = make_task(32, 16, 400, 0.15, seed=2)
     config = CalibConfig(epochs=2)
     calibrate(model, task.val, config, eval_sets={"test": task.test})

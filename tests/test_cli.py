@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import re
 import struct
 
 import numpy as np
@@ -97,6 +98,12 @@ class TestRunConfig:
         path.write_text(f"[{section}]\nseed = 1\n", encoding="utf-8")
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "m.godn")]) == 2
 
+    def test_line_without_equals_cites_line(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("[train]\nepochs 3\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=re.escape("expected 'key = value' (line 2)")):
+            load_run_config(path)
+
     def test_key_outside_section(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("epochs = 5\n", encoding="utf-8")
@@ -157,6 +164,17 @@ INVALID_CONFIGS = {
     "repeated_kinds": (["shifts.kinds=gaussian_noise,smoothing,smoothing"], "repeated kinds: smoothing"),
     "repeated_severities": (["shifts.severities=2,4,2"], "repeated severities: 2"),
     "repeated_scores": (["shifts.scores=g,u,g,u"], "repeated scores: g, u"),
+    "d_in_1": (["task.d_in=1"], "need d_in >= 2"),
+    "n_per_class_4": (["task.n_per_class=4"], "at least 5 samples"),
+    "empty_train_split": (["task.val_frac=0.5", "task.test_frac=0.5"], "split fractions leave an empty split"),
+    "no_concept_groups": (["task.concept_groups=0"], "at least one concept group"),
+    "empty_concept_group": (["task.concept_n_per_class=0"], "a concept group needs"),
+    "similarity_1": (["task.concept_similarities=0.5,0.6,0.7,0.8,1.0"], "[0, 1)"),
+    "zero_width": (["train.hidden=4,0"], "layer widths"),
+    "zero_batch_size": (["train.batch_size=0"], "batch_size"),
+    "not_a_boolean": (["train.decay_heads=maybe"], "not a boolean"),
+    "override_without_dot": (["trainepochs=3"], "section.key=value"),
+    "unknown_override_section": (["bogus.key=1"], "unknown section"),
 }
 
 
@@ -171,7 +189,7 @@ def _cli_args(overrides) -> list[str]:
 class TestValidation:
     @pytest.mark.parametrize("overrides,message", INVALID_CONFIGS.values(), ids=INVALID_CONFIGS)
     def test_load_rejects(self, overrides, message):
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
             load_run_config(None, overrides)
 
     @pytest.mark.parametrize("overrides,message", INVALID_CONFIGS.values(), ids=INVALID_CONFIGS)

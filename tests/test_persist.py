@@ -26,8 +26,8 @@ from geodin.persist import (
     save_model,
     write_report,
 )
-from geodin.train import Model, TrainConfig, train
-from oracles import copy_head, fnv1a64_reference
+from geodin.train import TrainConfig, train
+from oracles import fnv1a64_reference
 
 
 @pytest.fixture(scope="module")
@@ -97,11 +97,16 @@ class TestCheckpointRoundTrip:
 
     def test_non_finite_parameter_not_saved(self, model, tmp_path):
         path = tmp_path / "m.godn"
-        broken = Model(model.extractor, copy_head(model.head), dict(model.meta))
+        broken = model.like(model.flat.copy())
         broken.head.flat[0] = np.nan
         with pytest.raises(NumericError, match="non-finite"):
             save_model(broken, path)
         assert not path.exists()
+
+    def test_a_loaded_model_wraps_the_saved_vector_bit_for_bit(self, model, tmp_path):
+        path = tmp_path / "m.godn"
+        save_model(model, path)
+        assert load_model(path).flat.tobytes() == model.flat.tobytes()
 
     def test_magic_constant(self):
         assert MAGIC == b"GODN"

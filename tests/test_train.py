@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from geodin.errors import ConfigError, DataError, NumericError, ShapeError
-from geodin.head import HeadVariant, head_forward_batch
+from geodin.head import HeadParams, HeadVariant, head_forward_batch
 from geodin.train import (
     ExtractorParams,
     Model,
@@ -64,9 +64,39 @@ class TestFlatParameters:
         assert ext.flat.size == 5 * 4 + 5 + 3 * 5 + 3 + 2 * 3 + 2
         for W, b in ext.layers:
             assert np.shares_memory(W, ext.flat) and np.shares_memory(b, ext.flat)
-        clone = ext.copy()
+        clone = model.like(model.flat.copy()).extractor
         clone.flat[:] = 0.0
         assert np.any(ext.flat != 0.0) and not np.any(clone.layers[0][0])
+
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["one_short", "one_long"])
+    def test_a_model_vector_of_another_length_is_rejected(self, extra):
+        dims, k = [4, 5, 2], 3
+        size = ExtractorParams.size(dims) + HeadParams.size(k, dims[-1])
+        with pytest.raises(ShapeError):
+            Model(np.zeros(size + extra), dims, k, HeadVariant.ALPHA_BETA, {})
+
+    def test_extractor_and_head_tile_the_model_vector_extractor_first(self):
+        model = init_model(TrainConfig(hidden=(5, 3), feature_dim=2, seed=0), d_in=4, n_classes=3)
+        n_ext = ExtractorParams.size([4, 5, 3, 2])
+        assert model.flat.size == n_ext + HeadParams.size(3, 2)
+        model.flat[:] = np.arange(model.flat.size)
+        for part in (model.extractor.flat, model.head.flat):
+            assert np.shares_memory(part, model.flat)
+        np.testing.assert_array_equal(model.extractor.flat, np.arange(n_ext))
+        np.testing.assert_array_equal(model.head.flat, np.arange(n_ext, model.flat.size))
+
+    def test_like_wraps_its_vector_with_copies_of_meta_and_history(self):
+        model = init_model(TrainConfig(hidden=(5,), feature_dim=2, seed=0), d_in=4, n_classes=3)
+        model.history.append({"epoch": 0})
+        flat = np.zeros_like(model.flat)
+        other = model.like(flat)
+        assert other.flat is flat
+        assert np.shares_memory(other.extractor.flat, flat) and np.shares_memory(other.head.W, flat)
+        assert other.extractor.dims == [4, 5, 2] and other.head.n_classes == 3
+        assert other.head.variant is model.head.variant
+        other.meta["calibrated"] = True
+        other.history.append({"epoch": 1})
+        assert model.meta == {"seed": 0, "trained": False} and model.history == [{"epoch": 0}]
 
     @pytest.mark.parametrize("extra", [-1, 1], ids=["one_short", "one_long"])
     def test_a_buffer_of_another_length_is_rejected(self, extra):
@@ -275,6 +305,23 @@ class TestTraining:
         with pytest.raises(DataError, match="train set row 17 is not finite"):
             train(TrainConfig(epochs=2, seed=1, hidden=(8,), feature_dim=4), (X, y))
         assert calls == []
+
+    @pytest.mark.parametrize("bad", [0.9, -0.5, math.nan, math.inf], ids=["fraction", "negative", "nan", "inf"])
+    def test_a_label_that_is_not_an_integer_is_rejected_before_the_model_is_built(self, monkeypatch, bad):
+        # A cast to int64 alone would truncate 0.9 and -0.5 to a valid class 0 and train on it.
+        X, y = blobs(np.random.default_rng(5), n=60)
+        y = y.astype(np.float64)
+        y[23] = bad
+        calls = []
+        monkeypatch.setattr(train_module, "init_model", lambda *args, **kwargs: calls.append("init_model"))
+        with pytest.raises(DataError, match="train set label 23 is not an integer"):
+            train(TrainConfig(epochs=2, seed=1, hidden=(8,), feature_dim=4), (X, y), n_classes=2)
+        assert calls == []
+
+    def test_whole_valued_float_labels_train_as_their_integers(self):
+        X, y = blobs(np.random.default_rng(5), n=30)
+        config = TrainConfig(epochs=2, seed=1, hidden=(8,), feature_dim=4)
+        assert train(config, (X, y.astype(np.float64))).flat.tobytes() == train(config, (X, y)).flat.tobytes()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_loss_names_its_step(self):

@@ -1,9 +1,10 @@
 """No module rebinds a parameter record's view of its flat buffer.
 
-``ExtractorParams`` and ``HeadParams`` make their parts (``W``, ``alpha_w``,
-``alpha_b``, ``beta_w``, ``beta_b``, ``layers``) as views of ``flat`` once, in
-their ``__init__``.  Anywhere else, ``head.alpha_b = v`` binds a new array to
-the attribute and leaves ``flat``, which training steps and a checkpoint
+``Model``, ``ExtractorParams`` and ``HeadParams`` make their parts
+(``extractor``, ``head``, ``W``, ``alpha_w``, ``alpha_b``, ``beta_w``,
+``beta_b``, ``layers``) as views of ``flat`` once, in their ``__init__``.
+Anywhere else, ``head.alpha_b = v`` or ``model.head = h`` binds a new object
+to the attribute and leaves ``flat``, which training steps and a checkpoint
 writes, as it was; a write goes through ``head.alpha_b[...] = v``.  An
 augmented assignment (``head.beta_b += v``) writes in place and is allowed.
 """
@@ -15,8 +16,8 @@ import pytest
 
 import geodin
 
-VIEWS = {"W", "alpha_w", "alpha_b", "beta_w", "beta_b", "flat", "layers"}
-RECORDS = {"ExtractorParams", "HeadParams"}
+VIEWS = {"W", "alpha_w", "alpha_b", "beta_w", "beta_b", "flat", "layers", "extractor", "head"}
+RECORDS = {"ExtractorParams", "HeadParams", "Model"}
 SRC, TESTS = Path(geodin.__file__).resolve().parent, Path(__file__).resolve().parent
 MODULES = sorted([*SRC.glob("*.py"), *TESTS.glob("*.py")])
 
@@ -57,6 +58,11 @@ def test_a_rebind_is_found_and_a_write_in_place_is_not():
         "head.beta_b += 4.0\n"
         "a, grad.flat = 1, 2\n"
         "setattr(head, 'W', w)\n"
+        "model.head = h\n"
+        "model.head.flat[...] = h.flat\n"
+        "class Model:\n"
+        "    def __init__(self, flat):\n"
+        "        self.extractor, self.head = flat[:1], flat[1:]\n"
         "class HeadParams:\n"
         "    def __init__(self, flat):\n"
         "        self.flat = flat\n"
@@ -66,5 +72,5 @@ def test_a_rebind_is_found_and_a_write_in_place_is_not():
         "    def __init__(self, layers):\n"
         "        self.layers = layers\n"
     )
-    found = ["alpha_b (line 1)", "flat (line 4)", "W (line 5)", "flat (line 10)", "layers (line 13)"]
+    found = ["alpha_b (line 1)", "flat (line 4)", "W (line 5)", "head (line 6)", "flat (line 15)", "layers (line 18)"]
     assert view_rebinds(source) == found
