@@ -36,7 +36,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DomainError, NumericError, ShapeError, StateError, UnsupportedVariantError
+from .errors import ConfigError, DomainError, NumericError, StateError, UnsupportedVariantError
 from .head import (
     HeadVariant,
     gap_cross_entropy,
@@ -48,7 +48,7 @@ from .head import (
     # every name it lists in ``spans.PATCHES``, this one included, around each traced op.
     softmax_cross_entropy_batch,
 )
-from .train import Model, check_sgd, extract_features, minibatches, momentum_step, shuffles, whole_labels
+from .train import Model, check_sgd, check_split, extract_features, minibatches, momentum_step, shuffles, whole_labels
 
 # Logits (heads x rows x k) per block of the per-epoch tuning NLL.  Tuning six heads on 2560 rows at
 # D=64, k=32 took 1.02-1.12x as long at 2^14-2^15, 1.18x at 2^18 and the same at 2^17 (median CPU
@@ -157,16 +157,15 @@ def _gaps(logits, labels, out: np.ndarray | None = None):
     """The class gaps d = l - max_j l_j of a logit batch (n, k), into ``out`` when given, and the labels' gaps d_y.
 
     DomainError unless l is a nonempty (n, k) and the labels (n,), then NumericError for a non-finite
-    logit, then IndexError for a label outside [0, k), which picking d_y would wrap (-1: the last class).
+    logit, then what ``train.whole_labels`` raises for the "labels": DataError for a non-integer label
+    and IndexError for one outside [0, k), which picking d_y would wrap (-1: the last class).
     """
-    l = np.asarray(logits, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
+    l, y = np.asarray(logits, dtype=np.float64), np.asarray(labels)
     if l.ndim != 2 or l.shape[0] == 0 or y.shape != l.shape[:1]:
         raise DomainError(f"logits {l.shape} and labels {y.shape} are not a nonempty (n, k) batch and its n labels")
     if not np.all(np.isfinite(l)):
         raise NumericError("non-finite logits: the head overflows on this split")
-    if (y < 0).any() or (y >= l.shape[1]).any():
-        raise IndexError("label out of range")
+    y = whole_labels(y, "labels", l.shape[0], l.shape[1])
     d = np.subtract(l, l.max(axis=1)[:, None], out=out)
     return d, d[np.arange(len(y)), y]
 
@@ -197,10 +196,10 @@ def split_metrics(logits, y, n_bins: int = 15) -> SplitMetrics:
     softmax at the argmax (exp(d) is 1 there), as in ``score_batch``.  The gaps d are exponentiated
     in place once d_y is picked, so one (n, k) array serves the confidence and the NLL.
     """
-    l, y = np.asarray(logits, dtype=np.float64), np.asarray(y, dtype=np.int64)
+    l = np.asarray(logits, dtype=np.float64)
     d, dy = _gaps(l, y)
     esum = np.exp(d, out=d).sum(axis=1)
-    correct = l.argmax(axis=1) == y
+    correct = l.argmax(axis=1) == np.asarray(y)
     return SplitMetrics(
         accuracy=float(np.mean(correct)),
         ece=ece(1.0 / esum, correct, n_bins),
@@ -302,11 +301,10 @@ def calibrate(model: Model, val_set, config: CalibConfig, eval_sets: dict | None
     report with before/after accuracy, ECE, NLL on the tuning split and any
     extra named eval splits, plus k-fold cross-validation metrics when
     config.folds >= 2.  Raises, before any split is extracted or any head
-    tuned, StateError for an untrained model; then, naming the split,
-    DomainError for an eval split named "val", an empty split or labels
-    not one per row, IndexError for a label outside [0, k), ShapeError for
-    rows not d_in wide and DataError for a non-finite row or non-integer
-    label.  NumericError for non-finite parameters, tuned ones or logits.
+    tuned, StateError for an untrained model, DomainError for an eval split
+    named "val", then what ``train.check_split`` raises for each split
+    (named "split 'val'", "split 'test'", ...) with the model's k and d_in.
+    NumericError for non-finite parameters, tuned ones or logits.
     """
     config.validate()
     if not model.meta.get("trained"):
@@ -320,26 +318,10 @@ def calibrate(model: Model, val_set, config: CalibConfig, eval_sets: dict | None
     eval_sets = eval_sets or {}
     if "val" in eval_sets:
         raise DomainError("split name 'val' is reserved for the tuning split")
-    splits = {}
-    for name, (X, y) in {"val": val_set, **eval_sets}.items():
-        X, y = np.atleast_2d(np.asarray(X, dtype=np.float64)), whole_labels(y, f"split {name!r}")
-        n = len(X)
-        if n == 0:
-            raise DomainError(f"split {name!r} is empty")
-        # Checked here, as ``_gaps`` and ``extract_features`` would check them, so that a bad split
-        # fails before any split is extracted or any head tuned.
-        if y.shape != (n,):
-            raise DomainError(f"split {name!r} has labels of shape {y.shape} for its {n} rows")
-        if (y < 0).any() or (y >= model.head.n_classes).any():
-            raise IndexError(f"split {name!r}: label out of range [0, {model.head.n_classes})")
-        if X.ndim != 2 or X.shape[1] != model.extractor.d_in:
-            raise ShapeError(
-                f"split {name!r}: input row shape {X.shape[1:]} does not match model d_in {model.extractor.d_in}"
-            )
-        finite = np.isfinite(X).all(axis=1)
-        if not finite.all():
-            raise DataError(f"split {name!r} row {int(np.argmin(finite))} is not finite")
-        splits[name] = (X, y)
+    splits = {
+        name: check_split(X, y, f"split {name!r}", model.head.n_classes, model.extractor.d_in)
+        for name, (X, y) in {"val": val_set, **eval_sets}.items()
+    }
     Xv, yv = splits["val"]
     if config.folds > Xv.shape[0]:
         raise ConfigError(f"folds={config.folds} exceeds validation size {Xv.shape[0]}")

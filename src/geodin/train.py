@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError, ShapeError
+from .errors import ConfigError, DataError, DomainError, NumericError, ShapeError
 from .head import (
     HeadParams,
     HeadVariant,
@@ -349,12 +349,9 @@ def predict(model: Model, X) -> np.ndarray:
 
 
 def accuracy(model: Model, X, y) -> float:
-    """Fraction of rows of X predicted as their label in y; ShapeError unless y holds one label per row."""
-    predicted = predict(model, X)
-    y = np.asarray(y)
-    if y.shape != predicted.shape:
-        raise ShapeError(f"labels shape {y.shape} does not match {len(predicted)} input rows")
-    return float(np.mean(predicted == y))
+    """Fraction of rows of X predicted as their label in y; first raises as ``check_split`` does ("accuracy split")."""
+    X, y = check_split(X, y, "accuracy split", model.head.n_classes, model.extractor.d_in)
+    return float(np.mean(predict(model, X) == y))
 
 
 def loss_and_grads(model: Model, X: np.ndarray, y: np.ndarray, out=None):
@@ -407,34 +404,54 @@ def momentum_step(
     p -= np.multiply(v, lr, out=scratch)
 
 
-def whole_labels(y, split: str) -> np.ndarray:
-    """``y`` as int64; DataError naming ``split`` for a label that the cast changes (2.0 is 2, 2.5 is not)."""
+def whole_labels(y, split: str, n_rows: int, n_classes: int | None) -> np.ndarray:
+    """The labels y of a split of ``n_rows`` rows as int64, or an error that names ``split``.
+
+    DataError for a label that the cast changes (2.0 is 2; 2.5, NaN and inf are not), then DomainError unless there
+    is one label per row, then IndexError for a label outside [0, n_classes) (below 0 when n_classes is None).
+    """
     raw = np.asarray(y)
     with np.errstate(invalid="ignore"):  # NaN and inf cast to some integer, which differs from them
         labels = raw.astype(np.int64)
     if (labels != raw).any():
         raise DataError(f"{split} label {int(np.argmax(labels != raw))} is not an integer")
+    if labels.shape != (n_rows,):
+        raise DomainError(f"{split} has labels of shape {labels.shape} for its {n_rows} rows")
+    top = math.inf if n_classes is None else n_classes
+    if (labels < 0).any() or (labels >= top).any():
+        raise IndexError(f"{split}: label out of range [0, {top})")
     return labels
+
+
+def check_split(X, y, split: str, n_classes: int | None, d_in: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """A labelled split as a float64 (n, d) batch (a 1-D row is one row) and int64 labels; errors name ``split``.
+
+    DomainError for no rows, then ShapeError for rows that are not a 2-D batch or not ``d_in`` wide (any width when
+    d_in is None), then what ``whole_labels`` raises, then DataError for a row with a non-finite entry.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if len(X) == 0:
+        raise DomainError(f"{split} is empty")
+    if X.ndim != 2 or d_in not in (None, X.shape[1]):
+        wanted = "a batch of 1-D rows" if d_in is None else f"model d_in {d_in}"
+        raise ShapeError(f"{split}: input row shape {X.shape[1:]} does not match {wanted}")
+    y = whole_labels(y, split, len(X), n_classes)
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        raise DataError(f"{split} row {int(np.argmin(finite))} is not finite")
+    return X, y
 
 
 def train(config: TrainConfig, train_set, n_classes: int | None = None) -> Model:
     """Train a fresh model on (X, y), deterministically.
 
-    DataError for a non-finite row or a non-integer label, before any step; NumericError on a non-finite loss or result.
+    Before any step, raises as ``check_split`` does for the "train set" (rows of any width, labels in [0, n_classes),
+    which defaults to the largest label + 1) and as ``init_model`` does; NumericError on a non-finite loss or result.
     """
     X, y = train_set
-    X, y = np.asarray(X, dtype=np.float64), whole_labels(y, "train set")
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ConfigError(f"train set must be a nonempty 2-D batch, got shape {X.shape}")
-    if y.shape != (X.shape[0],):
-        raise ShapeError(f"labels shape {y.shape} does not match inputs {X.shape}")
+    X, y = check_split(X, y, "train set", n_classes, None)
     if n_classes is None:
         n_classes = int(y.max()) + 1
-    if np.any(y < 0) or np.any(y >= n_classes):
-        raise ConfigError("labels out of range")
-    finite = np.isfinite(X).all(axis=1)
-    if not finite.all():
-        raise DataError(f"train set row {int(np.argmin(finite))} is not finite")
 
     model = init_model(config, X.shape[1], n_classes)
     U = unit_rows(X)  # each step gathers its batch from these projected rows

@@ -134,6 +134,18 @@ class TestCorrupt:
         with pytest.raises(ConfigError):
             ShiftSpec("salt_and_pepper", 1)
 
+    @pytest.mark.parametrize(
+        "kind,severity,message",
+        [
+            ("concept_split", -1, "concept group index must be >= 0, got -1"),
+            ("none", 1, "the 'none' control spec must have severity 0"),
+        ],
+        ids=["negative_group", "shifted_control"],
+    )
+    def test_severity_outside_its_kind_rejected(self, kind, severity, message):
+        with pytest.raises(ConfigError, match=message):
+            ShiftSpec(kind, severity)
+
 
 class TestConceptGroups:
     def test_similarity_ladder_monotone(self):

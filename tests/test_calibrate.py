@@ -90,6 +90,16 @@ class TestEce:
         with pytest.raises(DomainError):
             ece(np.array([1.2]), np.array([True]))
 
+    @pytest.mark.parametrize("metric", [ece, reliability_bins])
+    def test_mismatched_shapes_rejected(self, metric):
+        with pytest.raises(DomainError, match=r"mismatched shapes \(2,\) vs \(1,\)"):
+            metric([0.5, 0.5], [True])
+
+    @pytest.mark.parametrize("metric", [ece, reliability_bins])
+    def test_zero_bins_rejected(self, metric):
+        with pytest.raises(DomainError, match="n_bins must be >= 1, got 0"):
+            metric([0.5], [True], n_bins=0)
+
     @pytest.mark.parametrize("conf", [[np.nan], [0.5, np.nan]], ids=["nan", "ok-nan"])
     @pytest.mark.parametrize("metric", [ece, reliability_bins])
     def test_nan_confidence_rejected(self, metric, conf):
@@ -189,6 +199,20 @@ def test_bad_logits_or_labels_raise_the_same_error(fn, case):
     logits, labels, error, message = BAD_BATCHES[case]
     with pytest.raises(error, match=message):  # RuntimeWarnings fail tier-1, so none precedes the error
         fn(logits, labels)
+
+
+@pytest.mark.parametrize("fn", [split_metrics, temperature_scale])
+def test_a_label_that_is_not_an_integer_is_rejected(fn):
+    # A cast to int64 alone would read these as [0, 1, 2]: accuracy 1.0, and the T of those labels.
+    with pytest.raises(DataError, match="labels label 0 is not an integer"):
+        fn(np.eye(3), [0.9, 1.5, 2.99])
+
+
+@pytest.mark.parametrize("fn", [split_metrics, temperature_scale])
+def test_whole_valued_float_labels_give_the_results_of_their_integers(fn):
+    assert fn(np.eye(3), [0.0, 1.0, 2.0]) == fn(np.eye(3), [0, 1, 2])
+    logits, labels = calibrated_logits(500, seed=8)
+    assert fn(logits, labels.astype(np.float64)) == fn(logits, labels)
 
 
 class TestTemperatureScale:

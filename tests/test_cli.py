@@ -554,6 +554,28 @@ class TestCmdSplits:
         assert code == 3
         assert "no class names" in capsys.readouterr().err
 
+    def test_zero_groups_exit_2(self, tmp_path, capsys):
+        emb, id_names, ood_names = self.setup_fixture(tmp_path)
+        out = tmp_path / "s.csv"
+        code = main(
+            ["splits", "--embeddings", str(emb), "--id-names", str(id_names), "--ood-names", str(ood_names), "--n-groups", "0", "--out", str(out)]
+        )
+        assert code == 2
+        assert "need at least one group, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_first_embedding_record_without_components_exit_3(self, tmp_path, capsys):
+        # The first record sets the dimension, so a bare token there is malformed rather than ragged.
+        emb, id_names, ood_names = self.setup_fixture(tmp_path)
+        emb.write_text("cat\n" + emb.read_text(encoding="utf-8"), encoding="utf-8")
+        out = tmp_path / "s.csv"
+        code = main(
+            ["splits", "--embeddings", str(emb), "--id-names", str(id_names), "--ood-names", str(ood_names), "--n-groups", "2", "--out", str(out)]
+        )
+        assert code == 3
+        assert "line 1: record has no vector components" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_more_groups_than_names_exit_2(self, tmp_path, capsys):
         emb, id_names, ood_names = self.setup_fixture(tmp_path)
         code = main(

@@ -331,6 +331,13 @@ class TestHeadBackward:
         _, gf = backward(np.zeros(6), p, rng.normal(0.0, 1.0, 4))
         assert np.all(gf == 0.0)
 
+    def test_grad_logits_of_another_shape_rejected(self):
+        rng = np.random.default_rng(13)
+        p = random_params(rng)
+        F = rng.uniform(0.0, 2.0, (3, 6))
+        with pytest.raises(ShapeError, match=r"grad_logits shape \(3, 5\) does not match logits \(3, 4\)"):
+            head_backward_batch(head_forward_batch(F, p), F, p, np.zeros((3, 5)))
+
 
 class TestSharedMultiplierGradient:
     """Calibration steps only the multiplier, on row subsets of a plain part
@@ -638,6 +645,11 @@ class TestGapCrossEntropy:
 
 
 class TestBatchForward:
+    def test_plain_forward_rejects_features_of_another_width(self):
+        p = random_params(np.random.default_rng(16))
+        with pytest.raises(ShapeError, match=r"feature batch shape \(2, 5\) does not match head dim 6"):
+            plain_forward(np.ones((2, 5)), p)
+
     def test_batch_matches_single(self):
         rng = np.random.default_rng(15)
         p = random_params(rng)

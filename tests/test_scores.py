@@ -318,3 +318,10 @@ class TestScoreSetAndBatch:
     def test_batch_rejects_bad_features(self, F, error):
         with pytest.raises(error):
             score_batch(F, np.eye(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_batch_rejects_non_finite_weights(self, bad):
+        W = np.eye(2)
+        W[1, 0] = bad
+        with pytest.raises(DomainError, match="weight matrix contains non-finite entries"):
+            score_batch(np.ones((3, 2)), W)

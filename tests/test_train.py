@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from geodin.errors import ConfigError, DataError, NumericError, ShapeError
+from geodin.errors import ConfigError, DataError, DomainError, NumericError, ShapeError
 from geodin.head import HeadParams, HeadVariant, head_forward_batch
 from geodin.train import (
     ExtractorParams,
@@ -231,8 +231,13 @@ class TestTrainConfig:
         X, y = blobs(rng, n=20)
         y[3] = -1
         for n_classes in (None, 2):
-            with pytest.raises(ConfigError, match="labels out of range"):
+            with pytest.raises(IndexError, match=r"train set: label out of range \[0, "):
                 train(TrainConfig(epochs=1, hidden=(4,), feature_dim=2), (X, y), n_classes=n_classes)
+
+    def test_a_single_class_rejected(self):
+        X, y = blobs(np.random.default_rng(0), n=20)
+        with pytest.raises(ConfigError, match="need at least 2 classes, got 1"):
+            train(TrainConfig(epochs=1, hidden=(4,), feature_dim=2), (X[:20], y[:20]))
 
     def test_inputs_without_features_rejected(self):
         # init_model used to divide by d_in and raise a bare ZeroDivisionError.
@@ -260,8 +265,28 @@ class TestTraining:
         X, y = blobs(rng, n=20)
         model = train(TrainConfig(epochs=1, seed=0, hidden=(6,), feature_dim=4), (X, y))
         for labels in (y[:1], y[:, None]):
-            with pytest.raises(ShapeError):
+            with pytest.raises(DomainError):
                 accuracy(model, X, labels)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "rows,labels,error,message",
+        [
+            (slice(None), lambda y: y + 0.5, DataError, "accuracy split label 0 is not an integer"),
+            (slice(None), lambda y: np.where(np.arange(len(y)) == 4, 3, y), IndexError,
+             r"accuracy split: label out of range \[0, 3\)"),
+            (slice(0), lambda y: y, DomainError, "accuracy split is empty"),
+        ],
+        ids=["half_labels", "label_k", "empty"],
+    )
+    def test_accuracy_rejects_bad_labels_and_an_empty_split(self, rows, labels, error, message):
+        # Compared with the predictions as given, y + 0.5 would read as all misses, k as a miss and no rows as nan.
+        from geodin.bench import make_task
+
+        X, y = make_task(3, 4, 30, 0.1, seed=0).train
+        model = train(TrainConfig(epochs=2), (X, y))
+        with pytest.raises(error, match=message):
+            accuracy(model, X[rows], labels(y[rows]))
 
     def test_determinism_bit_identical(self):
         rng = np.random.default_rng(2)
