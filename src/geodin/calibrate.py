@@ -4,25 +4,25 @@ Calibration freezes the extractor and the class weights and retunes only the
 alpha/beta head parameters by minimizing NLL on a validation split.  Because
 the head rescales all logits by one positive factor, retuning can never
 change a prediction, and every score derived from the feature and the class
-weights is untouched.  The extractor therefore runs once per split, and
-only one split's features are alive at a time: the tuning split's serve
-tuning, its before/after metrics and every cross-validation fold, and are
-released before the first eval split is extracted; each eval split's, in
-turn, serve only its own before/after metrics.  Tuning also computes the
-head's plain part once, as ||f|| and the class gaps d = s - max_j s_j of
-s = F W^T, and steps only the multiplier m, on the training schedule
-``train.minibatches`` over the alpha/beta slice of the head, without weight
-decay.  As m > 0, the logits
-m * d have row max exactly 0: no tuning softmax takes a max or a shift, and
-a step needs only dL/dm (``head.gap_cross_entropy``).  ``_tune_head`` tunes
-the main run's head and the k folds' heads as one stack (see ``head``), in
-lock-step: each head keeps the schedule of its own row count, and at each
-step the heads whose batches are equally long take it in one call.  Each
-head is bit for bit the one a run of its own would give.  The per-epoch
-tuning NLL runs every head over the whole split in order, one block of at
-most ``NLL_LOGITS`` logits at a time, so it gathers no head's features or
-gaps and its temporaries are bounded by the block, not by the split or the
-number of folds.
+weights is untouched.  The extractor and the head's plain part therefore run
+once per split (``_gap_split``): F, ||f|| and the class gaps d = s - max_j s_j
+of s = F W^T.  Only one split is alive at a time: the tuning split serves
+tuning, its before/after metrics and every cross-validation fold, and is
+released before the first eval split is extracted; each eval split serves
+only its own before/after metrics.  Tuning steps only the multiplier m, on
+the training schedule ``train.minibatches`` over the alpha/beta slice of the
+head, without weight decay.  As m > 0, the logits m * d have row max exactly
+0: no tuning softmax takes a max or a shift, and a step needs only dL/dm
+(``head.gap_cross_entropy``).  Every metric reads the same logits m * d, so
+the report's tuning-split NLL is the tuning NLL, bit for bit, and as m >= 1
+keeps d's zeros and signs, before and after accuracy are equal.
+``_tune_head`` tunes the main run's head and the k folds' heads as one stack
+(see ``head``), in lock-step: each head keeps the schedule of its own row
+count, and at each step the heads whose batches are equally long take it in
+one call, bit for bit as a run of its own.  The per-epoch tuning NLL runs
+every head over the whole split in order, one block of at most
+``NLL_LOGITS`` logits at a time, so it gathers no head's features or gaps
+and its temporaries are bounded by the block, not the split or the folds.
 ECE / NLL / reliability-bin metrics and a temperature-scaling baseline live
 here too.  Every NLL here is log(esum) - d_y over class gaps d = l - max_j l_j,
 so none is capped, and a temperature is fitted by bisection on dL/dm.
@@ -41,11 +41,11 @@ from .head import (
     HeadVariant,
     gap_cross_entropy,
     head_backward_batch,
+    # Neither this nor softmax_cross_entropy_batch is called here, as tuning and metrics run on class gaps;
+    # both are bound because perfbench's tracer wraps every name in ``spans.PATCHES`` around each traced op.
     head_forward_batch,
     multiplier_forward,
     plain_forward,
-    # Not called here since tuning steps on class gaps; bound because perfbench's tracer wraps
-    # every name it lists in ``spans.PATCHES``, this one included, around each traced op.
     softmax_cross_entropy_batch,
 )
 from .train import Model, check_sgd, check_split, extract_features, minibatches, momentum_step, shuffles, whole_labels
@@ -208,7 +208,7 @@ def split_metrics(logits, y, n_bins: int = 15) -> SplitMetrics:
 
 
 def _gap_split(F: np.ndarray, y, head):
-    """The tuning split (F, class gaps d = s - max_j s_j, ||f||, the labels' gaps d_y); d overwrites s = F W^T."""
+    """A split as (F, class gaps d = s - max_j s_j, ||f||, the labels' gaps d_y); d overwrites s = F W^T."""
     s, fn = plain_forward(F, head)
     d, dy = _gaps(s, y, out=s)
     return F, d, fn, dy
@@ -326,20 +326,20 @@ def calibrate(model: Model, val_set, config: CalibConfig, eval_sets: dict | None
     if config.folds > Xv.shape[0]:
         raise ConfigError(f"folds={config.folds} exceeds validation size {Xv.shape[0]}")
 
-    def before_after(F, y, tuned_head, rows=slice(None)):
-        """The metrics of rows ``rows`` of a split, with features F and labels y, before and after tuning."""
+    def before_after(split, y, tuned_head, rows=slice(None)):
+        """The metrics of rows ``rows`` of a gap split (``_gap_split``) with labels y, before and after tuning."""
+        F, d, fn = (x[rows] for x in split[:3])
         return {
-            "before": split_metrics(head_forward_batch(F[rows], model.head).logits, y[rows]),
-            "after": split_metrics(head_forward_batch(F[rows], tuned_head).logits, y[rows]),
+            "before": split_metrics(multiplier_forward(F, d, fn, model.head).logits, y[rows]),
+            "after": split_metrics(multiplier_forward(F, d, fn, tuned_head).logits, y[rows]),
         }
 
     pieces = np.array_split(next(shuffles(Xv.shape[0], config.seed, 3)), config.folds) if config.folds >= 2 else []
     row_sets = [np.arange(Xv.shape[0])] + [np.concatenate(pieces[:k] + pieces[k + 1 :]) for k in range(len(pieces))]
     # Row set 0 is the main run's and the rest are the folds' training rows; one stack tunes them all.
     order = sorted(range(len(row_sets)), key=lambda j: -len(row_sets[j]))  # longest first; the main run leads
-    F = extract_features(model, Xv)
-    # The tuning split's gaps are made for this call only, so none of them outlive the tuning.
-    tuned, *results = _tune_head(model.head, _gap_split(F, yv, model.head), [row_sets[j] for j in order], config)
+    val = _gap_split(extract_features(model, Xv), yv, model.head)
+    tuned, *results = _tune_head(model.head, val, [row_sets[j] for j in order], config)
     tuned_runs = {j: (tuned.like(tuned.flat[g]), *(r[g] for r in results)) for g, j in enumerate(order)}
     tuned_head, best_epoch, nll_before, nll_after = tuned_runs[0]
     if not np.all(np.isfinite(tuned_head.flat)):
@@ -349,16 +349,16 @@ def calibrate(model: Model, val_set, config: CalibConfig, eval_sets: dict | None
     new_model.meta["calibrated"] = True
 
     report = CalibrationReport(
-        splits={"val": before_after(F, yv, tuned_head)},
+        splits={"val": before_after(val, yv, tuned_head)},
         nll_before=float(nll_before),
         nll_after=float(nll_after),
         best_epoch=int(best_epoch),
-        folds=[{"fold": k, **before_after(F, yv, tuned_runs[k + 1][0], held)} for k, held in enumerate(pieces)],
+        folds=[{"fold": k, **before_after(val, yv, tuned_runs[k + 1][0], held)} for k, held in enumerate(pieces)],
     )
-    del F  # the tuning split's features end here; each eval split's live only for its own metrics
+    del val  # the tuning split ends here; each eval split lives only for its own metrics
     for name in eval_sets:
         X, y = splits[name]
-        report.splits[name] = before_after(extract_features(model, X), y, tuned_head)
+        report.splits[name] = before_after(_gap_split(extract_features(model, X), y, model.head), y, tuned_head)
 
     if pieces:
         report.cv_mean, report.cv_std = {}, {}

@@ -407,10 +407,13 @@ def momentum_step(
 def whole_labels(y, split: str, n_rows: int, n_classes: int | None) -> np.ndarray:
     """The labels y of a split of ``n_rows`` rows as int64, or an error that names ``split``.
 
-    DataError for a label that the cast changes (2.0 is 2; 2.5, NaN and inf are not), then DomainError unless there
-    is one label per row, then IndexError for a label outside [0, n_classes) (below 0 when n_classes is None).
+    DataError for labels of a dtype other than bool, integer or real floating (an object or complex array), or for a
+    label that the cast changes (2.0 is 2; 2.5, NaN and inf are not), then DomainError unless there is one label per
+    row, then IndexError for a label outside [0, n_classes) (below 0 when n_classes is None).
     """
     raw = np.asarray(y)
+    if raw.dtype.kind not in "biuf":
+        raise DataError(f"{split} labels are of dtype {raw.dtype}, not bool, integer or real floating")
     with np.errstate(invalid="ignore"):  # NaN and inf cast to some integer, which differs from them
         labels = raw.astype(np.int64)
     if (labels != raw).any():

@@ -26,7 +26,7 @@ from geodin.errors import (
     StateError,
     UnsupportedVariantError,
 )
-from geodin.head import HeadParams, HeadVariant, head_forward_batch
+from geodin.head import HeadParams, HeadVariant, multiplier_forward
 from geodin.scores import score_batch
 from geodin.train import (
     TrainConfig,
@@ -528,6 +528,47 @@ def fingerprint_model(tmp_path_factory):
     return model, task.val, cfg.calibrate.config(t.seed)
 
 
+@pytest.fixture(scope="module", params=["alpha_only", "beta_only", "alpha_beta"])
+def variant_model(request, trained_task_model):
+    """The 6-class task and a net of each tunable head variant trained on it."""
+    task, model = trained_task_model
+    if request.param == "alpha_beta":
+        return task, model
+    config = TrainConfig(epochs=10, seed=21, hidden=(32, 32), feature_dim=12, variant=HeadVariant(request.param))
+    return task, train(config, task.train, n_classes=6)
+
+
+class TestReportOnGaps:
+    """The report reads every metric from the logits m * d of each split's class gaps d."""
+
+    def test_tuning_split_nll_is_the_tuning_nll(self, fingerprint_model, variant_model):
+        task, net = variant_model
+        for model, val_set, config in [fingerprint_model, (net, task.val, CalibConfig(seed=21, epochs=4, folds=3))]:
+            _, report = calibrate(model, val_set, config)
+            assert report.splits["val"]["before"].nll == report.nll_before
+            assert report.splits["val"]["after"].nll == report.nll_after
+
+    def test_tuning_changes_no_accuracy(self, variant_model):
+        task, model = variant_model
+        _, report = calibrate(model, task.val, CalibConfig(seed=21, epochs=4, folds=5), eval_sets={"test": task.test})
+        assert len(report.folds) == 5
+        for metrics in [*report.splits.values(), *report.folds]:
+            assert metrics["before"].accuracy == metrics["after"].accuracy
+
+    def test_each_split_runs_the_plain_part_once(self, trained_task_model, monkeypatch):
+        task, model = trained_task_model
+        calls = []
+
+        def spied(name):
+            run = getattr(calibrate_module, name)
+            return lambda *args: calls.append(name) or run(*args)
+
+        for name in ("extract_features", "plain_forward", "head_forward_batch"):
+            monkeypatch.setattr(calibrate_module, name, spied(name))
+        calibrate(model, task.val, CalibConfig(seed=21, epochs=2, folds=3), eval_sets={"test": task.test})
+        assert calls == ["extract_features", "plain_forward"] * 2  # the tuning split, then the test split
+
+
 class TestStackedFolds:
     """The main run and the k folds are tuned as one stack; each fold's head is
     the one a stack of one on its own rows gives, bit for bit."""
@@ -554,10 +595,10 @@ class TestStackedFolds:
                 assert (best_epoch[g], nll_before[g], nll_after[g]) == (one_epoch[0], one_before[0], one_after[0])
 
         _, report = calibrate(model, val_set, config)
-        F, y = val[0], val_set[1]
+        (F, d, fn, _), y = val, val_set[1]
         for k, held in enumerate(pieces):
             head = oracle[k][0]
-            logits = head_forward_batch(F[held], head.like(head.flat[0])).logits
+            logits = multiplier_forward(F[held], d[held], fn[held], head.like(head.flat[0])).logits
             assert report.folds[k]["after"] == split_metrics(logits, y[held])
 
     def test_twelve_folds_take_one_tune_head_call(self, trained_task_model, monkeypatch):
@@ -789,6 +830,16 @@ class TestGapTuning:
         assert (before.tobytes(), after.tobytes()) == (ref_before.tobytes(), ref_after.tobytes())
         assert np.all(after < before)  # the heads moved
 
+    def test_an_epoch_that_ties_is_not_the_best(self, monkeypatch):
+        # With every step skipped, each epoch's NLL ties the NLL before tuning, bit for bit.
+        head, val = _synthetic_split(150)
+        monkeypatch.setattr(calibrate_module, "momentum_step", lambda *args, **kwargs: None)
+        rows = [np.arange(150), np.arange(120), np.arange(40)]
+        heads, best_epoch, before, after = calibrate_module._tune_head(head, val, rows, CalibConfig(epochs=3))
+        assert best_epoch.tolist() == [-1, -1, -1]
+        assert after.tobytes() == before.tobytes()
+        assert heads.flat.tobytes() == np.tile(head.flat, (3, 1)).tobytes()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_underflowing_alpha_raises_the_same_numeric_error(self):
         head, val = _synthetic_split(150)
@@ -826,10 +877,10 @@ def _inflated(model):
     return over
 
 
-def test_calibrate_on_a_wide_net_holds_no_tuning_gaps_or_softmax_temporaries_for_its_metrics():
-    # The wide benchmark net on 2560-row val and test splits: their features take 1.25 MiB each, the
-    # tuning gaps d another 0.62 MiB and each (n, k) softmax temporary 0.62 MiB.  Only one split's
-    # features are alive at a time, so the peak is near 4.3 MiB; holding both splits' would make it 5.3.
+def test_calibrate_on_a_wide_net_holds_one_split_and_its_gaps_at_a_time():
+    # The wide benchmark net on 2560-row val and test splits: their features take 1.25 MiB each, their
+    # gaps d another 0.62 MiB and each (n, k) softmax temporary 0.62 MiB.  Only one split's features
+    # and gaps are alive at a time, so the peak is near 4.3 MiB; holding both splits' would make it 5.3.
     model = init_model(TrainConfig(hidden=(256, 256), feature_dim=64, seed=2), d_in=16, n_classes=32)
     model.meta["trained"] = True
     task = make_task(32, 16, 400, 0.15, seed=2)

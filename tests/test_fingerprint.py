@@ -65,14 +65,14 @@ SMALL_TRAIN_LOG = "829179681c62da5e23bef3734dee844be9abb341ea4503f012fe9857ab9ba
 SMALL_DETECT_CSV = "8a1c363bddd369c8d48ddad7f1f44ba737458ef1014819f48e81e93441a728c8"
 SMALL_DETECT_JSON = "ab3fa761a9cf5acb3d6f87247b929c0cf549c12526efe2b0f7fe95542d10e23f"
 SMALL_CALIBRATE_CHECKPOINT = "b9f541d0204212eb0cf616786adef094cb89e48580ddd049284f5a07076b4827"
-SMALL_CALIBRATE_REPORT = "2b79b73672bb030a4da6a15c614209e70cb1e088f6d23681d5296c899f69c6b5"
+SMALL_CALIBRATE_REPORT = "14e2a77652ce2df81992fa83d234a2dec793ca1f6a24ec6226404d7fb6f54d54"
 
 # 204 validation rows (4 classes x 51): the main run tunes on batches of 64, 64, 64 and 12,
 # and five folds tune on 163 rows (a stack of four) and 164 rows (a stack of one), ending
 # on batches of 35 and 36.
 STACKED_CALIBRATE = ["--set", "task.n_per_class=253", "--set", "calibrate.folds=5"]
 STACKED_CALIBRATE_CHECKPOINT = "5b8453e7af9865db64d317671c9183513511ce3b19526cac43dff80ef9cc6516"
-STACKED_CALIBRATE_REPORT = "63004b3f5bb1923595d5c7da3b3a96e1d9c19ad765a9ea0fe94e9bd1582a109e"
+STACKED_CALIBRATE_REPORT = "c4fb99eaee2c7b0900e4b39d0fda5c81322e3ede07fa9775018f8cba62199920"
 
 
 def sha256(path) -> str:

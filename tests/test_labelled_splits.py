@@ -56,6 +56,10 @@ BAD_LABELS = {
     "minus_1": (_at_row_1(-1), IndexError, "{name}: label out of range [0, 3)"),
     "k": (_at_row_1(K), IndexError, "{name}: label out of range [0, 3)"),
     "one_short": (lambda y: y[:-1], DomainError, "{name} has labels of shape ({short},) for its {n} rows"),
+    "none": (_at_row_1(None), DataError, "{name} labels are of dtype object, not bool, integer or real floating"),
+    "complex": (
+        _at_row_1(1 + 0j), DataError, "{name} labels are of dtype complex128, not bool, integer or real floating"
+    ),
 }
 # The calibration metrics check logits and labels as one batch before they read the labels.
 SHORT_BATCH = "logits ({n}, 3) and labels ({short},) are not a nonempty (n, k) batch and its n labels"

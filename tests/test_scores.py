@@ -13,6 +13,7 @@ import pytest
 import oracles
 from geodin.bench import make_task
 from geodin.errors import DomainError, ShapeError
+from geodin.head import HeadParams, HeadVariant, multiplier_forward, plain_forward
 from geodin.scores import EPS_NORM, row_norms, score_batch
 from geodin.train import TrainConfig, extract_features, train
 from oracles import energy_score, kl_from_uniform, msp_score, score_set, softmax_probs
@@ -325,3 +326,18 @@ class TestScoreSetAndBatch:
         W[1, 0] = bad
         with pytest.raises(DomainError, match="weight matrix contains non-finite entries"):
             score_batch(np.ones((3, 2)), W)
+
+
+class TestBoundaryRows:
+    def test_u_of_equal_logits_is_clamped_at_zero(self):
+        # Three logits of 0.1 have a mean that rounds above 0.1, so lmax - mean is -1.39e-17 unclamped.
+        scores = score_batch([[1.0, 0.0]], [[0.1, 0.0]] * 3)
+        assert scores["u"][0] == 0.0 and scores["h"][0] == 0.0
+
+    def test_a_row_whose_norm_is_exactly_eps_norm_is_not_degenerate(self):
+        F = np.array([[1e-12, 0.0]])
+        assert row_norms(F)[0] == EPS_NORM
+        assert score_batch(F, np.eye(2))["h"][0] == 0.5  # u = 5e-13 over ||f|| = 1e-12
+        head = HeadParams(np.zeros(HeadParams.size(2, 2)), 2, 2, HeadVariant.ALPHA_BETA)
+        head.W[...] = np.eye(2)
+        assert not multiplier_forward(F, *plain_forward(F, head), head).degenerate[0]
