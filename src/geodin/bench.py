@@ -70,8 +70,8 @@ def _split_sizes(n_per_class: int, val_frac: float, test_frac: float) -> tuple[i
 class TaskConfig:
     """A synthetic task and its concept-shift ladder (the ``[task]`` section).
 
-    make_task and make_concept_groups take their defaults from here;
-    ``concept_similarities`` holds one target per group, least similar first.
+    make_task and make_concept_groups take their defaults from here; the
+    ``concept_similarities`` ladder, least similar first, sets the group count.
     """
 
     k: int = 8
@@ -81,7 +81,6 @@ class TaskConfig:
     seed: int = 0
     val_frac: float = 0.2
     test_frac: float = 0.2
-    concept_groups: int = 5
     concept_classes_per_group: int = 2
     concept_n_per_class: int = 200
     concept_similarities: tuple = (0.65, 0.72, 0.79, 0.86, 0.92)
@@ -100,13 +99,11 @@ class TaskConfig:
         fracs = (self.val_frac, self.test_frac)
         if not all(0 < f < 1 for f in fracs) or min(_split_sizes(self.n_per_class, *fracs)) < 1:
             raise ConfigError("split fractions leave an empty split")
-        if self.concept_groups < 1:
-            raise ConfigError(f"need at least one concept group, got {self.concept_groups}")
         if self.concept_classes_per_group < 1 or self.concept_n_per_class < 1:
             raise ConfigError("a concept group needs at least one class of at least one sample")
         sims = np.asarray(self.concept_similarities, dtype=np.float64)
-        if sims.shape != (self.concept_groups,):
-            raise ConfigError(f"concept_similarities has shape {sims.shape} for {self.concept_groups} groups")
+        if sims.ndim != 1 or not sims.size:
+            raise ConfigError(f"need at least one concept group, got concept_similarities of shape {sims.shape}")
         if not np.all((sims >= 0) & (sims < 1)):
             raise ConfigError("concept_similarities must lie in [0, 1)")
         if np.any(np.diff(sims) <= 0):
@@ -259,12 +256,11 @@ def _mixture_direction(base: np.ndarray, anchor: np.ndarray, prototypes: np.ndar
 
 def make_concept_groups(
     task: SyntheticTask,
-    n_groups: int = TaskConfig.concept_groups,
     classes_per_group: int = TaskConfig.concept_classes_per_group,
     n_per_class: int = TaskConfig.concept_n_per_class,
     similarities=TaskConfig.concept_similarities,
 ) -> list[ConceptGroup]:
-    """Held-out classes on a similarity ladder; group 0 is the least similar.
+    """Held-out classes, one group per target in ``similarities``; group 0 is the least similar.
 
     Held-out prototypes are unit-normalized mixtures of training prototypes:
     each interpolates between one base prototype and the class-centroid
@@ -276,16 +272,14 @@ def make_concept_groups(
     task's own noise scale.
     """
     TaskConfig(
-        task.k, task.d_in, noise=task.noise, seed=task.seed, concept_groups=n_groups,
-        concept_classes_per_group=classes_per_group, concept_n_per_class=n_per_class,
-        concept_similarities=similarities,
+        task.k, task.d_in, noise=task.noise, seed=task.seed, concept_classes_per_group=classes_per_group,
+        concept_n_per_class=n_per_class, concept_similarities=similarities,
     ).validate()
     rng = np.random.default_rng(np.random.SeedSequence([task.seed, 7]))
     blend = task.prototypes.sum(axis=0)
     blend /= np.linalg.norm(blend)
     groups = []
-    for gi in range(n_groups):
-        target = float(similarities[gi])
+    for gi, target in enumerate(map(float, similarities)):
         samples = []
         achieved = []
         for _ in range(classes_per_group):

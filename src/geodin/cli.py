@@ -34,9 +34,10 @@ def _load_cfg(args) -> RunConfig:
 def _load_checkpoint_run(args):
     """Config, checkpoint and task for a command that reads a checkpoint.
 
-    The config's ``task.seed`` is ``--seed`` if given, else the one the
-    checkpoint was trained with, so the config a report embeds names the
-    seed of the run.  A checkpoint whose "trained" flag is clear is a data error.
+    The config's ``task.seed`` is ``--seed`` if given, else the checkpoint's,
+    and its ``train`` widths and head variant are the checkpoint's, so the
+    config a report embeds describes the run.  A checkpoint whose "trained"
+    flag is clear is a data error.
     """
     cfg = _load_cfg(args)
     model = load_model(args.checkpoint)
@@ -50,6 +51,8 @@ def _load_checkpoint_run(args):
         )
     if args.seed is None:
         cfg.task.seed = model.meta["seed"]
+    cfg.train.hidden, cfg.train.feature_dim = tuple(model.extractor.dims[1:-1]), model.extractor.d_feature
+    cfg.train.variant = model.head.variant.value
     return cfg, model, _build_task(cfg)
 
 
@@ -85,10 +88,8 @@ def cmd_detect(args) -> int:
     t, shifts = cfg.task, cfg.shifts.config()
     groups = None
     if shifts.concept:
-        groups = make_concept_groups(
-            task, t.concept_groups, t.concept_classes_per_group, t.concept_n_per_class, t.concept_similarities
-        )
-    report = sweep(model, task, shifts.scores, shifts.specs(t.concept_groups), groups)
+        groups = make_concept_groups(task, t.concept_classes_per_group, t.concept_n_per_class, t.concept_similarities)
+    report = sweep(model, task, shifts.scores, shifts.specs(len(t.concept_similarities)), groups)
     report.config = cfg.to_dict()
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -166,6 +167,8 @@ def cmd_report_merge(args) -> int:
             merged = part
         else:
             merged.rows.extend(part.rows)
+            if part.config != merged.config:  # a config is embedded only if every input holds that one
+                merged.config = None
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     fmt = "json" if out.suffix.lower() == ".json" else "csv"

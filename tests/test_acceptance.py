@@ -235,7 +235,7 @@ def test_c7_concept_trend():
     for seed in TREND_SEEDS:
         task = make_task(12, 16, 400, 0.15, seed=seed)
         model = train(TrainConfig(seed=seed), task.train, n_classes=12)
-        groups = make_concept_groups(task, 5, 2, 200, ladder)
+        groups = make_concept_groups(task, 2, 200, ladder)
         specs = [ShiftSpec("concept_split", gi) for gi in range(5)]
         report = sweep(model, task, ["g", "h"], specs, groups)
         h_curves.append([r.auroc for r in report.rows if r.score == "h"])

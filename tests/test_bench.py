@@ -150,7 +150,7 @@ class TestCorrupt:
 class TestConceptGroups:
     def test_similarity_ladder_monotone(self):
         task = make_task(8, 16, 40, 0.15, seed=11)
-        groups = make_concept_groups(task, 5, 2, 30)
+        groups = make_concept_groups(task, 2, 30)
         sims = [g.similarity for g in groups]
         assert all(a <= b for a, b in zip(sims, sims[1:]))
         assert all(isinstance(g, ConceptGroup) for g in groups)
@@ -158,7 +158,7 @@ class TestConceptGroups:
     def test_targets_achieved(self):
         task = make_task(8, 16, 40, 0.15, seed=12)
         targets = (0.75, 0.85, 0.92)
-        groups = make_concept_groups(task, 3, 3, 20, targets)
+        groups = make_concept_groups(task, 3, 20, targets)
         for g, t in zip(groups, targets):
             assert abs(g.similarity - t) < 0.02
 
@@ -167,15 +167,15 @@ class TestConceptGroups:
         blend = task.prototypes.sum(axis=0)
         blend /= np.linalg.norm(blend)
         floor = float((task.prototypes @ blend).max())
-        groups = make_concept_groups(task, 2, 2, 10, (0.1, 0.2))
+        groups = make_concept_groups(task, 2, 10, (0.1, 0.2))
         for g in groups:
             assert g.similarity == pytest.approx(floor, abs=1e-9)
 
     def test_shapes_and_determinism(self):
         task = make_task(6, 12, 40, 0.15, seed=13)
         ladder = (0.65, 0.74, 0.83, 0.92)
-        a = make_concept_groups(task, 4, 2, 25, ladder)
-        b = make_concept_groups(task, 4, 2, 25, ladder)
+        a = make_concept_groups(task, 2, 25, ladder)
+        b = make_concept_groups(task, 2, 25, ladder)
         for ga, gb in zip(a, b):
             assert ga.X.shape == (50, 12)
             assert ga.X.tobytes() == gb.X.tobytes()
@@ -183,12 +183,12 @@ class TestConceptGroups:
     def test_decreasing_similarities_rejected(self):
         task = make_task(4, 8, 40, 0.15, seed=14)
         with pytest.raises(ConfigError):
-            make_concept_groups(task, 2, 2, 10, (0.9, 0.5))
+            make_concept_groups(task, 2, 10, (0.9, 0.5))
 
     def test_default_ladder_is_the_run_config_ladder(self):
         task = make_task(4, 8, 40, 0.15, seed=14)
         ladder = RunConfig().task.concept_similarities
-        for a, b in zip(make_concept_groups(task), make_concept_groups(task, 5, 2, 200, ladder), strict=True):
+        for a, b in zip(make_concept_groups(task), make_concept_groups(task, 2, 200, ladder), strict=True):
             assert a.X.tobytes() == b.X.tobytes()
 
 
@@ -402,7 +402,7 @@ class TestSweep:
     @pytest.mark.parametrize("with_groups", [False, True], ids=["no_groups", "group_out_of_range"])
     def test_concept_specs_checked_before_any_extraction(self, monkeypatch, small_trained, with_groups):
         task, model = small_trained
-        groups = make_concept_groups(task, 3, 2, 40, (0.65, 0.785, 0.92)) if with_groups else None
+        groups = make_concept_groups(task, 2, 40, (0.65, 0.785, 0.92)) if with_groups else None
         rows = _extracted_rows(monkeypatch)
         with pytest.raises(ConfigError, match="concept"):
             sweep(model, task, ["g"], [ShiftSpec("gaussian_noise", 1), ShiftSpec("concept_split", 9)], groups)
@@ -440,7 +440,7 @@ class TestSweep:
 
     def test_concept_group_rows(self, small_trained):
         task, model = small_trained
-        groups = make_concept_groups(task, 3, 2, 40, (0.65, 0.785, 0.92))
+        groups = make_concept_groups(task, 2, 40, (0.65, 0.785, 0.92))
         report = sweep(model, task, ["h"], [ShiftSpec("concept_split", i) for i in range(3)], groups)
         assert [r.severity for r in report.rows] == [0, 1, 2]
         assert all(r.n_ood == 80 for r in report.rows)

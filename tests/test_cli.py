@@ -26,7 +26,6 @@ d_in = 10
 n_per_class = 80
 noise = 0.15
 seed = 3
-concept_groups = 3
 concept_similarities = 0.72, 0.82, 0.92
 
 [train]
@@ -146,7 +145,7 @@ INVALID_CONFIGS = {
     "calibrate_kind": (["calibrate.shift_kind=blur"], "blur"),
     "negative_seed": (["task.seed=-1"], "seed"),
     "seed_2**64": ([f"task.seed={2**64}"], "seed"),
-    "ladder_length": (["task.concept_groups=4"], "concept_similarities"),
+    "removed_concept_groups": (["task.concept_groups=5"], "unknown key 'concept_groups'"),
     "zero_epochs": (["train.epochs=0"], "epochs"),
     "one_class": (["task.k=1"], "2 classes"),
     "negative_folds": (["calibrate.folds=-1"], "folds"),
@@ -167,7 +166,7 @@ INVALID_CONFIGS = {
     "d_in_1": (["task.d_in=1"], "need d_in >= 2"),
     "n_per_class_4": (["task.n_per_class=4"], "at least 5 samples"),
     "empty_train_split": (["task.val_frac=0.5", "task.test_frac=0.5"], "split fractions leave an empty split"),
-    "no_concept_groups": (["task.concept_groups=0"], "at least one concept group"),
+    "no_concept_groups": (["task.concept_similarities="], "at least one concept group"),
     "empty_concept_group": (["task.concept_n_per_class=0"], "a concept group needs"),
     "similarity_1": (["task.concept_similarities=0.5,0.6,0.7,0.8,1.0"], "[0, 1)"),
     "zero_width": (["train.hidden=4,0"], "layer widths"),
@@ -397,6 +396,20 @@ def test_embedded_config_names_the_run_seed(config_file, tmp_path, command, seed
     else:
         doc = json.loads((tmp_path / "out.calibration.json").read_text())
     assert doc["config"]["task"]["seed"] == seed
+
+
+@pytest.mark.parametrize("command", ["detect", "calibrate"])
+def test_embedded_config_names_the_checkpoint_architecture(config_file, tmp_path, command):
+    """A run under a config of other widths and variant embeds the checkpoint's, not the config's."""
+    checkpoint, out = tmp_path / "model.godn", tmp_path / "out"
+    arch = ["--set", "train.hidden=16,24", "--set", "train.feature_dim=5", "--set", "train.variant=beta_only"]
+    assert main(["train", "--config", str(config_file), *arch, "--out", str(checkpoint)]) == 0
+    assert main([command, "--config", str(config_file), "--checkpoint", str(checkpoint), "--out", str(out)]) == 0
+    report = out.with_suffix(".json") if command == "detect" else tmp_path / "out.calibration.json"
+    embedded = json.loads(report.read_text())["config"]["train"]
+    trained = json.loads((tmp_path / "model.config.json").read_text())["train"]
+    assert (embedded["hidden"], embedded["feature_dim"], embedded["variant"]) == ([16, 24], 5, "beta_only")
+    assert embedded == trained
 
 
 @pytest.mark.parametrize("command", ["detect", "calibrate"])
@@ -635,6 +648,21 @@ class TestCmdReportMerge:
         m = read_report(merged)
         assert len(m.rows) == len(a.rows) + len(b.rows)
         assert m.rows[: len(a.rows)] == a.rows
+
+    @pytest.mark.parametrize("seeds,embeds", [((1, 2), False), ((1, 1), True)], ids=["two_runs", "one_run"])
+    def test_json_merge_embeds_a_config_only_if_every_input_shares_it(
+        self, config_file, trained_checkpoint, tmp_path, seeds, embeds
+    ):
+        base = ["detect", "--config", str(config_file), "--checkpoint", str(trained_checkpoint)]
+        paths = [tmp_path / f"r{i}" for i in range(len(seeds))]
+        for path, seed in zip(paths, seeds):
+            assert main([*base, "--seed", str(seed), "--out", str(path)]) == 0
+        merged = tmp_path / "merged.json"
+        assert main(["report-merge", *(str(p.with_suffix(".json")) for p in paths), "--out", str(merged)]) == 0
+        doc = json.loads(merged.read_text())
+        assert sorted({row["seed"] for row in doc["rows"]}) == sorted(set(seeds))
+        first = json.loads(paths[0].with_suffix(".json").read_text())["config"]
+        assert doc.get("config") == (first if embeds else None)
 
     @pytest.mark.parametrize(
         "name,content",

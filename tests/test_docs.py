@@ -6,6 +6,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,19 @@ def test_config_block_is_the_default(tmp_path):
     path = tmp_path / "readme.cfg"
     path.write_text(fenced_block("Configuration file", "ini"), encoding="utf-8")
     assert load_run_config(path) == RunConfig()
+
+
+def test_config_block_names_every_key():
+    # Defaults fill in a key the block leaves out, so the test above cannot see a missing one.
+    named, section = {}, None
+    for line in fenced_block("Configuration file", "ini").splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("["):
+            section = line[1:-1]
+            named[section] = []
+        elif line:
+            named[section].append(line.split("=", 1)[0].strip())
+    assert named == {name: [f.name for f in fields(part)] for name, part in vars(RunConfig()).items()}
 
 
 def test_library_block_runs():

@@ -16,7 +16,6 @@ k = 4
 d_in = 10
 n_per_class = 60
 seed = 5
-concept_groups = 2
 concept_similarities = 0.75, 0.9
 
 [train]
@@ -35,10 +34,10 @@ severities = 1, 4
 """
 
 DEFAULT_TRAIN = "1767bec035af7d5b02c3cc991bb91fa6e886f020745844eb68d8f24f317461f4"
-DEFAULT_TRAIN_CONFIG = "b257bfcd905efdf2daa72fcaed554289176cac96d510510eed7b6d3f9799eef3"
+DEFAULT_TRAIN_CONFIG = "2c198414d20b6f71d60ce96cb1b2b0ff5081d402c89cf79544963ae373706d54"
 DEFAULT_TRAIN_LOG = "2b6c2cd1b29bf434595a4df5870e091708feb8261644da969fee75deb7a1f420"
 DEFAULT_DETECT_CSV = "b18178e63dfec75c7600b0c71aa4b27d8fec2e1cdfde207962984626fa871698"
-DEFAULT_DETECT_JSON = "c6edf091086ee5dfed84f6946ace3dde13667c2aca538050c86f57e9258baf1e"
+DEFAULT_DETECT_JSON = "c10e62aca518d4fc01260688a691a625bd5a8e6e8422f2ef068b27c70f29877f"
 
 SMALL_TRAIN = {
     ("vanilla", True):
@@ -59,20 +58,20 @@ SMALL_TRAIN = {
         "3e92dedc7e34f0c6f711a404f4a4fd75fd157676e65c80b3e5225fa7c2c737a6",
 }
 
-SMALL_TRAIN_CONFIG = "c6e9702b8b5b0eb328927d215951ae2b70aaf2b465862de25d7773f935c5ffb1"
+SMALL_TRAIN_CONFIG = "8edbef9ce46da494181ab5d5e97cb1a3b4e8c2773480ed982b83581928cf20e5"
 SMALL_TRAIN_LOG = "829179681c62da5e23bef3734dee844be9abb341ea4503f012fe9857ab9badd7"
 
 SMALL_DETECT_CSV = "8a1c363bddd369c8d48ddad7f1f44ba737458ef1014819f48e81e93441a728c8"
-SMALL_DETECT_JSON = "ab3fa761a9cf5acb3d6f87247b929c0cf549c12526efe2b0f7fe95542d10e23f"
+SMALL_DETECT_JSON = "4c316dc16616af39279b4bd797e6eee2ba3ef12a6f81b40848c465e235b6cdcb"
 SMALL_CALIBRATE_CHECKPOINT = "b9f541d0204212eb0cf616786adef094cb89e48580ddd049284f5a07076b4827"
-SMALL_CALIBRATE_REPORT = "14e2a77652ce2df81992fa83d234a2dec793ca1f6a24ec6226404d7fb6f54d54"
+SMALL_CALIBRATE_REPORT = "a5aee9f167713ee7ecb556f000c37120a8e83908db95d3cd6c0f3543828157a6"
 
 # 204 validation rows (4 classes x 51): the main run tunes on batches of 64, 64, 64 and 12,
 # and five folds tune on 163 rows (a stack of four) and 164 rows (a stack of one), ending
 # on batches of 35 and 36.
 STACKED_CALIBRATE = ["--set", "task.n_per_class=253", "--set", "calibrate.folds=5"]
 STACKED_CALIBRATE_CHECKPOINT = "5b8453e7af9865db64d317671c9183513511ce3b19526cac43dff80ef9cc6516"
-STACKED_CALIBRATE_REPORT = "c4fb99eaee2c7b0900e4b39d0fda5c81322e3ede07fa9775018f8cba62199920"
+STACKED_CALIBRATE_REPORT = "87a639dbd00cd2347b0e3e17bbd3bd49d4d5859424d54dc47210ac31355b8ace"
 
 
 def sha256(path) -> str:

@@ -29,7 +29,7 @@ def test_a_traced_detect_counts_every_scored_row_once_in_the_extractor_and_score
 
     sets = [
         "task.k=3", "task.d_in=6", "task.n_per_class=600", "task.val_frac=0.2", "task.test_frac=0.6",
-        "task.concept_groups=2", "task.concept_similarities=0.7,0.9", "task.concept_n_per_class=25",
+        "task.concept_similarities=0.7,0.9", "task.concept_n_per_class=25",
         "train.epochs=1", "train.hidden=8", "train.feature_dim=4",
         "shifts.kinds=gaussian_noise,smoothing", "shifts.severities=1,4",
     ]
