@@ -218,9 +218,10 @@ def _tune_head(head, val, rows, config: CalibConfig):
     """NLL-minimize the alpha/beta parameters of G copies of ``head``, copy g on the val rows ``rows[g]``.
 
     ``val`` is the tuning split from ``_gap_split`` and ``rows`` G row
-    indices into it, longest first.  Returns (tuned heads as one stacked
-    HeadParams, best epochs, NLLs before, NLLs after), each along the
-    leading axis of length G; each copy keeps its best state across epochs
+    indices into it, which the stack holds longest first (a stable sort).
+    Returns (tuned heads as one stacked HeadParams, best epochs, NLLs
+    before, NLLs after), each along the leading axis of length G in the
+    order of ``rows``; each copy keeps its best state across epochs
     -1..epochs, so no tuning NLL increases.  Raises NumericError when any
     NLL before tuning is not finite.
 
@@ -238,9 +239,9 @@ def _tune_head(head, val, rows, config: CalibConfig):
     The per-row NLLs, the head gradient and the momentum scratch are
     allocated once per call.
     """
+    rank = sorted(range(len(rows)), key=lambda g: -len(rows[g]))  # stack position -> index into ``rows``
+    rows, back = [rows[g] for g in rank], np.argsort(rank)
     sizes = [len(r) for r in rows]
-    if sizes != sorted(sizes, reverse=True):
-        raise ValueError(f"row sets must come longest first, got sizes {sizes}")
     G, bs, n = len(sizes), config.batch_size, len(val[0])
     heads = head.like(np.tile(head.flat, (G, 1)))
     tail = head.W.size  # the alpha/beta parameters follow W in head.flat
@@ -291,7 +292,7 @@ def _tune_head(head, val, rows, config: CalibConfig):
         best_nll = np.where(better, epoch_nll, best_nll)
         best_epoch[better] = epoch
         best_flat[better] = heads.flat[better]
-    return head.like(best_flat), best_epoch, nll_before, best_nll
+    return head.like(best_flat[back]), best_epoch[back], nll_before[back], best_nll[back]
 
 
 def calibrate(model: Model, val_set, config: CalibConfig, eval_sets: dict | None = None):
@@ -337,11 +338,9 @@ def calibrate(model: Model, val_set, config: CalibConfig, eval_sets: dict | None
     pieces = np.array_split(next(shuffles(Xv.shape[0], config.seed, 3)), config.folds) if config.folds >= 2 else []
     row_sets = [np.arange(Xv.shape[0])] + [np.concatenate(pieces[:k] + pieces[k + 1 :]) for k in range(len(pieces))]
     # Row set 0 is the main run's and the rest are the folds' training rows; one stack tunes them all.
-    order = sorted(range(len(row_sets)), key=lambda j: -len(row_sets[j]))  # longest first; the main run leads
     val = _gap_split(extract_features(model, Xv), yv, model.head)
-    tuned, *results = _tune_head(model.head, val, [row_sets[j] for j in order], config)
-    tuned_runs = {j: (tuned.like(tuned.flat[g]), *(r[g] for r in results)) for g, j in enumerate(order)}
-    tuned_head, best_epoch, nll_before, nll_after = tuned_runs[0]
+    tuned, best_epoch, nll_before, nll_after = _tune_head(model.head, val, row_sets, config)
+    tuned_head, *fold_heads = (tuned.like(flat) for flat in tuned.flat)
     if not np.all(np.isfinite(tuned_head.flat)):
         raise NumericError("calibration produced non-finite head parameters")
     new_model = model.like(model.flat.copy())
@@ -350,10 +349,10 @@ def calibrate(model: Model, val_set, config: CalibConfig, eval_sets: dict | None
 
     report = CalibrationReport(
         splits={"val": before_after(val, yv, tuned_head)},
-        nll_before=float(nll_before),
-        nll_after=float(nll_after),
-        best_epoch=int(best_epoch),
-        folds=[{"fold": k, **before_after(val, yv, tuned_runs[k + 1][0], held)} for k, held in enumerate(pieces)],
+        nll_before=float(nll_before[0]),
+        nll_after=float(nll_after[0]),
+        best_epoch=int(best_epoch[0]),
+        folds=[{"fold": k, **before_after(val, yv, fold_heads[k], held)} for k, held in enumerate(pieces)],
     )
     del val  # the tuning split ends here; each eval split lives only for its own metrics
     for name in eval_sets:

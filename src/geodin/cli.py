@@ -56,10 +56,6 @@ def _load_checkpoint_run(args):
     return cfg, model, _build_task(cfg)
 
 
-def _sibling(path: Path, suffix: str) -> Path:
-    return path.parent / (path.stem + suffix)
-
-
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     task = _build_task(cfg)
@@ -70,13 +66,13 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_model(model, out)
-    log_path = _sibling(out, ".train_log.csv")
+    log_path = out.with_suffix(".train_log.csv")
     with open(log_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "mean_loss", "lr"])
         for row in model.history:
             writer.writerow([row["epoch"], f"{row['mean_loss']:.6g}", f"{row['lr']:.6g}"])
-    _sibling(out, ".config.json").write_text(json.dumps(cfg.to_dict(), indent=2) + "\n", encoding="utf-8")
+    out.with_suffix(".config.json").write_text(json.dumps(cfg.to_dict(), indent=2) + "\n", encoding="utf-8")
     print(f"trained {model.head.variant.value} model: train acc {train_acc:.4f}, test acc {test_acc:.4f}")
     print(f"checkpoint: {out}")
     print(f"training log: {log_path}")
@@ -94,8 +90,8 @@ def cmd_detect(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     csv_path, json_path = out.with_suffix(".csv"), out.with_suffix(".json")
-    write_report(report, csv_path, "csv")
-    write_report(report, json_path, "json")
+    write_report(report, csv_path)
+    write_report(report, json_path)
     print(f"wrote {len(report.rows)} rows to {csv_path} and {json_path}")
     return 0
 
@@ -116,7 +112,7 @@ def cmd_calibrate(args) -> int:
     save_model(new_model, out)
     doc = report.to_dict()
     doc["config"] = cfg.to_dict()
-    report_path = _sibling(out, ".calibration.json")
+    report_path = out.with_suffix(".calibration.json")
     report_path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     before = report.splits["val"]["before"]
     after = report.splits["val"]["after"]
@@ -171,8 +167,7 @@ def cmd_report_merge(args) -> int:
                 merged.config = None
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    fmt = "json" if out.suffix.lower() == ".json" else "csv"
-    write_report(merged, out, fmt)
+    write_report(merged, out)
     print(f"merged {len(args.inputs)} reports ({len(merged.rows)} rows) into {out}")
     return 0
 

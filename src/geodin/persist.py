@@ -31,7 +31,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .bench import DetectionReport, ReportRow
-from .errors import DomainError, FormatError, IntegrityError, NumericError, UnsupportedVersionError
+from .errors import FormatError, IntegrityError, NumericError, UnsupportedVersionError
 from .head import HeadParams, HeadVariant
 from .train import ExtractorParams, Model
 
@@ -219,28 +219,26 @@ def _row_values(row: ReportRow, format_float) -> list:
     return [format_float(getattr(row, f)) if t is float else getattr(row, f) for f, t in _REPORT_TYPES.items()]
 
 
-def write_report(report: DetectionReport, path, format: str = "csv") -> None:
-    """Write a detection report as CSV (fixed header) or JSON (mirrors fields).
+def write_report(report: DetectionReport, path) -> None:
+    """Write a detection report: JSON (mirrors fields) for a ``.json`` suffix in any case, else CSV (fixed header).
 
-    Float fields are written at 6 significant digits.
+    ``read_report`` picks the format by the same rule.  Float fields are written at 6 significant digits.
     """
     path = Path(path)
-    if format == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(REPORT_FIELDS)
-            writer.writerows(_row_values(row, "{:.6g}".format) for row in report.rows)
-    elif format == "json":
+    if path.suffix.lower() == ".json":
         doc = {"rows": [dict(zip(REPORT_FIELDS, _row_values(row, lambda x: float(f"{x:.6g}")))) for row in report.rows]}
         if report.config is not None:
             doc["config"] = report.config
         path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    else:
-        raise DomainError(f"unknown report format {format!r}")
+        return
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(REPORT_FIELDS)
+        writer.writerows(_row_values(row, "{:.6g}".format) for row in report.rows)
 
 
 def read_report(path) -> DetectionReport:
-    """Read back a CSV or JSON detection report."""
+    """Read back a detection report: JSON if the path's suffix is ``.json``, in any case, else CSV."""
     path = Path(path)
     if path.suffix.lower() == ".json":
         try:

@@ -660,10 +660,18 @@ class TestStackedFolds:
             ref_epoch.tolist(), ref_before.tobytes(), ref_after.tobytes()
         )
 
-    def test_row_sets_must_come_longest_first(self):
+    def test_row_sets_in_any_order_give_each_run_its_longest_first_bits(self):
         head, val = _synthetic_split(150)
-        with pytest.raises(ValueError, match="longest first"):
-            calibrate_module._tune_head(head, val, [np.arange(40), np.arange(150)], CalibConfig(epochs=1))
+        rng = np.random.default_rng(3)
+        rows = [rng.permutation(150)[:40], np.arange(150), rng.permutation(150)[:120], rng.permutation(150)[:120]]
+        config = CalibConfig(epochs=2)
+        heads, *results = calibrate_module._tune_head(head, val, rows, config)
+        longest_first = [1, 2, 3, 0]
+        ref_heads, *ref_results = calibrate_module._tune_head(head, val, [rows[j] for j in longest_first], config)
+        for g, j in enumerate(longest_first):
+            assert heads.flat[j].tobytes() == ref_heads.flat[g].tobytes()
+            assert [r[j].tobytes() for r in results] == [r[g].tobytes() for r in ref_results]
+        assert len({h.tobytes() for h in heads.flat}) == 4  # four distinct runs
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("bad_slice", [0, 2])
@@ -839,6 +847,16 @@ class TestGapTuning:
         assert best_epoch.tolist() == [-1, -1, -1]
         assert after.tobytes() == before.tobytes()
         assert heads.flat.tobytes() == np.tile(head.flat, (3, 1)).tobytes()
+
+    def test_all_zero_features_tie_every_epoch_and_keep_the_initial_head(self):
+        # Every row is degenerate with gaps d = 0, so dL/dm is 0, no step moves a head and every epoch's NLL is ln 4.
+        head, _ = _synthetic_split(1, k=4)
+        F = np.zeros((100, 12))
+        val = calibrate_module._gap_split(F, np.arange(100) % 4, head)
+        heads, best_epoch, before, after = calibrate_module._tune_head(head, val, [np.arange(100)], CalibConfig(epochs=3))
+        assert best_epoch.tolist() == [-1]
+        assert before[0] == pytest.approx(math.log(4.0)) and after.tobytes() == before.tobytes()
+        assert heads.flat.tobytes() == head.flat.tobytes()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_underflowing_alpha_raises_the_same_numeric_error(self):

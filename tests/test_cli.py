@@ -238,6 +238,16 @@ class TestCmdTrain:
         assert echo["task"]["k"] == 4
         assert "checkpoint" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("out,stem", [("runs/a.b.godn", "runs/a.b"), ("runs/m", "runs/m"), ("m.v1", "m")])
+    def test_outputs_are_named_by_replacing_the_last_suffix(self, config_file, tmp_path, out, stem):
+        argv = ["--config", str(config_file), "--set", "train.epochs=1"]
+        assert main(["train", *argv, "--out", str(tmp_path / out)]) == 0
+        assert main(["calibrate", *argv, "--checkpoint", str(tmp_path / out), "--out", str(tmp_path / out)]) == 0
+        names = [".train_log.csv", ".config.json", ".calibration.json"]
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()) == sorted(
+            ["run.cfg", out, *(stem + name for name in names)]
+        )
+
     def test_bad_config_key_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("[train]\nepochz = 5\n", encoding="utf-8")

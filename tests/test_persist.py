@@ -10,7 +10,6 @@ import pytest
 from geodin.bench import DetectionReport, ReportRow
 from geodin.cli import main
 from geodin.errors import (
-    DomainError,
     FormatError,
     IntegrityError,
     NumericError,
@@ -19,6 +18,7 @@ from geodin.errors import (
 from geodin.head import HeadVariant
 from geodin.persist import (
     MAGIC,
+    REPORT_FIELDS,
     fnv1a64,
     load_model,
     parse_embeddings,
@@ -333,12 +333,12 @@ def sample_report():
 class TestReports:
     def test_empty_report_header_only(self, tmp_path):
         path = tmp_path / "r.csv"
-        write_report(DetectionReport(), path, "csv")
+        write_report(DetectionReport(), path)
         assert path.read_text().strip() == "score,shift_kind,severity,auroc,tnr_at_tpr95,n_id,n_ood,seed"
 
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "r.csv"
-        write_report(sample_report(), path, "csv")
+        write_report(sample_report(), path)
         back = read_report(path)
         assert len(back.rows) == 2
         assert back.rows[0].score == "g"
@@ -347,15 +347,15 @@ class TestReports:
 
     def test_json_round_trip_stable(self, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        write_report(sample_report(), p1, "json")
+        write_report(sample_report(), p1)
         back = read_report(p1)
         assert back.config == {"task": {"k": 8}}
-        write_report(back, p2, "json")
+        write_report(back, p2)
         assert p1.read_text() == p2.read_text()
 
     def test_six_significant_digits(self, tmp_path):
         path = tmp_path / "r.csv"
-        write_report(sample_report(), path, "csv")
+        write_report(sample_report(), path)
         line = path.read_text().splitlines()[1]
         assert "0.876543" in line
 
@@ -368,7 +368,7 @@ class TestReports:
     def test_rate_that_is_not_in_the_unit_interval_rejected(self, tmp_path, fmt, field, value):
         path = tmp_path / f"r.{fmt}"
         rows = sample_report().rows
-        write_report(DetectionReport(rows=[rows[0], dataclasses.replace(rows[1], **{field: value})]), path, fmt)
+        write_report(DetectionReport(rows=[rows[0], dataclasses.replace(rows[1], **{field: value})]), path)
         with pytest.raises(FormatError, match="not a finite number in \\[0, 1\\]"):
             read_report(path)
 
@@ -376,12 +376,21 @@ class TestReports:
     def test_rates_at_the_interval_ends_read_back(self, tmp_path, fmt):
         path = tmp_path / f"r.{fmt}"
         row = dataclasses.replace(sample_report().rows[0], auroc=0.0, tnr_at_tpr95=1.0)
-        write_report(DetectionReport(rows=[row]), path, fmt)
+        write_report(DetectionReport(rows=[row]), path)
         assert read_report(path).rows == [row]
 
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(DomainError):
-            write_report(sample_report(), tmp_path / "r.xml", "xml")
+    @pytest.mark.parametrize(
+        "name,is_json", [("r.csv", False), ("r.json", True), ("r.JSON", True), ("r.xml", False), ("r", False)]
+    )
+    def test_the_suffix_picks_the_format_for_writing_as_for_reading(self, tmp_path, name, is_json):
+        path = tmp_path / name
+        rows = [dataclasses.replace(row, auroc=0.8765, tnr_at_tpr95=0.25) for row in sample_report().rows]
+        write_report(DetectionReport(rows=rows, config={"task": {"k": 8}}), path)
+        text = path.read_text(encoding="utf-8")
+        assert text.startswith("{") if is_json else text.startswith(",".join(REPORT_FIELDS) + "\n")
+        back = read_report(path)
+        assert back.rows == rows
+        assert back.config == ({"task": {"k": 8}} if is_json else None)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "r.csv"

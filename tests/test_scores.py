@@ -340,4 +340,6 @@ class TestBoundaryRows:
         assert score_batch(F, np.eye(2))["h"][0] == 0.5  # u = 5e-13 over ||f|| = 1e-12
         head = HeadParams(np.zeros(HeadParams.size(2, 2)), 2, 2, HeadVariant.ALPHA_BETA)
         head.W[...] = np.eye(2)
-        assert not multiplier_forward(F, *plain_forward(F, head), head).degenerate[0]
+        trace = multiplier_forward(F, *plain_forward(F, head), head)
+        assert not trace.degenerate[0]
+        assert trace.m[0] > 1.0 / trace.alpha[0]  # the beta term counts: m is 1 / alpha only on a degenerate row
