@@ -15,9 +15,13 @@ Variants: ``vanilla`` (l = s), ``alpha_only`` (beta pinned to 0),
 
 A plain part (s = F W^T, ||f||) and a multiplier part (m and its backward
 pass) make up the layer; calibration freezes F and W, so it computes the plain
-part once per split, as class gaps.  Every pass works on a feature batch (one
-sample is a one-row batch); the tests check the backward pass by finite
-differences.  Training's softmax cross-entropy takes one (n, k) logit batch
+part once per split, as class gaps.  The backward pass is split the same way.
+``head_backward_batch`` is the multiplier part for both callers: the alpha/beta
+gradients from dL/dm, and the alpha/beta pre-activation gradients it hands
+back.  The training step (``train.loss_and_grads``) owns the plain part: W's
+gradient, the feature gradient and the multiplier's feature terms.  Every pass
+works on a feature batch (one sample is a one-row batch); the tests check the
+backward pass by finite differences.  Training's softmax cross-entropy takes one (n, k) logit batch
 (``softmax_cross_entropy_batch``), calibration's the class gaps and one m per
 row or one per batch, a temperature (``gap_cross_entropy``).
 
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -45,20 +50,19 @@ class HeadVariant(str, Enum):
     BETA_ONLY = "beta_only"
     ALPHA_BETA = "alpha_beta"
 
-    @property
+    @cached_property  # each training step asks both twice
     def has_alpha(self) -> bool:
         return self in (HeadVariant.ALPHA_ONLY, HeadVariant.ALPHA_BETA)
 
-    @property
+    @cached_property
     def has_beta(self) -> bool:
         return self in (HeadVariant.BETA_ONLY, HeadVariant.ALPHA_BETA)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function of an array."""
-    ex = np.exp(-np.abs(x))  # exp(-x) where x >= 0, exp(x) elsewhere: never overflows
-    denom = 1.0 + ex
-    return np.where(x >= 0, 1.0 / denom, ex / denom)
+    ex = np.exp(np.copysign(x, -1.0))  # exp(-x) where x >= 0, exp(x) elsewhere: never overflows
+    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
@@ -147,8 +151,9 @@ def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     if n <= B:
         # One block is this same product.  Sending it through the loop's allocation and copy made
         # a default `train` 3-4% slower (CPU time; two probes of 80 alternating in-process pairs,
-        # loop slower in 53 and 54; one x86_64 core, one OpenBLAS thread).
-        return (A @ v[..., None])[..., 0]
+        # loop slower in 53 and 54; one x86_64 core, one OpenBLAS thread).  One vector v is the
+        # same gemv without the column view and its squeeze.
+        return A @ v if v.ndim == 1 else (A @ v[..., None])[..., 0]
     out = np.empty((*np.broadcast_shapes(A.shape[:-2], v.shape[:-1]), n))
     edges = [*range(0, n - 1, B), n]
     for i, j in zip(edges, edges[1:]):
@@ -165,10 +170,13 @@ def multiplier_forward(F: np.ndarray, s: np.ndarray, fn: np.ndarray, params: Hea
     alpha = sigmoid(_matvec(F, params.alpha_w) + params.alpha_b[..., None]) if variant.has_alpha else np.ones_like(fn)
     beta = softplus(_matvec(F, params.beta_w) + params.beta_b[..., None]) if variant.has_beta else np.zeros_like(fn)
     degenerate = fn < EPS_NORM
-    safe_norm = np.where(degenerate, 1.0, fn)
+    some_degenerate = np.count_nonzero(degenerate)  # half the time of degenerate.any() on a training batch
+    safe_norm = np.where(degenerate, 1.0, fn) if some_degenerate else fn
     alpha_norm = alpha * safe_norm
     inv_alpha = 1.0 / alpha
-    m = np.where(degenerate, inv_alpha, inv_alpha + beta / alpha_norm)
+    m = inv_alpha + beta / alpha_norm
+    if some_degenerate:
+        np.copyto(m, inv_alpha, where=degenerate)
     return BatchHeadTrace(alpha, beta, m, m[..., None] * s, s, fn, degenerate, safe_norm, alpha_norm)
 
 
@@ -179,40 +187,29 @@ def head_forward_batch(F: np.ndarray, params: HeadParams) -> BatchHeadTrace:
 
 
 def head_backward_batch(
-    trace: BatchHeadTrace, F: np.ndarray, params: HeadParams, grad_logits: np.ndarray | None = None,
-    out: HeadParams | None = None, grad_m: np.ndarray | None = None,
-) -> tuple[HeadParams, np.ndarray | None]:
-    """Analytic gradients of sum(grad_logits * logits) for a batch.
+    trace: BatchHeadTrace, F: np.ndarray, params: HeadParams, grad_m: np.ndarray, out: HeadParams | None = None
+) -> tuple[HeadParams, np.ndarray | None, np.ndarray | None]:
+    """The multiplier part of the backward pass: the alpha/beta gradients of sum(grad_m * m) for a batch.
 
-    Returns the pair (parameter gradients, feature gradients).  The first is
-    summed over the batch, a HeadParams in the layout of ``params`` (zero for
-    the heads a variant pins); the second holds one row per sample, zeroed
-    for degenerate samples; a stack of heads sums each slice apart.  Given
-    ``grad_m``, the loss's derivative in each row's m, instead of
-    ``grad_logits``, only the multiplier part runs: a caller that holds only
-    dL/dm has frozen F and W (as calibration does), so W's gradient stays
-    zero and the feature gradients are None.  ``grad_m`` is not written to.
-
-    The parameter gradients go into ``out`` when given, else into a new
-    zeroed HeadParams.  A call writes only the live parts (not the pinned
-    heads, nor W given ``grad_m``), so one buffer zeroed once serves a
-    whole run; each step's gradient in it is valid until the next call.
+    ``grad_m`` holds the loss's derivative in each row's m and is not
+    written to.  Returns (parameter gradients, ga, gb).  The first is summed
+    over the batch, a HeadParams in the layout of ``params``; a stack of
+    heads sums each slice apart.  ga and gb are the per-row gradients of
+    the alpha and beta pre-activations (None for a head the variant pins),
+    taken with the degenerate rows' grad_m zeroed and gb zeroed there too,
+    for a caller whose F is live to add the feature terms ga * alpha_w and
+    gb * beta_w.  The gradients go into ``out`` when given, else into a new
+    zeroed HeadParams.  A call writes only the live alpha/beta parts, so one
+    buffer zeroed once serves a whole run; each step's gradient in it is
+    valid until the next call.
     """
     variant = params.variant
     m, alpha, beta, d = trace.m, trace.alpha, trace.beta, trace.degenerate
     grad = params.like(np.zeros_like(params.flat)) if out is None else out
-    Ft = np.swapaxes(F, -1, -2)
-
-    # The multiplier part: the alpha/beta gradients through us = d(loss)/dm per sample.
-    # Each temporary below is this call's own, so the degenerate rows are zeroed in place.
-    if grad_m is None:
-        U = np.asarray(grad_logits, dtype=np.float64)
-        if U.shape != trace.logits.shape:
-            raise ShapeError(f"grad_logits shape {U.shape} does not match logits {trace.logits.shape}")
-        us = np.einsum("...ij,...ij->...i", U, trace.vanilla_logits)
-    else:
-        us = np.array(grad_m, dtype=np.float64)  # a copy, zeroed below
-    us[d] = 0.0
+    Ft = F.swapaxes(-1, -2)
+    some_degenerate = np.count_nonzero(d)
+    us = np.where(d, 0.0, grad_m) if some_degenerate else grad_m
+    ga = gb = None
     if variant.has_alpha:
         # dm/dalpha = -m/alpha, dalpha/dz = alpha(1-alpha)
         ga = us * (-m / alpha) * alpha * (1.0 - alpha)
@@ -223,44 +220,34 @@ def head_backward_batch(
         dbeta_dz = -np.expm1(-beta)
         gb = us * dbeta_dz
         gb /= trace.alpha_norm
-        gb[d] = 0.0
+        if some_degenerate:
+            gb[d] = 0.0
         np.matmul(Ft, gb[..., None], out=grad.beta_w[..., None])
         grad.beta_b[...] = np.add.reduce(gb, axis=-1)
-    if grad_m is not None:
-        return grad, None
-
-    # The plain part: the class-weight and feature gradients, then the multiplier's feature terms.
-    mU = m[..., None] * U
-    np.matmul(np.swapaxes(mU, -1, -2), F, out=grad.W)
-    grad_F = mU @ params.W
-    if variant.has_alpha:
-        grad_F += ga[..., None] * params.alpha_w[..., None, :]
-    if variant.has_beta:
-        grad_F += gb[..., None] * params.beta_w[..., None, :]
-        # dm/d||f|| = -beta/(alpha ||f||^2), d||f||/df = f/||f||; the degenerate rows are zeroed below.
-        safe_fn = trace.safe_norm
-        gn = us * (-beta / (alpha * safe_fn**2)) / safe_fn
-        grad_F += gn[..., None] * F
-    grad_F[d] = 0.0
-    return grad, grad_F
+    return grad, ga, gb
 
 
-def softmax_cross_entropy_batch(logits: np.ndarray, labels):
+def softmax_cross_entropy_batch(logits: np.ndarray, labels, out: np.ndarray | None = None):
     """Mean softmax cross-entropy of a logit batch (n, k) against its labels, and its gradient wrt every logit.
 
-    The labels must lie in [0, k): this per-step call does not check them,
-    and a negative one silently picks from the end of its row.  ``train``
-    checks its labels once per run.
+    The gradient is computed in ``out`` when given (an (n, k) array; a
+    training step passes one per run), else in a new array.  The labels
+    must lie in [0, k): this per-step call does not check them, but each
+    row picks its own label, so a label >= k raises IndexError and a
+    negative one silently picks from the end of its row.  ``train`` checks
+    its labels once per run.
     """
     n = len(logits)
-    shifted = logits - logits.max(axis=1)[:, None]
-    e = np.exp(shifted)
-    esum = e.sum(axis=1)
+    shifted = np.subtract(logits, logits.max(axis=1)[:, None], out=out)
     pick = (np.arange(n), labels)
-    nll = np.log(esum) - shifted[pick]
-    grad = e / esum[:, None]
-    grad[pick] -= 1.0
-    return nll.sum() / n, grad / n
+    picked = shifted[pick]
+    e = np.exp(shifted, out=shifted)
+    esum = e.sum(axis=1)
+    nll = np.log(esum) - picked
+    e /= esum[:, None]
+    e[pick] -= 1.0
+    e /= n
+    return nll.sum() / n, e
 
 
 def gap_cross_entropy(

@@ -24,13 +24,19 @@ the model bit for bit.
 A step does only that step's arithmetic.  ``train`` checks its inputs and
 labels and projects every row onto the unit sphere once per run (the
 projection works row by row, so a batch of projected rows is the projection
-of the batch).  It steps ``model.flat``, the one vector that the model's
-extractor and head are views of, so each step makes one ``momentum_step``
-call.  It allocates once per run the buffers each step overwrites: the
-gradient, a Model of the same shape (``out=`` of ``loss_and_grads``, which
-passes its extractor and head to ``extractor_backward`` and
-``head_backward_batch``), and the ``momentum_step`` scratch.  A gradient
-returned in such a buffer is valid until the next step.
+of the batch).  Each epoch gathers the projected rows and labels once, in
+the epoch's shuffled order, and each step takes the next contiguous slice.
+``train`` steps ``model.flat``, the one vector that the model's extractor
+and head are views of, so each step makes one ``momentum_step`` call.  It
+allocates once per run what each step overwrites: the ``momentum_step``
+scratch and a ``Workspace`` per batch size (a ragged last batch gets a
+second one, which shares the first one's gradient).  A workspace holds the
+gradient, a Model of the same shape, and the arrays ``loss_and_grads``
+writes: each layer's activations and dz, the softmax gradient and the
+head's backward terms.  The step owns the head's plain part of the backward
+pass (W's gradient and the feature gradient) and calls
+``head_backward_batch`` for the multiplier part.  A gradient returned in a
+workspace is valid until the next step.
 """
 
 from __future__ import annotations
@@ -265,19 +271,23 @@ def extractor_forward(params: ExtractorParams, X: np.ndarray) -> np.ndarray:
     return F
 
 
-def extractor_activations(params: ExtractorParams, U: np.ndarray) -> list[np.ndarray]:
+def extractor_activations(
+    params: ExtractorParams, U: np.ndarray, out: list[np.ndarray] | None = None
+) -> list[np.ndarray]:
     """The forward pass backprop needs, for a batch U of rows already projected by ``unit_rows``.
 
-    Returns the activations [U, a_1, ..., a_L = features].
+    Returns the activations [U, a_1, ..., a_L = features]; a_i is computed
+    in ``out[i - 1]`` when ``out`` is given, else in a new array.
     """
     acts = [U]
-    for W, b in params.layers:
-        acts.append(_layer(acts[-1], W, b))
+    for (W, b), a in zip(params.layers, out or [None] * len(params.layers)):
+        acts.append(_layer(acts[-1], W, b, a))
     return acts
 
 
 def extractor_backward(
-    params: ExtractorParams, acts, grad_F: np.ndarray, out: ExtractorParams | None = None
+    params: ExtractorParams, acts, grad_F: np.ndarray, out: ExtractorParams | None = None,
+    dz: list[np.ndarray] | None = None,
 ) -> np.ndarray:
     """Backprop grad wrt features through the rectified layers.
 
@@ -286,16 +296,19 @@ def extractor_backward(
     views of one vector in the layout of ``params.flat``, which is returned:
     ``out.flat`` when given (every element is overwritten, so ``train``
     passes one buffer for the run; the gradient is valid until the next
-    step), else a new vector.
+    step), else a new vector.  The gradient wrt layer i's pre-activation is
+    computed in ``dz[i]`` when ``dz`` is given, else in a new array; grad_F
+    is not written to.
     """
     grads = ExtractorParams(np.empty_like(params.flat), params.dims) if out is None else out
-    dz = grad_F * (acts[-1] > 0)  # grad_F is the caller's; later masks go in place into this call's own dz
+    dz_out = dz or [None] * len(params.layers)
+    dz = np.multiply(grad_F, acts[-1] > 0, out=dz_out[-1])  # later masks go in place into dz
     for i in range(len(params.layers) - 1, -1, -1):
         gW, gb = grads.layers[i]
         np.add.reduce(dz, axis=0, out=gb)
         np.matmul(dz.T, acts[i], out=gW)
         if i > 0:
-            dz = dz @ params.layers[i][0]
+            dz = np.matmul(dz, params.layers[i][0], out=dz_out[i - 1])
             dz *= acts[i] > 0
     return grads.flat
 
@@ -357,23 +370,67 @@ def accuracy(model: Model, X, y) -> float:
     return float(np.mean(predict(model, X) == y))
 
 
-def loss_and_grads(model: Model, X: np.ndarray, y: np.ndarray, out=None):
+class Workspace:
+    """The arrays an SGD step of ``rows`` rows writes, allocated once and overwritten by each step.
+
+    ``grad`` is the gradient, a Model of ``model``'s shape whose head is
+    zeroed, as its pinned parts are never written (a new one unless given,
+    so that workspaces of two batch sizes share one).  ``acts`` and ``dz``
+    hold each extractor layer's output and the gradient wrt its
+    pre-activation; ``grad_logits`` and ``mU`` are (rows, k); ``grad_F`` and
+    ``term``, a feature term of the head's backward, are (rows, D); and
+    ``grad_m`` holds dL/dm per row.
+    """
+
+    def __init__(self, model: Model, rows: int, grad: Model | None = None):
+        self.grad = model.like(np.zeros_like(model.flat)) if grad is None else grad
+        widths = model.extractor.dims[1:]
+        self.acts = [np.empty((rows, w)) for w in widths]
+        self.dz = [np.empty((rows, w)) for w in widths]
+        self.grad_logits, self.mU = np.empty((2, rows, model.head.n_classes))
+        self.grad_F, self.term = np.empty((2, rows, model.head.d_feature))
+        self.grad_m = np.empty(rows)
+
+
+def loss_and_grads(model: Model, X: np.ndarray, y: np.ndarray, out: Workspace | None = None):
     """Mean cross-entropy over one SGD batch and its gradients.
 
     X holds the batch's rows already projected by ``unit_rows`` and y their
     labels in [0, k); ``train`` checks and projects its inputs once per run,
     so neither is checked here.  Returns (loss, (extractor gradient, head
-    gradient)), each in the layout of its parameter object's ``flat``.
-    ``out``, a gradient Model for the run whose head is zeroed, passes its
-    extractor to ``extractor_backward`` and its head to
-    ``head_backward_batch``, so both gradients land in ``out.flat``; they
-    are valid until the next step.
+    gradient)), each in the layout of its parameter object's ``flat`` and
+    both views of ``out.grad.flat``, valid until the next step.  ``out`` is
+    a Workspace of len(X) rows (a new one when None).
+
+    The step owns the head's plain part of the backward pass, the class
+    weights' gradient mU^T F with mU = m * dL/dlogits and the feature gradient;
+    ``head_backward_batch`` runs the multiplier part on dL/dm = sum_j
+    dL/dl_j s_j and hands back the alpha/beta pre-activation gradients,
+    whose feature terms this adds.  A degenerate row's feature gradient is 0.
     """
-    acts = extractor_activations(model.extractor, X)
-    trace = head_forward_batch(acts[-1], model.head)
-    loss, grad_logits = softmax_cross_entropy_batch(trace.logits, y)
-    hg, grad_F = head_backward_batch(trace, acts[-1], model.head, grad_logits, out=out and out.head)
-    return loss, (extractor_backward(model.extractor, acts, grad_F, out=out and out.extractor), hg.flat)
+    ws = Workspace(model, len(X)) if out is None else out
+    head, grad = model.head, ws.grad.head
+    acts = extractor_activations(model.extractor, X, out=ws.acts)
+    F = acts[-1]
+    trace = head_forward_batch(F, head)
+    loss, grad_logits = softmax_cross_entropy_batch(trace.logits, y, out=ws.grad_logits)
+    grad_m = np.einsum("ij,ij->i", grad_logits, trace.vanilla_logits, out=ws.grad_m)
+    _, ga, gb = head_backward_batch(trace, F, head, grad_m, out=grad)
+    mU = np.multiply(trace.m[:, None], grad_logits, out=ws.mU)
+    np.matmul(mU.T, F, out=grad.W)
+    grad_F = np.matmul(mU, head.W, out=ws.grad_F)
+    if ga is not None:
+        grad_F += np.multiply(ga[:, None], head.alpha_w, out=ws.term)
+    if gb is not None:
+        grad_F += np.multiply(gb[:, None], head.beta_w, out=ws.term)
+        # dm/d||f|| = -beta/(alpha ||f||^2), d||f||/df = f/||f||; the degenerate rows are zeroed below.
+        safe_fn = trace.safe_norm
+        gn = grad_m * (-trace.beta / (trace.alpha * safe_fn**2)) / safe_fn
+        grad_F += np.multiply(gn[:, None], F, out=ws.term)
+    if np.count_nonzero(trace.degenerate):
+        grad_F[trace.degenerate] = 0.0
+    extractor_backward(model.extractor, acts, grad_F, out=ws.grad.extractor, dz=ws.dz)
+    return loss, (ws.grad.extractor.flat, grad.flat)
 
 
 def momentum_step(
@@ -401,7 +458,8 @@ def momentum_step(
         decayed += g[..., :n_decay]
         n = decayed.shape[-1]
         v[..., :n] += decayed
-        v[..., n:] += g[..., n:]
+        if n < v.shape[-1]:
+            v[..., n:] += g[..., n:]
     else:
         v += g
     p -= np.multiply(v, lr, out=scratch)
@@ -460,16 +518,23 @@ def train(config: TrainConfig, train_set, n_classes: int | None = None) -> Model
         n_classes = int(y.max()) + 1
 
     model = init_model(config, X.shape[1], n_classes)
-    U = unit_rows(X)  # each step gathers its batch from these projected rows
-    grad = model.like(np.zeros_like(model.flat))  # the head's pinned parts are never written, so they stay zero
+    U = unit_rows(X)  # each epoch gathers its order of these projected rows
+    full = Workspace(model, min(config.batch_size, len(X)))
+    workspaces, grad = {len(full.grad_m): full}, full.grad  # batch rows -> Workspace, all with this gradient
     velocity, scratch = np.zeros_like(model.flat), np.empty_like(model.flat)
     # With decay_heads off only the extractor and the head's prefix, the class weights W, decay.
     n_decay = None if config.decay_heads else model.extractor.flat.size + model.head.W.size
     # The shuffle stream (seed, 1) is separate from the init stream (seed).
     for epoch, steps in enumerate(minibatches(X.shape[0], config, 1)):
-        epoch_loss = 0.0
+        order = np.concatenate([idx for idx, _ in steps])
+        U_epoch, y_epoch = U[order], y[order]  # each step takes the next slice of these
+        epoch_loss, start = 0.0, 0
         for bi, (idx, lr) in enumerate(steps):
-            loss, _ = loss_and_grads(model, U[idx], y[idx], out=grad)
+            rows = slice(start, start + len(idx))
+            if len(idx) not in workspaces:
+                workspaces[len(idx)] = Workspace(model, len(idx), grad)
+            loss, _ = loss_and_grads(model, U_epoch[rows], y_epoch[rows], out=workspaces[len(idx)])
+            start = rows.stop
             if not math.isfinite(loss):
                 raise NumericError(f"non-finite loss {loss} at epoch {epoch} batch {bi} (lr={lr:.6g})")
             momentum_step(model.flat, grad.flat, velocity, lr, config.momentum, config.weight_decay, n_decay, scratch)

@@ -7,16 +7,19 @@ that a test comparing ``score_batch`` with them does not compare the code
 with itself.  The checksum reference is the byte-at-a-time FNV-1a loop.  The
 gradient oracle differentiates its own batched forward pass numerically.
 The init oracle draws every weight matrix from one seeded generator in
-checkpoint order.  The training oracle is the SGD loop that projects and allocates afresh on
-every step, the tuning oracle the calibration loop run one head at a time on
-a copy of its own rows, with the gap softmax written out, and the inference
-oracle the forward pass that takes the whole batch at once, as do the
-whole-batch logits and the sweep oracle, which scores each split in one
-``score_batch`` call.  The head-backward oracle is the backward pass that
-masks the degenerate rows with ``np.where`` on fresh temporaries and
-recomputes the safe norm.  The softmax references (probabilities, each row's NLL
-and its mean) take plain logits with their own max shift, and the
-temperature reference is the golden-section search on ln T over their NLL.
+checkpoint order.  The training oracle is the SGD loop that projects and
+allocates afresh on every step, through the step oracle: the forward pass,
+the softmax with its tuple pick and the whole head backward, each on fresh
+arrays.  The sigmoid reference is the two-division form.  The tuning oracle
+is the calibration loop run one head at a time on a copy of its own rows,
+with the gap softmax written out, and the inference oracle the forward pass
+that takes the whole batch at once, as do the whole-batch logits and the
+sweep oracle, which scores each split in one ``score_batch`` call.  The
+head-backward oracle is the backward pass that masks the degenerate rows
+with ``np.where`` on fresh temporaries and recomputes the safe norm.  The
+softmax references (probabilities, each row's NLL and its mean) take plain
+logits with their own max shift, and the temperature reference is the
+golden-section search on ln T over their NLL.
 """
 
 import math
@@ -28,7 +31,16 @@ from geodin.bench import CONCEPT_KIND, DetectionReport, ReportRow, auroc, corrup
 from geodin.errors import ConfigError, DomainError, NumericError
 from geodin.head import head_backward_batch, head_forward_batch, multiplier_forward
 from geodin.scores import score_batch
-from geodin.train import extract_features, init_model, loss_and_grads, minibatches, momentum_step, unit_rows
+from geodin.train import (
+    extract_features,
+    extractor_activations,
+    extractor_backward,
+    init_model,
+    loss_and_grads,
+    minibatches,
+    momentum_step,
+    unit_rows,
+)
 
 EPS_NORM = 1e-12
 
@@ -266,11 +278,45 @@ def full_gradient_check(model, sample, eps: float = 1e-5) -> float:
     return float(rel.max())
 
 
+def reference_sigmoid(x):
+    """The logistic function as two divisions picked by ``np.where``: 1 / (1 + e) where x >= 0, else e / (1 + e)."""
+    ex = np.exp(-np.abs(x))
+    denom = 1.0 + ex
+    return np.where(x >= 0, 1.0 / denom, ex / denom)
+
+
+def reference_softmax_cross_entropy(logits, labels):
+    """Mean softmax cross-entropy of a logit batch (n, k) and its gradient, on fresh arrays with a tuple pick."""
+    n = len(logits)
+    shifted = logits - logits.max(axis=1)[:, None]
+    e = np.exp(shifted)
+    esum = e.sum(axis=1)
+    pick = (np.arange(n), labels)
+    nll = np.log(esum) - shifted[pick]
+    grad = e / esum[:, None]
+    grad[pick] -= 1.0
+    return nll.sum() / n, grad / n
+
+
+def reference_step(model, U, y):
+    """``loss_and_grads`` on fresh arrays: (loss, (extractor gradient, head gradient), feature gradient).
+
+    The activations, ``head_forward_batch``, ``reference_softmax_cross_entropy``,
+    the whole head backward (``reference_head_backward`` on the logit gradient)
+    and ``extractor_backward`` without buffers.
+    """
+    acts = extractor_activations(model.extractor, U)
+    trace = head_forward_batch(acts[-1], model.head)
+    loss, grad_logits = reference_softmax_cross_entropy(trace.logits, y)
+    hg, grad_F = reference_head_backward(trace, acts[-1], model.head, grad_logits)
+    return loss, (extractor_backward(model.extractor, acts, grad_F), hg.flat), grad_F
+
+
 def reference_train(config, train_set, n_classes: int):
     """``train`` without its per-run buffers, to compare bytes against.
 
-    Every step projects its own raw batch with ``unit_rows`` and calls
-    ``loss_and_grads`` and both ``momentum_step`` updates without buffers,
+    Every step projects its own raw batch with ``unit_rows``, runs
+    ``reference_step`` and both ``momentum_step`` updates without buffers,
     so each gradient and scratch array is new.  Same init, schedule, decay
     split and per-epoch history as ``train``; no input checks.
     """
@@ -282,7 +328,7 @@ def reference_train(config, train_set, n_classes: int):
     for epoch, steps in enumerate(minibatches(X.shape[0], config, 1)):
         epoch_loss = 0.0
         for idx, lr in steps:
-            loss, (ext_g, head_g) = loss_and_grads(model, unit_rows(X[idx]), y[idx])
+            loss, (ext_g, head_g), _ = reference_step(model, unit_rows(X[idx]), y[idx])
             momentum_step(ext, ext_g, ext_v, lr, config.momentum, config.weight_decay)
             momentum_step(head, head_g, head_v, lr, config.momentum, config.weight_decay, head_decay)
             epoch_loss += loss
@@ -405,12 +451,17 @@ def reference_tune_head(head, val, rows, config):
 
 
 def reference_head_backward(trace, F, params, grad_logits=None, grad_m=None):
-    """``head_backward_batch`` in its ``np.where`` form, to compare bytes against.
+    """The head's backward pass in its ``np.where`` form, to compare bytes against.
 
-    The safe norm where(d, 1, ||f||) and alpha times it are recomputed from
-    the trace's alpha, ||f|| and degenerate rows; each per-row term is masked
-    with ``np.where(d, 0, x)`` on a new array, ``gn`` included; the weight
-    gradients are products copied into a new zeroed HeadParams.
+    Given ``grad_m``, dL/dm per row, it is the multiplier part that
+    ``head_backward_batch`` runs, and returns (gradients, None); given the
+    logit gradient ``grad_logits`` instead, it also runs the plain part that
+    the training step owns, and returns (gradients, feature gradients), the
+    whole backward of sum(grad_logits * logits).  The safe norm where(d, 1,
+    ||f||) and alpha times it are recomputed from the trace's alpha, ||f||
+    and degenerate rows; each per-row term is masked with ``np.where(d, 0,
+    x)`` on a new array, ``gn`` included; the weight gradients are products
+    copied into a new zeroed HeadParams.
     """
     variant = params.variant
     m, alpha, beta, d = trace.m, trace.alpha, trace.beta, trace.degenerate

@@ -1,7 +1,10 @@
 """Decomposed-head tests: forward oracles, analytic gradients, order preservation.
 
 A single sample is a one-row batch: ``forward`` and ``backward`` below run the
-batch functions on one row and return that row.
+batch functions on one row and return that row.  The whole backward on a logit
+gradient is checked by finite differences in the oracle that the training step
+equals bit for bit (``reference_head_backward``); the engine's multiplier part
+and the step are compared with that oracle's bytes.
 """
 
 import dataclasses
@@ -29,8 +32,16 @@ from geodin.head import (
     softmax_cross_entropy_batch,
     softplus,
 )
-from geodin.train import momentum_step
-from oracles import copy_head, cross_entropy, reference_head_backward, row_nll
+from geodin.train import TrainConfig, Workspace, init_model, loss_and_grads, momentum_step, unit_rows
+from oracles import (
+    copy_head,
+    cross_entropy,
+    reference_head_backward,
+    reference_sigmoid,
+    reference_softmax_cross_entropy,
+    reference_step,
+    row_nll,
+)
 
 
 def random_params(rng, d=6, m=4, variant=HeadVariant.ALPHA_BETA):
@@ -54,9 +65,10 @@ def forward(f, params):
 
 
 def backward(f, params, grad_logits):
-    """head_backward_batch for the one-row batch [f]: (parameter gradients, that row's feature gradient)."""
+    """The whole head backward (``reference_head_backward``) for the one-row batch [f]: (parameter gradients, that
+    row's feature gradient)."""
     F = np.asarray(f, dtype=np.float64)[None, :]
-    g, grad_F = head_backward_batch(head_forward_batch(F, params), F, params, np.asarray(grad_logits)[None, :])
+    g, grad_F = reference_head_backward(head_forward_batch(F, params), F, params, np.asarray(grad_logits)[None, :])
     return g, grad_F[0]
 
 
@@ -65,9 +77,9 @@ def dl_dm(trace, U):
     return np.einsum("...ij,...ij->...i", U, trace.vanilla_logits)
 
 
-def multiplier_backward(trace, F, params, U, frozen, backward=head_backward_batch):
-    """``backward`` on the logit gradient U, or, when ``frozen``, only on its dL/dm."""
-    return backward(trace, F, params, grad_m=dl_dm(trace, U)) if frozen else backward(trace, F, params, U)
+def assert_pre_activation_gradients(variant, ga, gb):
+    """``head_backward_batch`` hands back ga and gb exactly for the heads the variant keeps live."""
+    assert (ga is None) != variant.has_alpha and (gb is None) != variant.has_beta
 
 
 def softmax_cross_entropy(logits, label):
@@ -128,11 +140,15 @@ class TestHeadParamsLayout:
         rng = np.random.default_rng(42)
         p = random_params(rng)
         f = random_feature(rng)
-        g, gf = backward(f, p, rng.normal(0.0, 1.0, 4))
-        assert isinstance(g, HeadParams) and g.flat.shape == p.flat.shape
-        np.testing.assert_array_equal(
-            g.flat, np.concatenate([g.W.ravel(), g.alpha_w, [g.alpha_b], g.beta_w, [g.beta_b]])
-        )
+        U = rng.normal(0.0, 1.0, 4)
+        g, gf = backward(f, p, U)
+        trace = head_forward_batch(f[None, :], p)
+        multiplier, _, _ = head_backward_batch(trace, f[None, :], p, dl_dm(trace, U[None, :]))
+        for grad in (g, multiplier):
+            assert isinstance(grad, HeadParams) and grad.flat.shape == p.flat.shape
+            np.testing.assert_array_equal(
+                grad.flat, np.concatenate([grad.W.ravel(), grad.alpha_w, [grad.alpha_b], grad.beta_w, [grad.beta_b]])
+            )
         assert gf.shape == f.shape
 
 
@@ -143,6 +159,12 @@ class TestActivations:
         s = sigmoid(x)
         assert np.all(s >= 0.0) and np.all(s <= 1.0)
         assert np.all(np.diff(s) >= 0.0)
+
+    def test_sigmoid_has_the_bytes_of_the_two_division_form(self):
+        payload_nans = np.array([0x7FF8000000000001, 0xFFF8000000000001], dtype=np.uint64).view(np.float64)
+        special = [0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 709.0, -709.0, 745.0, -745.0, np.inf, -np.inf, np.nan, -np.nan]
+        x = np.concatenate([special, payload_nans, np.random.default_rng(43).normal(0.0, 30.0, 2000)])
+        assert sigmoid(x).tobytes() == reference_sigmoid(x).tobytes()
 
     def test_softplus_positive_and_stable(self):
         low, mid, high = softplus(np.array([-800.0, 0.0, 800.0]))
@@ -331,17 +353,11 @@ class TestHeadBackward:
         _, gf = backward(np.zeros(6), p, rng.normal(0.0, 1.0, 4))
         assert np.all(gf == 0.0)
 
-    def test_grad_logits_of_another_shape_rejected(self):
-        rng = np.random.default_rng(13)
-        p = random_params(rng)
-        F = rng.uniform(0.0, 2.0, (3, 6))
-        with pytest.raises(ShapeError, match=r"grad_logits shape \(3, 5\) does not match logits \(3, 4\)"):
-            head_backward_batch(head_forward_batch(F, p), F, p, np.zeros((3, 5)))
 
 
 class TestSharedMultiplierGradient:
     """Calibration steps only the multiplier, on row subsets of a plain part
-    computed once; its gradient is the full backward's, bit for bit."""
+    computed once; its gradient is the whole backward's, bit for bit."""
 
     @pytest.mark.parametrize("variant", [HeadVariant.ALPHA_ONLY, HeadVariant.BETA_ONLY, HeadVariant.ALPHA_BETA])
     def test_grad_m_matches_full_backward_on_row_subsets(self, variant):
@@ -359,12 +375,13 @@ class TestSharedMultiplierGradient:
             assert trace.logits.tobytes() == full.logits.tobytes()
             grad_m = dl_dm(trace, U)
             kept = grad_m.copy()
-            got, got_F = head_backward_batch(trace, F[idx], p, grad_m=grad_m)
-            want, _ = head_backward_batch(full, F[idx], p, U)
+            got, ga, gb = head_backward_batch(trace, F[idx], p, grad_m=grad_m)
+            want, _ = reference_head_backward(full, F[idx], p, U)
             assert grad_m.tobytes() == kept.tobytes()  # row 5 is degenerate, and its dL/dm stays
             assert got.flat[tail:].tobytes() == want.flat[tail:].tobytes()
             assert np.any(got.flat[tail:] != 0.0)
-            assert np.all(got.W == 0.0) and got_F is None
+            assert np.all(got.W == 0.0)
+            assert_pre_activation_gradients(variant, ga, gb)
 
 
 def stacked(heads):
@@ -382,42 +399,75 @@ class TestDegenerateRowArithmetic:
     its bytes are those of the ``np.where`` form, NaNs of an underflowed alpha included."""
 
     @staticmethod
-    def batch(rng, heads, n=12):
-        """Features (G, n, 6) for the stacked heads: rows 2 and 7 are zero, and in row 4 each
-        head's alpha product reaches ~ -10^4, so that alpha underflows to 0."""
+    def batch(rng, heads, n=12, degenerate=True):
+        """Features (G, n, 6) for the stacked heads: rows 2 and 7 are zero when ``degenerate``, and in
+        row 4 each head's alpha product reaches ~ -10^4, so that alpha underflows to 0."""
         F = rng.uniform(0.0, 2.0, (len(heads), n, 6))
-        F[:, [2, 7]] = 0.0
+        if degenerate:
+            F[:, [2, 7]] = 0.0
         for g, head in enumerate(heads):
             F[g, 4] = 1e5 * np.maximum(-head.alpha_w, 0.0)
         return F
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the underflowed alpha's inf and NaN
     @pytest.mark.parametrize("variant", list(HeadVariant))
-    @pytest.mark.parametrize("frozen", [False, True])
-    def test_backward_matches_the_where_form(self, variant, frozen):
+    @pytest.mark.parametrize("degenerate", [True, False], ids=["degenerate_rows", "no_degenerate_row"])
+    def test_backward_matches_the_where_form(self, variant, degenerate):
         rng = np.random.default_rng(23)
         heads = [random_params(rng, variant=variant) for _ in range(3)]
-        F = self.batch(rng, heads)
+        F = self.batch(rng, heads, degenerate=degenerate)
         U = rng.normal(0.0, 1.0, (3, 12, 4))
         stack = stacked(heads)
         cases = [(stack, F, U)] + [(head, F[g], U[g]) for g, head in enumerate(heads)]
+        zero_rows = [2, 7] if degenerate else []
         for params, Fx, Ux in cases:
             trace = multiplier_forward(Fx, *stacked_plain(Fx, params), params)
-            assert np.all(trace.degenerate[..., [2, 7]]) and np.all(trace.degenerate.sum(axis=-1) == 2)
+            assert np.all(trace.degenerate[..., zero_rows]) and np.all(trace.degenerate.sum(axis=-1) == len(zero_rows))
             if variant.has_alpha:
                 assert np.all(trace.alpha[..., 4] == 0.0)
             # m as the one np.where over fresh temporaries that recomputes the safe norm.
             fn, d = trace.feature_norm, trace.degenerate
             want_m = np.where(d, 1.0 / trace.alpha, 1.0 / trace.alpha + trace.beta / (trace.alpha * np.where(d, 1.0, fn)))
             assert trace.m.tobytes() == want_m.tobytes()
-            got, got_F = multiplier_backward(trace, Fx, params, Ux, frozen)
-            want, want_F = multiplier_backward(trace, Fx, params, Ux, frozen, reference_head_backward)
+            grad_m = dl_dm(trace, Ux)
+            got, ga, gb = head_backward_batch(trace, Fx, params, grad_m)
+            want, want_F = reference_head_backward(trace, Fx, params, grad_m=grad_m)
             assert got.flat.tobytes() == want.flat.tobytes()
-            if frozen:
-                assert got_F is None and want_F is None
-            else:
-                assert got_F.tobytes() == want_F.tobytes()
-                assert np.all(got_F[..., [2, 7], :] == 0.0)
+            assert want_F is None
+            assert_pre_activation_gradients(variant, ga, gb)
+            if gb is not None:
+                assert np.all(gb[..., zero_rows] == 0.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the underflowed alpha's inf and NaN
+    @pytest.mark.parametrize("variant", list(HeadVariant))
+    @pytest.mark.parametrize("degenerate", [True, False], ids=["degenerate_rows", "no_degenerate_row"])
+    def test_step_matches_the_where_form(self, variant, degenerate):
+        # The training step owns the plain part of the backward.  On a one-layer net whose features are its
+        # nonnegative inputs' projections, its loss, gradients and feature gradient are the oracle step's bytes.
+        rng = np.random.default_rng(25)
+        model = init_model(TrainConfig(hidden=(), feature_dim=6, variant=variant), d_in=6, n_classes=4)
+        model.extractor.layers[0][0][:] = np.eye(6)  # its bias is 0
+        model.head.flat[:] = random_params(rng, variant=variant).flat
+        model.head.alpha_w[5] = -1e4
+        X = rng.uniform(0.0, 2.0, (12, 6))
+        X[:, 5] = 0.0
+        zero_rows = [2, 7] if degenerate else []
+        if degenerate:
+            X[zero_rows] = 0.0
+            X[4] = np.eye(6)[5]  # its alpha product is -10^4, so alpha underflows to 0
+        U, y = unit_rows(X), rng.integers(0, 4, 12)
+        ws = Workspace(model, 12)
+        loss, (ext_g, head_g) = loss_and_grads(model, U, y, out=ws)
+        want_loss, (want_ext, want_head), want_F = reference_step(model, U, y)
+        trace = head_forward_batch(ws.acts[-1], model.head)
+        assert np.all(trace.degenerate[zero_rows]) and trace.degenerate.sum() == len(zero_rows)
+        if variant.has_alpha:
+            assert (trace.alpha[4] == 0.0) == degenerate
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert head_g.tobytes() == want_head.tobytes()
+        assert ws.grad_F.tobytes() == want_F.tobytes()
+        assert ext_g.tobytes() == want_ext.tobytes()
+        assert np.all(ws.grad_F[zero_rows] == 0.0)
 
 
 # Run in a child process at a given OpenBLAS thread count: the multiplier's bytes on batches
@@ -501,14 +551,17 @@ class TestStackedHeads:
             one = multiplier_forward(F[g], s[g], fn[g], head)
             for field in dataclasses.fields(one):
                 assert getattr(trace, field.name)[g].tobytes() == getattr(one, field.name).tobytes(), field.name
-        for frozen in (True, False):
-            got, got_F = multiplier_backward(trace, F, stack, U, frozen)
-            for g, head in enumerate(heads):
-                want, want_F = multiplier_backward(multiplier_forward(F[g], s[g], fn[g], head), F[g], head, U[g], frozen)
-                assert got.flat[g].tobytes() == want.flat.tobytes()
-                assert (got_F is None) == (want_F is None) == frozen
-                if not frozen:
-                    assert got_F[g].tobytes() == want_F.tobytes()
+        got, ga, gb = head_backward_batch(trace, F, stack, dl_dm(trace, U))
+        whole, whole_F = reference_head_backward(trace, F, stack, U)  # the step's whole backward, on fresh arrays
+        for g, head in enumerate(heads):
+            one = multiplier_forward(F[g], s[g], fn[g], head)
+            want, want_ga, want_gb = head_backward_batch(one, F[g], head, dl_dm(one, U[g]))
+            assert got.flat[g].tobytes() == want.flat.tobytes()
+            for x, want_x in ((ga, want_ga), (gb, want_gb)):
+                assert (x is None) == (want_x is None) and (x is None or x[g].tobytes() == want_x.tobytes())
+            want, want_F = reference_head_backward(one, F[g], head, U[g])
+            assert whole.flat[g].tobytes() == want.flat.tobytes()
+            assert whole_F[g].tobytes() == want_F.tobytes()
 
     def test_cross_entropy_and_momentum_step_per_slice(self):
         rng = np.random.default_rng(20)
@@ -528,7 +581,8 @@ class TestStackedHeads:
         stack = stacked(heads)
         F = rng.uniform(0.0, 2.0, (3, 1, 6))  # one sample per head
         U = rng.normal(0.0, 1.0, (3, 1, 4))
-        analytic, analytic_F = head_backward_batch(multiplier_forward(F, *stacked_plain(F, stack), stack), F, stack, U)
+        trace = multiplier_forward(F, *stacked_plain(F, stack), stack)
+        analytic, analytic_F = reference_head_backward(trace, F, stack, U)
         for g, head in enumerate(heads):
             numeric = fd_gradients(F[g, 0], head, U[g, 0])
             assert_matches_fd(analytic.like(analytic.flat[g]), analytic_F[g, 0], numeric, head.variant)
@@ -547,6 +601,22 @@ class TestSoftmaxCrossEntropy:
     def test_label_out_of_range(self):
         with pytest.raises(IndexError):
             softmax_cross_entropy([1.0, 2.0], 2)
+
+    @pytest.mark.parametrize("into", [False, True], ids=["new", "out"])
+    def test_a_label_of_k_in_a_middle_row_raises(self, into):
+        # Each row picks its own label, so label k does not read the next row's first logit.
+        logits = np.random.default_rng(17).normal(0.0, 2.0, (5, 4))
+        with pytest.raises(IndexError):
+            softmax_cross_entropy_batch(logits, np.array([0, 3, 4, 1, 2]), out=np.empty((5, 4)) if into else None)
+
+    def test_out_receives_the_gradient_of_the_fresh_array_form(self):
+        rng = np.random.default_rng(18)
+        logits, labels = rng.normal(0.0, 3.0, (40, 5)), rng.integers(0, 5, 40)
+        kept, out = logits.copy(), np.empty((40, 5))
+        loss, grad = softmax_cross_entropy_batch(logits, labels, out=out)
+        want_loss, want_grad = reference_softmax_cross_entropy(logits, labels)
+        assert grad is out and loss == want_loss and grad.tobytes() == want_grad.tobytes()
+        assert logits.tobytes() == kept.tobytes()
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(13)

@@ -386,26 +386,37 @@ class TestTraining:
 
 
 class TestPerRunBuffers:
-    """train() projects once and reuses its gradient and scratch buffers; the bytes must not change."""
+    """train() projects once, gathers each epoch's rows once and steps in per-run workspaces; the bytes must not
+    change."""
 
     @staticmethod
-    def data(n):
+    def data(n, zero_row=True):
         rng = np.random.default_rng(21)
         X = rng.normal(0.0, 1.0, (n, 12))
-        X[5] = 0.0  # a zero row, which unit_rows passes through
+        if zero_row:
+            X[5] = 0.0  # a zero row, which unit_rows passes through; its features are 0 while the biases are
         return X, rng.integers(0, 3, n)
 
     @pytest.mark.parametrize("variant", list(HeadVariant))
     @pytest.mark.parametrize(
-        "decay_heads, weight_decay, n", [(True, 5e-4, 65), (False, 1e-2, 65), (True, 0.0, 75)]
+        "decay_heads, weight_decay, n, batch_size, zero_row",
+        [
+            pytest.param(True, 5e-4, 65, 16, True, id="True-0.0005-65"),
+            pytest.param(False, 1e-2, 65, 16, True, id="False-0.01-65"),
+            pytest.param(True, 0.0, 75, 16, True, id="True-0.0-75"),
+            pytest.param(True, 5e-4, 20, 1, True, id="batch_of_1"),
+            pytest.param(False, 1e-2, 20, 20, True, id="batch_of_n"),
+            pytest.param(True, 5e-4, 30, 64, True, id="batch_above_n"),
+            pytest.param(True, 5e-4, 65, 16, False, id="no_degenerate_features"),
+        ],
     )
-    def test_train_matches_the_fresh_array_loop(self, variant, decay_heads, weight_decay, n):
+    def test_train_matches_the_fresh_array_loop(self, variant, decay_heads, weight_decay, n, batch_size, zero_row):
         # n = 65 and 75 at batch 16 leave a ragged last batch of 1 and 11 rows.
         cfg = TrainConfig(
-            epochs=3, batch_size=16, seed=3, hidden=(9, 7), feature_dim=5,
+            epochs=3, batch_size=batch_size, seed=3, hidden=(9, 7), feature_dim=5,
             variant=variant, decay_heads=decay_heads, weight_decay=weight_decay,
         )
-        X, y = self.data(n)
+        X, y = self.data(n, zero_row)
         got, want = train(cfg, (X, y), n_classes=3), reference_train(cfg, (X, y), 3)
         assert got.extractor.flat.tobytes() == want.extractor.flat.tobytes()
         assert got.head.flat.tobytes() == want.head.flat.tobytes()
