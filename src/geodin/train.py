@@ -287,7 +287,7 @@ def extractor_activations(
 
 def extractor_backward(
     params: ExtractorParams, acts, grad_F: np.ndarray, out: ExtractorParams | None = None,
-    dz: list[np.ndarray] | None = None,
+    dz_out: list[np.ndarray] | None = None,
 ) -> np.ndarray:
     """Backprop grad wrt features through the rectified layers.
 
@@ -297,11 +297,11 @@ def extractor_backward(
     ``out.flat`` when given (every element is overwritten, so ``train``
     passes one buffer for the run; the gradient is valid until the next
     step), else a new vector.  The gradient wrt layer i's pre-activation is
-    computed in ``dz[i]`` when ``dz`` is given, else in a new array; grad_F
-    is not written to.
+    computed in ``dz_out[i]`` when ``dz_out`` is given, else in a new array;
+    grad_F is not written to.
     """
     grads = ExtractorParams(np.empty_like(params.flat), params.dims) if out is None else out
-    dz_out = dz or [None] * len(params.layers)
+    dz_out = dz_out or [None] * len(params.layers)
     dz = np.multiply(grad_F, acts[-1] > 0, out=dz_out[-1])  # later masks go in place into dz
     for i in range(len(params.layers) - 1, -1, -1):
         gW, gb = grads.layers[i]
@@ -429,7 +429,7 @@ def loss_and_grads(model: Model, X: np.ndarray, y: np.ndarray, out: Workspace | 
         grad_F += np.multiply(gn[:, None], F, out=ws.term)
     if np.count_nonzero(trace.degenerate):
         grad_F[trace.degenerate] = 0.0
-    extractor_backward(model.extractor, acts, grad_F, out=ws.grad.extractor, dz=ws.dz)
+    extractor_backward(model.extractor, acts, grad_F, out=ws.grad.extractor, dz_out=ws.dz)
     return loss, (ws.grad.extractor.flat, grad.flat)
 
 
@@ -519,8 +519,9 @@ def train(config: TrainConfig, train_set, n_classes: int | None = None) -> Model
 
     model = init_model(config, X.shape[1], n_classes)
     U = unit_rows(X)  # each epoch gathers its order of these projected rows
-    full = Workspace(model, min(config.batch_size, len(X)))
-    workspaces, grad = {len(full.grad_m): full}, full.grad  # batch rows -> Workspace, all with this gradient
+    rows = min(config.batch_size, len(X))
+    workspaces = {rows: Workspace(model, rows)}  # batch rows -> Workspace; a ragged last batch's shares the gradient
+    grad = workspaces[rows].grad
     velocity, scratch = np.zeros_like(model.flat), np.empty_like(model.flat)
     # With decay_heads off only the extractor and the head's prefix, the class weights W, decay.
     n_decay = None if config.decay_heads else model.extractor.flat.size + model.head.W.size
@@ -530,11 +531,11 @@ def train(config: TrainConfig, train_set, n_classes: int | None = None) -> Model
         U_epoch, y_epoch = U[order], y[order]  # each step takes the next slice of these
         epoch_loss, start = 0.0, 0
         for bi, (idx, lr) in enumerate(steps):
-            rows = slice(start, start + len(idx))
+            batch = slice(start, start + len(idx))
             if len(idx) not in workspaces:
                 workspaces[len(idx)] = Workspace(model, len(idx), grad)
-            loss, _ = loss_and_grads(model, U_epoch[rows], y_epoch[rows], out=workspaces[len(idx)])
-            start = rows.stop
+            loss, _ = loss_and_grads(model, U_epoch[batch], y_epoch[batch], out=workspaces[len(idx)])
+            start = batch.stop
             if not math.isfinite(loss):
                 raise NumericError(f"non-finite loss {loss} at epoch {epoch} batch {bi} (lr={lr:.6g})")
             momentum_step(model.flat, grad.flat, velocity, lr, config.momentum, config.weight_decay, n_decay, scratch)
