@@ -21,9 +21,10 @@ gradients from dL/dm, and the alpha/beta pre-activation gradients it hands
 back.  The training step (``train.loss_and_grads``) owns the plain part: W's
 gradient, the feature gradient and the multiplier's feature terms.  Every pass
 works on a feature batch (one sample is a one-row batch); the tests check the
-backward pass by finite differences.  Training's softmax cross-entropy takes one (n, k) logit batch
-(``softmax_cross_entropy_batch``), calibration's the class gaps and one m per
-row or one per batch, a temperature (``gap_cross_entropy``).
+backward pass by finite differences.  Training's softmax cross-entropy takes
+one (n, k) logit batch (``softmax_cross_entropy_batch``), calibration's the
+class gaps and one m per row or one per batch, a temperature
+(``gap_cross_entropy``).
 
 A HeadParams may stack heads along a leading axis of its flat vector, as
 calibration does for its folds.  Only the multiplier part

@@ -394,7 +394,7 @@ class TestPerRunBuffers:
         rng = np.random.default_rng(21)
         X = rng.normal(0.0, 1.0, (n, 12))
         if zero_row:
-            X[5] = 0.0  # a zero row, which unit_rows passes through; its features are 0 while the biases are
+            X[5] = 0.0  # a zero row, which unit_rows passes through; its features are 0 until the biases move
         return X, rng.integers(0, 3, n)
 
     @pytest.mark.parametrize("variant", list(HeadVariant))
