@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, DomainError, MissingTokenError, NumericError, StateError
 from .scores import SCORE_NAMES, score_batch
-from .train import Model, extract_features, row_blocks, whole_bits_rows
+from .train import Model, check_seed, extract_features, row_blocks, whole_bits_rows
 
 COVARIATE_KINDS = ("gaussian_noise", "uniform_noise", "feature_dropout", "smoothing")
 CONCEPT_KIND = "concept_split"
@@ -38,9 +38,9 @@ _KIND_CODE = {k: i + 1 for i, k in enumerate(COVARIATE_KINDS)}
 class ShiftSpec:
     """One shifted evaluation: corruption kind + severity, or concept group index.
 
-    Covariate severities run 1..5; severity 0 is the no-shift control row
-    (clean ID halves against each other).  For concept_split the severity
-    field is the group index.
+    Covariate severities run 1..5; ShiftSpec("none", 0) is the no-shift
+    control row (clean ID halves against each other).  For concept_split the
+    severity field is the group index.
     """
 
     kind: str
@@ -48,8 +48,8 @@ class ShiftSpec:
 
     def __post_init__(self):
         if self.kind in COVARIATE_KINDS:
-            if not 0 <= self.severity <= len(SEVERITY_LADDER):
-                raise ConfigError(f"{self.kind} severity must be 0..5, got {self.severity}")
+            if not 1 <= self.severity <= len(SEVERITY_LADDER):
+                raise ConfigError(f"{self.kind} severity must be 1..5, got {self.severity}")
         elif self.kind == CONCEPT_KIND:
             if self.severity < 0:
                 raise ConfigError(f"concept group index must be >= 0, got {self.severity}")
@@ -94,8 +94,7 @@ class TaskConfig:
             raise ConfigError(f"need at least 5 samples per class, got {self.n_per_class}")
         if not 0 <= self.noise < np.inf:
             raise ConfigError(f"noise must be finite and >= 0, got {self.noise}")
-        if not 0 <= self.seed < 2**64:  # a checkpoint's header holds the seed as a u64
-            raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed}")
+        check_seed(self.seed)
         fracs = (self.val_frac, self.test_frac)
         if not all(0 < f < 1 for f in fracs) or min(_split_sizes(self.n_per_class, *fracs)) < 1:
             raise ConfigError("split fractions leave an empty split")
@@ -299,10 +298,8 @@ def corrupt(data, spec: ShiftSpec, seed: int):
     Deterministic per (seed, spec): the noise stream is derived from the
     dataset seed, the corruption kind and the severity.
     """
-    if spec.kind == CONCEPT_KIND:
-        raise DomainError("concept_split data comes from held-out groups, not corrupt()")
-    if not 1 <= spec.severity <= len(SEVERITY_LADDER):
-        raise DomainError(f"corrupt() needs severity 1..5, got {spec.severity}")
+    if spec.kind not in COVARIATE_KINDS:
+        raise DomainError(f"corrupt() needs a covariate shift; {spec.kind!r} is not a covariate kind")
     X, y = data
     X = np.asarray(X, dtype=np.float64)
     mag = SEVERITY_LADDER[spec.severity - 1] * KIND_SCALES[spec.kind]
@@ -427,7 +424,7 @@ def sweep(
 ) -> DetectionReport:
     """AUROC and TNR@TPR95 for every (score, shift spec) cell.
 
-    ID scores come from the clean test split.  Severity-0 specs compare the
+    ID scores come from the clean test split.  The "none" spec compares the
     two halves of the clean test split as a no-shift control.  Only one
     shifted copy of the test split is alive at a time, and each split is
     scored as ``predict`` runs, one block of ``row_blocks`` at a time, so no
@@ -475,7 +472,7 @@ def sweep(
     id_all = scores(clean)
     report = DetectionReport()
     for spec in specs:
-        if spec.kind == "none" or (spec.kind != CONCEPT_KIND and spec.severity == 0):
+        if spec.kind == "none":
             # class-balanced halves: the test split is ordered by class
             id_sc = {k: v[0::2] for k, v in id_all.items()}
             ood_sc = {k: v[1::2] for k, v in id_all.items()}

@@ -45,15 +45,17 @@ from .head import (
     # both are bound because perfbench's tracer wraps every name in ``spans.PATCHES`` around each traced op.
     head_forward_batch,
     multiplier_forward,
-    plain_forward,
     softmax_cross_entropy_batch,
 )
+from .scores import plain_forward
 from .train import Model, check_sgd, check_split, extract_features, minibatches, momentum_step, shuffles, whole_labels
 
 # Logits (heads x rows x k) per block of the per-epoch tuning NLL.  Tuning six heads on 2560 rows at
 # D=64, k=32 took 1.02-1.12x as long at 2^14-2^15, 1.18x at 2^18 and the same at 2^17 (median CPU
 # time of 12-20 alternating in-process runs per budget; one x86_64 core, one OpenBLAS thread).
 NLL_LOGITS = 1 << 16
+
+ECE_BINS = 15  # equal-width confidence bins of the ECE and the reliability diagram, by default
 
 
 @dataclass(frozen=True)
@@ -129,7 +131,7 @@ def _bin_index(conf: np.ndarray, n_bins: int) -> np.ndarray:
     return np.minimum((conf * n_bins).astype(np.int64), n_bins - 1)
 
 
-def reliability_bins(confidences, correct, n_bins: int = 15) -> BinStats:
+def reliability_bins(confidences, correct, n_bins: int = ECE_BINS) -> BinStats:
     """Per-bin sample count, mean confidence and accuracy."""
     if n_bins < 1:
         raise DomainError(f"n_bins must be >= 1, got {n_bins}")
@@ -146,7 +148,7 @@ def reliability_bins(confidences, correct, n_bins: int = 15) -> BinStats:
     return BinStats(counts=counts, mean_confidence=mean_conf, accuracy=acc)
 
 
-def ece(confidences, correct, n_bins: int = 15) -> float:
+def ece(confidences, correct, n_bins: int = ECE_BINS) -> float:
     """Expected calibration error over equal-width confidence bins."""
     bins = reliability_bins(confidences, correct, n_bins)
     n = bins.counts.sum()
@@ -189,7 +191,7 @@ def temperature_scale(logits, labels) -> float:
     return math.exp(-0.5 * (lo + hi))
 
 
-def split_metrics(logits, y, n_bins: int = 15) -> SplitMetrics:
+def split_metrics(logits, y, n_bins: int = ECE_BINS) -> SplitMetrics:
     """Accuracy, ECE and NLL of a batch of logits against its labels; raises as ``_gaps`` does.
 
     The prediction is the logits' argmax, as in ``train.predict``, and the confidence 1 / esum, the
@@ -209,7 +211,7 @@ def split_metrics(logits, y, n_bins: int = 15) -> SplitMetrics:
 
 def _gap_split(F: np.ndarray, y, head):
     """A split as (F, class gaps d = s - max_j s_j, ||f||, the labels' gaps d_y); d overwrites s = F W^T."""
-    s, fn = plain_forward(F, head)
+    s, fn = plain_forward(F, head.W)
     d, dy = _gaps(s, y, out=s)
     return F, d, fn, dy
 

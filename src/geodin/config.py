@@ -160,4 +160,5 @@ def _validate(cfg: RunConfig) -> None:
     if kind or severity:
         if kind not in COVARIATE_KINDS:
             raise ConfigError(f"unknown calibrate shift kind {kind!r}; known: {', '.join(COVARIATE_KINDS)}")
-        ShiftSpec(kind, severity)
+        if severity:  # 0 tunes on clean data
+            ShiftSpec(kind, severity)

@@ -13,18 +13,18 @@ always that of the plain inner products.
 Variants: ``vanilla`` (l = s), ``alpha_only`` (beta pinned to 0),
 ``beta_only`` (alpha pinned to 1), ``alpha_beta`` (both heads live).
 
-A plain part (s = F W^T, ||f||) and a multiplier part (m and its backward
-pass) make up the layer; calibration freezes F and W, so it computes the plain
-part once per split, as class gaps.  The backward pass is split the same way.
-``head_backward_batch`` is the multiplier part for both callers: the alpha/beta
-gradients from dL/dm, and the alpha/beta pre-activation gradients it hands
-back.  The training step (``train.loss_and_grads``) owns the plain part: W's
-gradient, the feature gradient and the multiplier's feature terms.  Every pass
-works on a feature batch (one sample is a one-row batch); the tests check the
-backward pass by finite differences.  Training's softmax cross-entropy takes
-one (n, k) logit batch (``softmax_cross_entropy_batch``), calibration's the
-class gaps and one m per row or one per batch, a temperature
-(``gap_cross_entropy``).
+A plain part (s = F W^T and ||f||, from ``scores.plain_forward``) and a
+multiplier part (m and its backward pass) make up the layer; calibration
+freezes F and W, so it computes the plain part once per split, as class gaps.
+The backward pass is split the same way.  ``head_backward_batch`` is the
+multiplier part for both callers: the alpha/beta gradients from dL/dm, and the
+alpha/beta pre-activation gradients it hands back.  The training step
+(``train.loss_and_grads``) owns the plain part: W's gradient, the feature
+gradient and the multiplier's feature terms.  Every pass works on a feature
+batch (one sample is a one-row batch); the tests check the backward pass by
+finite differences.  Training's softmax cross-entropy takes one (n, k) logit
+batch (``softmax_cross_entropy_batch``), calibration's the class gaps and one
+m per row or one per batch, a temperature (``gap_cross_entropy``).
 
 A HeadParams may stack heads along a leading axis of its flat vector, as
 calibration does for its folds.  Only the multiplier part
@@ -42,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ShapeError
-from .scores import EPS_NORM, row_norms
+from .scores import EPS_NORM, plain_forward
 
 
 class HeadVariant(str, Enum):
@@ -121,17 +121,9 @@ class BatchHeadTrace:
     m: np.ndarray
     logits: np.ndarray
     vanilla_logits: np.ndarray
-    feature_norm: np.ndarray
     degenerate: np.ndarray
     safe_norm: np.ndarray
     alpha_norm: np.ndarray
-
-
-def plain_forward(F: np.ndarray, params: HeadParams) -> tuple[np.ndarray, np.ndarray]:
-    """The plain part of a feature batch F of shape (n, D): s = F W^T and ||f|| per row."""
-    if F.ndim != 2 or F.shape[1] != params.d_feature:
-        raise ShapeError(f"feature batch shape {F.shape} does not match head dim {params.d_feature}")
-    return F @ params.W.T, row_norms(F)
 
 
 def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -178,13 +170,13 @@ def multiplier_forward(F: np.ndarray, s: np.ndarray, fn: np.ndarray, params: Hea
     m = inv_alpha + beta / alpha_norm
     if some_degenerate:
         np.copyto(m, inv_alpha, where=degenerate)
-    return BatchHeadTrace(alpha, beta, m, m[..., None] * s, s, fn, degenerate, safe_norm, alpha_norm)
+    return BatchHeadTrace(alpha, beta, m, m[..., None] * s, s, degenerate, safe_norm, alpha_norm)
 
 
 def head_forward_batch(F: np.ndarray, params: HeadParams) -> BatchHeadTrace:
     """Forward pass for a feature batch F of shape (n, D)."""
     F = np.asarray(F, dtype=np.float64)
-    return multiplier_forward(F, *plain_forward(F, params), params)
+    return multiplier_forward(F, *plain_forward(F, params.W), params)
 
 
 def head_backward_batch(

@@ -17,10 +17,10 @@ plain inner-product logits ``W @ f`` so that every score is a pure function
 of the feature and the class weights, unaffected by any downstream
 recalibration of the head.
 
-Everything here is pure and operates on float64.  :func:`score_batch` is the
-one implementation of the five scores.  It takes each row's logit max once,
-for u, the shift and the energy; the shifted max is exactly 0, so the MSP is
-``1 / sum_i exp(l_i - max_j l_j)``.
+Everything here is pure and operates on float64.  :func:`plain_forward` is the
+one implementation of s = F W^T and ||f||, and :func:`score_batch` of the five
+scores.  It takes each row's logit max once, for u, the shift and the energy;
+the shifted max is exactly 0, so the MSP is ``1 / sum_i exp(l_i - max_j l_j)``.
 """
 
 from __future__ import annotations
@@ -49,23 +49,27 @@ def row_norms(F: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(F * F, axis=1))
 
 
+def plain_forward(F: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The plain part of a feature batch F (n, D) against class weights W (k, D): s = F W^T and ||f|| per row."""
+    if F.ndim != 2 or F.shape[1] != W.shape[-1]:
+        raise ShapeError(f"feature batch shape {F.shape} does not match weights {W.shape}")
+    return F @ W.T, row_norms(F)
+
+
 def score_batch(F, W) -> dict[str, np.ndarray]:
     """Scores for a feature batch F (n, D) against class weights W (M, D).
 
     Returns arrays keyed by SCORE_NAMES.  Features are post-rectification, so
-    F must be finite and nonnegative.
+    F must be finite and nonnegative (checked before ``plain_forward``'s shapes).
     """
     F = np.asarray(F, dtype=np.float64)
     W = _as_weights(W)
-    if F.ndim != 2 or F.shape[1] != W.shape[1]:
-        raise ShapeError(f"feature batch shape {F.shape} does not match weights {W.shape}")
     if not np.all(np.isfinite(F)):
         raise DomainError("feature batch contains non-finite entries")
     if np.any(F < 0):
         raise DomainError("feature batch contains negative entries (features are post-rectification)")
-    logits = F @ W.T
+    logits, fn = plain_forward(F, W)
     lmax = logits.max(axis=1)
-    fn = row_norms(F)
     u = np.maximum(0.0, lmax - logits.mean(axis=1))
     h = np.divide(u, fn, out=np.zeros_like(u), where=fn >= EPS_NORM)
     esum = np.exp(logits - lmax[:, None]).sum(axis=1)  # one shifted exp serves msp and energy

@@ -10,9 +10,9 @@ which is what the norm-based covariate score measures.  Inference
 (``extractor_forward``) runs a batch through the layers in blocks of rows
 (``row_blocks``) sized by the narrowest layer, so its memory beyond the
 returned features is bounded by the block, not the batch, and ``predict``
-streams each block through features, logits and argmax.  Training
-(``extractor_activations``) keeps every layer's output for backprop.  Both
-run the same per-layer step.
+streams each block through features, plain logits and argmax.  Inference
+and training (which keeps every layer's output for backprop) run the one
+layer loop, ``extractor_activations``.
 
 Optimization is plain SGD with momentum, weight decay and per-step cosine
 learning-rate annealing on the ``minibatches`` schedule, which calibration
@@ -55,7 +55,7 @@ from .head import (
     head_forward_batch,
     softmax_cross_entropy_batch,
 )
-from .scores import EPS_NORM, row_norms
+from .scores import EPS_NORM, plain_forward, row_norms
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,13 @@ def check_sgd(config) -> None:
         raise ConfigError(f"lr0 must be finite and > 0, got {config.lr0}")
     if not 0 <= config.momentum < 1:
         raise ConfigError(f"momentum must be in [0, 1), got {config.momentum}")
-    if not 0 <= config.seed < 2**64:  # a checkpoint's header holds the seed as a u64
-        raise ConfigError(f"seed must be an integer in [0, 2**64), got {config.seed}")
+    check_seed(config.seed)
+
+
+def check_seed(seed) -> None:
+    """The one seed check, of TaskConfig's and of check_sgd's: ConfigError unless 0 <= seed < 2**64."""
+    if not 0 <= seed < 2**64:  # a checkpoint's header holds the seed as a u64
+        raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed}")
 
 
 class ExtractorParams:
@@ -240,48 +245,40 @@ def row_blocks(n: int, width: int) -> list[slice]:
     return [slice(i * B, n if i == count - 1 else (i + 1) * B) for i in range(count)]
 
 
-def _layer(a: np.ndarray, W: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """One rectified layer, max(a Wᵀ + b, 0), computed in the one array it returns (``out`` when given)."""
-    z = np.matmul(a, W.T, out=out)
-    z += b
-    return np.maximum(z, 0.0, out=z)
-
-
 def extractor_forward(params: ExtractorParams, X: np.ndarray) -> np.ndarray:
     """Features of the batch X, computed block by block of ``row_blocks`` for the narrowest layer.
 
-    Each block is projected with ``unit_rows`` and runs through two layer
-    buffers allocated once per call, sized for the largest block; the last
-    layer writes into the block's rows of the returned (n, d_feature) array.
-    A net with a 1-wide layer runs as one block.  The buffers are reused
-    because fresh per-layer arrays (``extractor_activations`` per block)
-    measured slower: a 512-row extract of the 256-wide net took 2.72 ms
-    against 1.77 ms, with 544 page faults per call (one CPU, one BLAS thread).
+    Each block is projected with ``unit_rows`` and runs through ``extractor_activations`` with one buffer
+    per hidden layer, rows of one array allocated once per call and sized for the largest block; the last
+    layer writes into the block's rows of the returned (n, d_feature) array.  A net with a 1-wide layer
+    runs as one block.  Fresh arrays per block measured slower (a 512-row extract of the 256-wide net:
+    2.72 ms against 1.77 ms, 544 page faults per call), and so did an array per layer (a 640-row extract
+    of the default net: 530 us against 310 us; one CPU, one BLAS thread).
     """
     blocks = row_blocks(X.shape[0], min(params.dims[1:]))
     F = np.empty((X.shape[0], params.d_feature))
-    rows = blocks[-1].stop - blocks[-1].start
-    buffers = np.empty((2, rows * max(params.dims[1:-1], default=0)))
-    *hidden, (W_last, b_last) = params.layers
+    rows, widths = blocks[-1].stop - blocks[-1].start, params.dims[1:-1]
+    buffers = np.empty((len(widths), rows * max(widths, default=0)))
     for blk in blocks:
-        a = unit_rows(X[blk])
-        for i, (W, b) in enumerate(hidden):
-            a = _layer(a, W, b, buffers[i % 2, : a.shape[0] * W.shape[0]].reshape(a.shape[0], W.shape[0]))
-        _layer(a, W_last, b_last, F[blk])
+        n = blk.stop - blk.start
+        out = [buffer[: n * width].reshape(n, width) for buffer, width in zip(buffers, widths)] + [F[blk]]
+        extractor_activations(params, unit_rows(X[blk]), out=out)
     return F
 
 
 def extractor_activations(
     params: ExtractorParams, U: np.ndarray, out: list[np.ndarray] | None = None
 ) -> list[np.ndarray]:
-    """The forward pass backprop needs, for a batch U of rows already projected by ``unit_rows``.
+    """Every layer's output for a batch U of rows already projected by ``unit_rows``: the one layer loop.
 
-    Returns the activations [U, a_1, ..., a_L = features]; a_i is computed
-    in ``out[i - 1]`` when ``out`` is given, else in a new array.
+    Returns the activations [U, a_1, ..., a_L = features], a_i = max(a_{i-1} W_i^T + b_i, 0) computed in
+    ``out[i - 1]`` when ``out`` is given, else in a new array.
     """
     acts = [U]
     for (W, b), a in zip(params.layers, out or [None] * len(params.layers)):
-        acts.append(_layer(acts[-1], W, b, a))
+        z = np.matmul(acts[-1], W.T, out=a)
+        z += b
+        acts.append(np.maximum(z, 0.0, out=z))
     return acts
 
 
@@ -351,16 +348,17 @@ def extract_features(model: Model, inputs) -> np.ndarray:
 
 
 def predict(model: Model, X) -> np.ndarray:
-    """The argmax of the whole batch's logits per row, bit for bit, one block of ``row_blocks`` at a time.
+    """Each row's argmax of the plain logits s = F W^T, bit for bit, one block of ``row_blocks`` at a time.
 
-    Each block's features, logits and argmax come before the next block's, so
-    no whole-batch features or logits are held.  The blocks are sized for the
-    narrowest extractor layer or the k classes: s = F W^T is (rows, D) @ (D, k).
+    The head's multiplier m never runs: positive and shared by a row's classes, it cannot move the argmax,
+    which is that of the class gaps m * d that calibration ranks.  Each block's features, logits and argmax
+    come before the next block's, so no whole-batch features or logits are held.  The blocks are sized for
+    the narrowest extractor layer or the k classes: s is (rows, D) @ (D, k).
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     pred = np.empty(X.shape[0], dtype=np.intp)
     for blk in row_blocks(X.shape[0], min(*model.extractor.dims[1:], model.head.n_classes)):
-        pred[blk] = np.argmax(head_forward_batch(extract_features(model, X[blk]), model.head).logits, axis=1)
+        pred[blk] = np.argmax(plain_forward(extract_features(model, X[blk]), model.head.W)[0], axis=1)
     return pred
 
 

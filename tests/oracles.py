@@ -392,7 +392,7 @@ def reference_sweep(model, task, score_names, specs, concept_groups=None) -> Det
     id_all = score_batch(extract_features(model, task.test[0]), W)
     report = DetectionReport()
     for spec in specs:
-        if spec.kind != CONCEPT_KIND and spec.severity == 0:
+        if spec.kind == "none":
             id_sc = {k: v[0::2] for k, v in id_all.items()}
             ood_sc = {k: v[1::2] for k, v in id_all.items()}
         else:
@@ -458,8 +458,8 @@ def reference_head_backward(trace, F, params, grad_logits=None, grad_m=None):
     logit gradient ``grad_logits`` instead, it also runs the plain part that
     the training step owns, and returns (gradients, feature gradients), the
     whole backward of sum(grad_logits * logits).  The safe norm where(d, 1,
-    ||f||) and alpha times it are recomputed from the trace's alpha, ||f||
-    and degenerate rows; each per-row term is masked with ``np.where(d, 0,
+    ||f||) and alpha times it are recomputed from F's row norms and the
+    trace's alpha and degenerate rows; each per-row term is masked with ``np.where(d, 0,
     x)`` on a new array, ``gn`` included; the weight gradients are products
     copied into a new zeroed HeadParams.
     """
@@ -470,7 +470,7 @@ def reference_head_backward(trace, F, params, grad_logits=None, grad_m=None):
     if grad_m is None:
         grad_m = np.einsum("...ij,...ij->...i", np.asarray(grad_logits, dtype=np.float64), trace.vanilla_logits)
     us = np.where(d, 0.0, grad_m)
-    safe_fn = np.where(d, 1.0, trace.feature_norm)
+    safe_fn = np.where(d, 1.0, np.linalg.norm(F, axis=-1))
     if variant.has_alpha:
         ga = us * (-m / alpha) * alpha * (1.0 - alpha)
         grad.alpha_w[:] = (Ft @ ga[..., None])[..., 0]

@@ -123,12 +123,17 @@ class TestCorrupt:
         assert Xc1.tobytes() == Xc2.tobytes()  # smoothing draws no noise
 
     def test_concept_kind_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="'concept_split' is not a covariate kind"):
             corrupt((self.X, self.y), ShiftSpec("concept_split", 1), seed=0)
 
+    def test_control_kind_rejected(self):
+        with pytest.raises(DomainError, match="'none' is not a covariate kind"):
+            corrupt((self.X, self.y), ShiftSpec("none", 0), seed=0)
+
     def test_severity_zero_rejected(self):
-        with pytest.raises(DomainError):
-            corrupt((self.X, self.y), ShiftSpec("gaussian_noise", 0), seed=0)
+        # ShiftSpec("none", 0) is the one spelling of the control row.
+        with pytest.raises(ConfigError, match="gaussian_noise severity must be 1..5, got 0"):
+            ShiftSpec("gaussian_noise", 0)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):

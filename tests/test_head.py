@@ -27,11 +27,11 @@ from geodin.head import (
     head_backward_batch,
     head_forward_batch,
     multiplier_forward,
-    plain_forward,
     sigmoid,
     softmax_cross_entropy_batch,
     softplus,
 )
+from geodin.scores import plain_forward
 from geodin.train import TrainConfig, Workspace, init_model, loss_and_grads, momentum_step, unit_rows
 from oracles import (
     copy_head,
@@ -365,7 +365,7 @@ class TestSharedMultiplierGradient:
         p = random_params(rng, variant=variant)
         F = rng.uniform(0.0, 2.0, (48, 6))
         F[[5, 30]] = 0.0  # degenerate rows
-        s, fn = plain_forward(F, p)
+        s, fn = plain_forward(F, p.W)
         tail = p.W.size
         for _ in range(5):
             idx = np.concatenate(([5], rng.choice(np.delete(np.arange(48), 5), 15, replace=False)))
@@ -421,12 +421,13 @@ class TestDegenerateRowArithmetic:
         cases = [(stack, F, U)] + [(head, F[g], U[g]) for g, head in enumerate(heads)]
         zero_rows = [2, 7] if degenerate else []
         for params, Fx, Ux in cases:
-            trace = multiplier_forward(Fx, *stacked_plain(Fx, params), params)
+            s, fn = stacked_plain(Fx, params)
+            trace = multiplier_forward(Fx, s, fn, params)
             assert np.all(trace.degenerate[..., zero_rows]) and np.all(trace.degenerate.sum(axis=-1) == len(zero_rows))
             if variant.has_alpha:
                 assert np.all(trace.alpha[..., 4] == 0.0)
             # m as the one np.where over fresh temporaries that recomputes the safe norm.
-            fn, d = trace.feature_norm, trace.degenerate
+            d = trace.degenerate
             want_m = np.where(d, 1.0 / trace.alpha, 1.0 / trace.alpha + trace.beta / (trace.alpha * np.where(d, 1.0, fn)))
             assert trace.m.tobytes() == want_m.tobytes()
             grad_m = dl_dm(trace, Ux)
@@ -547,7 +548,7 @@ class TestStackedHeads:
         U = rng.normal(0.0, 1.0, (3, 16, 4))
         trace = multiplier_forward(F, s, fn, stack)
         for g, head in enumerate(heads):
-            assert s[g].tobytes() == plain_forward(F[g], head)[0].tobytes()
+            assert s[g].tobytes() == plain_forward(F[g], head.W)[0].tobytes()
             one = multiplier_forward(F[g], s[g], fn[g], head)
             for field in dataclasses.fields(one):
                 assert getattr(trace, field.name)[g].tobytes() == getattr(one, field.name).tobytes(), field.name
@@ -662,7 +663,7 @@ class TestGapCrossEntropy:
         p = random_params(rng, m=k, variant=variant)
         F = rng.uniform(0.0, 2.0, (n, 6))
         F[[0, 9]] = 0.0
-        s, fn = plain_forward(F, p)
+        s, fn = plain_forward(F, p.W)
         s[1:5, 1] = s[1:5, 3] = s[1:5].max(axis=-1)
         y = rng.integers(0, k, n)
         y[1:5] = 1
@@ -717,8 +718,8 @@ class TestGapCrossEntropy:
 class TestBatchForward:
     def test_plain_forward_rejects_features_of_another_width(self):
         p = random_params(np.random.default_rng(16))
-        with pytest.raises(ShapeError, match=r"feature batch shape \(2, 5\) does not match head dim 6"):
-            plain_forward(np.ones((2, 5)), p)
+        with pytest.raises(ShapeError, match=rf"feature batch shape \(2, 5\) does not match weights \({p.n_classes}, 6\)"):
+            plain_forward(np.ones((2, 5)), p.W)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(15)

@@ -13,8 +13,8 @@ import pytest
 import oracles
 from geodin.bench import make_task
 from geodin.errors import DomainError, ShapeError
-from geodin.head import HeadParams, HeadVariant, multiplier_forward, plain_forward
-from geodin.scores import EPS_NORM, row_norms, score_batch
+from geodin.head import HeadParams, HeadVariant, multiplier_forward
+from geodin.scores import EPS_NORM, plain_forward, row_norms, score_batch
 from geodin.train import TrainConfig, extract_features, train
 from oracles import energy_score, kl_from_uniform, msp_score, score_set, softmax_probs
 
@@ -340,6 +340,6 @@ class TestBoundaryRows:
         assert score_batch(F, np.eye(2))["h"][0] == 0.5  # u = 5e-13 over ||f|| = 1e-12
         head = HeadParams(np.zeros(HeadParams.size(2, 2)), 2, 2, HeadVariant.ALPHA_BETA)
         head.W[...] = np.eye(2)
-        trace = multiplier_forward(F, *plain_forward(F, head), head)
+        trace = multiplier_forward(F, *plain_forward(F, head.W), head)
         assert not trace.degenerate[0]
         assert trace.m[0] > 1.0 / trace.alpha[0]  # the beta term counts: m is 1 / alpha only on a degenerate row

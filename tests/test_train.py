@@ -9,6 +9,7 @@ import pytest
 
 from geodin.errors import ConfigError, DataError, DomainError, NumericError, ShapeError
 from geodin.head import HeadParams, HeadVariant, head_forward_batch
+from geodin.scores import plain_forward
 from geodin.train import (
     ExtractorParams,
     Model,
@@ -575,10 +576,11 @@ class TestBlockedInference:
         for n in (0, 1, 5000, 100_000):
             assert row_blocks(n, 1) == [slice(0, n)]
 
-    @pytest.mark.parametrize("hidden", [(64, 32), (256, 256)])
+    # Zero, one, two and three hidden layers, so zero to three reused layer buffers.
+    @pytest.mark.parametrize("hidden", [(), (48,), (64, 32), (256, 256), (32, 16, 24)])
     @pytest.mark.parametrize("width", [1, 2, 3, 4, 6, 16, 64, 256])
     def test_extract_features_matches_the_one_shot_forward(self, width, hidden):
-        B = block_of(min(*hidden, width))
+        B = block_of(min((*hidden, width)))
         model = init_model(TrainConfig(hidden=hidden, feature_dim=width, seed=width), d_in=16, n_classes=3)
         rng = np.random.default_rng(width)
         x = rng.normal(0.0, 1.0, 16)
@@ -593,15 +595,15 @@ class TestBlockedInference:
     @pytest.mark.parametrize("k", [2, 32])
     def test_predict_matches_the_one_shot_argmax(self, k, variant, monkeypatch):
         # D = 64, so with k = 2 the head's plain product is the narrowest and sets 768-row blocks.
-        # An argmax rarely shows a logit's last bit, so the blocks' logits are compared too.
+        # An argmax rarely shows a logit's last bit, so the blocks' plain logits are compared too.
         block_logits = []
 
-        def recording_forward(F, params):
-            trace = head_forward_batch(F, params)
-            block_logits.append(trace.logits)
-            return trace
+        def recording_plain(F, W):
+            s, fn = plain_forward(F, W)
+            block_logits.append(s)
+            return s, fn
 
-        monkeypatch.setattr(train_module, "head_forward_batch", recording_forward)
+        monkeypatch.setattr(train_module, "plain_forward", recording_plain)
         model = init_model(TrainConfig(hidden=(64,), feature_dim=64, variant=variant, seed=k), d_in=16, n_classes=k)
         rng = np.random.default_rng(k)
         model.head.flat[:] = rng.normal(0.0, 0.5, model.head.flat.shape)
@@ -612,10 +614,27 @@ class TestBlockedInference:
         for rows in (0, *ragged_rows(B)):
             X = rng.normal(0.0, 1.0, (rows, 16))
             F = reference_forward(model.extractor, X)
-            logits = head_forward_batch(F, model.head).logits
+            s = plain_forward(F, model.head.W)[0]
             block_logits.clear()
-            assert predict(model, X).tobytes() == np.argmax(logits, axis=1).tobytes(), rows
-            assert np.concatenate(block_logits).tobytes() == logits.tobytes(), rows
+            pred = predict(model, X)
+            assert pred.tobytes() == np.argmax(s, axis=1).tobytes(), rows
+            assert pred.tobytes() == np.argmax(head_forward_batch(F, model.head).logits, axis=1).tobytes(), rows
+            assert np.concatenate(block_logits).tobytes() == s.tobytes(), rows
+
+    def test_predict_is_the_argmax_of_the_plain_logits_where_the_multiplier_ties_them(self):
+        # Features [1, 0] through an identity layer give s = W[:, 0] exactly: class 1's s is one ulp
+        # above class 0's, and m = 2 + 2 ln 2 (alpha = 1/2, beta = ln 2) rounds m * s to a tie, whose
+        # argmax is class 0.
+        model = init_model(TrainConfig(hidden=(), feature_dim=2, seed=0), d_in=2, n_classes=2)
+        (W, _), head = model.extractor.layers[0], model.head
+        W[:] = np.eye(2)
+        head.W[:, 0] = [1.625, np.nextafter(1.625, 2.0)]  # found by a search over multiples of 1/64 in [1, 2)
+        head.W[:, 1] = 0.0
+        x = np.array([1.0, 0.0])
+        trace = head_forward_batch(extract_features(model, x[None]), head)
+        assert trace.vanilla_logits[0, 1] > trace.vanilla_logits[0, 0]
+        assert trace.logits[0, 1] == trace.logits[0, 0]
+        assert predict(model, x).tolist() == [1]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_feature_in_the_last_block_raises(self):
