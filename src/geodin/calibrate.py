@@ -13,16 +13,19 @@ only its own before/after metrics.  Tuning steps only the multiplier m, on
 the training schedule ``train.minibatches`` over the alpha/beta slice of the
 head, without weight decay.  As m > 0, the logits m * d have row max exactly
 0: no tuning softmax takes a max or a shift, and a step needs only dL/dm
-(``head.gap_cross_entropy``).  Every metric reads the same logits m * d, so
-the report's tuning-split NLL is the tuning NLL, bit for bit, and as m >= 1
-keeps d's zeros and signs, before and after accuracy are equal.
+(``head.gap_cross_entropy``).  Every metric reads a split's gaps and each
+head's m: the logits m * d are their own class gaps, m * d_y the labels',
+and as m >= 1 keeps d's zeros and signs, every head predicts d's argmax,
+taken once per split.  So the report's tuning-split NLL is the tuning NLL,
+bit for bit, and before and after accuracy are equal.
 ``_tune_head`` tunes the main run's head and the k folds' heads as one stack
 (see ``head``), in lock-step: each head keeps the schedule of its own row
 count, and at each step the heads whose batches are equally long take it in
-one call, bit for bit as a run of its own.  The per-epoch tuning NLL runs
-every head over the whole split in order, one block of at most
-``NLL_LOGITS`` logits at a time, so it gathers no head's features or gaps
-and its temporaries are bounded by the block, not the split or the folds.
+one call, bit for bit as a run of its own.  The per-epoch tuning NLL takes
+every head's m over the whole split in one multiplier pass, then the logits
+m * d in order, one block of at most ``NLL_LOGITS`` logits at a time, so it
+gathers no head's features or gaps and its temporaries are (heads, rows)
+vectors and one block, not the split's (heads, rows, classes) logits.
 ECE / NLL / reliability-bin metrics and a temperature-scaling baseline live
 here too.  Every NLL here is log(esum) - d_y over class gaps d = l - max_j l_j,
 so none is capped, and a temperature is fitted by bisection on dL/dm.
@@ -191,22 +194,37 @@ def temperature_scale(logits, labels) -> float:
     return math.exp(-0.5 * (lo + hi))
 
 
+def _gap_metrics(lg: np.ndarray, ly: np.ndarray, hits: np.ndarray, n_bins: int = ECE_BINS) -> SplitMetrics:
+    """Accuracy, ECE and NLL from a batch's logit gaps ``lg`` (n, k), exponentiated in place, its labels' gaps ``ly``
+    and argmax ``hits``; the confidence is 1 / esum, the softmax at the argmax, as in ``score_batch``."""
+    esum = np.exp(lg, out=lg).sum(axis=1)
+    return SplitMetrics(
+        accuracy=float(np.mean(hits)),
+        ece=ece(1.0 / esum, hits, n_bins),
+        nll=float(np.mean(np.log(esum) - ly)),
+    )
+
+
 def split_metrics(logits, y, n_bins: int = ECE_BINS) -> SplitMetrics:
     """Accuracy, ECE and NLL of a batch of logits against its labels; raises as ``_gaps`` does.
 
-    The prediction is the logits' argmax, as in ``train.predict``, and the confidence 1 / esum, the
-    softmax at the argmax (exp(d) is 1 there), as in ``score_batch``.  The gaps d are exponentiated
-    in place once d_y is picked, so one (n, k) array serves the confidence and the NLL.
+    The prediction is the logits' argmax, as in ``train.predict``; the metrics are ``_gap_metrics``.
     """
     l = np.asarray(logits, dtype=np.float64)
     d, dy = _gaps(l, y)
-    esum = np.exp(d, out=d).sum(axis=1)
-    correct = l.argmax(axis=1) == np.asarray(y)
-    return SplitMetrics(
-        accuracy=float(np.mean(correct)),
-        ece=ece(1.0 / esum, correct, n_bins),
-        nll=float(np.mean(np.log(esum) - dy)),
-    )
+    return _gap_metrics(d, dy, l.argmax(axis=1) == np.asarray(y), n_bins)
+
+
+def _head_metrics(F, d, fn, dy, hits, head) -> SplitMetrics:
+    """``split_metrics`` of the logits m * d of ``head`` on gap split rows (F, d, ||f||, d_y) with argmax hits ``hits``.
+
+    As m >= 1, m * d has row max exactly 0, so it is its own class gaps, m * d_y its labels' gaps, and its
+    argmax is d's: the hits of the plain logits.  NumericError for a non-finite logit, as ``_gaps`` raises.
+    """
+    t = multiplier_forward(F, d, fn, head)
+    if not np.all(np.isfinite(t.logits)):
+        raise NumericError("non-finite logits: the head overflows on this split")
+    return _gap_metrics(t.logits, t.m * dy, hits)
 
 
 def _gap_split(F: np.ndarray, y, head):
@@ -224,22 +242,25 @@ def _tune_head(head, val, rows, config: CalibConfig):
     Returns (tuned heads as one stacked HeadParams, best epochs, NLLs
     before, NLLs after), each along the leading axis of length G in the
     order of ``rows``; each copy keeps its best state across epochs
-    -1..epochs, so no tuning NLL increases.  Raises NumericError when any
-    NLL before tuning is not finite.
+    -1..epochs, so no tuning NLL increases.  Raises NumericError, naming
+    the epoch, when any copy's NLL before tuning (epoch -1) or after an
+    epoch is not finite.
 
     Copy g keeps the schedule ``minibatches(len(rows[g]), config, 2)``.  Step
     i of an epoch runs on the copies that have a batch i, a prefix of the
     stack, in one call per run of equal batch lengths, on views of the stack
     and with a column of the copies' rates; each copy so gets the bits of a
     stack of one.  A step takes dL/dm from the gaps (``gap_cross_entropy``)
-    and backpropagates only that.  The per-epoch NLL runs all G copies over
-    the whole split in order, in blocks of rows that start at multiples of
-    64 and hold at most ``NLL_LOGITS`` logits, into one (G, n) buffer; copy
-    g's NLL is the mean of its own rows' entries, in its row order.
-    64-aligned blocks give the multiplier the whole product's bits
-    (``head._matvec``), so an entry has the bits it would have gathered.
-    The per-row NLLs, the head gradient and the momentum scratch are
-    allocated once per call.
+    and backpropagates only that.  The per-epoch NLL takes all G copies' m
+    over the whole split in one multiplier pass, which forms no logits; a
+    64-aligned product gives each row the whole product's bits
+    (``head._matvec``), so each m has the bits it would have gathered.  Only
+    the logits m * d go in blocks of rows that start at multiples of 64 and
+    hold at most ``NLL_LOGITS`` logits, into one (G, n) buffer; copy g's NLL
+    is the mean of its own rows' entries, in its row order.  The per-row
+    NLLs, the head gradient, the momentum scratch and each run's views of
+    the stack, its rates and its batch rows are made once per call; a step
+    gathers its rows with ``ndarray.take``.
     """
     rank = sorted(range(len(rows)), key=lambda g: -len(rows[g]))  # stack position -> index into ``rows``
     rows, back = [rows[g] for g in rank], np.argsort(rank)
@@ -252,44 +273,45 @@ def _tune_head(head, val, rows, config: CalibConfig):
     velocity, scratch = np.zeros_like(live), np.empty_like(live)
     block, nll = max(64, NLL_LOGITS // (G * head.n_classes) // 64 * 64), np.empty((G, n))
 
-    def full_nll() -> np.ndarray:
+    def full_nll(epoch: int) -> np.ndarray:
+        F, d, fn, dy = val
+        m = multiplier_forward(F, d[:, :0], fn, heads).m  # (G, n), without logits
         for i in range(0, n, block):
-            F, d, fn, dy = (x[i : i + block] for x in val)
-            t = multiplier_forward(F, d, fn, heads)
-            gap_cross_entropy(t.logits, d, t.m, dy, out=nll[:, i : i + block])
-        return np.array([nll[g, r].sum() / len(r) for g, r in enumerate(rows)])  # sum / n, as in training's loss
+            mb, db = m[:, i : i + block], d[i : i + block]
+            gap_cross_entropy(mb[..., None] * db, db, mb, dy[i : i + block], out=nll[:, i : i + block])
+        out = np.array([nll[g, r].sum() / len(r) for g, r in enumerate(rows)])  # sum / n, as in training's loss
+        if not np.all(np.isfinite(out)):
+            bad = out[~np.isfinite(out)][0]
+            raise NumericError(f"non-finite tuning NLL {bad} at epoch {epoch}: the head overflows on this split")
+        return out
 
-    nll_before = full_nll()
-    if not np.all(np.isfinite(nll_before)):
-        bad = nll_before[~np.isfinite(nll_before)][0]
-        raise NumericError(f"non-finite tuning NLL {bad}: the head overflows on this split")
+    nll_before = full_nll(-1)
     best_nll, best_epoch, best_flat = nll_before, np.full(G, -1), heads.flat.copy()
 
-    plan = []  # per run of copies a:b with a batch i of equal length: (i, a, b, heads, gradients, batch columns)
-    for i in range(-(-sizes[0] // bs)):
+    order = np.empty((G, sizes[0]), dtype=np.intp)  # row g: copy g's val rows in this epoch's batch order
+    lrs = np.empty((-(-sizes[0] // bs), G))  # row i: each copy's learning rate at step i
+    plan = []  # per run of copies a:b with a batch i of equal length: its views of the stack and the batch rows
+    for i in range(len(lrs)):
         a = 0
         for length, members in groupby(min(bs, size - i * bs) for size in sizes if size > i * bs):
             b = a + len(list(members))
-            plan.append((i, a, b, heads.like(heads.flat[a:b]), hg.like(hg.flat[a:b]), slice(i * bs, i * bs + length)))
+            run = (heads.like(heads.flat[a:b]), hg.like(hg.flat[a:b]), order[a:b, i * bs : i * bs + length])
+            plan.append((*run, live[a:b], live_grad[a:b], velocity[a:b], lrs[i, a:b, None], scratch[a:b]))
             a = b
     schedules = {size: minibatches(size, config, 2) for size in set(sizes)}
-    order = np.empty((G, sizes[0]), dtype=np.intp)  # row g: copy g's val rows in this epoch's batch order
-    lrs = np.empty((-(-sizes[0] // bs), G))  # row i: each copy's learning rate at step i
     for epoch in range(config.epochs):
         steps = {size: next(schedule) for size, schedule in schedules.items()}
         for g, r in enumerate(rows):
             own = steps[len(r)]
             order[g, : len(r)] = r[np.concatenate([idx for idx, _ in own])]
             lrs[: len(own), g] = [lr for _, lr in own]
-        for i, a, b, heads_ab, hg_ab, cols in plan:
-            Fb, db, fnb, dyb = (x[order[a:b, cols]] for x in val)
+        for heads_ab, hg_ab, batch, p, p_grad, v, lr, p_scratch in plan:
+            Fb, db, fnb, dyb = (x.take(batch, axis=0) for x in val)
             trace = multiplier_forward(Fb, db, fnb, heads_ab)
             grad_m = gap_cross_entropy(trace.logits, db, trace.m, dyb, grad_m=True)
             head_backward_batch(trace, Fb, heads_ab, out=hg_ab, grad_m=grad_m)
-            momentum_step(
-                live[a:b], live_grad[a:b], velocity[a:b], lrs[i, a:b, None], config.momentum, scratch=scratch[a:b]
-            )
-        epoch_nll = full_nll()
+            momentum_step(p, p_grad, v, lr, config.momentum, scratch=p_scratch)
+        epoch_nll = full_nll(epoch)
         better = epoch_nll < best_nll
         best_nll = np.where(better, epoch_nll, best_nll)
         best_epoch[better] = epoch
@@ -329,18 +351,21 @@ def calibrate(model: Model, val_set, config: CalibConfig, eval_sets: dict | None
     if config.folds > Xv.shape[0]:
         raise ConfigError(f"folds={config.folds} exceeds validation size {Xv.shape[0]}")
 
-    def before_after(split, y, tuned_head, rows=slice(None)):
-        """The metrics of rows ``rows`` of a gap split (``_gap_split``) with labels y, before and after tuning."""
-        F, d, fn = (x[rows] for x in split[:3])
-        return {
-            "before": split_metrics(multiplier_forward(F, d, fn, model.head).logits, y[rows]),
-            "after": split_metrics(multiplier_forward(F, d, fn, tuned_head).logits, y[rows]),
-        }
+    def gap_split(X, y):
+        """A split as ``_gap_split`` gives it, and its argmax hits: each head's predictions are d's."""
+        split = _gap_split(extract_features(model, X), y, model.head)
+        return split, split[1].argmax(axis=1) == y
+
+    def before_after(split, hits, tuned_head, rows=slice(None)):
+        """The metrics of rows ``rows`` of a gap split with argmax hits ``hits``, before and after tuning."""
+        F, d, fn, dy = (x[rows] for x in split)
+        heads = {"before": model.head, "after": tuned_head}
+        return {when: _head_metrics(F, d, fn, dy, hits[rows], head) for when, head in heads.items()}
 
     pieces = np.array_split(next(shuffles(Xv.shape[0], config.seed, 3)), config.folds) if config.folds >= 2 else []
     row_sets = [np.arange(Xv.shape[0])] + [np.concatenate(pieces[:k] + pieces[k + 1 :]) for k in range(len(pieces))]
     # Row set 0 is the main run's and the rest are the folds' training rows; one stack tunes them all.
-    val = _gap_split(extract_features(model, Xv), yv, model.head)
+    val, hits = gap_split(Xv, yv)
     tuned, best_epoch, nll_before, nll_after = _tune_head(model.head, val, row_sets, config)
     tuned_head, *fold_heads = (tuned.like(flat) for flat in tuned.flat)
     if not np.all(np.isfinite(tuned_head.flat)):
@@ -350,16 +375,15 @@ def calibrate(model: Model, val_set, config: CalibConfig, eval_sets: dict | None
     new_model.meta["calibrated"] = True
 
     report = CalibrationReport(
-        splits={"val": before_after(val, yv, tuned_head)},
+        splits={"val": before_after(val, hits, tuned_head)},
         nll_before=float(nll_before[0]),
         nll_after=float(nll_after[0]),
         best_epoch=int(best_epoch[0]),
-        folds=[{"fold": k, **before_after(val, yv, fold_heads[k], held)} for k, held in enumerate(pieces)],
+        folds=[{"fold": k, **before_after(val, hits, fold_heads[k], held)} for k, held in enumerate(pieces)],
     )
-    del val  # the tuning split ends here; each eval split lives only for its own metrics
+    del val, hits  # the tuning split ends here; each eval split lives only for its own metrics
     for name in eval_sets:
-        X, y = splits[name]
-        report.splits[name] = before_after(_gap_split(extract_features(model, X), y, model.head), y, tuned_head)
+        report.splits[name] = before_after(*gap_split(*splits[name]), tuned_head)
 
     if pieces:
         report.cv_mean, report.cv_std = {}, {}

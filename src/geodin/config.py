@@ -6,9 +6,12 @@ calibrate, shifts; their keys, in order, and defaults are the fields of
 TaskConfig, TrainConfig, CalibConfig and ShiftsConfig, less the train and
 calibrate seed (``[task] seed`` supplies it); calibrate adds ``shift_kind``
 and ``shift_severity``.  Unknown sections or keys are rejected with their
-line number, and every key is validated at load by its library config.
-Every key has a default, so an empty (or absent) file is a valid
-configuration; command-line overrides use ``section.key=value``.
+line number, a key set twice in the file (in one section or two of the
+same name) with both line numbers, and a list with an empty item with its
+key; an empty value is the empty list.  Every key is validated at load by
+its library config.  Every key has a default, so an empty (or absent) file
+is a valid configuration; command-line overrides use ``section.key=value``,
+and a later override of a key replaces an earlier one.
 """
 
 from __future__ import annotations
@@ -86,7 +89,9 @@ def _convert(text: str, template, where: str):
         if isinstance(template, float):
             return float(text)
         if isinstance(template, tuple):
-            items = [t.strip() for t in text.split(",") if t.strip()]
+            items = [t.strip() for t in text.split(",")] if text else []
+            if "" in items:
+                raise ValueError(f"empty item in the list {text!r}")
             if not template or isinstance(template[0], str):
                 return tuple(items)
             if isinstance(template[0], int) and not isinstance(template[0], bool):
@@ -113,7 +118,7 @@ def _apply_file(cfg: RunConfig, path: Path) -> None:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    section_name = None
+    section_name, seen = None, {}  # (section, key) -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -132,6 +137,9 @@ def _apply_file(cfg: RunConfig, path: Path) -> None:
             raise ConfigError(f"key outside any [section] (line {lineno})")
         key, value = (part.strip() for part in line.split("=", 1))
         _set_key(cfg, section_name, key, value, f"[{section_name}] (line {lineno})")
+        first = seen.setdefault((section_name, key), lineno)
+        if first != lineno:
+            raise ConfigError(f"{key!r} in [{section_name}] is set twice (lines {first} and {lineno})")
 
 
 def _apply_override(cfg: RunConfig, item: str) -> None:

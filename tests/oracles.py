@@ -419,7 +419,7 @@ def reference_tune_head(head, val, rows, config):
     softmax is written out here: e = exp(m d) with no shift, the row NLL
     log(sum_j e_j) - m d_y, and per step dL/dm = (sum_j e_j d_j / sum_j e_j
     - d_y) / b.  Each head's NLL takes its gathered rows in one shot.  Same
-    schedule, best-state rule and return values (stacked) as ``_tune_head``.
+    schedule, best-state rule, finiteness check and return values (stacked) as ``_tune_head``.
     """
     tail, results = head.W.size, []
     for r in rows:
@@ -428,12 +428,13 @@ def reference_tune_head(head, val, rows, config):
         hg = one.like(np.zeros_like(one.flat))
         velocity = np.zeros_like(one.flat[tail:])
 
-        def full_nll():
-            return reference_gap_nll(one, F, d, fn, dy).sum() / len(r)
+        def full_nll(epoch):
+            nll = reference_gap_nll(one, F, d, fn, dy).sum() / len(r)
+            if not np.isfinite(nll):
+                raise NumericError(f"non-finite tuning NLL {nll} at epoch {epoch}: the head overflows on this split")
+            return nll
 
-        nll_before = full_nll()
-        if not np.isfinite(nll_before):
-            raise NumericError(f"non-finite tuning NLL {nll_before}: the head overflows on this split")
+        nll_before = full_nll(-1)
         best_nll, best_epoch, best_flat = nll_before, -1, one.flat.copy()
         for epoch, steps in enumerate(minibatches(len(r), config, 2)):
             for idx, lr in steps:
@@ -442,7 +443,7 @@ def reference_tune_head(head, val, rows, config):
                 grad_m = (np.einsum("...ij,...ij->...i", e, d[idx]) / e.sum(axis=-1) - dy[idx]) / len(idx)
                 head_backward_batch(trace, F[idx], one, grad_m=grad_m, out=hg)
                 momentum_step(one.flat[tail:], hg.flat[tail:], velocity, lr, config.momentum)
-            epoch_nll = full_nll()
+            epoch_nll = full_nll(epoch)
             if epoch_nll < best_nll:
                 best_nll, best_epoch, best_flat = epoch_nll, epoch, one.flat.copy()
         results.append((best_flat, best_epoch, nll_before, best_nll))

@@ -3,6 +3,7 @@
 import importlib
 import math
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -569,6 +570,80 @@ class TestReportOnGaps:
         assert calls == ["extract_features", "plain_forward"] * 2  # the tuning split, then the test split
 
 
+def _metric_bytes(metrics) -> bytes:
+    return np.array(astuple(metrics)).tobytes()
+
+
+def _drawn_gap_split(rows: int = 300, k: int = 6, d: int = 12, seed: int = 7):
+    """A head and a tuning split (F, d, ||f||, d_y) with labels y, whose plain logits s are drawn as integers,
+    so many rows tie at their max, and whose first five rows are degenerate (f = 0, every class tied)."""
+    head, _ = _synthetic_split(1, d=d, k=k, seed=seed)
+    rng = np.random.default_rng(seed)
+    F = np.abs(rng.normal(0.0, 1.0, (rows, d)))
+    s = np.round(rng.normal(0.0, 1.0, (rows, k)))
+    F[:5], s[:5] = 0.0, 0.0
+    y = rng.integers(0, k, rows)
+    gaps, dy = calibrate_module._gaps(s, y, out=s)
+    return head, (F, gaps, np.sqrt(np.add.reduce(F * F, axis=1)), dy), y
+
+
+class TestMetricsFromGaps:
+    """Each head's before/after metrics read the split's argmax hits, its gaps d and the head's m, and
+    equal ``split_metrics`` of the head's logits m * d, byte for byte."""
+
+    def test_head_metrics_equal_split_metrics_of_the_logits(self):
+        head, (F, d, fn, dy), y = _drawn_gap_split()
+        assert np.count_nonzero(np.sum(d == 0.0, axis=1) > 1) > 50  # many tied maxima
+        hits = d.argmax(axis=1) == y
+        moved = head.like(head.flat.copy())
+        moved.alpha_b[...], moved.beta_b[...] = -2.0, 1.5
+        rng = np.random.default_rng(8)
+        subsets = [np.arange(300), rng.permutation(300)[:97], np.sort(rng.permutation(300)[:64]), [3], [4, 0, 200]]
+        for rows in subsets:
+            for h in (head, moved):
+                got = calibrate_module._head_metrics(F[rows], d[rows], fn[rows], dy[rows], hits[rows], h)
+                want = split_metrics(multiplier_forward(F[rows], d[rows], fn[rows], h).logits, y[rows])
+                assert _metric_bytes(got) == _metric_bytes(want)
+
+    def test_report_equals_split_metrics_of_the_logits(self, trained_task_model, monkeypatch):
+        task, model = trained_task_model
+        tied = _inflated(model)
+        tied.head.W[3] = tied.head.W[1]  # classes 1 and 3 take equal inner products
+        config = CalibConfig(seed=21, epochs=3, folds=4)
+        tune, tuned = calibrate_module._tune_head, []
+        monkeypatch.setattr(calibrate_module, "_tune_head", lambda *args: tuned.append(tune(*args)) or tuned[-1])
+        _, report = calibrate(tied, task.val, config, eval_sets={"test": task.test})
+        main, *folds = (tuned[0][0].like(flat) for flat in tuned[0][0].flat)
+        pieces = np.array_split(next(shuffles(len(task.val[1]), config.seed, 3)), config.folds)
+        expected = [(report.splits["val"], task.val, main, slice(None))]
+        expected += [(report.splits["test"], task.test, main, slice(None))]
+        expected += [(report.folds[k], task.val, folds[k], held) for k, held in enumerate(pieces)]
+        for metrics, (X, y), after, rows in expected:
+            F, d, fn, _ = calibrate_module._gap_split(extract_features(tied, X), y, tied.head)
+            for when, head in [("before", tied.head), ("after", after)]:
+                want = split_metrics(multiplier_forward(F[rows], d[rows], fn[rows], head).logits, y[rows])
+                assert _metric_bytes(metrics[when]) == _metric_bytes(want)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_an_overflowing_head_raises_a_numeric_error(self, trained_task_model, monkeypatch):
+        # Finite parameters whose alpha underflows to 0: m = 1/alpha is inf, so m * d is not finite.
+        head, (F, d, fn, dy), y = _drawn_gap_split()
+        head.alpha_b[...] = -800.0
+        with pytest.raises(NumericError, match="non-finite logits"):
+            calibrate_module._head_metrics(F, d, fn, dy, d.argmax(axis=1) == y, head)
+        task, model = trained_task_model
+        tune = calibrate_module._tune_head
+
+        def overflowing(*args):
+            heads, *rest = tune(*args)
+            heads.alpha_b[...] = -800.0
+            return (heads, *rest)
+
+        monkeypatch.setattr(calibrate_module, "_tune_head", overflowing)
+        with pytest.raises(NumericError, match="non-finite logits: the head overflows on this split"):
+            calibrate(model, task.val, CalibConfig(seed=21, folds=0, epochs=2))
+
+
 class TestStackedFolds:
     """The main run and the k folds are tuned as one stack; each fold's head is
     the one a stack of one on its own rows gives, bit for bit."""
@@ -752,6 +827,22 @@ class TestBlockedTuningNll:
         assert after.tobytes() == _one_shot_nll(tuned, val, rows).tobytes()
         assert np.all(after <= before)
 
+    def test_one_whole_split_multiplier_pass_per_epoch(self, monkeypatch):
+        head, val = _synthetic_split(150)
+        forward, calls = calibrate_module.multiplier_forward, []
+
+        def spied(F, s, fn, params):
+            calls.append((F is val[0], s.shape, params.flat.shape))
+            return forward(F, s, fn, params)
+
+        monkeypatch.setattr(calibrate_module, "multiplier_forward", spied)
+        rows = [np.arange(150), np.arange(120), np.arange(40)]
+        calibrate_module._tune_head(head, val, rows, CalibConfig(epochs=3, batch_size=64))
+        passes = [call for call in calls if call[0]]
+        # The NLL before tuning and after each epoch: all three heads over the split in place, forming no logits.
+        assert passes == [(True, (150, 0), (3, head.flat.size))] * 4
+        assert len(calls) - len(passes) == 5 * 3  # per epoch, runs of 2 heads and 1, then of 1 and 1, then 1 head
+
     def test_two_classes_take_blocks_past_one_multiplier_block(self):
         # At k=2 and G=2 an NLL block holds 16384 rows, past _matvec's 4096-row block at D=64.
         assert _nll_block(2, 2) == 16384
@@ -868,6 +959,30 @@ class TestGapTuning:
         with pytest.raises(NumericError) as reference:
             reference_tune_head(head, val, rows, config)
         assert str(tuned.value) == str(reference.value)
+
+    def test_a_non_finite_nll_after_an_epoch_raises_naming_it(self, monkeypatch):
+        # One head's beta_b becomes inf at the first step of epoch 1, so its m and its NLL are not finite.
+        head, val = _synthetic_split(150)
+        step, calls = calibrate_module.momentum_step, []
+
+        def poisoning(p, *args, **kwargs):
+            step(p, *args, **kwargs)
+            calls.append(p.shape)
+            if len(calls) == 4:  # epochs take 3 steps of one stack of two heads
+                p[-1, -1] = math.inf
+
+        monkeypatch.setattr(calibrate_module, "momentum_step", poisoning)
+        rows = [np.arange(150), np.random.default_rng(6).permutation(150)]
+        with pytest.warns(RuntimeWarning), pytest.raises(NumericError, match="non-finite tuning NLL nan at epoch 1:"):
+            calibrate_module._tune_head(head, val, rows, CalibConfig(epochs=3, batch_size=64))
+        assert len(calls) == 6  # the NLL after epoch 1 raised; epoch 2 took no step
+
+    def test_a_diverging_rate_raises_naming_the_epoch(self, trained_task_model):
+        # Epoch 0 ends on a finite NLL and epoch 1 on NaN, which the best-state rule alone would skip.
+        task, model = trained_task_model
+        config = CalibConfig(seed=21, lr0=1e308, folds=0, epochs=3)
+        with pytest.warns(RuntimeWarning), pytest.raises(NumericError, match="non-finite tuning NLL nan at epoch 1:"):
+            calibrate(model, task.val, config)
 
 
 def _spied(monkeypatch, run=False) -> list:

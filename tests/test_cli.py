@@ -124,6 +124,41 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="mahalanobis"):
             load_run_config(path)
 
+    @pytest.mark.parametrize(
+        "text,lines",
+        [
+            ("[task]\nk = 3\n[train]\nepochs = 2\n[task]\nk = 4\n", (2, 6)),
+            ("[train]\nepochs = 2\nepochs = 3\n", (2, 3)),
+        ],
+        ids=["two-sections", "one-section"],
+    )
+    def test_a_key_set_twice_in_the_file_cites_both_lines(self, tmp_path, capsys, text, lines):
+        path = tmp_path / "twice.cfg"
+        path.write_text(text, encoding="utf-8")
+        message = re.escape(f"is set twice (lines {lines[0]} and {lines[1]})")
+        with pytest.raises(ConfigError, match=message):
+            load_run_config(path)
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "m.godn")]) == 2
+        assert re.search(message, capsys.readouterr().err)
+        assert not (tmp_path / "m.godn").exists()
+
+    def test_a_key_overridden_twice_takes_the_last_value(self, config_file):
+        assert load_run_config(config_file, ["task.k=3", "task.k=5"]).task.k == 5
+
+    @pytest.mark.parametrize("value", ["8, , 8", "8,,8", "8, 8,", ", 8"])
+    def test_an_empty_list_item_names_the_key(self, tmp_path, value):
+        path = tmp_path / "hidden.cfg"
+        path.write_text(f"[train]\nhidden = {value}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"hidden in \[train\] \(line 2\): empty item"):
+            load_run_config(path)
+        with pytest.raises(ConfigError, match="hidden in override .*: empty item"):
+            load_run_config(None, [f"train.hidden={value}"])
+
+    def test_an_empty_value_is_the_empty_list(self, tmp_path):
+        path = tmp_path / "empty.cfg"
+        path.write_text("[shifts]\nkinds =\nconcept = true\n", encoding="utf-8")
+        assert load_run_config(path).shifts.kinds == ()
+
     def test_echo_dict_is_json_serializable(self, config_file):
         cfg = load_run_config(config_file)
         doc = json.dumps(cfg.to_dict())
@@ -491,6 +526,14 @@ class TestCmdCalibrate:
         assert main([*argv, "--out", str(tmp_path / "cal.godn")]) == 2  # 4 classes x 16 validation rows
         assert "exceeds validation size 64" in capsys.readouterr().err
         assert steps == []
+        assert not (tmp_path / "cal.godn").exists()
+
+    def test_a_diverging_tuning_rate_exits_4_and_writes_nothing(self, config_file, trained_checkpoint, tmp_path, capsys):
+        argv = ["calibrate", "--config", str(config_file), "--set", "calibrate.lr0=1e308"]
+        with pytest.warns(RuntimeWarning):
+            code = main([*argv, "--checkpoint", str(trained_checkpoint), "--out", str(tmp_path / "cal.godn")])
+        assert code == 4
+        assert "non-finite tuning NLL nan at epoch 0" in capsys.readouterr().err
         assert not (tmp_path / "cal.godn").exists()
 
 
