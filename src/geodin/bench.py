@@ -330,7 +330,7 @@ def concept_split(id_class_names, ood_class_names, embeddings, n_groups: int) ->
     Similarity of an OOD class is its largest inner product against any ID
     class.  Classes are ordered by ascending (similarity, name) and chunked;
     the last (highest-index, most similar) group absorbs any remainder.
-    A name repeated within either list is a DataError, as is one not in the vocabulary.
+    A name listed twice, within either list or in both, is a DataError, as is one not in the vocabulary.
     """
     id_names = list(id_class_names)
     ood_names = list(ood_class_names)
@@ -340,12 +340,12 @@ def concept_split(id_class_names, ood_class_names, embeddings, n_groups: int) ->
         raise ConfigError(f"need at least one group, got {n_groups}")
     if len(ood_names) < n_groups:
         raise ConfigError(f"{len(ood_names)} classes cannot fill {n_groups} groups")
-    repeated = sorted({name for group in (id_names, ood_names) for name, n in Counter(group).items() if n > 1})
+    names = id_names + ood_names
+    repeated = sorted(name for name, n in Counter(names).items() if n > 1)
     if repeated:
         raise DataError("repeated class names: " + ", ".join(repeated))
-    names = id_names + ood_names
     vecs = {name: embeddings[tok] for name in names if (tok := _resolve_token(name, embeddings)) is not None}
-    missing = {name for name in names if name not in vecs}  # a name may be in both lists
+    missing = [name for name in names if name not in vecs]
     if missing:
         raise MissingTokenError(sorted(missing))
     sims = {name: max(float(vecs[name] @ vecs[i]) for i in id_names) for name in ood_names}
@@ -431,14 +431,14 @@ def sweep(
     split's features or logits are held whole; every score works per row,
     so the scores are the whole split's bit for bit.
 
-    In a block of a ``feature_dropout`` copy, a row bit for bit equal to
-    its clean test row takes the clean split's scores, and only the changed
-    rows are extracted and scored, when they number at least
-    ``whole_bits_rows`` of the block width (never on a net with a 1-wide
-    product): so they keep the block's bits.  Otherwise the block runs
-    whole, as every block of the other covariate kinds does uncompared,
-    since they change every row.  Each block still makes one
-    ``extract_features`` and one ``score_batch`` call.
+    A ``feature_dropout`` copy starts from the clean split's scores, and a
+    block extracts and scores only its rows that differ, bit for bit, from
+    their clean test rows, when they number at least ``whole_bits_rows`` of
+    the block width (never on a net with a 1-wide product): so they keep the
+    block's bits.  Otherwise the block runs whole, as every block of the
+    other covariate kinds does uncompared, since they change every row.
+    Each block still makes one ``extract_features`` and one ``score_batch``
+    call.
     """
     if not model.meta.get("trained"):
         raise StateError("model has not been trained")
@@ -456,14 +456,12 @@ def sweep(
     clean = np.asarray(task.test[0], dtype=np.float64)
 
     def scores(X, reuse: bool = False) -> dict[str, np.ndarray]:
-        out = {name: np.empty(len(X)) for name in SCORE_NAMES}
+        out = {name: id_all[name].copy() if reuse else np.empty(len(X)) for name in SCORE_NAMES}
         for blk in row_blocks(len(X), width):
             rows, at = X[blk], blk
             if reuse and fewest is not None:  # rows compared bit for bit, so -0.0 is not 0.0
                 changed = np.flatnonzero((rows.view(np.uint64) != clean[blk].view(np.uint64)).any(axis=1))
                 if fewest <= changed.size < len(rows):
-                    for name in SCORE_NAMES:
-                        out[name][blk] = id_all[name][blk]
                     rows, at = rows[changed], blk.start + changed
             for name, values in score_batch(extract_features(model, rows), W).items():
                 out[name][at] = values

@@ -302,9 +302,8 @@ def _tune_head(head, val, rows, config: CalibConfig):
     for epoch in range(config.epochs):
         steps = {size: next(schedule) for size, schedule in schedules.items()}
         for g, r in enumerate(rows):
-            own = steps[len(r)]
-            order[g, : len(r)] = r[np.concatenate([idx for idx, _ in own])]
-            lrs[: len(own), g] = [lr for _, lr in own]
+            perm, rates = steps[len(r)]
+            order[g, : len(r)], lrs[: len(rates), g] = r[perm], rates
         for heads_ab, hg_ab, batch, p, p_grad, v, lr, p_scratch in plan:
             Fb, db, fnb, dyb = (x.take(batch, axis=0) for x in val)
             trace = multiplier_forward(Fb, db, fnb, heads_ab)

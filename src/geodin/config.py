@@ -5,13 +5,14 @@ starts a comment; lists are comma-separated.  Sections are task, train,
 calibrate, shifts; their keys, in order, and defaults are the fields of
 TaskConfig, TrainConfig, CalibConfig and ShiftsConfig, less the train and
 calibrate seed (``[task] seed`` supplies it); calibrate adds ``shift_kind``
-and ``shift_severity``.  Unknown sections or keys are rejected with their
-line number, a key set twice in the file (in one section or two of the
-same name) with both line numbers, and a list with an empty item with its
-key; an empty value is the empty list.  Every key is validated at load by
-its library config.  Every key has a default, so an empty (or absent) file
-is a valid configuration; command-line overrides use ``section.key=value``,
-and a later override of a key replaces an earlier one.
+and ``shift_severity``.  Sections and keys are case-insensitive.  Unknown
+sections or keys are rejected with their line number, a key set twice in
+the file (in one section or two of the same name, in any case) with both
+line numbers, and a list with an empty item with its key; an empty value
+is the empty list.  Every key is validated at load by its library config.
+Every key has a default, so an empty (or absent) file is a valid
+configuration; command-line overrides use ``section.key=value``, and a
+later override of a key replaces an earlier one.
 """
 
 from __future__ import annotations
@@ -135,7 +136,8 @@ def _apply_file(cfg: RunConfig, path: Path) -> None:
             raise ConfigError(f"expected 'key = value' (line {lineno}): {raw.strip()!r}")
         if section_name is None:
             raise ConfigError(f"key outside any [section] (line {lineno})")
-        key, value = (part.strip() for part in line.split("=", 1))
+        key, value = line.split("=", 1)
+        key, value = key.strip().lower(), value.strip()
         _set_key(cfg, section_name, key, value, f"[{section_name}] (line {lineno})")
         first = seen.setdefault((section_name, key), lineno)
         if first != lineno:

@@ -30,10 +30,10 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .bench import DetectionReport, ReportRow
-from .errors import FormatError, IntegrityError, NumericError, UnsupportedVersionError
+from .bench import DetectionReport, ReportRow, ShiftsConfig, ShiftSpec
+from .errors import ConfigError, FormatError, IntegrityError, NumericError, UnsupportedVersionError
 from .head import HeadParams, HeadVariant
-from .train import ExtractorParams, Model
+from .train import ExtractorParams, Model, check_seed
 
 MAGIC = b"GODN"
 FORMAT_VERSION = 1
@@ -275,4 +275,10 @@ def _row_from_dict(d: dict, path) -> ReportRow:
         raise FormatError(f"{path}: report row {d!r} has a count below 1")
     if not all(0.0 <= getattr(row, f) <= 1.0 for f, t in _REPORT_TYPES.items() if t is float):
         raise FormatError(f"{path}: report row {d!r} has a rate that is not a finite number in [0, 1]")
+    try:  # a row that ``sweep`` could not write: its score, spec or seed is one a run rejects
+        ShiftsConfig(scores=(row.score,)).validate()
+        ShiftSpec(row.shift_kind, row.severity)
+        check_seed(row.seed)
+    except ConfigError as exc:
+        raise FormatError(f"{path}: report row {d!r}: {exc}") from None
     return row

@@ -174,20 +174,17 @@ def shuffles(n: int, seed: int, tag: int):
 
 
 def minibatches(n: int, config, tag: int):
-    """The SGD schedule over n rows: yields each epoch's list of (row indices, rate) steps.
+    """The SGD schedule over n rows: yields each epoch's (row order, list of step rates).
 
-    Each epoch cuts the next of ``shuffles(n, config.seed, tag)`` into
-    batches in order, the last one short when n is ragged; the rate is
-    cosine_lr of the step's index over all epochs.
+    The order is the next of ``shuffles(n, config.seed, tag)``; step i takes
+    its rows ``order[i * bs : (i + 1) * bs]``, the last batch short when n is
+    ragged, at the rate cosine_lr of the step's index over all epochs.
     """
     bs = config.batch_size
     per_epoch = (n + bs - 1) // bs
     total = config.epochs * per_epoch
-    for epoch, perm in zip(range(config.epochs), shuffles(n, config.seed, tag)):
-        yield [
-            (perm[i * bs : (i + 1) * bs], cosine_lr(epoch * per_epoch + i, total, config.lr0))
-            for i in range(per_epoch)
-        ]
+    for epoch, order in zip(range(config.epochs), shuffles(n, config.seed, tag)):
+        yield order, [cosine_lr(epoch * per_epoch + i, total, config.lr0) for i in range(per_epoch)]
 
 
 def unit_rows(X: np.ndarray) -> np.ndarray:
@@ -228,19 +225,17 @@ def whole_bits_rows(width: int) -> int | None:
 def row_blocks(n: int, width: int) -> list[slice]:
     """The blocks of rows that inference takes a batch of n rows in, for products at least ``width`` wide.
 
-    Blocks start at multiples of B = max(512, the 64-multiple at or above
-    ``whole_bits_rows(width)``) rows (768 for width 2, 512 from width 3 on)
-    and the last one absorbs the remainder, so a batch below two blocks is
-    one block and the last block is the largest.  So each block's products
-    have the whole batch's bits, and starts at multiples of 64 give
-    ``head._matvec`` the whole product's bits.  Below 512 rows the wide
-    forward slowed (1.8% at 256, 7.6% at 128).  With width 1 the batch is
-    one block.
+    Blocks start at multiples of B = max(512, ``whole_bits_rows(width)``)
+    rows (768 for width 2, 512 from width 3 on) and the last one absorbs the
+    remainder, so a batch below two blocks is one block and the last block
+    is the largest.  So each block's products have the whole batch's bits.
+    Below 512 rows the wide forward slowed (1.8% at 256, 7.6% at 128).  With
+    width 1 the batch is one block.
     """
     fewest = whole_bits_rows(width)
     if fewest is None:
         return [slice(0, n)]
-    B = max(512, -(-fewest // 64) * 64)
+    B = max(512, fewest)
     count = max(1, n // B)
     return [slice(i * B, n if i == count - 1 else (i + 1) * B) for i in range(count)]
 
@@ -524,21 +519,20 @@ def train(config: TrainConfig, train_set, n_classes: int | None = None) -> Model
     # With decay_heads off only the extractor and the head's prefix, the class weights W, decay.
     n_decay = None if config.decay_heads else model.extractor.flat.size + model.head.W.size
     # The shuffle stream (seed, 1) is separate from the init stream (seed).
-    for epoch, steps in enumerate(minibatches(X.shape[0], config, 1)):
-        order = np.concatenate([idx for idx, _ in steps])
-        U_epoch, y_epoch = U[order], y[order]  # each step takes the next slice of these
-        epoch_loss, start = 0.0, 0
-        for bi, (idx, lr) in enumerate(steps):
-            batch = slice(start, start + len(idx))
-            if len(idx) not in workspaces:
-                workspaces[len(idx)] = Workspace(model, len(idx), grad)
-            loss, _ = loss_and_grads(model, U_epoch[batch], y_epoch[batch], out=workspaces[len(idx)])
-            start = batch.stop
+    bs = config.batch_size
+    for epoch, (order, rates) in enumerate(minibatches(X.shape[0], config, 1)):
+        U_epoch, y_epoch = U[order], y[order]  # batch i is rows i * bs : (i + 1) * bs of these
+        epoch_loss = 0.0
+        for bi, lr in enumerate(rates):
+            Ub, yb = U_epoch[bi * bs : (bi + 1) * bs], y_epoch[bi * bs : (bi + 1) * bs]
+            if len(yb) not in workspaces:
+                workspaces[len(yb)] = Workspace(model, len(yb), grad)
+            loss, _ = loss_and_grads(model, Ub, yb, out=workspaces[len(yb)])
             if not math.isfinite(loss):
                 raise NumericError(f"non-finite loss {loss} at epoch {epoch} batch {bi} (lr={lr:.6g})")
             momentum_step(model.flat, grad.flat, velocity, lr, config.momentum, config.weight_decay, n_decay, scratch)
             epoch_loss += loss
-        model.history.append({"epoch": epoch, "mean_loss": epoch_loss / len(steps), "lr": lr})
+        model.history.append({"epoch": epoch, "mean_loss": epoch_loss / len(rates), "lr": rates[-1]})
     if not model.finite():
         raise NumericError("training produced non-finite parameters")
     model.meta["trained"] = True

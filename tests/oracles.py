@@ -325,14 +325,16 @@ def reference_train(config, train_set, n_classes: int):
     ext, head = model.extractor.flat, model.head.flat
     ext_v, head_v = np.zeros_like(ext), np.zeros_like(head)
     head_decay = None if config.decay_heads else model.head.W.size
-    for epoch, steps in enumerate(minibatches(X.shape[0], config, 1)):
+    bs = config.batch_size
+    for epoch, (order, rates) in enumerate(minibatches(X.shape[0], config, 1)):
         epoch_loss = 0.0
-        for idx, lr in steps:
+        for i, lr in enumerate(rates):
+            idx = order[i * bs : (i + 1) * bs]
             loss, (ext_g, head_g), _ = reference_step(model, unit_rows(X[idx]), y[idx])
             momentum_step(ext, ext_g, ext_v, lr, config.momentum, config.weight_decay)
             momentum_step(head, head_g, head_v, lr, config.momentum, config.weight_decay, head_decay)
             epoch_loss += loss
-        model.history.append({"epoch": epoch, "mean_loss": epoch_loss / len(steps), "lr": lr})
+        model.history.append({"epoch": epoch, "mean_loss": epoch_loss / len(rates), "lr": lr})
     return model
 
 
@@ -436,8 +438,9 @@ def reference_tune_head(head, val, rows, config):
 
         nll_before = full_nll(-1)
         best_nll, best_epoch, best_flat = nll_before, -1, one.flat.copy()
-        for epoch, steps in enumerate(minibatches(len(r), config, 2)):
-            for idx, lr in steps:
+        for epoch, (order, rates) in enumerate(minibatches(len(r), config, 2)):
+            for i, lr in enumerate(rates):
+                idx = order[i * config.batch_size : (i + 1) * config.batch_size]
                 trace = multiplier_forward(F[idx], d[idx], fn[idx], one)
                 e = np.exp(trace.logits)
                 grad_m = (np.einsum("...ij,...ij->...i", e, d[idx]) / e.sum(axis=-1) - dy[idx]) / len(idx)

@@ -129,8 +129,10 @@ class TestRunConfig:
         [
             ("[task]\nk = 3\n[train]\nepochs = 2\n[task]\nk = 4\n", (2, 6)),
             ("[train]\nepochs = 2\nepochs = 3\n", (2, 3)),
+            ("[task]\nk = 3\nK = 4\n", (2, 3)),
+            ("[TASK]\nK = 3\n[train]\nepochs = 2\n[Task]\nk = 4\n", (2, 6)),
         ],
-        ids=["two-sections", "one-section"],
+        ids=["two-sections", "one-section", "two-cases", "two-cases-two-sections"],
     )
     def test_a_key_set_twice_in_the_file_cites_both_lines(self, tmp_path, capsys, text, lines):
         path = tmp_path / "twice.cfg"
@@ -141,6 +143,13 @@ class TestRunConfig:
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "m.godn")]) == 2
         assert re.search(message, capsys.readouterr().err)
         assert not (tmp_path / "m.godn").exists()
+
+    def test_keys_are_case_insensitive_in_the_file_as_in_overrides(self, tmp_path):
+        path = tmp_path / "cased.cfg"
+        path.write_text("[Task]\nK = 8\nN_Per_Class = 50\n[TRAIN]\nHidden = 8, 8\n", encoding="utf-8")
+        cfg = load_run_config(path, ["TASK.D_IN=4"])
+        assert (cfg.task.k, cfg.task.n_per_class, cfg.task.d_in, cfg.train.hidden) == (8, 50, 4, (8, 8))
+        assert load_run_config(path) == load_run_config(None, ["task.k=8", "task.n_per_class=50", "train.hidden=8,8"])
 
     def test_a_key_overridden_twice_takes_the_last_value(self, config_file):
         assert load_run_config(config_file, ["task.k=3", "task.k=5"]).task.k == 5
@@ -574,9 +583,12 @@ class TestCmdSplits:
         [
             ("cat\n", "near\nmid\nnear\nfar\nmid\nnear\n", "repeated class names: mid, near"),
             ("cat\nfar\ncat\n", "near\nmid\n", "repeated class names: cat"),
-            ("cat\nyak\n", "near\nyak\n", "unresolvable class names: yak"),
+            ("cat\nnear\n", "near\nmid\n", "repeated class names: near"),
+            ("cat\nmid\nnear\n", "near\nfar\nmid\nnear\n", "repeated class names: mid, near"),
+            ("cat\nyak\n", "near\nyak\n", "repeated class names: yak"),
+            ("cat\nyak\n", "near\nzebu\n", "unresolvable class names: yak, zebu"),
         ],
-        ids=["ood_repeat", "id_repeat", "missing_in_both"],
+        ids=["ood_repeat", "id_repeat", "in_both", "in_both_and_repeated", "in_both_unresolvable", "missing_in_each"],
     )
     def test_repeated_name_exit_3_names_it_once(self, tmp_path, capsys, id_text, ood_text, message):
         emb, id_names, ood_names = self.setup_fixture(tmp_path)

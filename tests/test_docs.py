@@ -1,5 +1,6 @@
 """The README's configuration and CLI examples, and its reproducibility claim, stay in step with the code."""
 
+import argparse
 import os
 import re
 import shlex
@@ -59,6 +60,15 @@ def test_library_block_runs():
 def test_cli_block_lists_every_command():
     commands = {shlex.split(line)[1] for line in cli_examples()}
     assert commands == {"train", "detect", "calibrate", "splits", "report-merge"}
+
+
+def test_cli_paragraph_names_the_commands_that_take_a_config():
+    paragraph = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1].split("\n\n", 1)[0]
+    # The commands named in the sentence before "accept `--config FILE`".
+    named = set(re.findall(r"`([a-z-]+)`", re.split(r"accept\s+`--config FILE`", paragraph)[0]))
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    takes = {name for name, p in subparsers.choices.items() if "--config" in p._option_string_actions}
+    assert named == takes == {"train", "detect", "calibrate"}
 
 
 @pytest.mark.parametrize("line", cli_examples(), ids=lambda line: shlex.split(line)[1])

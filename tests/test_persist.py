@@ -26,6 +26,7 @@ from geodin.persist import (
     save_model,
     write_report,
 )
+from geodin.scores import SCORE_NAMES
 from geodin.train import TrainConfig, train
 from oracles import fnv1a64_reference
 
@@ -378,6 +379,43 @@ class TestReports:
         row = dataclasses.replace(sample_report().rows[0], auroc=0.0, tnr_at_tpr95=1.0)
         write_report(DetectionReport(rows=[row]), path)
         assert read_report(path).rows == [row]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "changes,message",
+        [
+            ({"score": "mahalanobis"}, "unknown score 'mahalanobis'"),
+            ({"score": "G"}, "unknown score 'G'"),
+            ({"shift_kind": "blur"}, "unknown shift kind 'blur'"),
+            ({"shift_kind": "gaussian_noise", "severity": 99}, "severity must be 1..5, got 99"),
+            ({"shift_kind": "gaussian_noise", "severity": 0}, "severity must be 1..5, got 0"),
+            ({"shift_kind": "concept_split", "severity": -1}, "concept group index must be >= 0"),
+            ({"shift_kind": "none", "severity": 1}, "'none' control spec must have severity 0"),
+            ({"seed": -5}, r"seed must be an integer in \[0, 2\*\*64\), got -5"),
+            ({"seed": 2**64}, r"seed must be an integer in \[0, 2\*\*64\), got 18446744073709551616"),
+        ],
+    )
+    def test_a_row_that_detect_cannot_write_rejected_naming_it(self, tmp_path, fmt, changes, message):
+        path = tmp_path / f"r.{fmt}"
+        rows = sample_report().rows
+        write_report(DetectionReport(rows=[rows[0], dataclasses.replace(rows[1], **changes)]), path)
+        with pytest.raises(FormatError, match=message) as info:
+            read_report(path)
+        assert "report row" in str(info.value) and str(next(iter(changes.values()))) in str(info.value)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_every_score_spec_and_seed_end_that_detect_writes_reads_back(self, tmp_path, fmt):
+        path = tmp_path / f"r.{fmt}"
+        base = dataclasses.replace(sample_report().rows[0], auroc=0.8765, tnr_at_tpr95=0.25)
+        specs = [("none", 0), ("gaussian_noise", 1), ("smoothing", 5), ("concept_split", 0), ("concept_split", 40)]
+        rows = [
+            dataclasses.replace(base, score=score, shift_kind=kind, severity=severity, seed=seed)
+            for score in SCORE_NAMES
+            for kind, severity in specs
+            for seed in (0, 2**64 - 1)
+        ]
+        write_report(DetectionReport(rows=rows), path)
+        assert read_report(path).rows == rows
 
     @pytest.mark.parametrize(
         "name,is_json", [("r.csv", False), ("r.json", True), ("r.JSON", True), ("r.xml", False), ("r", False)]

@@ -197,16 +197,16 @@ class TestMinibatches:
         cfg = TrainConfig(epochs=3, batch_size=4, lr0=lr0, seed=7)
 
         def listed():
-            return [[(idx.tolist(), lr) for idx, lr in steps] for steps in minibatches(n, cfg, tag)]
+            return [(order.tolist(), rates) for order, rates in minibatches(n, cfg, tag)]
 
         schedule = listed()
         assert len(schedule) == 3
         rng = np.random.default_rng(np.random.SeedSequence([7, tag]))
         rates = []
-        for steps in schedule:
-            perm = rng.permutation(n).tolist()  # the stream's next draw, each epoch
-            assert [idx for idx, _ in steps] == [perm[:4], perm[4:8], perm[8:]]
-            rates += [lr for _, lr in steps]
+        for order, epoch_rates in schedule:
+            assert order == rng.permutation(n).tolist()  # the stream's next draw, each epoch
+            assert len(epoch_rates) == 3  # batches of 4, 4 and 2 rows
+            rates += epoch_rates
         total = 3 * 3  # epochs x batches per epoch
         assert rates == [cosine_lr(s, total, lr0) for s in range(total)]
         assert rates[-1] > 0
